@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import GroundSetTooLarge
+from .errors import GroundSetTooLarge, InvalidParams
 from .matroids import Matroid, UniformMatroid
 from .oracles import QueryGate
 
@@ -95,14 +95,14 @@ class SieveStreaming:
         self.K = matroid.rank
         self.eps = eps if isinstance(eps, Fraction) else Fraction(str(eps))
         if not 0 < self.eps <= 1:
-            raise ValueError("eps must be in (0, 1]")
+            raise InvalidParams("eps must be in (0, 1]")
         self.m = 0
         self.sets: dict[int, tuple[frozenset, int]] = {}
         self._pow: dict[int, Fraction] = {0: Fraction(1)}
 
     def _grid(self, i: int) -> Fraction:
-        base = Fraction(1) + self.eps
         if i not in self._pow:
+            base = Fraction(1) + self.eps
             self._pow[i] = base ** i
         return self._pow[i]
 

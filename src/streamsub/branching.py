@@ -103,6 +103,7 @@ class _CardNode:
         self.child_skip = None
         self.collecting = True
         tree.nodes.append(self)
+        tree.live.append(self)
         if not self.leaf:
             skip_v = v * Fraction(k + s - 2, k + s - 1)
             self.child_skip = _CardNode(tree, k - 1, s, skip_v, g, start)
@@ -110,12 +111,16 @@ class _CardNode:
     def offer(self, t: int, e: int):
         gain = self.g.singleton(e)
         if self.leaf:
-            if self.best is None or gain > self.best[0]:
+            if self.best is None:
+                self.tree.stored += 1
+                self.best = (gain, e)
+            elif gain > self.best[0]:
                 self.best = (gain, e)
             return
         if gain * (self.k + self.s - 1) >= self.v:
             self.pin = (e, gain)
             self.collecting = False
+            self.tree.stored += 1
             self.tree.branches_spawned += 1
             self.child_take = _CardNode(self.tree, self.k, self.s - 1,
                                         self.v - gain, self.g.extend(e, gain), t + 1)
@@ -150,7 +155,13 @@ class _CardNode:
 
 
 class CardTree:
-    """Event-driven tree for one fixed guess v under a cardinality budget."""
+    """Event-driven tree for one fixed guess v under a cardinality budget.
+
+    ``nodes`` holds every node ever created; ``live`` holds, in creation
+    order, the nodes that can still take an element (leaves, and internal
+    nodes that have not pinned one). ``stored`` is the running sum of the
+    nodes' ``local_stored()``.
+    """
 
     def __init__(self, gate: QueryGate, k: int, s: int, v, pinned=frozenset(),
                  start: int = 0, trace: bool = False):
@@ -159,16 +170,26 @@ class CardTree:
         self.gate = gate
         self.v = to_fraction(v)
         self.nodes: list[_CardNode] = []
+        self.live: list[_CardNode] = []
+        self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
         self.root = _CardNode(self, k, s, self.v, PinnedEval(gate, pinned), start)
 
     def step(self, t: int, e: int):
-        for node in list(self.nodes):
-            if node.start <= t and (node.leaf or node.collecting):
+        current = self.live
+        # nodes created during this step start at t+1 and land in the new list
+        self.live = []
+        kept = []
+        for node in current:
+            if node.start <= t:
                 if self.trace_log is not None:
                     self.trace_log.append((id(node), t))
                 node.offer(t, e)
+            if node.collecting or node.leaf:
+                kept.append(node)
+        kept.extend(self.live)
+        self.live = kept
 
     def stored_set(self) -> frozenset:
         out: set = set()
@@ -181,7 +202,7 @@ class CardTree:
         return frozenset(out)
 
     def footprint(self) -> int:
-        return sum(node.local_stored() for node in self.nodes)
+        return self.stored
 
     def finish(self) -> tuple[frozenset, int]:
         return self.root.solution()
@@ -239,13 +260,17 @@ class _MatNode:
             self.open_bs = []
             self.tracking = {}
         tree.nodes.append(self)
+        tree.stored += len(indep)
 
     def offer(self, t: int, e: int):
         matroid = self.tree.matroid
         if not matroid.is_independent(self.indep | {e}):
             return
         gain = self.g.singleton(e)
-        if self.best_single is None or gain > self.best_single[0]:
+        if self.best_single is None:
+            self.tree.stored += 1
+            self.best_single = (gain, e)
+        elif gain > self.best_single[0]:
             self.best_single = (gain, e)
         if not self.open_bs:
             return
@@ -265,6 +290,8 @@ class _MatNode:
                     child_entry = (child, gain)
                     self.children[e] = child_entry
                     self.child_order.append(e)
+                if e not in tracked:
+                    self.tree.stored += 1
                 tracked.add(e)
                 self.slots.append((b, len(tracked), e))
                 self.tree.branches_spawned += 1
@@ -299,7 +326,8 @@ class MatroidTree:
     """Event-driven tree for one fixed guess v under a matroid constraint.
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above 4
-    are refused unless the caller opts in.
+    are refused unless the caller opts in. ``stored`` is the running sum
+    of the nodes' ``local_stored()``.
     """
 
     MAX_DEFAULT_RANK = 4
@@ -324,6 +352,7 @@ class MatroidTree:
         self.beta = self.k4 // 2
         self.v = to_fraction(v)
         self.nodes: list[_MatNode] = []
+        self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
         self.root = _MatNode(self, k, self.v, PinnedEval(gate, indep), indep, start)
@@ -346,7 +375,7 @@ class MatroidTree:
         return frozenset(out)
 
     def footprint(self) -> int:
-        return sum(node.local_stored() for node in self.nodes)
+        return self.stored
 
     def finish(self) -> tuple[frozenset, int]:
         return self.root.solution()

@@ -85,20 +85,24 @@ def _constraint_kind(instance) -> str:
 
 
 def run_streaming(alg, stream, policy, audit: OracleAudit, watcher=None):
-    """Drive a step-based streaming algorithm over one ordering."""
+    """Drive a step-based streaming algorithm over one ordering. The
+    stored element set is computed only for a policy or watcher that
+    reads it."""
+    store_policy = isinstance(policy, ElementStorePolicy)
     for t, e in enumerate(stream):
         audit.step = t
-        if isinstance(policy, ElementStorePolicy):
+        if store_policy:
             policy.begin_step(e)
         if watcher is not None:
             watcher.before(t, e)
         alg.step(t, e)
-        stored = alg.stored_set()
-        if isinstance(policy, ElementStorePolicy):
-            policy.commit(stored)
+        if store_policy or watcher is not None:
+            stored = alg.stored_set()
+            if store_policy:
+                policy.commit(stored)
+            if watcher is not None:
+                watcher.after(t, e, stored)
         audit.observe_stored(alg.footprint())
-        if watcher is not None:
-            watcher.after(t, e, stored)
     return alg.finish()
 
 

@@ -15,6 +15,13 @@ Three query policies are supported:
 Queries are funneled through a :class:`QueryGate`, which enforces the
 policy and keeps an :class:`OracleAudit` of query counts, peak storage
 and refused queries. A refused query never reveals the value.
+
+The audit counts two things. ``query_count`` counts logical queries:
+every query the policy accepted, each one checked and logged. Inside a
+stream step (``audit.step >= 0``) the gate remembers the values it has
+already evaluated and answers a repeated accepted query from that memo,
+which lasts until ``audit.step`` changes; ``oracle_calls`` counts the
+real evaluations of the function. Outside a stream nothing is memoized.
 """
 
 from __future__ import annotations
@@ -157,6 +164,9 @@ class ElementStorePolicy(AccessPolicy):
 class OracleAudit:
     """Per-run accounting: query count, peak storage, refused queries.
 
+    ``query_count`` counts accepted (policy-checked) queries and
+    ``oracle_calls`` the evaluations of the function behind them; the two
+    differ by the queries answered from the gate's per-step memo.
     ``max_stored`` is the peak of whatever storage figure the runner
     reports via :meth:`observe_stored` (for branch trees this is the
     element count summed over live branch state). ``rejected`` holds
@@ -165,6 +175,7 @@ class OracleAudit:
     """
 
     query_count: int = 0
+    oracle_calls: int = 0
     max_stored: int = 0
     rejected: list = field(default_factory=list)
     record_log: bool = False
@@ -181,12 +192,19 @@ class OracleAudit:
 
 
 class QueryGate:
-    """Front door for every value query of one run."""
+    """Front door for every value query of one run.
+
+    Values of accepted queries are memoized for the current stream step
+    (``audit.step``); the memo is dropped when the step changes, so it
+    holds at most one step's distinct queries.
+    """
 
     def __init__(self, fn, policy: AccessPolicy | None = None, audit: OracleAudit | None = None):
         self.fn = fn
         self.policy = policy if policy is not None else StrongPolicy()
         self.audit = audit if audit is not None else OracleAudit()
+        self._memo: dict[frozenset, int] = {}
+        self._memo_step = -1
 
     @property
     def n(self) -> int:
@@ -200,10 +218,22 @@ class QueryGate:
         if reason is not None:
             self.audit.rejected.append((subset, reason))
             return None
-        self.audit.query_count += 1
-        if self.audit.record_log:
-            self.audit.log.append((self.audit.step, subset))
-        return self.fn.value(subset)
+        audit = self.audit
+        audit.query_count += 1
+        step = audit.step
+        if audit.record_log:
+            audit.log.append((step, subset))
+        if step < 0:
+            audit.oracle_calls += 1
+            return self.fn.value(subset)
+        if step != self._memo_step:
+            self._memo = {}
+            self._memo_step = step
+        result = self._memo.get(subset)
+        if result is None:
+            audit.oracle_calls += 1
+            result = self._memo[subset] = self.fn.value(subset)
+        return result
 
     def require(self, subset) -> int:
         """Gated query that raises on refusal. Used by algorithms that

@@ -1,14 +1,34 @@
-"""Replay-based reference implementations of the branching procedures.
+"""Reference implementations the package is tested against.
 
-These simulate the recursion literally with stored stream suffixes (they
-are free to look at a suffix many times), independent of the event-driven
-trees in the package. Tie-breaking mirrors the production rules: leaf
-argmax keeps the earliest maximum, the take-branch wins only strictly,
-and child candidates are compared in first-acceptance order with the
-singleton fallback last.
+The replay-based branching procedures simulate the recursion literally
+with stored stream suffixes (they are free to look at a suffix many
+times), independent of the event-driven trees in the package.
+Tie-breaking mirrors the production rules: leaf argmax keeps the
+earliest maximum, the take-branch wins only strictly, and child
+candidates are compared in first-acceptance order with the singleton
+fallback last.
+
+:class:`PlainGate` is the query gate without the per-step value memo.
 """
 
 from fractions import Fraction
+
+from streamsub.oracles import QueryGate
+
+
+class PlainGate(QueryGate):
+    """Query gate that evaluates the function on every accepted query."""
+
+    def value(self, subset):
+        subset = frozenset(subset)
+        reason = self.policy.check(subset)
+        if reason is not None:
+            self.audit.rejected.append((subset, reason))
+            return None
+        self.audit.query_count += 1
+        if self.audit.record_log:
+            self.audit.log.append((self.audit.step, subset))
+        return self.fn.value(subset)
 
 
 def ref_cardinality(fn, stream, k, s, v, pinned=frozenset()):

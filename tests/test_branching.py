@@ -208,6 +208,54 @@ class TestSinglePassDiscipline:
                 assert t >= node.start
 
 
+class TestIncrementalState:
+    """The running footprint equals the sum over all nodes, and each step
+    reaches exactly the nodes a scan of all nodes would, in creation order."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_card_tree(self, seed):
+        rnd = random.Random(300 + seed)
+        if seed % 3 == 0:
+            K = 3
+            inst = card_instantiate(CardHardParams(10, K, K), seed)
+        else:
+            K = rnd.randrange(2, 4)
+            inst = random_coverage(rnd.randrange(5, 9), 12, K, seed)
+        stream = list(range(inst.fn.n))
+        rnd.shuffle(stream)
+        _, opt = brute_force_optimum(inst.fn, UniformMatroid(inst.fn.n, K))
+        for v in (opt, Fraction(opt, 2)):
+            tree = CardTree(QueryGate(inst.fn), K, K, v, trace=True)
+            for t, e in enumerate(stream):
+                want = [id(n) for n in tree.nodes
+                        if n.start <= t and (n.leaf or n.collecting)]
+                mark = len(tree.trace_log)
+                tree.step(t, e)
+                assert tree.trace_log[mark:] == [(node_id, t) for node_id in want]
+                assert tree.footprint() == sum(n.local_stored() for n in tree.nodes)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mat_tree(self, seed):
+        rnd = random.Random(600 + seed)
+        n = rnd.randrange(4, 7)
+        if seed % 2:
+            matroid = UniformMatroid(n, rnd.randrange(1, 3))
+        else:
+            matroid = PartitionMatroid([rnd.randrange(2) for _ in range(n)], capacity=1)
+        inst = random_coverage(n, 9, matroid.rank, seed)
+        stream = list(range(n))
+        rnd.shuffle(stream)
+        _, opt = brute_force_optimum(inst.fn, matroid)
+        tree = MatroidTree(QueryGate(inst.fn), matroid, matroid.rank, max(opt, 1),
+                           trace=True)
+        for t, e in enumerate(stream):
+            want = [id(node) for node in tree.nodes if node.start <= t]
+            mark = len(tree.trace_log)
+            tree.step(t, e)
+            assert tree.trace_log[mark:] == [(node_id, t) for node_id in want]
+            assert tree.footprint() == sum(node.local_stored() for node in tree.nodes)
+
+
 class TestGuessDriver:
     def test_all_equal_values_reaches_feasible_max(self):
         f = additive([2] * 6)

@@ -121,3 +121,16 @@ class TestAuditAndSweep:
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3
+
+
+class TestUsageErrors:
+    def test_sieve_epsilon_out_of_range(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        main(["gen", "--kind", "coverage", "--K", "2", "--n", "6", "--seed", "9",
+              "--out", str(inst_file)])
+        capsys.readouterr()
+        assert main(["run", "--instance", str(inst_file), "--alg", "sieve",
+                     "--epsilon", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "eps must be in (0, 1]" in err
+        assert "Traceback" not in err

@@ -3,13 +3,21 @@ from fractions import Fraction
 import pytest
 
 from streamsub.baselines import brute_force_optimum
+from streamsub.branching import GuessDriver
+from streamsub.coverage import random_coverage
+from streamsub.hard_cardinality import CardHardParams
+from streamsub.hard_cardinality import instantiate as card_instantiate
 from streamsub.harness import (ExperimentConfig, build_instance,
                                canonical_audit, exact_optimum,
                                instance_from_json, instance_to_json,
-                               report_to_json, run_experiment, run_trial,
-                               wilson_interval)
+                               report_to_json, run_experiment, run_streaming,
+                               run_trial, wilson_interval)
 from streamsub.hard_matroid import MatHardParams
 from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.oracles import OracleAudit, QueryGate, WeakPolicy
+from streamsub.samplers import sample_stream
+
+from _reference import PlainGate
 
 
 class TestInstanceRoundTrip:
@@ -90,6 +98,44 @@ class TestRunExperiment:
         inst = build_instance("coverage", {"n": 6, "K": 2}, 2)
         with pytest.raises(InvalidParams):
             run_trial(inst, "greedy", Fraction(1, 5), 7, policy_kind="element-store")
+
+
+class TestMemoDifferential:
+    """The guess driver gives the same results and the same accounting with
+    the memoizing gate as with a gate that evaluates every query."""
+
+    @staticmethod
+    def drive(gate_cls, instance, constraint, stream):
+        audit = OracleAudit()
+        policy = WeakPolicy(instance.matroid)
+        gate = gate_cls(instance.fn, policy, audit)
+        driver = GuessDriver(gate, instance.matroid, Fraction(1, 10), constraint)
+        solution, _ = run_streaming(driver, stream, policy, audit)
+        return {"solution": solution, "value": gate.require(solution),
+                "query_count": audit.query_count, "max_stored": audit.max_stored,
+                "branches_spawned": driver.branches_spawned,
+                "roots_spawned": driver.roots_spawned, "v_used": driver.champion_v,
+                "violations": len(audit.rejected)}, audit
+
+    def check(self, instance, constraint, stream):
+        got, audit = self.drive(QueryGate, instance, constraint, stream)
+        want, _ = self.drive(PlainGate, instance, constraint, stream)
+        assert got == want
+        assert audit.oracle_calls <= audit.query_count
+
+    @pytest.mark.parametrize("stream_seed", range(3))
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_hard_cardinality(self, K, stream_seed):
+        inst = card_instantiate(CardHardParams(3 * K, K, K), 77)
+        stream = sample_stream(inst, "purple-last", stream_seed).ordering
+        self.check(inst, "cardinality", stream)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_coverage(self, seed):
+        inst = random_coverage(8, 12, (seed % 3) + 1, seed)
+        stream = sample_stream(inst, "uniform", seed).ordering
+        self.check(inst, "cardinality", stream)
+        self.check(inst, "matroid", stream)
 
 
 class TestWilson:

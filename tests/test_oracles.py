@@ -161,3 +161,47 @@ class TestElementStoreReplay:
             stored_before = policy.history[step - 1] if step >= 1 else frozenset()
             window = stored_before | {stream[step]}
             assert subset <= window
+
+
+class TestStepMemo:
+    @staticmethod
+    def counting_gate(policy=None, step=0, record_log=False):
+        calls = []
+
+        def fn(s):
+            calls.append(s)
+            return len(s)
+        audit = OracleAudit(step=step, record_log=record_log)
+        return QueryGate(SetFunction(3, fn), policy, audit), calls
+
+    def test_infeasible_repeat_is_refused_each_time(self):
+        gate, calls = self.counting_gate(WeakPolicy(UniformMatroid(3, 2)))
+        assert gate.value({0, 1, 2}) is None
+        assert gate.value({0, 1, 2}) is None
+        assert len(gate.audit.rejected) == 2
+        assert gate.audit.query_count == 0 and gate.audit.oracle_calls == 0
+        assert calls == []
+
+    def test_feasible_repeat_evaluates_once(self):
+        gate, calls = self.counting_gate(record_log=True)
+        assert gate.value({0, 1}) == 2
+        assert gate.value([1, 0]) == 2
+        assert gate.audit.query_count == 2
+        assert gate.audit.oracle_calls == 1 and len(calls) == 1
+        assert gate.audit.log == [(0, frozenset({0, 1}))] * 2
+
+    def test_new_step_evaluates_again(self):
+        gate, calls = self.counting_gate()
+        gate.value({2})
+        gate.audit.step = 1
+        gate.value({2})
+        gate.value({2})
+        assert gate.audit.query_count == 3
+        assert gate.audit.oracle_calls == 2 and len(calls) == 2
+
+    def test_nothing_memoized_outside_a_stream(self):
+        gate, calls = self.counting_gate(step=-1)
+        gate.value({0})
+        gate.value({0})
+        assert gate.audit.query_count == 2
+        assert gate.audit.oracle_calls == 2 and len(calls) == 2
