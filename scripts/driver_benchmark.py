@@ -11,8 +11,9 @@ import argparse
 from fractions import Fraction
 
 from streamsub.baselines import brute_force_optimum
-from streamsub.branching import run_guess_driver
+from streamsub.branching import GuessDriver
 from streamsub.coverage import random_coverage
+from streamsub.harness import stream_run
 from streamsub.oracles import OracleAudit, QueryGate, WeakPolicy
 from streamsub.samplers import sample_stream
 
@@ -35,8 +36,9 @@ def main():
             continue
         for kind in ("cardinality", "matroid"):
             gate = QueryGate(inst.fn, WeakPolicy(inst.matroid), OracleAudit())
-            rep = run_guess_driver(stream, gate, inst.matroid, args.epsilon, kind)
-            ratio = rep.value / opt
+            driver = GuessDriver(gate, inst.matroid, args.epsilon, kind)
+            _, value = stream_run(driver, stream, gate)
+            ratio = value / opt
             key = (kind, K)
             worst[key] = min(worst.get(key, 1.0), ratio)
 

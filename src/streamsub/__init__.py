@@ -6,16 +6,15 @@ value-guessing driver, oracle access policies with space accounting,
 and an experiment/verification harness.
 """
 
-from .branching import (AlgReport, CardTree, GuessDriver, MatroidTree,
-                        cardinality_branch, gamma_bound, matroid_branch,
-                        run_fixed_guess, run_guess_driver, to_fraction)
+from .branching import (CardTree, GuessDriver, GuessGrid, MatroidTree,
+                        cardinality_branch, gamma_bound, matroid_branch, to_fraction)
 from .errors import (GroundSetTooLarge, IncompatibleDistribution, InvalidParams,
                      NotIndependent, PolicyViolation, StreamsubError, WrongRank)
 from .matroids import (ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid,
                        can_extend, check_axioms)
 from .oracles import (AccessPolicy, ElementStorePolicy, OracleAudit, QueryGate,
                       Residual, SetFunction, StrongPolicy, WeakPolicy, additive,
-                      evaluate, marginal, restrict, verify_by_pairs,
+                      evaluate, marginal, verify_by_pairs,
                       verify_monotone_submodular)
 
 __version__ = "0.1.0"

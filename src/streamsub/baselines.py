@@ -9,10 +9,10 @@ textbook description).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .errors import GroundSetTooLarge, InvalidParams
+from .branching import GuessGrid
+from .errors import GroundSetTooLarge
 from .matroids import Matroid, UniformMatroid
 from .oracles import QueryGate
 
@@ -93,37 +93,20 @@ class SieveStreaming:
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
-        self.eps = eps if isinstance(eps, Fraction) else Fraction(str(eps))
-        if not 0 < self.eps <= 1:
-            raise InvalidParams("eps must be in (0, 1]")
+        self.grid = GuessGrid(eps)
         self.m = 0
         self.sets: dict[int, tuple[frozenset, int]] = {}
-        self._pow: dict[int, Fraction] = {0: Fraction(1)}
-
-    def _grid(self, i: int) -> Fraction:
-        if i not in self._pow:
-            base = Fraction(1) + self.eps
-            self._pow[i] = base ** i
-        return self._pow[i]
-
-    def _window(self) -> range:
-        if self.m <= 0 or self.K == 0:
-            return range(0)
-        lo, hi = Fraction(self.m), Fraction(2 * self.K * self.m)
-        i = 0
-        while self._grid(i) < lo:
-            i += 1
-        j = i
-        while self._grid(j + 1) <= hi:
-            j += 1
-        return range(i, j + 1)
 
     def step(self, t: int, e: int):
         if self.matroid.is_independent({e}):
             fe = self.gate.require(frozenset({e}))
             if fe > self.m:
                 self.m = fe
-        window = self._window()
+        if self.m > 0 and self.K > 0:
+            first, last = self.grid.window(self.m, 2 * self.K * self.m)
+            window = range(first, last + 1)
+        else:
+            window = range(0)
         for i in list(self.sets):
             if i not in window:
                 del self.sets[i]
@@ -137,7 +120,7 @@ class SieveStreaming:
             if not self.matroid.is_independent(s | {e}):
                 continue
             new_val = self.gate.require(s | {e})
-            need = (self._grid(i) / 2 - val) / (self.K - len(s))
+            need = (self.grid[i] / 2 - val) / (self.K - len(s))
             if new_val - val >= need:
                 self.sets[i] = (s | {e}, new_val)
 

@@ -10,6 +10,13 @@ element spawns its conditioned child starting at the next position, and
 node construction. This preserves the single-pass semantics the recursion
 implies while every element is delivered exactly once.
 
+Every node queries the function through an :class:`~streamsub.oracles.Residual`
+of the run's query gate, conditioned on the elements its branch has
+pinned. :class:`GuessGrid` holds the guesses v = (1+eps)^i; the driver
+here and the threshold sieve in :mod:`streamsub.baselines` share it.
+``streamsub.harness.stream_run`` drives a tree or the driver over a
+stream.
+
 Numeric conventions: function values are exact integers; guess values v
 and all thresholds are exact rationals, so acceptance decisions never
 depend on float rounding. Value bookkeeping telescopes residuals, so a
@@ -18,12 +25,11 @@ node's reported solution value never costs extra oracle queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParams, NotIndependent
 from .matroids import Matroid
-from .oracles import QueryGate
+from .oracles import QueryGate, Residual
 
 
 def to_fraction(x) -> Fraction:
@@ -36,42 +42,41 @@ def to_fraction(x) -> Fraction:
     return Fraction(str(x))
 
 
-class PinnedEval:
-    """Residual bookkeeping for one branch chain.
+class GuessGrid:
+    """The geometric guess grid v_i = (1+eps)^i, i >= 0, with exact cached
+    powers; ``grid[i]`` is v_i.
 
-    g(T) = f(T | pinned) against the run's query gate, with f(pinned)
-    cached. Extending the chain by an element whose gain is already known
-    derives the new base arithmetically instead of re-querying.
+    :meth:`window` returns the index range (first, last) from the first
+    index with v_first >= lo to the last with v_last <= hi, and never
+    below first. It advances the previous window instead of rescanning
+    from index 0, which is valid because callers only ever raise both
+    ends: each is a fixed multiple of a running maximum.
     """
 
-    __slots__ = ("gate", "pinned", "base")
+    def __init__(self, eps):
+        self.eps = to_fraction(eps)
+        if not 0 < self.eps <= 1:
+            raise InvalidParams("eps must be in (0, 1]")
+        self.base = 1 + self.eps
+        self._pow = [Fraction(1)]
+        self._first = 0
+        self._last = 0
 
-    def __init__(self, gate: QueryGate, pinned=frozenset(), base=None):
-        self.gate = gate
-        self.pinned = frozenset(pinned)
-        self.base = gate.require(self.pinned) if base is None else base
+    def __getitem__(self, i: int) -> Fraction:
+        powers = self._pow
+        while len(powers) <= i:
+            powers.append(powers[-1] * self.base)
+        return powers[i]
 
-    def singleton(self, e: int) -> int:
-        return self.gate.require(self.pinned | {e}) - self.base
-
-    def of(self, subset) -> int:
-        return self.gate.require(self.pinned | frozenset(subset)) - self.base
-
-    def extend(self, e: int, gain: int) -> "PinnedEval":
-        return PinnedEval(self.gate, self.pinned | {e}, self.base + gain)
-
-
-@dataclass
-class AlgReport:
-    solution: frozenset
-    value: int
-    queries: int
-    max_stored: int
-    branches_spawned: int
-    roots_spawned: int = 1
-    live_roots_peak: int = 1
-    v_used: Fraction | None = None
-    violations: int = 0
+    def window(self, lo, hi) -> tuple[int, int]:
+        first = self._first
+        while self[first] < lo:
+            first += 1
+        last = max(self._last, first)
+        while self[last + 1] <= hi:
+            last += 1
+        self._first, self._last = first, last
+        return first, last
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,7 @@ class _CardNode:
                  "pin", "child_take", "child_skip", "collecting")
 
     def __init__(self, tree: "CardTree", k: int, s: int, v: Fraction,
-                 g: PinnedEval, start: int):
+                 g: Residual, start: int):
         self.tree = tree
         self.k = k
         self.s = s
@@ -174,7 +179,7 @@ class CardTree:
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _CardNode(self, k, s, self.v, PinnedEval(gate, pinned), start)
+        self.root = _CardNode(self, k, s, self.v, Residual(gate, pinned), start)
 
     def step(self, t: int, e: int):
         current = self.live
@@ -242,7 +247,7 @@ class _MatNode:
                  "tracking", "open_bs", "children", "child_order", "slots")
 
     def __init__(self, tree: "MatroidTree", k: int, v: Fraction,
-                 g: PinnedEval, indep: frozenset, start: int):
+                 g: Residual, indep: frozenset, start: int):
         self.tree = tree
         self.k = k
         self.v = v
@@ -355,7 +360,7 @@ class MatroidTree:
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _MatNode(self, k, self.v, PinnedEval(gate, indep), indep, start)
+        self.root = _MatNode(self, k, self.v, Residual(gate, indep), indep, start)
 
     def step(self, t: int, e: int):
         for node in list(self.nodes):
@@ -409,21 +414,19 @@ class GuessDriver:
     enter the window (their trees see only the suffix from that point) and
     are retired when they leave it; a retired tree's current solution is
     frozen into the running champion so the final answer is the best
-    solution over all roots ever spawned.
+    solution over all roots ever spawned. :meth:`finish` returns the
+    champion with its value queried once more through the gate.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps,
-                 constraint: str = "cardinality", allow_large_rank: bool = False):
+                 constraint: str = "cardinality"):
         if constraint not in ("cardinality", "matroid"):
             raise InvalidParams(f"unknown constraint kind {constraint!r}")
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
-        self.eps = to_fraction(eps)
-        if not 0 < self.eps <= 1:
-            raise InvalidParams("eps must be in (0, 1]")
+        self.grid = GuessGrid(eps)
         self.constraint = constraint
-        self.allow_large_rank = allow_large_rank
         self.m = 0
         self.roots: dict[int, CardTree | MatroidTree] = {}
         self.spawned: set[int] = set()
@@ -432,37 +435,13 @@ class GuessDriver:
         self.branches_spawned = 0
         self.roots_spawned = 0
         self.live_roots_peak = 0
-        self._pow: dict[int, Fraction] = {0: Fraction(1)}
-
-    def _grid(self, i: int) -> Fraction:
-        if i not in self._pow:
-            base = Fraction(1) + self.eps
-            self._pow[i] = base ** i
-        return self._pow[i]
-
-    def _window(self) -> tuple[int, int] | None:
-        """Grid-index range of the active window, clamped at index 0;
-        integer-valued functions never need guesses below 1."""
-        if self.m <= 0 or self.K == 0:
-            return None
-        one_eps = Fraction(1) + self.eps
-        lo = Fraction(self.m) / (one_eps * one_eps)
-        hi = Fraction(self.K * self.m) / self.eps
-        i = 0
-        while self._grid(i) < lo:
-            i += 1
-        j = i
-        while self._grid(j + 1) <= hi:
-            j += 1
-        return i, j
 
     def _spawn(self, i: int, start: int):
-        v = self._grid(i)
+        v = self.grid[i]
         if self.constraint == "cardinality":
             tree = CardTree(self.gate, self.K, self.K, v, start=start)
         else:
-            tree = MatroidTree(self.gate, self.matroid, self.K, v,
-                               allow_large_rank=self.allow_large_rank, start=start)
+            tree = MatroidTree(self.gate, self.matroid, self.K, v, start=start)
         self.roots[i] = tree
         self.spawned.add(i)
         self.roots_spawned += 1
@@ -473,16 +452,18 @@ class GuessDriver:
         sol, val = tree.finish()
         if val > self.champion[1]:
             self.champion = (sol, val)
-            self.champion_v = self._grid(i)
+            self.champion_v = self.grid[i]
 
     def step(self, t: int, e: int):
         if self.K > 0 and self.matroid.is_independent({e}):
             fe = self.gate.require(frozenset({e}))
             if fe > self.m:
                 self.m = fe
-        window = self._window()
-        if window is not None:
-            first_i, last_i = window
+        # m > 0 implies K > 0; integer-valued functions never need
+        # guesses below 1, so the window is clamped at index 0
+        if self.m > 0:
+            first_i, last_i = self.grid.window(Fraction(self.m) / self.grid.base ** 2,
+                                               Fraction(self.K * self.m) / self.grid.eps)
             for i in list(self.roots):
                 if i < first_i:
                     self._retire(i)
@@ -506,56 +487,8 @@ class GuessDriver:
     def finish(self) -> tuple[frozenset, int]:
         for i in list(self.roots):
             self._retire(i)
-        return self.champion
-
-
-def run_guess_driver(stream, gate: QueryGate, matroid: Matroid, eps,
-                     constraint: str = "cardinality",
-                     allow_large_rank: bool = False) -> AlgReport:
-    """One full pass of the guessing driver; audits storage per step."""
-    driver = GuessDriver(gate, matroid, eps, constraint, allow_large_rank)
-    audit = gate.audit
-    for t, e in enumerate(stream):
-        audit.step = t
-        driver.step(t, e)
-        audit.observe_stored(driver.footprint())
-    solution, value = driver.finish()
-    if not matroid.is_independent(solution):
-        raise NotIndependent("driver produced an infeasible solution")
-    reported = gate.require(solution)
-    return AlgReport(solution=solution, value=reported,
-                     queries=audit.query_count, max_stored=audit.max_stored,
-                     branches_spawned=driver.branches_spawned,
-                     roots_spawned=driver.roots_spawned,
-                     live_roots_peak=driver.live_roots_peak,
-                     v_used=driver.champion_v,
-                     violations=len(audit.rejected))
-
-
-def run_fixed_guess(stream, gate: QueryGate, matroid: Matroid, v,
-                    constraint: str = "cardinality",
-                    allow_large_rank: bool = False) -> AlgReport:
-    """One full pass of a single branch tree for a known guess v."""
-    K = matroid.rank
-    if constraint == "cardinality":
-        tree: CardTree | MatroidTree = CardTree(gate, K, K, v)
-    elif constraint == "matroid":
-        tree = MatroidTree(gate, matroid, K, v, allow_large_rank=allow_large_rank)
-    else:
-        raise InvalidParams(f"unknown constraint kind {constraint!r}")
-    audit = gate.audit
-    for t, e in enumerate(stream):
-        audit.step = t
-        tree.step(t, e)
-        audit.observe_stored(tree.footprint())
-    solution, _ = tree.finish()
-    if not matroid.is_independent(solution):
-        raise NotIndependent("branch tree produced an infeasible solution")
-    reported = gate.require(solution)
-    return AlgReport(solution=solution, value=reported,
-                     queries=audit.query_count, max_stored=audit.max_stored,
-                     branches_spawned=tree.branches_spawned,
-                     v_used=to_fraction(v), violations=len(audit.rejected))
+        solution = self.champion[0]
+        return solution, self.gate.require(solution)
 
 
 def gamma_bound(k: int, s: int) -> int:

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import hard_cardinality, hard_matroid
-from .errors import StreamsubError
+from .errors import InvalidParams, StreamsubError
 from .harness import (ExperimentConfig, aggregates_to_csv, build_instance,
                       canonical_audit, exact_optimum, instance_from_json,
                       instance_to_json, report_to_json, run_experiment)
@@ -39,6 +39,14 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _epsilon(text: str) -> str:
+    """Normalized ``--epsilon`` value, or InvalidParams."""
+    try:
+        return str(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParams(f"--epsilon must be a number, got {text!r}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -131,7 +139,7 @@ def _cmd_run(args) -> int:
         print("run needs --instance FILE (create one with gen)", file=sys.stderr)
         return 2
     config = ExperimentConfig(kind=kind, params=params, algorithm=args.alg,
-                              epsilon=str(Fraction(args.epsilon)), trials=args.trials,
+                              epsilon=_epsilon(args.epsilon), trials=args.trials,
                               seed=args.seed if args.seed is not None else inst_seed,
                               distribution=args.distribution or "",
                               policy=args.policy)
@@ -146,7 +154,7 @@ def _cmd_audit(args) -> int:
         instance = instance_from_json(fh.read())
     report = canonical_audit(instance, args.alg, trials=args.trials,
                              seed=args.seed if args.seed is not None else 0,
-                             eps=str(Fraction(args.epsilon)), budget=args.budget)
+                             eps=_epsilon(args.epsilon), budget=args.budget)
     if args.format == "json":
         text = report_to_json(report)
     else:
@@ -177,11 +185,12 @@ def _cmd_sweep(args) -> int:
             lines.append(f"{K},{h},{ratio},{float(ratio):.10f}")
     else:
         lines.append("m,trials,deviation_freq,ci_lo,ci_hi,exceed_freq,mean_ratio,peak_stored")
+        eps = _epsilon(args.epsilon)
         for m in (int(x) for x in args.m_list.split(",")):
             params = hard_matroid.MatHardParams(K=args.K, m=m)
             instance = hard_matroid.instantiate(params, args.seed or 0)
             rep = canonical_audit(instance, args.alg, trials=args.trials,
-                                  seed=args.seed or 0, eps=str(Fraction(args.epsilon)),
+                                  seed=args.seed or 0, eps=eps,
                                   budget=args.budget)
             lo, hi = rep["deviation_ci95"]
             lines.append(f"{m},{args.trials},{rep['deviation_freq']},{lo},{hi},"

@@ -32,24 +32,36 @@ from .rng import derive_seed
 from .samplers import default_distribution, sample_stream
 
 SCHEMA_VERSION = 1
-ALGORITHMS = ("branching", "greedy", "sieve")
 
 
 # ---------------------------------------------------------------------------
 # instance construction and (de)serialization
 
 
+def _number(name: str, value, convert):
+    """``convert(value)``, or InvalidParams naming the parameter."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InvalidParams(f"{name} must be a number, got {value!r}") from None
+
+
 def build_instance(kind: str, params: dict, seed: int):
+    def get(name, convert=int, default=None):
+        if name not in params and default is None:
+            raise InvalidParams(f"{kind} instance needs {name}")
+        return _number(name, params.get(name, default), convert)
+
+    seed = _number("seed", seed, int)
     if kind == "hard-cardinality":
-        p = hard_cardinality.CardHardParams(int(params["n"]), int(params["K"]), int(params["h"]))
+        p = hard_cardinality.CardHardParams(get("n"), get("K"), get("h"))
         return hard_cardinality.instantiate(p, seed)
     if kind == "hard-matroid":
-        p = hard_matroid.MatHardParams(int(params["K"]), int(params["m"]))
+        p = hard_matroid.MatHardParams(get("K"), get("m"))
         return hard_matroid.instantiate(p, seed)
     if kind == "coverage":
-        return CoverageInstance(int(params["n"]), int(params.get("universe", 12)),
-                                int(params["K"]), seed,
-                                float(params.get("density", 0.35)))
+        return CoverageInstance(get("n"), get("universe", default=12), get("K"), seed,
+                                get("density", float, 0.35))
     raise InvalidParams(f"unknown instance kind {kind!r}")
 
 
@@ -61,11 +73,28 @@ def instance_to_json(instance) -> str:
 
 
 def instance_from_json(text: str):
-    payload = json.loads(text)
-    kind = payload.pop("kind")
-    seed = payload.pop("seed")
-    payload.pop("schema_version", None)
-    return build_instance(kind, payload, seed)
+    """Rebuild an instance from its file. Every key of the file other than
+    ``schema_version`` must appear, with the same value, in the rebuilt
+    instance's ``describe()``."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise InvalidParams(f"instance file is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InvalidParams("instance file must hold a JSON object")
+    version = payload.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
+        raise InvalidParams(f"instance schema_version {version!r} is not {SCHEMA_VERSION}")
+    for key in ("kind", "seed"):
+        if key not in payload:
+            raise InvalidParams(f"instance file has no {key!r}")
+    instance = build_instance(payload["kind"], payload, payload["seed"])
+    described = instance.describe()
+    wrong = sorted(k for k, v in payload.items() if k not in described or described[k] != v)
+    if wrong:
+        raise InvalidParams(f"instance file disagrees with the {payload['kind']} instance "
+                            f"it describes on: {', '.join(wrong)}")
+    return instance
 
 
 def exact_optimum(instance) -> int:
@@ -84,10 +113,11 @@ def _constraint_kind(instance) -> str:
     return "matroid" if instance.matroid.kind == "partition" else "cardinality"
 
 
-def run_streaming(alg, stream, policy, audit: OracleAudit, watcher=None):
-    """Drive a step-based streaming algorithm over one ordering. The
-    stored element set is computed only for a policy or watcher that
-    reads it."""
+def stream_run(alg, stream, gate: QueryGate, watcher=None):
+    """Drive a step-based streaming algorithm over one ordering under the
+    policy and audit of ``gate``, and return ``alg.finish()``. The stored
+    element set is computed only for a policy or watcher that reads it."""
+    policy, audit = gate.policy, gate.audit
     store_policy = isinstance(policy, ElementStorePolicy)
     for t, e in enumerate(stream):
         audit.step = t
@@ -125,9 +155,8 @@ class TrialResult:
                 "solution": list(self.solution), "feasible": self.feasible}
 
 
-def run_trial(instance, algorithm: str, eps, trial_seed: int,
-              distribution: str | None = None, policy_kind: str = "weak",
-              allow_large_rank: bool = False) -> TrialResult:
+def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
+              distribution: str | None = None, policy_kind: str = "weak") -> TrialResult:
     distribution = distribution or default_distribution(instance)
     stream = sample_stream(instance, distribution, trial_seed).ordering
     audit = OracleAudit()
@@ -141,24 +170,15 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int,
         raise InvalidParams(f"unknown policy {policy_kind!r}")
     gate = QueryGate(instance.fn, policy, audit)
 
-    if algorithm == "branching":
-        driver = GuessDriver(gate, instance.matroid, eps,
-                             constraint=_constraint_kind(instance),
-                             allow_large_rank=allow_large_rank)
-        solution, _ = run_streaming(driver, stream, policy, audit)
-        value = gate.require(solution)
-    elif algorithm == "sieve":
-        alg = SieveStreaming(gate, instance.matroid, to_fraction(eps))
-        solution, value = run_streaming(alg, stream, policy, audit)
-    elif algorithm == "greedy":
+    if algorithm == "greedy":
         if policy_kind == "element-store":
             raise InvalidParams("greedy is offline; use weak or strong policy")
         solution, value = offline_greedy(gate, instance.matroid)
     else:
-        raise InvalidParams(f"unknown algorithm {algorithm!r}")
+        alg = make_streaming_algorithm(algorithm, gate, instance, eps)
+        solution, value = stream_run(alg, stream, gate)
 
-    opt = exact_optimum(instance)
-    ratio = Fraction(value, opt) if opt else Fraction(1)
+    ratio = Fraction(value, optimum) if optimum else Fraction(1)
     return TrialResult(seed=trial_seed, value=value, ratio=ratio,
                        queries=audit.query_count, max_stored=audit.max_stored,
                        violations=len(audit.rejected),
@@ -188,22 +208,23 @@ class ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
+    if config.trials < 1:
+        raise InvalidParams(f"trials must be at least 1, got {config.trials}")
     instance = build_instance(config.kind, config.params, config.seed)
     eps = Fraction(config.epsilon)
     distribution = config.distribution or default_distribution(instance)
-    trials = []
-    for idx in range(config.trials):
-        trial_seed = derive_seed(config.seed, "trial", idx)
-        trials.append(run_trial(instance, config.algorithm, eps, trial_seed,
-                                distribution, config.policy))
     opt = exact_optimum(instance)
+    trials = [run_trial(instance, config.algorithm, eps,
+                        derive_seed(config.seed, "trial", idx), opt,
+                        distribution, config.policy)
+              for idx in range(config.trials)]
     ratios = [t.ratio for t in trials]
     aggregates = {
         "optimum": opt,
-        "mean_ratio": float(sum(ratios) / len(ratios)) if ratios else 1.0,
-        "min_ratio": float(min(ratios)) if ratios else 1.0,
-        "max_value": max((t.value for t in trials), default=0),
-        "max_stored_peak": max((t.max_stored for t in trials), default=0),
+        "mean_ratio": float(sum(ratios) / len(ratios)),
+        "min_ratio": float(min(ratios)),
+        "max_value": max(t.value for t in trials),
+        "max_stored_peak": max(t.max_stored for t in trials),
         "total_queries": sum(t.queries for t in trials),
         "total_violations": sum(t.violations for t in trials),
         "all_feasible": all(t.feasible for t in trials),
@@ -267,8 +288,10 @@ class CanonicalWatcher:
 
 
 def make_streaming_algorithm(name: str, gate: QueryGate, instance, eps):
+    if name == "branching":
+        return GuessDriver(gate, instance.matroid, eps, constraint=_constraint_kind(instance))
     if name == "sieve":
-        return SieveStreaming(gate, instance.matroid, to_fraction(eps))
+        return SieveStreaming(gate, instance.matroid, eps)
     if name == "store-everything":
         return StoreEverything(gate, instance.matroid)
     raise InvalidParams(f"no streaming step-algorithm named {name!r}")
@@ -285,6 +308,8 @@ def canonical_audit(instance, algorithm: str, trials: int, seed: int,
     is a declared storage budget; the report records whether the
     algorithm stayed within it (the audit never enforces it).
     """
+    if trials < 1:
+        raise InvalidParams(f"trials must be at least 1, got {trials}")
     distribution = distribution or default_distribution(instance)
     n = instance.fn.n
     reds = instance.red_ids
@@ -298,18 +323,16 @@ def canonical_audit(instance, algorithm: str, trials: int, seed: int,
     for idx in range(trials):
         trial_seed = derive_seed(seed, "audit-trial", idx)
         stream = sample_stream(instance, distribution, trial_seed).ordering
-        audit = OracleAudit()
-        policy = ElementStorePolicy()
-        gate = QueryGate(instance.fn, policy, audit)
+        gate = QueryGate(instance.fn, ElementStorePolicy(), OracleAudit())
         alg = make_streaming_algorithm(algorithm, gate, instance, eps)
         watcher = CanonicalWatcher(reds, n)
-        _, value = run_streaming(alg, stream, policy, audit, watcher)
+        _, value = stream_run(alg, stream, gate, watcher)
         if watcher.deviated:
             deviations += 1
         if value > bound:
             exceeds += 1
         max_value = max(max_value, value)
-        peak_stored = max(peak_stored, audit.max_stored)
+        peak_stored = max(peak_stored, gate.audit.max_stored)
         ratio_total += Fraction(value, opt) if opt else Fraction(1)
     lo, hi = wilson_interval(deviations, trials)
     xlo, xhi = wilson_interval(exceeds, trials)
@@ -325,13 +348,13 @@ def canonical_audit(instance, algorithm: str, trials: int, seed: int,
         "within_budget": bool(budget is None or peak_stored <= budget),
         "peak_stored": peak_stored,
         "deviation_count": deviations,
-        "deviation_freq": deviations / trials if trials else 0.0,
+        "deviation_freq": deviations / trials,
         "deviation_ci95": [lo, hi],
         "exceed_count": exceeds,
-        "exceed_freq": exceeds / trials if trials else 0.0,
+        "exceed_freq": exceeds / trials,
         "exceed_ci95": [xlo, xhi],
         "output_bound": bound,
         "optimum": opt,
         "max_value": max_value,
-        "mean_ratio": float(ratio_total / trials) if trials else 0.0,
+        "mean_ratio": float(ratio_total / trials),
     }

@@ -1,4 +1,4 @@
-"""Exact set-function oracles, residual views, and access-policy control.
+"""Exact set-function oracles, access-policy control, and residual views.
 
 Ground sets are ``{0, ..., n-1}``; subsets may be passed as any iterable
 of element ids and are normalized to frozensets. All function values are
@@ -22,6 +22,11 @@ stream step (``audit.step >= 0``) the gate remembers the values it has
 already evaluated and answers a repeated accepted query from that memo,
 which lasts until ``audit.step`` changes; ``oracle_calls`` counts the
 real evaluations of the function. Outside a stream nothing is memoized.
+
+A :class:`Residual` is the conditioned view ``g(T) = f(T | S) - f(S)``
+that the branch trees query: it holds the pinned set ``S`` and the value
+``f(S)``, and sends every query through a gate, so the policy checks and
+the audit see each one.
 """
 
 from __future__ import annotations
@@ -56,36 +61,6 @@ def additive(weights) -> SetFunction:
         w = {i: v for i, v in enumerate(weights)}
         n = len(w)
     return SetFunction(n, lambda s: sum(w.get(e, 0) for e in s), name="additive")
-
-
-class Residual(SetFunction):
-    """View of ``base`` conditioned on a pinned set ``S``.
-
-    ``value(T) = base(T | S) - base(S)`` exactly. The pinned set is
-    stored by value and ``base(S)`` is evaluated once at construction.
-    A residual of a residual flattens, so nesting behaves like a single
-    restriction by the union of the pinned sets.
-    """
-
-    def __init__(self, base, pinned, _pinned_value=None):
-        pinned = frozenset(pinned)
-        if isinstance(base, Residual):
-            inner = base.inner
-            pinned = pinned | base.pinned
-        else:
-            inner = base
-        self.inner = inner
-        self.pinned = pinned
-        self.pinned_value = inner.value(pinned) if _pinned_value is None else _pinned_value
-        super().__init__(inner.n, self._eval, name=f"residual({getattr(inner, 'name', '')})")
-
-    def _eval(self, subset: frozenset) -> int:
-        return self.inner.value(subset | self.pinned) - self.pinned_value
-
-
-def restrict(fn, pinned) -> Residual:
-    """Pin ``pinned`` and return the conditioned function."""
-    return Residual(fn, pinned)
 
 
 def marginal(fn, gain_set, context) -> int:
@@ -248,6 +223,36 @@ class QueryGate:
 def evaluate(fn, policy, subset, audit: OracleAudit) -> Optional[int]:
     """One policy-gated evaluation against an explicit audit."""
     return QueryGate(fn, policy, audit).value(subset)
+
+
+# ---------------------------------------------------------------------------
+# residual views
+
+
+class Residual:
+    """Gate-backed view of ``f`` conditioned on a pinned set ``S``.
+
+    ``value(T) = f(T | S) - f(S)``, every query going through ``gate``.
+    ``f(S)`` is queried once at construction unless ``base`` supplies it;
+    :meth:`extend` pins one more element whose gain is already known and
+    derives the new base arithmetically instead of re-querying.
+    """
+
+    __slots__ = ("gate", "pinned", "base")
+
+    def __init__(self, gate, pinned=frozenset(), base=None):
+        self.gate = gate
+        self.pinned = frozenset(pinned)
+        self.base = gate.require(self.pinned) if base is None else base
+
+    def singleton(self, e: int) -> int:
+        return self.gate.require(self.pinned | {e}) - self.base
+
+    def value(self, subset) -> int:
+        return self.gate.require(self.pinned | frozenset(subset)) - self.base
+
+    def extend(self, e: int, gain: int) -> "Residual":
+        return Residual(self.gate, self.pinned | {e}, self.base + gain)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ earliest maximum, the take-branch wins only strictly, and child
 candidates are compared in first-acceptance order with the singleton
 fallback last.
 
-:class:`PlainGate` is the query gate without the per-step value memo.
+:class:`PlainGate` is the query gate without the per-step value memo;
+:func:`ref_window` finds a guess window by scanning the grid from index 0.
 """
 
 from fractions import Fraction
@@ -29,6 +30,20 @@ class PlainGate(QueryGate):
         if self.audit.record_log:
             self.audit.log.append((self.audit.step, subset))
         return self.fn.value(subset)
+
+
+def ref_window(eps, lo, hi):
+    """Index range (first, last) of the grid (1+eps)^i from the first
+    index with a value >= lo to the last with a value <= hi, never below
+    first."""
+    base = 1 + Fraction(eps)
+    first = 0
+    while base ** first < lo:
+        first += 1
+    last = first
+    while base ** (last + 1) <= hi:
+        last += 1
+    return first, last
 
 
 def ref_cardinality(fn, stream, k, s, v, pinned=frozenset()):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from streamsub.baselines import brute_force_optimum
-from streamsub.branching import run_fixed_guess, run_guess_driver
+from streamsub.branching import CardTree, GuessDriver, MatroidTree
 from streamsub.cli import main as cli_main
 from streamsub.coverage import random_coverage
 from streamsub.hard_cardinality import (CardHardParams, limiting_ratio,
@@ -28,7 +28,7 @@ from streamsub.hard_matroid import instantiate as mat_instantiate
 from streamsub.hard_matroid import level_value
 from streamsub.hard_matroid import optimal_value as mat_optimal
 from streamsub.hard_matroid import output_bound as mat_bound
-from streamsub.harness import canonical_audit
+from streamsub.harness import canonical_audit, stream_run
 from streamsub.oracles import OracleAudit, QueryGate, WeakPolicy, \
     verify_monotone_submodular
 from streamsub.samplers import default_distribution, sample_stream
@@ -227,13 +227,14 @@ def driver_runs():
         stream = sample_stream(instance, default_distribution(instance),
                                stream_seed).ordering
         gate = QueryGate(instance.fn, WeakPolicy(instance.matroid), OracleAudit())
-        report = run_guess_driver(stream, gate, instance.matroid, eps, constraint)
+        driver = GuessDriver(gate, instance.matroid, eps, constraint)
+        solution, value = stream_run(driver, stream, gate)
         _, opt = brute_force_optimum(instance.fn, instance.matroid)
         results.append({
             "tag": tag, "constraint": constraint,
-            "K": instance.matroid.rank, "value": report.value, "opt": opt,
-            "feasible": instance.matroid.is_independent(report.solution),
-            "violations": report.violations,
+            "K": instance.matroid.rank, "value": value, "opt": opt,
+            "feasible": instance.matroid.is_independent(solution),
+            "violations": len(gate.audit.rejected),
         })
 
     for seed in range(200):
@@ -285,20 +286,19 @@ def test_criterion_8_space_bounds():
         inst = card_instantiate(CardHardParams(10, K, K), 5)
         stream = sample_stream(inst, "purple-last", 1).ordering
         gate = QueryGate(inst.fn, WeakPolicy(inst.matroid), OracleAudit())
-        rep = run_fixed_guess(stream, gate, inst.matroid, inst.optimal_value,
-                              "cardinality")
+        solution, _ = stream_run(CardTree(gate, K, K, inst.optimal_value), stream, gate)
         bound = K * 2 ** (2 * K)
-        ok &= rep.max_stored <= bound
-        details.append(f"card K={K}: {rep.max_stored}<={bound}")
+        ok &= gate.audit.max_stored <= bound and inst.matroid.is_independent(solution)
+        details.append(f"card K={K}: {gate.audit.max_stored}<={bound}")
 
         minst = mat_instantiate(MatHardParams(K, 2 * (K - 1)), 5)
         mstream = sample_stream(minst, "class-blocks", 1).ordering
         mgate = QueryGate(minst.fn, WeakPolicy(minst.matroid), OracleAudit())
-        mrep = run_fixed_guess(mstream, mgate, minst.matroid, minst.optimal_value,
-                               "matroid")
+        msolution, _ = stream_run(MatroidTree(mgate, minst.matroid, K, minst.optimal_value),
+                                  mstream, mgate)
         mbound = K ** (5 * K + 1)
-        ok &= mrep.max_stored <= mbound
-        details.append(f"matroid K={K}: {mrep.max_stored}<={mbound}")
+        ok &= mgate.audit.max_stored <= mbound and minst.matroid.is_independent(msolution)
+        details.append(f"matroid K={K}: {mgate.audit.max_stored}<={mbound}")
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
     report_line(8, ok, "; ".join(details) + f", {elapsed:.1f}s")

@@ -12,6 +12,7 @@ from streamsub.hard_cardinality import CardHardParams
 from streamsub.hard_cardinality import instantiate as card_instantiate
 from streamsub.hard_matroid import MatHardParams
 from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.harness import stream_run
 from streamsub.matroids import PartitionMatroid, UniformMatroid
 from streamsub.oracles import ElementStorePolicy, OracleAudit, QueryGate, additive
 from streamsub.samplers import sample_stream
@@ -76,8 +77,8 @@ def run_sieve(inst, eps, seed, policy=None):
     policy = policy or ElementStorePolicy()
     gate = QueryGate(inst.fn, policy, audit)
     alg = SieveStreaming(gate, inst.matroid, eps)
-    from streamsub.harness import run_streaming
-    sol, val = run_streaming(alg, stream, policy, audit)
+    sol, val = stream_run(alg, stream, gate)
+    assert inst.matroid.is_independent(sol)
     return sol, val, audit
 
 
@@ -112,9 +113,9 @@ class TestStoreEverything:
         policy = ElementStorePolicy()
         gate = QueryGate(inst.fn, policy, audit)
         alg = StoreEverything(gate, inst.matroid)
-        from streamsub.harness import run_streaming
-        sol, val = run_streaming(alg, stream, policy, audit)
+        sol, val = stream_run(alg, stream, gate)
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
         assert val == opt
+        assert inst.matroid.is_independent(sol)
         assert audit.compliant
         assert audit.max_stored == inst.fn.n

@@ -2,23 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsub.baselines import brute_force_optimum
-from streamsub.branching import (CardTree, GuessDriver, MatroidTree,
+from streamsub.branching import (CardTree, GuessDriver, GuessGrid, MatroidTree,
                                  cardinality_branch, gamma_bound,
-                                 matroid_branch, run_fixed_guess,
-                                 run_guess_driver, to_fraction)
+                                 matroid_branch, to_fraction)
 from streamsub.coverage import random_coverage
 from streamsub.errors import InvalidParams, NotIndependent
 from streamsub.hard_cardinality import CardHardParams
 from streamsub.hard_cardinality import instantiate as card_instantiate
 from streamsub.hard_matroid import MatHardParams
 from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.harness import stream_run
 from streamsub.matroids import PartitionMatroid, UniformMatroid
 from streamsub.oracles import OracleAudit, QueryGate, WeakPolicy, additive
 from streamsub.samplers import sample_stream
 
-from _reference import ref_cardinality, ref_matroid
+from _reference import ref_cardinality, ref_matroid, ref_window
 
 
 def weak_gate(fn, matroid):
@@ -30,6 +32,12 @@ def run_card_tree(stream, gate, k, s, v, trace=False):
     for t, e in enumerate(stream):
         tree.step(t, e)
     return tree
+
+
+def run_driver(stream, gate, matroid, eps, constraint):
+    driver = GuessDriver(gate, matroid, eps, constraint)
+    solution, value = stream_run(driver, stream, gate)
+    return driver, solution, value
 
 
 def run_mat_tree(stream, gate, matroid, k, v, trace=False):
@@ -256,36 +264,82 @@ class TestIncrementalState:
             assert tree.footprint() == sum(node.local_stored() for node in tree.nodes)
 
 
+class TestGuessGrid:
+    """The advancing window equals a scan from index 0 for every
+    nondecreasing sequence of best singletons m, in the sieve's window
+    [m, 2Km], in the driver's [m/(1+eps)^2, Km/eps], and in [m, m], which
+    mostly holds no grid point at all."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
+           K=st.integers(1, 6), rises=st.lists(st.integers(0, 40), max_size=10))
+    def test_window_matches_scan_from_zero(self, eps, K, rises):
+        shapes = {
+            "sieve": lambda m: (m, 2 * K * m),
+            "driver": lambda m: (Fraction(m) / (1 + eps) ** 2, Fraction(K * m) / eps),
+            "narrow": lambda m: (m, m),
+        }
+        for shape in shapes.values():
+            grid = GuessGrid(eps)
+            m = 0
+            for rise in [0, *rises]:
+                m += rise
+                lo, hi = shape(m)
+                first, last = grid.window(lo, hi)
+                assert (first, last) == ref_window(eps, lo, hi)
+                assert grid[last] == (1 + eps) ** last
+
+    @pytest.mark.parametrize("eps", [0, -1, Fraction(11, 10)])
+    def test_eps_out_of_range(self, eps):
+        with pytest.raises(InvalidParams):
+            GuessGrid(eps)
+
+
 class TestGuessDriver:
     def test_all_equal_values_reaches_feasible_max(self):
         f = additive([2] * 6)
         m = UniformMatroid(6, 3)
         gate = weak_gate(f, m)
-        report = run_guess_driver(list(range(6)), gate, m, "1/10", "cardinality")
-        assert report.value == 6
-        assert len(report.solution) == 3
+        _, solution, value = run_driver(list(range(6)), gate, m, "1/10", "cardinality")
+        assert value == 6
+        assert len(solution) == 3
+        assert m.is_independent(solution)
+
+    def test_finish_queries_the_champion_once(self):
+        inst = random_coverage(8, 12, 3, 11)
+        gate = weak_gate(inst.fn, inst.matroid)
+        driver = GuessDriver(gate, inst.matroid, "1/10")
+        for t, e in enumerate(range(8)):
+            driver.step(t, e)
+        before = gate.audit.query_count
+        solution, value = driver.finish()
+        assert gate.audit.query_count == before + 1
+        assert value == inst.fn.value(solution)
+        assert solution == driver.champion[0]
 
     def test_active_roots_bounded_by_grid_window(self):
         inst = random_coverage(8, 12, 3, 11)
         gate = weak_gate(inst.fn, inst.matroid)
         eps = Fraction(1, 10)
-        report = run_guess_driver(list(range(8)), gate, inst.matroid, eps, "cardinality")
+        driver, solution, _ = run_driver(list(range(8)), gate, inst.matroid, eps,
+                                         "cardinality")
         import math
         K = 3
         window_span = (1 + eps) ** 2 * K / eps
         bound = math.log(float(window_span)) / math.log(float(1 + eps)) + 2
-        assert report.live_roots_peak <= bound
+        assert driver.live_roots_peak <= bound
+        assert inst.matroid.is_independent(solution)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_cardinality_driver_guarantee(self, seed):
         inst = random_coverage(8, 12, (seed % 3) + 1, 500 + seed)
         stream = sample_stream(inst, "uniform", seed).ordering
         gate = weak_gate(inst.fn, inst.matroid)
-        report = run_guess_driver(stream, gate, inst.matroid, "1/10", "cardinality")
+        _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "cardinality")
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
         K = inst.matroid.rank
-        assert report.value >= (Fraction(K, 2 * K - 1) - Fraction(1, 5)) * opt
-        assert inst.matroid.is_independent(report.solution)
+        assert value >= (Fraction(K, 2 * K - 1) - Fraction(1, 5)) * opt
+        assert inst.matroid.is_independent(solution)
         assert gate.audit.compliant
 
     @pytest.mark.parametrize("seed", range(15))
@@ -293,27 +347,30 @@ class TestGuessDriver:
         inst = random_coverage(7, 12, (seed % 3) + 1, 900 + seed)
         stream = sample_stream(inst, "uniform", seed).ordering
         gate = weak_gate(inst.fn, inst.matroid)
-        report = run_guess_driver(stream, gate, inst.matroid, "1/10", "matroid")
+        _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
         K = inst.matroid.rank
-        assert report.value >= (Fraction(1, 2) - Fraction(1, 2 * K) - Fraction(1, 5)) * opt
-        assert inst.matroid.is_independent(report.solution)
+        assert value >= (Fraction(1, 2) - Fraction(1, 2 * K) - Fraction(1, 5)) * opt
+        assert inst.matroid.is_independent(solution)
         assert gate.audit.compliant
 
     def test_hard_matroid_driver_reaches_reachable_bound(self):
         inst = mat_instantiate(MatHardParams(2, 3), 3)
         stream = sample_stream(inst, "class-blocks", 1).ordering
         gate = weak_gate(inst.fn, inst.matroid)
-        report = run_guess_driver(stream, gate, inst.matroid, "1/10", "matroid")
+        driver, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
         # reachable bound K*(2K-2)! = 4; target (1/2 - 1/(2K)) of best guess
-        assert report.value >= Fraction(1, 4) * report.v_used
-        assert report.value >= 4
+        assert value >= Fraction(1, 4) * driver.champion_v
+        assert value >= 4
+        assert inst.matroid.is_independent(solution)
 
     def test_v_used_is_exact_rational(self):
         inst = random_coverage(6, 10, 2, 77)
         gate = weak_gate(inst.fn, inst.matroid)
-        report = run_guess_driver(list(range(6)), gate, inst.matroid, "1/10", "cardinality")
-        assert report.v_used is None or isinstance(report.v_used, Fraction)
+        driver, solution, _ = run_driver(list(range(6)), gate, inst.matroid, "1/10",
+                                         "cardinality")
+        assert driver.champion_v is None or isinstance(driver.champion_v, Fraction)
+        assert inst.matroid.is_independent(solution)
 
 
 class TestSpaceAccounting:
@@ -322,15 +379,17 @@ class TestSpaceAccounting:
         inst = card_instantiate(CardHardParams(10, K, K), 21)
         stream = sample_stream(inst, "purple-last", 2).ordering
         gate = weak_gate(inst.fn, inst.matroid)
-        report = run_fixed_guess(stream, gate, inst.matroid, inst.optimal_value,
-                                 "cardinality")
-        assert report.max_stored <= K * 2 ** (2 * K)
+        tree = CardTree(gate, K, K, inst.optimal_value)
+        solution, _ = stream_run(tree, stream, gate)
+        assert gate.audit.max_stored <= K * 2 ** (2 * K)
+        assert inst.matroid.is_independent(solution)
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_matroid_fixed_guess_bound(self, K):
         inst = mat_instantiate(MatHardParams(K, 2 * (K - 1)), 22)
         stream = sample_stream(inst, "class-blocks", 2).ordering
         gate = weak_gate(inst.fn, inst.matroid)
-        report = run_fixed_guess(stream, gate, inst.matroid, inst.optimal_value,
-                                 "matroid")
-        assert report.max_stored <= K ** (5 * K + 1)
+        tree = MatroidTree(gate, inst.matroid, K, inst.optimal_value)
+        solution, _ = stream_run(tree, stream, gate)
+        assert gate.audit.max_stored <= K ** (5 * K + 1)
+        assert inst.matroid.is_independent(solution)

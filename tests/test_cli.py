@@ -134,3 +134,87 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "eps must be in (0, 1]" in err
         assert "Traceback" not in err
+
+
+def _gen(tmp_path, *flags):
+    inst_file = tmp_path / "inst.json"
+    assert main(["gen", *flags, "--out", str(inst_file)]) == 0
+    return inst_file
+
+
+class TestTrialCounts:
+    def test_run_needs_a_trial(self, tmp_path, capsys):
+        inst_file = _gen(tmp_path, "--kind", "coverage", "--K", "2", "--n", "6")
+        assert main(["run", "--instance", str(inst_file), "--alg", "sieve",
+                     "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_audit_needs_a_trial(self, tmp_path, capsys):
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")
+        assert main(["audit", "--instance", str(inst_file), "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_sweep_needs_a_trial(self, capsys):
+        assert main(["sweep", "--what", "audit", "--K", "2", "--m-list", "8",
+                     "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be at least 1" in captured.err
+        assert captured.out == ""
+
+
+class TestMalformedInput:
+    def test_epsilon_not_a_number(self, tmp_path, capsys):
+        inst_file = _gen(tmp_path, "--kind", "coverage", "--K", "2", "--n", "6")
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--epsilon", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert "--epsilon must be a number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,flags,edit,message", [
+        ("hard-matroid", ("--K", "2", "--m", "3"), {"seed": None}, "no 'seed'"),
+        ("hard-matroid", ("--K", "2", "--m", "3"), {"kind": None}, "no 'kind'"),
+        ("coverage", ("--K", "2", "--n", "6"), {"density": "lots"},
+         "density must be a number"),
+        ("hard-cardinality", ("--K", "2", "--n", "6"), {"h": "2"}, "disagrees"),
+        ("hard-matroid", ("--K", "2", "--m", "3"), {"n": 999}, "disagrees"),
+        ("hard-matroid", ("--K", "2", "--m", "3"), {"colour": "red"}, "disagrees"),
+        ("hard-matroid", ("--K", "2", "--m", "3"), {"schema_version": 7},
+         "schema_version 7"),
+    ])
+    def test_bad_instance_file(self, tmp_path, capsys, kind, flags, edit, message):
+        inst_file = _gen(tmp_path, "--kind", kind, *flags)
+        payload = json.loads(inst_file.read_text())
+        for key, value in edit.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        inst_file.write_text(json.dumps(payload))
+        assert main(["run", "--instance", str(inst_file), "--alg", "greedy",
+                     "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_not_json(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text("{kind: coverage")
+        assert main(["audit", "--instance", str(inst_file)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "hard-cardinality", "--K", "3"),
+        ("--kind", "hard-cardinality", "--K", "2", "--n", "9", "--h", "4"),
+        ("--kind", "hard-matroid", "--K", "1"),
+        ("--kind", "hard-matroid", "--K", "3"),
+        ("--kind", "coverage", "--K", "2", "--n", "7", "--universe", "20"),
+    ])
+    def test_every_generated_file_runs(self, tmp_path, flags):
+        inst_file = _gen(tmp_path, *flags, "--seed", "4")
+        assert main(["run", "--instance", str(inst_file), "--alg", "greedy",
+                     "--trials", "1", "--out", str(tmp_path / "r.json")]) == 0

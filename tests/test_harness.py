@@ -10,10 +10,11 @@ from streamsub.hard_cardinality import instantiate as card_instantiate
 from streamsub.harness import (ExperimentConfig, build_instance,
                                canonical_audit, exact_optimum,
                                instance_from_json, instance_to_json,
-                               report_to_json, run_experiment, run_streaming,
-                               run_trial, wilson_interval)
+                               report_to_json, run_experiment, run_trial,
+                               stream_run, wilson_interval)
 from streamsub.hard_matroid import MatHardParams
 from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.matroids import UniformMatroid
 from streamsub.oracles import OracleAudit, QueryGate, WeakPolicy
 from streamsub.samplers import sample_stream
 
@@ -79,16 +80,32 @@ class TestRunExperiment:
         assert report["aggregates"]["max_value"] == 31
         assert report["aggregates"]["min_ratio"] == 1.0
 
+    @pytest.mark.parametrize("algorithm", ["branching", "sieve", "greedy"])
+    def test_one_brute_force_per_experiment(self, monkeypatch, algorithm):
+        import streamsub.harness as harness
+        calls = []
+
+        def counting(fn, matroid):
+            calls.append(fn)
+            return brute_force_optimum(fn, matroid)
+        monkeypatch.setattr(harness, "brute_force_optimum", counting)
+        config = ExperimentConfig(kind="coverage", params={"n": 7, "K": 2},
+                                  algorithm=algorithm, trials=3, seed=4)
+        report = run_experiment(config)
+        assert len(calls) == 1
+        assert report["aggregates"]["optimum"] == brute_force_optimum(
+            calls[0], UniformMatroid(7, 2))[1]
+
     def test_trial_fields(self):
         inst = build_instance("coverage", {"n": 6, "K": 2}, 2)
-        trial = run_trial(inst, "sieve", Fraction(1, 5), 7)
+        trial = run_trial(inst, "sieve", Fraction(1, 5), 7, exact_optimum(inst))
         assert trial.feasible
         assert trial.value == inst.fn.value(trial.solution)
         assert trial.violations == 0
 
     def test_branching_complies_under_element_store(self):
         inst = build_instance("hard-matroid", {"K": 2, "m": 3}, 4)
-        trial = run_trial(inst, "branching", Fraction(1, 10), 5,
+        trial = run_trial(inst, "branching", Fraction(1, 10), 5, exact_optimum(inst),
                           policy_kind="element-store")
         assert trial.violations == 0
         assert trial.feasible
@@ -97,7 +114,8 @@ class TestRunExperiment:
         from streamsub.errors import InvalidParams
         inst = build_instance("coverage", {"n": 6, "K": 2}, 2)
         with pytest.raises(InvalidParams):
-            run_trial(inst, "greedy", Fraction(1, 5), 7, policy_kind="element-store")
+            run_trial(inst, "greedy", Fraction(1, 5), 7, exact_optimum(inst),
+                      policy_kind="element-store")
 
 
 class TestMemoDifferential:
@@ -110,8 +128,9 @@ class TestMemoDifferential:
         policy = WeakPolicy(instance.matroid)
         gate = gate_cls(instance.fn, policy, audit)
         driver = GuessDriver(gate, instance.matroid, Fraction(1, 10), constraint)
-        solution, _ = run_streaming(driver, stream, policy, audit)
-        return {"solution": solution, "value": gate.require(solution),
+        solution, value = stream_run(driver, stream, gate)
+        assert instance.matroid.is_independent(solution)
+        return {"solution": solution, "value": value,
                 "query_count": audit.query_count, "max_stored": audit.max_stored,
                 "branches_spawned": driver.branches_spawned,
                 "roots_spawned": driver.roots_spawned, "v_used": driver.champion_v,

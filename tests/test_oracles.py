@@ -8,7 +8,7 @@ from streamsub.hard_cardinality import (CardHardParams, blue_marginal,
 from streamsub.matroids import UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate,
                                Residual, SetFunction, StrongPolicy, WeakPolicy,
-                               additive, evaluate, marginal, restrict,
+                               additive, evaluate, marginal,
                                verify_by_pairs, verify_monotone_submodular)
 from conftest import random_function, random_monotone_function
 
@@ -70,16 +70,19 @@ class TestMarginal:
 class TestRestrict:
     def test_empty_pin_is_identity(self):
         f = additive({0: 3, 1: 2, 2: 1})
-        r = restrict(f, frozenset())
+        r = Residual(QueryGate(f), frozenset())
         for mask in range(8):
             s = {e for e in range(3) if mask >> e & 1}
             assert r.value(s) == f.value(s)
 
     def test_nesting_equals_union_pin_exhaustive(self, rng):
         f = random_monotone_function(6, rng)
+        gate = QueryGate(f)
         s1, s2 = {0, 3}, {1, 3, 5}
-        nested = restrict(restrict(f, s1), s2)
-        flat = restrict(f, s1 | s2)
+        nested = Residual(gate, s1)
+        for e in sorted(s2 - s1):
+            nested = nested.extend(e, nested.singleton(e))
+        flat = Residual(gate, s1 | s2)
         for mask in range(1 << 6):
             s = frozenset(e for e in range(6) if mask >> e & 1)
             assert nested.value(s) == flat.value(s)
@@ -89,13 +92,13 @@ class TestRestrict:
         params = inst.params
         one_blue = next(iter(inst.blue_ids))
         other_blue = next(b for b in inst.blue_ids if b != one_blue)
-        res = restrict(inst.fn, {one_blue})
+        res = Residual(QueryGate(inst.fn), {one_blue})
         assert res.value({other_blue}) == blue_marginal(params, 1, 0)
 
     def test_one_base_query_per_restriction(self):
         audit = OracleAudit()
         gate = QueryGate(additive({0: 1, 1: 2}), audit=audit)
-        restrict(gate, {0})
+        Residual(gate, {0})
         assert audit.query_count == 1
 
     @settings(max_examples=40, deadline=None)
@@ -106,7 +109,7 @@ class TestRestrict:
         f = random_monotone_function(n, _random.Random(seed))
         pin = data.draw(st.sets(st.integers(0, n - 1)))
         t = data.draw(st.sets(st.integers(0, n - 1)))
-        res = restrict(f, pin)
+        res = Residual(QueryGate(f), pin)
         assert res.value(t) == f.value(set(t) | set(pin)) - f.value(pin)
 
 
@@ -146,7 +149,7 @@ class TestElementStoreReplay:
     def test_query_log_stays_inside_windows(self):
         # replay a recorded sieve run against its stored-set history
         from streamsub.baselines import SieveStreaming
-        from streamsub.harness import run_streaming
+        from streamsub.harness import stream_run
         from streamsub.samplers import sample_stream
 
         inst = card_instance(n=10, K=3, h=3)
@@ -155,7 +158,8 @@ class TestElementStoreReplay:
         policy = ElementStorePolicy(record_history=True)
         gate = QueryGate(inst.fn, policy, audit)
         alg = SieveStreaming(gate, inst.matroid, "2/5")
-        run_streaming(alg, stream, policy, audit)
+        solution, _ = stream_run(alg, stream, gate)
+        assert inst.matroid.is_independent(solution)
         assert audit.compliant
         for step, subset in audit.log:
             stored_before = policy.history[step - 1] if step >= 1 else frozenset()
