@@ -6,8 +6,8 @@ value-guessing driver, oracle access policies with space accounting,
 and an experiment/verification harness.
 """
 
-from .branching import (CardTree, GuessDriver, GuessGrid, MatroidTree,
-                        cardinality_branch, gamma_bound, matroid_branch, to_fraction)
+from .branching import (CardTree, GuessDriver, GuessGrid, MatroidTree, gamma_bound,
+                        to_fraction)
 from .errors import (GroundSetTooLarge, IncompatibleDistribution, InvalidParams,
                      NotIndependent, PolicyViolation, StreamsubError, WrongRank)
 from .matroids import (ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid,

@@ -4,18 +4,21 @@ optimum.
 
 Both algorithms are recursive procedures over stream suffixes. They are
 realized here as event-driven branch trees over one physical pass: every
-arriving element is dispatched to all live nodes; a node that accepts an
-element spawns its conditioned child starting at the next position, and
-"skip" children (which share the parent's position) are created eagerly at
-node construction. This preserves the single-pass semantics the recursion
-implies while every element is delivered exactly once.
+arriving element is dispatched to the tree's live nodes. A node that
+accepts an element spawns its conditioned child, and "skip" children are
+created eagerly at node construction. A node first sees the element after
+the step that created it, because each step offers the element only to
+the nodes that existed before it began. This preserves the single-pass
+semantics the recursion implies while every element is delivered exactly
+once.
 
-Every node queries the function through an :class:`~streamsub.oracles.Residual`
-of the run's query gate, conditioned on the elements its branch has
-pinned. :class:`GuessGrid` holds the guesses v = (1+eps)^i; the driver
-here and the threshold sieve in :mod:`streamsub.baselines` share it.
-``streamsub.harness.stream_run`` drives a tree or the driver over a
-stream.
+A tree has one entry point: its root, with nothing pinned, stepped over
+the stream by ``streamsub.harness.stream_run``, alone for one fixed guess
+or under :class:`GuessDriver`. Every node queries the function through an
+:class:`~streamsub.oracles.Residual` of the run's query gate, conditioned
+on the elements its branch has pinned. :class:`GuessGrid` holds the
+guesses v = (1+eps)^i; the driver here and the threshold sieve in
+:mod:`streamsub.baselines` share it.
 
 Numeric conventions: function values are exact integers; guess values v
 and all thresholds are exact rationals, so acceptance decisions never
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParams, NotIndependent
+from .errors import InvalidParams
 from .matroids import Matroid
 from .oracles import QueryGate, Residual
 
@@ -90,17 +93,15 @@ class _CardNode:
     gain reaches v/(k+s-1), and carry an eagerly spawned sibling that skips
     that element assumption."""
 
-    __slots__ = ("tree", "k", "s", "v", "g", "start", "leaf", "best",
+    __slots__ = ("tree", "k", "s", "v", "g", "leaf", "best",
                  "pin", "child_take", "child_skip", "collecting")
 
-    def __init__(self, tree: "CardTree", k: int, s: int, v: Fraction,
-                 g: Residual, start: int):
+    def __init__(self, tree: "CardTree", k: int, s: int, v: Fraction, g: Residual):
         self.tree = tree
         self.k = k
         self.s = s
         self.v = v
         self.g = g
-        self.start = start
         self.leaf = k == 1 or s == 1
         self.best = None
         self.pin = None
@@ -111,9 +112,9 @@ class _CardNode:
         tree.live.append(self)
         if not self.leaf:
             skip_v = v * Fraction(k + s - 2, k + s - 1)
-            self.child_skip = _CardNode(tree, k - 1, s, skip_v, g, start)
+            self.child_skip = _CardNode(tree, k - 1, s, skip_v, g)
 
-    def offer(self, t: int, e: int):
+    def offer(self, e: int):
         gain = self.g.singleton(e)
         if self.leaf:
             if self.best is None:
@@ -128,7 +129,7 @@ class _CardNode:
             self.tree.stored += 1
             self.tree.branches_spawned += 1
             self.child_take = _CardNode(self.tree, self.k, self.s - 1,
-                                        self.v - gain, self.g.extend(e, gain), t + 1)
+                                        self.v - gain, self.g.extend(e, gain))
 
     def solution(self) -> tuple[frozenset, int]:
         if self.leaf:
@@ -168,8 +169,7 @@ class CardTree:
     nodes' ``local_stored()``.
     """
 
-    def __init__(self, gate: QueryGate, k: int, s: int, v, pinned=frozenset(),
-                 start: int = 0, trace: bool = False):
+    def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
         self.gate = gate
@@ -179,18 +179,18 @@ class CardTree:
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _CardNode(self, k, s, self.v, Residual(gate, pinned), start)
+        self.root = _CardNode(self, k, s, self.v, Residual(gate))
 
     def step(self, t: int, e: int):
         current = self.live
-        # nodes created during this step start at t+1 and land in the new list
+        # nodes created during this step land in the new list and first
+        # see the next element
         self.live = []
         kept = []
         for node in current:
-            if node.start <= t:
-                if self.trace_log is not None:
-                    self.trace_log.append((id(node), t))
-                node.offer(t, e)
+            if self.trace_log is not None:
+                self.trace_log.append((id(node), t))
+            node.offer(e)
             if node.collecting or node.leaf:
                 kept.append(node)
         kept.extend(self.live)
@@ -199,7 +199,6 @@ class CardTree:
     def stored_set(self) -> frozenset:
         out: set = set()
         for node in self.nodes:
-            out |= node.g.pinned
             if node.leaf and node.best is not None:
                 out.add(node.best[1])
             elif not node.leaf and node.pin is not None:
@@ -211,21 +210,6 @@ class CardTree:
 
     def finish(self) -> tuple[frozenset, int]:
         return self.root.solution()
-
-
-def cardinality_branch(stream, gate: QueryGate, k: int, s: int, v,
-                       pinned=frozenset()) -> tuple[frozenset, int]:
-    """Run the fixed-guess cardinality procedure over a stream suffix.
-
-    Returns (solution, residual value relative to the pinned set); the
-    solution has at most s elements. The guarantee: whenever the suffix
-    contains a set of size <= k with residual value >= v, the result is
-    at least v*s/(k+s-1).
-    """
-    tree = CardTree(gate, k, s, v, pinned)
-    for t, e in enumerate(stream):
-        tree.step(t, e)
-    return tree.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +227,19 @@ class _MatNode:
     A fallback candidate (the best singleton extending I) is always kept.
     """
 
-    __slots__ = ("tree", "k", "v", "g", "indep", "start", "best_single",
-                 "tracking", "open_bs", "children", "child_order", "slots")
+    __slots__ = ("tree", "k", "v", "g", "indep", "best_single",
+                 "tracking", "open_bs", "children", "child_order")
 
     def __init__(self, tree: "MatroidTree", k: int, v: Fraction,
-                 g: Residual, indep: frozenset, start: int):
+                 g: Residual, indep: frozenset):
         self.tree = tree
         self.k = k
         self.v = v
         self.g = g
         self.indep = indep
-        self.start = start
         self.best_single = None
         self.children: dict[int, tuple["_MatNode", int]] = {}
         self.child_order: list[int] = []
-        self.slots: list[tuple[int, int, int]] = []
         if k > 1:
             self.open_bs = list(range(tree.beta + 1))
             self.tracking = {b: set() for b in self.open_bs}
@@ -267,7 +249,7 @@ class _MatNode:
         tree.nodes.append(self)
         tree.stored += len(indep)
 
-    def offer(self, t: int, e: int):
+    def offer(self, e: int):
         matroid = self.tree.matroid
         if not matroid.is_independent(self.indep | {e}):
             return
@@ -291,14 +273,13 @@ class _MatNode:
                 if child_entry is None:
                     v_next = (1 - Fraction(1, self.tree.k4)) * self.v - 2 * gain
                     child = _MatNode(self.tree, self.k - 1, v_next,
-                                     self.g.extend(e, gain), self.indep | {e}, t + 1)
+                                     self.g.extend(e, gain), self.indep | {e})
                     child_entry = (child, gain)
                     self.children[e] = child_entry
                     self.child_order.append(e)
                 if e not in tracked:
                     self.tree.stored += 1
                 tracked.add(e)
-                self.slots.append((b, len(tracked), e))
                 self.tree.branches_spawned += 1
             if len(self.indep) + len(self.tracking[b]) < self.tree.rank:
                 still_open.append(b)
@@ -330,26 +311,21 @@ class _MatNode:
 class MatroidTree:
     """Event-driven tree for one fixed guess v under a matroid constraint.
 
-    Branching is Theta(K^5) wide per node with depth K, so ranks above 4
-    are refused unless the caller opts in. ``stored`` is the running sum
-    of the nodes' ``local_stored()``.
+    Branching is Theta(K^5) wide per node with depth K, so ranks above
+    ``MAX_RANK`` are refused. ``stored`` is the running sum of the nodes'
+    ``local_stored()``.
     """
 
-    MAX_DEFAULT_RANK = 4
+    MAX_RANK = 4
 
-    def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v,
-                 indep=frozenset(), start: int = 0, allow_large_rank: bool = False,
-                 trace: bool = False):
+    def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False):
         rank = matroid.rank
-        if rank > self.MAX_DEFAULT_RANK and not allow_large_rank:
+        if rank > self.MAX_RANK:
             raise InvalidParams(
                 f"rank {rank} branch tree is Theta(K^5)-wide per node; "
-                "pass allow_large_rank=True to force")
+                f"ranks above {self.MAX_RANK} are not supported")
         if k < 1:
             raise InvalidParams("need k >= 1")
-        indep = frozenset(indep)
-        if not matroid.is_independent(indep):
-            raise NotIndependent(f"{sorted(indep)} is not independent")
         self.gate = gate
         self.matroid = matroid
         self.rank = rank
@@ -360,19 +336,19 @@ class MatroidTree:
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _MatNode(self, k, self.v, Residual(gate, indep), indep, start)
+        self.root = _MatNode(self, k, self.v, Residual(gate), frozenset())
 
     def step(self, t: int, e: int):
+        # children created during this step are not in the snapshot and
+        # first see the next element
         for node in list(self.nodes):
-            if node.start <= t:
-                if self.trace_log is not None:
-                    self.trace_log.append((id(node), t))
-                node.offer(t, e)
+            if self.trace_log is not None:
+                self.trace_log.append((id(node), t))
+            node.offer(e)
 
     def stored_set(self) -> frozenset:
         out: set = set()
         for node in self.nodes:
-            out |= node.indep
             for tracked in node.tracking.values():
                 out |= tracked
             if node.best_single is not None:
@@ -384,22 +360,6 @@ class MatroidTree:
 
     def finish(self) -> tuple[frozenset, int]:
         return self.root.solution()
-
-
-def matroid_branch(stream, gate: QueryGate, matroid: Matroid, k: int, v,
-                   indep=frozenset(), allow_large_rank: bool = False
-                   ) -> tuple[frozenset, int]:
-    """Run the fixed-guess matroid procedure over a stream suffix.
-
-    Returns (solution, residual value); the solution is independent
-    together with the carried set. The guarantee: whenever the suffix
-    contains a k-element set OPTbar with residual value >= v and
-    indep | OPTbar independent, the result is at least v*(1 - 1/(2K-k))/2.
-    """
-    tree = MatroidTree(gate, matroid, k, v, indep, allow_large_rank=allow_large_rank)
-    for t, e in enumerate(stream):
-        tree.step(t, e)
-    return tree.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +389,20 @@ class GuessDriver:
         self.constraint = constraint
         self.m = 0
         self.roots: dict[int, CardTree | MatroidTree] = {}
-        self.spawned: set[int] = set()
+        self.next_i = 0
         self.champion: tuple[frozenset, int] = (frozenset(), 0)
         self.champion_v: Fraction | None = None
         self.branches_spawned = 0
         self.roots_spawned = 0
         self.live_roots_peak = 0
 
-    def _spawn(self, i: int, start: int):
+    def _spawn(self, i: int):
         v = self.grid[i]
         if self.constraint == "cardinality":
-            tree = CardTree(self.gate, self.K, self.K, v, start=start)
+            tree = CardTree(self.gate, self.K, self.K, v)
         else:
-            tree = MatroidTree(self.gate, self.matroid, self.K, v, start=start)
+            tree = MatroidTree(self.gate, self.matroid, self.K, v)
         self.roots[i] = tree
-        self.spawned.add(i)
         self.roots_spawned += 1
 
     def _retire(self, i: int):
@@ -467,9 +426,11 @@ class GuessDriver:
             for i in list(self.roots):
                 if i < first_i:
                     self._retire(i)
-            for i in range(first_i, last_i + 1):
-                if i not in self.spawned:
-                    self._spawn(i, start=t)
+            # both window ends only rise, so an index in the window is
+            # new exactly when it is at or past next_i
+            for i in range(max(first_i, self.next_i), last_i + 1):
+                self._spawn(i)
+            self.next_i = last_i + 1
         for tree in self.roots.values():
             tree.step(t, e)
         if len(self.roots) > self.live_roots_peak:

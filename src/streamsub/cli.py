@@ -49,6 +49,15 @@ def _epsilon(text: str) -> str:
         raise InvalidParams(f"--epsilon must be a number, got {text!r}") from None
 
 
+def _m_list(text: str) -> list[int]:
+    """Parsed ``--m-list`` value, or InvalidParams."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InvalidParams(
+            f"--m-list must be comma-separated integers, got {text!r}") from None
+
+
 def _cmd_gen(args) -> int:
     params: dict = {}
     if args.kind == "hard-cardinality":
@@ -128,16 +137,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            instance = instance_from_json(fh.read())
-        desc = instance.describe()
-        kind = desc.pop("kind")
-        inst_seed = desc.pop("seed", instance.seed)
-        params = desc
-    else:
-        print("run needs --instance FILE (create one with gen)", file=sys.stderr)
-        return 2
+    with open(args.instance, "r", encoding="utf-8") as fh:
+        instance = instance_from_json(fh.read())
+    params = instance.describe()
+    kind = params.pop("kind")
+    inst_seed = params.pop("seed", instance.seed)
     config = ExperimentConfig(kind=kind, params=params, algorithm=args.alg,
                               epsilon=_epsilon(args.epsilon), trials=args.trials,
                               seed=args.seed if args.seed is not None else inst_seed,
@@ -186,7 +190,7 @@ def _cmd_sweep(args) -> int:
     else:
         lines.append("m,trials,deviation_freq,ci_lo,ci_hi,exceed_freq,mean_ratio,peak_stored")
         eps = _epsilon(args.epsilon)
-        for m in (int(x) for x in args.m_list.split(",")):
+        for m in _m_list(args.m_list):
             params = hard_matroid.MatHardParams(K=args.K, m=m)
             instance = hard_matroid.instantiate(params, args.seed or 0)
             rep = canonical_audit(instance, args.alg, trials=args.trials,
@@ -204,10 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="streaming submodular maximization testbed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    common = {"--seed": {"type": int, "default": None}, "--out": {"default": None},
+              "--format": {"choices": ("json", "csv"), "default": "json"}}
+
+    def add_common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
 
     p_gen = sub.add_parser("gen", help="write an instance file")
     p_gen.add_argument("--kind", required=True,
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--h", type=int, default=None)
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--universe", type=int, default=12)
-    add_common(p_gen)
+    add_common(p_gen, "--seed", "--out")
     p_gen.set_defaults(func=_cmd_gen, seed=0)
 
     p_ver = sub.add_parser("verify", help="verify a hard instance family")
@@ -228,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--exhaustive", action="store_true")
     p_ver.add_argument("--limit", type=int, default=14)
-    add_common(p_ver)
+    add_common(p_ver, "--seed")
     p_ver.set_defaults(func=_cmd_verify, seed=0)
 
     p_run = sub.add_parser("run", help="run trials of an algorithm")
@@ -240,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=(None, "uniform", "purple-last", "class-blocks"))
     p_run.add_argument("--policy", default="weak",
                        choices=("weak", "strong", "element-store"))
-    add_common(p_run)
+    add_common(p_run, "--seed", "--out", "--format")
     p_run.set_defaults(func=_cmd_run)
 
     p_aud = sub.add_parser("audit", help="canonical-process deviation audit")
@@ -249,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud.add_argument("--epsilon", default="2/5")
     p_aud.add_argument("--trials", type=int, default=100)
     p_aud.add_argument("--budget", type=int, default=None)
-    add_common(p_aud)
+    add_common(p_aud, "--seed", "--out", "--format")
     p_aud.set_defaults(func=_cmd_audit)
 
     p_tab = sub.add_parser("tables", help="emit a reference grid as CSV")
     p_tab.add_argument("--which", type=int, required=True, choices=(2, 3, 4))
     p_tab.add_argument("--check", default=None,
                        help="golden CSV to compare against; mismatch exits 1")
-    add_common(p_tab)
+    add_common(p_tab, "--out")
     p_tab.set_defaults(func=_cmd_tables)
 
     p_sw = sub.add_parser("sweep", help="parameter sweeps")
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--epsilon", default="2/5")
     p_sw.add_argument("--trials", type=int, default=100)
     p_sw.add_argument("--budget", type=int, default=None)
-    add_common(p_sw)
+    add_common(p_sw, "--seed", "--out")
     p_sw.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -9,7 +9,9 @@ candidates are compared in first-acceptance order with the singleton
 fallback last.
 
 :class:`PlainGate` is the query gate without the per-step value memo;
-:func:`ref_window` finds a guess window by scanning the grid from index 0.
+:func:`ref_window` finds a guess window by scanning the grid from index 0;
+:func:`ref_stored_set` is a branch tree's stored set by the per-node union
+formula that also counts every pinned or carried element on each node.
 """
 
 from fractions import Fraction
@@ -128,3 +130,24 @@ def ref_matroid(fn, matroid, stream, k, v, indep=frozenset(), rank=None):
         if best is None or gain > best[1]:
             best = (frozenset({e}), gain)
     return best if best is not None else (frozenset(), 0)
+
+
+def ref_stored_set(tree):
+    """Union over all nodes of a ``CardTree`` or ``MatroidTree`` of the
+    node's pinned set (cardinality) or carried independent set (matroid)
+    and the elements the node holds itself."""
+    out = set()
+    for node in tree.nodes:
+        if hasattr(node, "indep"):
+            out |= node.indep
+            for tracked in node.tracking.values():
+                out |= tracked
+            if node.best_single is not None:
+                out.add(node.best_single[1])
+        else:
+            out |= node.g.pinned
+            if node.leaf and node.best is not None:
+                out.add(node.best[1])
+            elif not node.leaf and node.pin is not None:
+                out.add(node.pin[0])
+    return frozenset(out)

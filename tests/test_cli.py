@@ -167,6 +167,14 @@ class TestTrialCounts:
 
 
 class TestMalformedInput:
+    def test_m_list_not_integers(self, capsys):
+        assert main(["sweep", "--what", "audit", "--K", "2", "--m-list", "8,x",
+                     "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--m-list must be comma-separated integers" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_epsilon_not_a_number(self, tmp_path, capsys):
         inst_file = _gen(tmp_path, "--kind", "coverage", "--K", "2", "--n", "6")
         assert main(["run", "--instance", str(inst_file), "--alg", "branching",
@@ -218,3 +226,23 @@ class TestMalformedInput:
         inst_file = _gen(tmp_path, *flags, "--seed", "4")
         assert main(["run", "--instance", str(inst_file), "--alg", "greedy",
                      "--trials", "1", "--out", str(tmp_path / "r.json")]) == 0
+
+
+class TestIgnoredFlags:
+    """Subcommands accept only the common flags they act on."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "coverage", "--K", "2", "--format", "csv"],
+        ["verify", "--constraint", "matroid", "--K", "2", "--out", "v.txt"],
+        ["verify", "--constraint", "matroid", "--K", "2", "--format", "csv"],
+        ["tables", "--which", "3", "--seed", "1"],
+        ["tables", "--which", "3", "--format", "csv"],
+        ["sweep", "--what", "ratio", "--k-max", "3", "--format", "csv"],
+    ])
+    def test_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
