@@ -9,7 +9,8 @@ and an experiment/verification harness.
 from .branching import (CardTree, GuessDriver, GuessGrid, MatroidTree, gamma_bound,
                         to_fraction)
 from .errors import (GroundSetTooLarge, IncompatibleDistribution, InvalidParams,
-                     NotIndependent, PolicyViolation, StreamsubError, WrongRank)
+                     NotIndependent, PolicyViolation, StreamsubError, UnknownElement,
+                     WrongRank)
 from .matroids import (ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid,
                        can_extend, check_axioms)
 from .oracles import (AccessPolicy, ElementStorePolicy, OracleAudit, QueryGate,

@@ -95,10 +95,13 @@ class SieveStreaming:
         self.K = matroid.rank
         self.grid = GuessGrid(eps)
         self.m = 0
-        self.sets: dict[int, tuple[frozenset, int]] = {}
+        self.empty_load = matroid.load(frozenset())
+        # guess index -> (candidate set, its value, its matroid load)
+        self.sets: dict[int, tuple[frozenset, int, object]] = {}
 
     def step(self, t: int, e: int):
-        if self.matroid.is_independent({e}):
+        fits = self.matroid.fits
+        if fits(self.empty_load, e):
             fe = self.gate.require(frozenset({e}))
             if fe > self.m:
                 self.m = fe
@@ -112,30 +115,30 @@ class SieveStreaming:
                 del self.sets[i]
         for i in window:
             if i not in self.sets:
-                self.sets[i] = (frozenset(), self.gate.require(frozenset()))
+                self.sets[i] = (frozenset(), self.gate.require(frozenset()), self.empty_load)
         for i in window:
-            s, val = self.sets[i]
+            s, val, load = self.sets[i]
             if len(s) >= self.K or e in s:
                 continue
-            if not self.matroid.is_independent(s | {e}):
+            if not fits(load, e):
                 continue
             new_val = self.gate.require(s | {e})
             need = (self.grid[i] / 2 - val) / (self.K - len(s))
             if new_val - val >= need:
-                self.sets[i] = (s | {e}, new_val)
+                self.sets[i] = (s | {e}, new_val, self.matroid.plus(load, e))
 
     def stored_set(self) -> frozenset:
         out: set = set()
-        for s, _ in self.sets.values():
+        for s, _, _ in self.sets.values():
             out |= s
         return frozenset(out)
 
     def footprint(self) -> int:
-        return sum(len(s) for s, _ in self.sets.values())
+        return sum(len(s) for s, _, _ in self.sets.values())
 
     def finish(self) -> tuple[frozenset, int]:
         best = (frozenset(), 0)
-        for s, val in self.sets.values():
+        for s, val, _ in self.sets.values():
             if val > best[1]:
                 best = (s, val)
         return best

@@ -28,6 +28,7 @@ node's reported solution value never costs extra oracle queries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import InvalidParams
@@ -225,70 +226,95 @@ class _MatNode:
     shared across threshold indices that accept the same element at the
     same arrival, which is pure memoization of identical invocations.
     A fallback candidate (the best singleton extending I) is always kept.
+
+    Independence is tested incrementally: ``iload`` is the matroid load
+    of I, and ``loads[b]`` that of I + T_b. T_b and its load are created
+    on the first acceptance at b; until then T_b is empty and its load is
+    ``iload``. ``open_bs`` lists, sorted, the indices whose I + T_b is
+    still below the rank.
     """
 
-    __slots__ = ("tree", "k", "v", "g", "indep", "best_single",
-                 "tracking", "open_bs", "children", "child_order")
+    __slots__ = ("tree", "k", "v", "g", "indep", "iload", "best_single",
+                 "tracking", "loads", "open_bs", "children")
 
     def __init__(self, tree: "MatroidTree", k: int, v: Fraction,
-                 g: Residual, indep: frozenset):
+                 g: Residual, indep: frozenset, iload):
         self.tree = tree
         self.k = k
         self.v = v
         self.g = g
         self.indep = indep
+        self.iload = iload
         self.best_single = None
+        # accepted element -> (its child, its gain), in arrival order
         self.children: dict[int, tuple["_MatNode", int]] = {}
-        self.child_order: list[int] = []
-        if k > 1:
-            self.open_bs = list(range(tree.beta + 1))
-            self.tracking = {b: set() for b in self.open_bs}
-        else:
-            self.open_bs = []
-            self.tracking = {}
+        self.tracking: dict[int, set] = {}
+        self.loads: dict = {}
+        self.open_bs = tree.all_bs if k > 1 else ()
         tree.nodes.append(self)
         tree.stored += len(indep)
 
     def offer(self, e: int):
-        matroid = self.tree.matroid
-        if not matroid.is_independent(self.indep | {e}):
+        tree = self.tree
+        matroid = tree.matroid
+        if not matroid.fits(self.iload, e):
             return
         gain = self.g.singleton(e)
         if self.best_single is None:
-            self.tree.stored += 1
+            tree.stored += 1
             self.best_single = (gain, e)
         elif gain > self.best_single[0]:
             self.best_single = (gain, e)
-        if not self.open_bs:
+        open_bs = self.open_bs
+        if not open_bs:
             return
         if self.v > 0:
-            b_max = (gain * self.tree.k4 * self.v.denominator) // self.v.numerator
+            b_max = (gain * tree.k4 * self.v.denominator) // self.v.numerator
         else:
-            b_max = self.tree.beta
-        still_open = []
-        child_entry = self.children.get(e)
-        for b in self.open_bs:
-            tracked = self.tracking[b]
-            if b <= b_max and matroid.is_independent(self.indep | tracked | {e}):
-                if child_entry is None:
-                    v_next = (1 - Fraction(1, self.tree.k4)) * self.v - 2 * gain
-                    child = _MatNode(self.tree, self.k - 1, v_next,
-                                     self.g.extend(e, gain), self.indep | {e})
-                    child_entry = (child, gain)
-                    self.children[e] = child_entry
-                    self.child_order.append(e)
-                if e not in tracked:
-                    self.tree.stored += 1
+            b_max = tree.beta
+        # indices above b_max neither accept e nor close
+        cut = bisect_right(open_bs, b_max)
+        if not cut:
+            return
+        fits, plus = matroid.fits, matroid.plus
+        tracking, loads = self.tracking, self.loads
+        room = tree.rank - len(self.indep)
+        grown = plus(self.iload, e)
+        accepted = 0
+        closed = []
+        for b in open_bs[:cut]:
+            tracked = tracking.get(b)
+            if tracked is None:
+                # T_b is empty, and I + e is independent
+                tracked = tracking[b] = {e}
+                load = grown
+            else:
+                load = loads[b]
+                if not fits(load, e):
+                    continue
                 tracked.add(e)
-                self.tree.branches_spawned += 1
-            if len(self.indep) + len(self.tracking[b]) < self.tree.rank:
-                still_open.append(b)
-        self.open_bs = still_open
+                load = plus(load, e)
+            accepted += 1
+            if len(tracked) < room:
+                loads[b] = load
+            else:
+                closed.append(b)
+                loads.pop(b, None)
+        if not accepted:
+            return
+        tree.stored += accepted
+        tree.branches_spawned += accepted
+        v_next = (1 - Fraction(1, tree.k4)) * self.v - 2 * gain
+        child = _MatNode(tree, self.k - 1, v_next, self.g.extend(e, gain),
+                         self.indep | {e}, grown)
+        self.children[e] = (child, gain)
+        if closed:
+            gone = set(closed)
+            self.open_bs = [b for b in open_bs if b not in gone]
 
     def solution(self) -> tuple[frozenset, int]:
         best = None
-        for e in self.child_order:
-            child, gain = self.children[e]
+        for e, (child, gain) in self.children.items():
             sub, sub_val = child.solution()
             cand = (sub | {e}, sub_val + gain)
             if best is None or cand[1] > best[1]:
@@ -313,7 +339,8 @@ class MatroidTree:
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above
     ``MAX_RANK`` are refused. ``stored`` is the running sum of the nodes'
-    ``local_stored()``.
+    ``local_stored()``. The stream delivers each element at most once, as
+    an ordering of the ground set does.
     """
 
     MAX_RANK = 4
@@ -331,12 +358,14 @@ class MatroidTree:
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
+        self.all_bs = tuple(range(self.beta + 1))
         self.v = to_fraction(v)
         self.nodes: list[_MatNode] = []
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _MatNode(self, k, self.v, Residual(gate), frozenset())
+        self.root = _MatNode(self, k, self.v, Residual(gate), frozenset(),
+                             matroid.load(frozenset()))
 
     def step(self, t: int, e: int):
         # children created during this step are not in the snapshot and
@@ -387,6 +416,7 @@ class GuessDriver:
         self.K = matroid.rank
         self.grid = GuessGrid(eps)
         self.constraint = constraint
+        self.empty_load = matroid.load(frozenset())
         self.m = 0
         self.roots: dict[int, CardTree | MatroidTree] = {}
         self.next_i = 0
@@ -414,7 +444,7 @@ class GuessDriver:
             self.champion_v = self.grid[i]
 
     def step(self, t: int, e: int):
-        if self.K > 0 and self.matroid.is_independent({e}):
+        if self.K > 0 and self.matroid.fits(self.empty_load, e):
             fe = self.gate.require(frozenset({e}))
             if fe > self.m:
                 self.m = fe

@@ -183,6 +183,8 @@ def _cmd_tables(args) -> int:
 def _cmd_sweep(args) -> int:
     lines = []
     if args.what == "ratio":
+        if args.k_min > args.k_max:
+            raise InvalidParams(f"--k-min {args.k_min} is above --k-max {args.k_max}")
         lines.append("K,h,ratio,ratio_float")
         for K in range(args.k_min, args.k_max + 1):
             h, ratio = hard_cardinality.ratio_bound(K)

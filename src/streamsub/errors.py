@@ -22,6 +22,10 @@ class PolicyViolation(StreamsubError, RuntimeError):
         self.reason = reason
 
 
+class UnknownElement(StreamsubError, ValueError):
+    """A query named an element id outside the ground set {0..n-1}."""
+
+
 class NotIndependent(StreamsubError, ValueError):
     """An operation required an independent set but received a dependent one."""
 

@@ -1,9 +1,21 @@
 """Matroid independence oracles: uniform, partition, and explicit families.
 
-Algorithms in this package only ever ask "is this set independent", so a
-matroid is anything with ``n`` and ``is_independent``. Explicit matroids
-(given by their full independent family) exist for testing and for
-cross-checking the structured kinds by enumeration.
+Algorithms in this package only ever ask "is this set independent". A
+matroid provides ``n``, ``rank`` and ``is_independent``, plus three
+methods that answer the same question incrementally while a set grows
+one element at a time:
+
+* ``load(S)`` -- an immutable summary of an independent set S;
+* ``fits(load, e)`` -- whether S + e is independent;
+* ``plus(load, e)`` -- the load of S + e.
+
+Both ``fits`` and ``plus`` require that e is not already in S. The
+generic defaults use the frozenset S itself as its load, so any matroid
+that defines ``is_independent`` supports them. Uniform matroids override
+them with the set's size and partition matroids with per-class counts
+packed into one integer, which makes both methods O(1). Explicit
+matroids (given by their full independent family) exist for testing and
+for cross-checking the structured kinds by enumeration.
 """
 
 from __future__ import annotations
@@ -25,6 +37,15 @@ class Matroid:
     def rank(self) -> int:
         raise NotImplementedError
 
+    def load(self, subset):
+        return frozenset(subset)
+
+    def fits(self, load, e: int) -> bool:
+        return self.is_independent(load | {e})
+
+    def plus(self, load, e: int):
+        return load | {e}
+
 
 class UniformMatroid(Matroid):
     """Independent iff the set has at most ``rank`` elements."""
@@ -44,6 +65,15 @@ class UniformMatroid(Matroid):
     def rank(self) -> int:
         return self._rank
 
+    def load(self, subset) -> int:
+        return len(frozenset(subset))
+
+    def fits(self, load: int, e: int) -> bool:
+        return load < self._rank
+
+    def plus(self, load: int, e: int) -> int:
+        return load + 1
+
     def describe(self) -> dict:
         return {"kind": self.kind, "n": self.n, "rank": self._rank}
 
@@ -55,6 +85,10 @@ class PartitionMatroid(Matroid):
     single integer applied to every class, or a mapping per label. The
     classical constructions here use capacity 1 throughout, but general
     capacities are free and the tests use them.
+
+    A load packs the per-class counts of a set into one integer, one bit
+    field per class, each wide enough for the largest capacity. Element e
+    fits when the count in its class's field is below the capacity.
     """
 
     kind = "partition"
@@ -72,10 +106,31 @@ class PartitionMatroid(Matroid):
                 raise InvalidParams(f"no capacity for classes {sorted(missing)}")
         if any(c < 0 for c in self.capacity.values()):
             raise InvalidParams("capacities must be non-negative")
+        classes = dict.fromkeys(self.class_of)
+        width = max((self.capacity[c].bit_length() for c in classes), default=0)
+        unit, field, limit = {}, {}, {}
+        for i, c in enumerate(classes):
+            unit[c] = 1 << i * width
+            field[c] = ((1 << width) - 1) * unit[c]
+            limit[c] = self.capacity[c] * unit[c]
+        # per element, so that fits and plus index by id
+        self._unit = list(map(unit.__getitem__, self.class_of))
+        self._field = list(map(field.__getitem__, self.class_of))
+        self._limit = list(map(limit.__getitem__, self.class_of))
 
     def is_independent(self, subset) -> bool:
         counts = Counter(self.class_of[e] for e in frozenset(subset))
         return all(counts[c] <= self.capacity[c] for c in counts)
+
+    def load(self, subset) -> int:
+        unit = self._unit
+        return sum(unit[e] for e in frozenset(subset))
+
+    def fits(self, load: int, e: int) -> bool:
+        return load & self._field[e] < self._limit[e]
+
+    def plus(self, load: int, e: int) -> int:
+        return load + self._unit[e]
 
     @property
     def rank(self) -> int:

@@ -16,6 +16,9 @@ Queries are funneled through a :class:`QueryGate`, which enforces the
 policy and keeps an :class:`OracleAudit` of query counts, peak storage
 and refused queries. A refused query never reveals the value.
 
+A query that names an id outside ``{0, ..., n-1}`` raises
+:class:`~streamsub.errors.UnknownElement` before any policy sees it.
+
 The audit counts two things. ``query_count`` counts logical queries:
 every query the policy accepted, each one checked and logged. Inside a
 stream step (``audit.step >= 0``) the gate remembers the values it has
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import GroundSetTooLarge, PolicyViolation
+from .errors import GroundSetTooLarge, PolicyViolation, UnknownElement
 
 
 class SetFunction:
@@ -171,13 +174,16 @@ class QueryGate:
 
     Values of accepted queries are memoized for the current stream step
     (``audit.step``); the memo is dropped when the step changes, so it
-    holds at most one step's distinct queries.
+    holds at most one step's distinct queries. Ids are checked against
+    the ground set on a memo miss only: every memo entry passed that
+    check when it was first asked.
     """
 
     def __init__(self, fn, policy: AccessPolicy | None = None, audit: OracleAudit | None = None):
         self.fn = fn
         self.policy = policy if policy is not None else StrongPolicy()
         self.audit = audit if audit is not None else OracleAudit()
+        self._ground = frozenset(range(fn.n))
         self._memo: dict[frozenset, int] = {}
         self._memo_step = -1
 
@@ -187,27 +193,34 @@ class QueryGate:
 
     def value(self, subset) -> Optional[int]:
         """Gated query. Returns None (and records the refusal) when the
-        policy rejects; the function value is never revealed in that case."""
+        policy rejects; the function value is never revealed in that case.
+        Raises UnknownElement for an id outside the ground set."""
         subset = frozenset(subset)
+        audit = self.audit
+        step = audit.step
+        if step >= 0:
+            if step != self._memo_step:
+                self._memo = {}
+                self._memo_step = step
+            result = self._memo.get(subset)
+        else:
+            result = None
+        if result is None and not subset <= self._ground:
+            raise UnknownElement(
+                f"query on {sorted(subset - self._ground, key=repr)} names ids "
+                f"outside the ground set 0..{self.fn.n - 1}")
         reason = self.policy.check(subset)
         if reason is not None:
-            self.audit.rejected.append((subset, reason))
+            audit.rejected.append((subset, reason))
             return None
-        audit = self.audit
         audit.query_count += 1
-        step = audit.step
         if audit.record_log:
             audit.log.append((step, subset))
-        if step < 0:
-            audit.oracle_calls += 1
-            return self.fn.value(subset)
-        if step != self._memo_step:
-            self._memo = {}
-            self._memo_step = step
-        result = self._memo.get(subset)
         if result is None:
             audit.oracle_calls += 1
-            result = self._memo[subset] = self.fn.value(subset)
+            result = self.fn.value(subset)
+            if step >= 0:
+                self._memo[subset] = result
         return result
 
     def require(self, subset) -> int:

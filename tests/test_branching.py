@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsub.baselines import brute_force_optimum
+from streamsub.baselines import SieveStreaming, brute_force_optimum
 from streamsub.branching import (CardTree, GuessDriver, GuessGrid, MatroidTree,
                                  gamma_bound, to_fraction)
 from streamsub.coverage import random_coverage
@@ -15,7 +15,7 @@ from streamsub.hard_cardinality import instantiate as card_instantiate
 from streamsub.hard_matroid import MatHardParams
 from streamsub.hard_matroid import instantiate as mat_instantiate
 from streamsub.harness import stream_run
-from streamsub.matroids import PartitionMatroid, UniformMatroid
+from streamsub.matroids import ExplicitMatroid, PartitionMatroid, UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakPolicy,
                                additive)
 from streamsub.samplers import sample_stream
@@ -485,3 +485,87 @@ class TestSpaceAccounting:
         solution, _ = stream_run(tree, stream, gate)
         assert gate.audit.max_stored <= K ** (5 * K + 1)
         assert inst.matroid.is_independent(solution)
+
+
+class StepLog:
+    """``stream_run`` watcher that records, after every step, the
+    footprint and the gate's query count."""
+
+    def __init__(self, alg, gate):
+        self.alg = alg
+        self.gate = gate
+        self.steps = []
+
+    def before(self, t, e):
+        pass
+
+    def after(self, t, e, stored):
+        self.steps.append((self.alg.footprint(), self.gate.audit.query_count))
+
+
+def loads_case(seed):
+    """(fn, partition matroid, stream): hard-matroid K=2..3, or a coverage
+    function under a partition matroid with capacities 0..2."""
+    rnd = random.Random(9100 + seed)
+    if seed % 2 == 0:
+        K = 2 + seed // 2 % 2
+        inst = mat_instantiate(MatHardParams(K, rnd.randrange(2, 6)), seed)
+        stream = sample_stream(inst, "class-blocks", seed).ordering
+        return inst.fn, inst.matroid, stream
+    n = rnd.randrange(5, 11)
+    labels = [rnd.choice("abc") for _ in range(n)]
+    matroid = PartitionMatroid(labels, {"a": 0, "b": 1, "c": 2})
+    inst = random_coverage(n, 10, matroid.rank, seed)
+    stream = list(range(n))
+    rnd.shuffle(stream)
+    return inst.fn, matroid, stream
+
+
+class TestLoadsDifferential:
+    """Packed partition loads and the generic frozenset loads of the same
+    matroid, written out as an ``ExplicitMatroid``, drive every algorithm
+    to the same run."""
+
+    @staticmethod
+    def run(make, fn, matroid, stream):
+        gate = weak_gate(fn, matroid)
+        alg = make(gate, matroid)
+        log = StepLog(alg, gate)
+        solution, value = stream_run(alg, stream, gate, log)
+        assert gate.audit.compliant
+        trace = None
+        if isinstance(alg, MatroidTree):
+            trace = [t for _, t in alg.trace_log]
+            for node in alg.nodes:
+                # open indices are sorted, and each is still below the rank
+                assert list(node.open_bs) == sorted(node.open_bs)
+                full = [b for b in node.open_bs
+                        if len(node.indep) + len(node.tracking.get(b, ())) >= alg.rank]
+                assert full == []
+        return {"solution": solution, "value": value,
+                "max_stored": gate.audit.max_stored,
+                "branches": getattr(alg, "branches_spawned", None),
+                "steps": log.steps, "trace": trace}
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("alg", ["tree", "driver", "sieve"])
+    def test_same_run_as_generic_loads(self, seed, alg):
+        fn, packed, stream = loads_case(seed)
+        generic = ExplicitMatroid.from_oracle(packed)
+        assert generic.rank == packed.rank
+        if alg == "tree":
+            _, opt = brute_force_optimum(fn, packed)
+
+            def make(gate, matroid):
+                return MatroidTree(gate, matroid, max(matroid.rank, 1), max(opt, 1),
+                                   trace=True)
+        elif alg == "driver":
+            def make(gate, matroid):
+                return GuessDriver(gate, matroid, Fraction(1, 4), "matroid")
+        else:
+            def make(gate, matroid):
+                return SieveStreaming(gate, matroid, Fraction(1, 4))
+        want = self.run(make, fn, generic, stream)
+        got = self.run(make, fn, packed, stream)
+        assert got == want
+        assert packed.is_independent(got["solution"])

@@ -25,6 +25,16 @@ class TestTables:
                      "--out", str(tmp_path / "y.csv")]) == 0
 
 
+class TestGoldenRunReport:
+    def test_hard_matroid_branching_report_bytes(self, tmp_path):
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "8")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--epsilon", "1/10", "--distribution", "class-blocks",
+                     "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K3.json").read_bytes()
+
+
 class TestVerify:
     def test_matroid_exhaustive_exits_zero(self, capsys):
         rc = main(["verify", "--constraint", "matroid", "--K", "3", "--m", "3",
@@ -167,6 +177,13 @@ class TestTrialCounts:
 
 
 class TestMalformedInput:
+    def test_empty_k_range(self, capsys):
+        assert main(["sweep", "--what", "ratio", "--k-min", "5", "--k-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--k-min 5 is above --k-max 2" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_m_list_not_integers(self, capsys):
         assert main(["sweep", "--what", "audit", "--K", "2", "--m-list", "8,x",
                      "--trials", "1"]) == 2

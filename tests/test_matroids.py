@@ -108,3 +108,75 @@ class TestRank:
 
     def test_uniform_rank_clamped_to_n(self):
         assert UniformMatroid(3, 9).rank == 3
+
+
+def _greedy_independent(matroid, order, size):
+    """The independent set grown along ``order``, at most ``size`` long."""
+    chosen = frozenset()
+    for e in order:
+        if len(chosen) >= size:
+            break
+        if matroid.is_independent(chosen | {e}):
+            chosen = chosen | {e}
+    return chosen
+
+
+@st.composite
+def matroids(draw):
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["uniform", "partition", "explicit"]))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(0, 4)))
+    labels = draw(st.lists(st.sampled_from([0, 1, "a", (2, "b"), None]),
+                           min_size=n, max_size=n))
+    if draw(st.booleans()):
+        capacity = draw(st.integers(0, 3))
+    else:
+        capacity = {c: draw(st.integers(0, 3)) for c in dict.fromkeys(labels)}
+    matroid = PartitionMatroid(labels, capacity)
+    return matroid if kind == "partition" else ExplicitMatroid.from_oracle(matroid)
+
+
+class TestLoads:
+    """``load``/``fits``/``plus`` answer what ``is_independent`` answers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matroid=matroids(), data=st.data())
+    def test_fits_and_plus_match_is_independent(self, matroid, data):
+        order = data.draw(st.permutations(range(matroid.n)))
+        size = data.draw(st.integers(0, matroid.n))
+        base = _greedy_independent(matroid, order, size)
+        load = matroid.load(base)
+        for e in range(matroid.n):
+            if e in base:
+                continue
+            grown = base | {e}
+            assert matroid.fits(load, e) == matroid.is_independent(grown)
+            if matroid.is_independent(grown):
+                assert matroid.plus(load, e) == matroid.load(grown)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matroid=matroids(), data=st.data())
+    def test_plus_chain_equals_load(self, matroid, data):
+        order = data.draw(st.permutations(range(matroid.n)))
+        chosen, load = frozenset(), matroid.load(frozenset())
+        for e in order:
+            if matroid.fits(load, e):
+                chosen, load = chosen | {e}, matroid.plus(load, e)
+        assert load == matroid.load(chosen)
+        assert matroid.is_independent(chosen)
+        assert len(chosen) == matroid.rank
+
+    def test_partition_capacity_zero_class_never_fits(self):
+        m = PartitionMatroid(["x", "y", "y"], {"x": 0, "y": 2})
+        empty = m.load(frozenset())
+        assert not m.fits(empty, 0)
+        one = m.plus(empty, 1)
+        assert m.fits(one, 2)
+        assert not m.fits(m.plus(one, 2), 0)
+
+    def test_partition_fields_do_not_interfere(self):
+        m = PartitionMatroid([0, 0, 0, 1, 1, 1], {0: 3, 1: 1})
+        load = m.load({0, 1, 2})
+        assert m.fits(load, 3)
+        assert not m.fits(m.plus(load, 3), 4)

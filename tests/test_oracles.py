@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsub.errors import GroundSetTooLarge, PolicyViolation
+from streamsub.errors import GroundSetTooLarge, PolicyViolation, UnknownElement
+from streamsub.hard_matroid import MatHardParams
+from streamsub.hard_matroid import instantiate as mat_instantiate
 from streamsub.hard_cardinality import (CardHardParams, blue_marginal,
                                         instantiate, profile_value)
 from streamsub.matroids import UniformMatroid
@@ -209,3 +211,40 @@ class TestStepMemo:
         gate.value({0})
         assert gate.audit.query_count == 2
         assert gate.audit.oracle_calls == 2 and len(calls) == 2
+
+
+class TestGroundSet:
+    """Ids outside 0..n-1 raise before any policy sees them, inside and
+    outside a stream step, and leave no trace in the audit."""
+
+    @staticmethod
+    def gate(policy_kind, step):
+        inst = mat_instantiate(MatHardParams(2, 3), 0)
+        policy = {"strong": StrongPolicy(), "weak": WeakPolicy(inst.matroid),
+                  "element-store": ElementStorePolicy()}[policy_kind]
+        if policy_kind == "element-store":
+            policy.begin_step(0)
+        return QueryGate(inst.fn, policy, OracleAudit(step=step))
+
+    @pytest.mark.parametrize("step", [-1, 0])
+    @pytest.mark.parametrize("policy_kind", ["strong", "weak", "element-store"])
+    @pytest.mark.parametrize("ids", ["minus_one", "n", "n_with_valid"])
+    def test_outside_ids_raise(self, ids, policy_kind, step):
+        gate = self.gate(policy_kind, step)
+        n = gate.n
+        subset = {"minus_one": {-1}, "n": {n}, "n_with_valid": {0, n}}[ids]
+        assert gate.value({0}) is not None
+        with pytest.raises(UnknownElement, match="outside the ground set"):
+            gate.value(subset)
+        with pytest.raises(UnknownElement):
+            gate.require(subset)
+        audit = gate.audit
+        assert audit.rejected == []
+        assert audit.query_count == 1 and audit.oracle_calls == 1
+
+    def test_memo_hit_answers_without_error(self):
+        gate = self.gate("weak", 0)
+        assert gate.value({0}) == gate.value({0})
+        assert gate.audit.query_count == 2 and gate.audit.oracle_calls == 1
+        with pytest.raises(UnknownElement):
+            gate.value({gate.n})
