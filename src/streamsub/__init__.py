@@ -6,16 +6,13 @@ value-guessing driver, oracle access policies with space accounting,
 and an experiment/verification harness.
 """
 
-from .branching import (CardTree, GuessDriver, GuessGrid, MatroidTree, gamma_bound,
-                        to_fraction)
+from .branching import CardTree, GuessDriver, GuessGrid, MatroidTree, to_fraction
 from .errors import (GroundSetTooLarge, IncompatibleDistribution, InvalidParams,
-                     NotIndependent, PolicyViolation, StreamsubError, UnknownElement,
-                     WrongRank)
+                     PolicyViolation, StreamsubError, UnknownElement)
 from .matroids import (ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid,
-                       can_extend, check_axioms)
+                       check_axioms)
 from .oracles import (AccessPolicy, ElementStorePolicy, OracleAudit, QueryGate,
                       Residual, SetFunction, StrongPolicy, WeakPolicy, additive,
-                      evaluate, marginal, verify_by_pairs,
                       verify_monotone_submodular)
 
 __version__ = "0.1.0"

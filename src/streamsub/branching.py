@@ -147,27 +147,15 @@ class _CardNode:
         skipped = self.child_skip.solution()
         return taken if taken[1] > skipped[1] else skipped
 
-    def local_stored(self) -> int:
-        if self.leaf:
-            return 1 if self.best is not None else 0
-        return 1 if self.pin is not None else 0
-
-    def subtree_size(self) -> int:
-        total = 1
-        if self.child_skip is not None:
-            total += self.child_skip.subtree_size()
-        if self.child_take is not None:
-            total += self.child_take.subtree_size()
-        return total
-
 
 class CardTree:
     """Event-driven tree for one fixed guess v under a cardinality budget.
 
     ``nodes`` holds every node ever created; ``live`` holds, in creation
     order, the nodes that can still take an element (leaves, and internal
-    nodes that have not pinned one). ``stored`` is the running sum of the
-    nodes' ``local_stored()``.
+    nodes that have not pinned one). ``stored`` is the running count of
+    the elements the nodes hold: one per leaf with a best singleton and
+    one per internal node that has pinned an element.
     """
 
     def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False):
@@ -326,21 +314,15 @@ class _MatNode:
                 best = cand
         return best if best is not None else (frozenset(), 0)
 
-    def local_stored(self) -> int:
-        count = sum(len(tracked) for tracked in self.tracking.values())
-        if self.best_single is not None:
-            count += 1
-        count += len(self.indep)
-        return count
-
 
 class MatroidTree:
     """Event-driven tree for one fixed guess v under a matroid constraint.
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above
-    ``MAX_RANK`` are refused. ``stored`` is the running sum of the nodes'
-    ``local_stored()``. The stream delivers each element at most once, as
-    an ordering of the ground set does.
+    ``MAX_RANK`` are refused. ``stored`` is the running count, summed over
+    the nodes, of the carried independent set I, the tracking sets T_b
+    and the fallback candidate. The stream delivers each element at most
+    once, as an ordering of the ground set does.
     """
 
     MAX_RANK = 4
@@ -481,15 +463,3 @@ class GuessDriver:
         solution = self.champion[0]
         return solution, self.gate.require(solution)
 
-
-def gamma_bound(k: int, s: int) -> int:
-    """Solution of the node-count recurrence G(k,s) = G(k-1,s)+G(k,s-1)+1
-    with G(1,s) = G(k,1) = 1; branch trees never exceed it."""
-    table = {}
-    for kk in range(1, k + 1):
-        for ss in range(1, s + 1):
-            if kk == 1 or ss == 1:
-                table[kk, ss] = 1
-            else:
-                table[kk, ss] = table[kk - 1, ss] + table[kk, ss - 1] + 1
-    return table[k, s]

@@ -26,13 +26,5 @@ class UnknownElement(StreamsubError, ValueError):
     """A query named an element id outside the ground set {0..n-1}."""
 
 
-class NotIndependent(StreamsubError, ValueError):
-    """An operation required an independent set but received a dependent one."""
-
-
 class IncompatibleDistribution(StreamsubError, ValueError):
     """Requested stream distribution does not apply to this instance kind."""
-
-
-class WrongRank(StreamsubError, ValueError):
-    """A closed form was requested for a rank it is not defined for."""

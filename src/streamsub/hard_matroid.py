@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import InvalidParams, WrongRank
+from .errors import InvalidParams
 from .matroids import PartitionMatroid
 from .oracles import SetFunction
 from .rng import derive_rng
@@ -29,10 +29,6 @@ from .rng import derive_rng
 def blue_ceiling(K: int, class_index: int) -> int:
     """Blues in class i beyond 2*(K-i) do not change any value."""
     return 2 * (K - class_index)
-
-
-def clamp_blues(K: int, blues) -> tuple[int, ...]:
-    return tuple(min(b, blue_ceiling(K, i + 1)) for i, b in enumerate(blues))
 
 
 @lru_cache(maxsize=None)
@@ -80,21 +76,6 @@ def profile_value(K: int, reds, blues) -> int:
     return level_value(K, reds, blues)
 
 
-def closed_form_3class(reds, blues) -> int:
-    """Polynomial form of the 3-class function; must agree with
-    profile_value on every profile."""
-    reds = tuple(reds)
-    blues = tuple(blues)
-    if len(reds) != 3 or len(blues) != 3:
-        raise WrongRank("closed form is specific to 3 classes")
-    r1, r2, r3 = reds
-    b1, b2, _ = blues
-    s1, s2, s3 = 1 - r3, 1 - r2, 1 - r1
-    d2 = 2 - min(b2, 2)
-    d3 = 4 - min(b1, 4)
-    return 120 - (12 * s3 + (2 * s2 + s1 * (d2 - 1)) * d2 * (d3 - 1)) * d3
-
-
 def singleton_values(K: int) -> tuple[int, int, int]:
     """(red of an early class, any blue, red of the last class)."""
     if K < 2:
@@ -134,11 +115,6 @@ class MatHardParams:
     @property
     def n(self) -> int:
         return (self.K - 1) * self.m + 1
-
-    @staticmethod
-    def default(K: int) -> "MatHardParams":
-        # smallest class size at which every clamp plateau is visible
-        return MatHardParams(K, 2 * (K - 1) if K > 1 else 0)
 
 
 class MatHardInstance:

@@ -310,11 +310,13 @@ def canonical_audit(instance, algorithm: str, trials: int, seed: int,
     """
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
+    reds = getattr(instance, "red_ids", None)
+    if reds is None:
+        raise InvalidParams(f"a {instance.kind} instance has no hidden reds to audit")
     distribution = distribution or default_distribution(instance)
     n = instance.fn.n
-    reds = instance.red_ids
     opt = exact_optimum(instance)
-    bound = instance.output_bound if hasattr(instance, "output_bound") else opt
+    bound = instance.output_bound
     deviations = 0
     exceeds = 0
     max_value = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import GroundSetTooLarge, InvalidParams, NotIndependent
+from .errors import GroundSetTooLarge, InvalidParams
 from .oracles import CheckReport, _mask_set
 
 
@@ -165,14 +165,6 @@ class ExplicitMatroid(Matroid):
         fam = [_mask_set(m) for m in range(1 << matroid.n)
                if matroid.is_independent(_mask_set(m))]
         return cls(matroid.n, fam)
-
-
-def can_extend(matroid: Matroid, independent_set, element: int) -> bool:
-    """Whether ``independent_set + element`` stays independent."""
-    base = frozenset(independent_set)
-    if not matroid.is_independent(base):
-        raise NotIndependent(f"{sorted(base)} is not independent")
-    return matroid.is_independent(base | {element})
 
 
 def check_axioms(matroid: Matroid, limit: int = 12) -> CheckReport:

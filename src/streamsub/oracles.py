@@ -66,12 +66,6 @@ def additive(weights) -> SetFunction:
     return SetFunction(n, lambda s: sum(w.get(e, 0) for e in s), name="additive")
 
 
-def marginal(fn, gain_set, context) -> int:
-    """Value added by ``gain_set`` on top of ``context``."""
-    context = frozenset(context)
-    return fn.value(frozenset(gain_set) | context) - fn.value(context)
-
-
 # ---------------------------------------------------------------------------
 # access policies and auditing
 
@@ -109,25 +103,21 @@ class ElementStorePolicy(AccessPolicy):
 
     The running algorithm (or the harness driving it) must call
     :meth:`begin_step` when an element arrives and :meth:`commit` with its
-    retained element set once the step is processed. ``record_history``
-    keeps per-step snapshots so a run can be replayed and re-audited.
+    retained element set once the step is processed. Only the latest
+    commit is kept; a ``stream_run`` watcher sees every step's stored set.
     """
 
     mode = "element-store"
 
-    def __init__(self, record_history: bool = False):
+    def __init__(self):
         self.stored: frozenset = frozenset()
         self.arrival: Optional[int] = None
-        self.record_history = record_history
-        self.history: list[frozenset] = []
 
     def begin_step(self, element: int):
         self.arrival = element
 
     def commit(self, stored):
         self.stored = frozenset(stored)
-        if self.record_history:
-            self.history.append(self.stored)
 
     def check(self, subset):
         window = self.stored
@@ -233,11 +223,6 @@ class QueryGate:
         return result
 
 
-def evaluate(fn, policy, subset, audit: OracleAudit) -> Optional[int]:
-    """One policy-gated evaluation against an explicit audit."""
-    return QueryGate(fn, policy, audit).value(subset)
-
-
 # ---------------------------------------------------------------------------
 # residual views
 
@@ -335,31 +320,3 @@ def verify_monotone_submodular(fn, limit: int = 14) -> CheckReport:
                 smask = (smask - 1) & tmask
     return CheckReport(True)
 
-
-def verify_by_pairs(fn, limit: int = 14) -> CheckReport:
-    """Independent checker via the local exchange form of diminishing
-    returns: f(S+e) - f(S) >= f(S+e'+e) - f(S+e') for all S and e != e'
-    outside S, plus pointwise monotonicity. Equivalent verdict to
-    :func:`verify_monotone_submodular`, different enumeration."""
-    n = fn.n
-    if n > limit:
-        raise GroundSetTooLarge(f"n={n} exceeds exhaustive limit {limit}")
-    size = 1 << n
-    vals = [fn.value(_mask_set(mask)) for mask in range(size)]
-    for mask in range(size):
-        for e in range(n):
-            bit = 1 << e
-            if mask & bit:
-                continue
-            if vals[mask | bit] < vals[mask]:
-                return CheckReport(False, "monotonicity", (_mask_set(mask), e))
-            for e2 in range(n):
-                bit2 = 1 << e2
-                if e2 == e or mask & bit2:
-                    continue
-                lhs = vals[mask | bit] - vals[mask]
-                rhs = vals[mask | bit2 | bit] - vals[mask | bit2]
-                if lhs < rhs:
-                    return CheckReport(False, "submodularity",
-                                       (_mask_set(mask), e2, e))
-    return CheckReport(True)

@@ -11,12 +11,18 @@ fallback last.
 :class:`PlainGate` is the query gate without the per-step value memo;
 :func:`ref_window` finds a guess window by scanning the grid from index 0;
 :func:`ref_stored_set` is a branch tree's stored set by the per-node union
-formula that also counts every pinned or carried element on each node.
+formula that also counts every pinned or carried element on each node, and
+:func:`ref_footprint` the tree's running ``stored`` count summed node by
+node. :func:`gamma_bound` and :func:`subtree_size` bound and count the
+nodes of a cardinality tree; :func:`verify_by_pairs` is a second
+monotone-submodular checker and :func:`closed_form_3class` a polynomial
+form of the 3-class matroid function, each checked against the package.
 """
 
 from fractions import Fraction
 
-from streamsub.oracles import QueryGate
+from streamsub.errors import GroundSetTooLarge
+from streamsub.oracles import CheckReport, QueryGate, _mask_set
 
 
 class PlainGate(QueryGate):
@@ -151,3 +157,76 @@ def ref_stored_set(tree):
             elif not node.leaf and node.pin is not None:
                 out.add(node.pin[0])
     return frozenset(out)
+
+
+def ref_footprint(tree):
+    """Sum over all nodes of a ``CardTree`` or ``MatroidTree`` of the
+    elements the node holds: its pin or best singleton (cardinality), or
+    its carried independent set, tracking sets and fallback (matroid)."""
+    total = 0
+    for node in tree.nodes:
+        if hasattr(node, "indep"):
+            total += len(node.indep) + sum(map(len, node.tracking.values()))
+            total += node.best_single is not None
+        else:
+            total += (node.best if node.leaf else node.pin) is not None
+    return total
+
+
+def subtree_size(node):
+    """Node count of the subtree of a cardinality-tree node."""
+    return 1 + sum(subtree_size(child) for child in (node.child_skip, node.child_take)
+                   if child is not None)
+
+
+def gamma_bound(k, s):
+    """Solution of the node-count recurrence G(k,s) = G(k-1,s)+G(k,s-1)+1
+    with G(1,s) = G(k,1) = 1; branch trees never exceed it."""
+    table = {}
+    for kk in range(1, k + 1):
+        for ss in range(1, s + 1):
+            if kk == 1 or ss == 1:
+                table[kk, ss] = 1
+            else:
+                table[kk, ss] = table[kk - 1, ss] + table[kk, ss - 1] + 1
+    return table[k, s]
+
+
+def verify_by_pairs(fn, limit=14):
+    """Independent checker via the local exchange form of diminishing
+    returns: f(S+e) - f(S) >= f(S+e'+e) - f(S+e') for all S and e != e'
+    outside S, plus pointwise monotonicity. Equivalent verdict to
+    ``verify_monotone_submodular``, different enumeration."""
+    n = fn.n
+    if n > limit:
+        raise GroundSetTooLarge(f"n={n} exceeds exhaustive limit {limit}")
+    size = 1 << n
+    vals = [fn.value(_mask_set(mask)) for mask in range(size)]
+    for mask in range(size):
+        for e in range(n):
+            bit = 1 << e
+            if mask & bit:
+                continue
+            if vals[mask | bit] < vals[mask]:
+                return CheckReport(False, "monotonicity", (_mask_set(mask), e))
+            for e2 in range(n):
+                bit2 = 1 << e2
+                if e2 == e or mask & bit2:
+                    continue
+                lhs = vals[mask | bit] - vals[mask]
+                rhs = vals[mask | bit2 | bit] - vals[mask | bit2]
+                if lhs < rhs:
+                    return CheckReport(False, "submodularity",
+                                       (_mask_set(mask), e2, e))
+    return CheckReport(True)
+
+
+def closed_form_3class(reds, blues):
+    """Polynomial form of the 3-class matroid function; must agree with
+    ``hard_matroid.profile_value`` on every profile."""
+    r1, r2, r3 = reds
+    b1, b2, _ = blues
+    s1, s2, s3 = 1 - r3, 1 - r2, 1 - r1
+    d2 = 2 - min(b2, 2)
+    d3 = 4 - min(b1, 4)
+    return 120 - (12 * s3 + (2 * s2 + s1 * (d2 - 1)) * d2 * (d3 - 1)) * d3

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsub.baselines import SieveStreaming, brute_force_optimum
-from streamsub.branching import (CardTree, GuessDriver, GuessGrid, MatroidTree,
-                                 gamma_bound, to_fraction)
+from streamsub.branching import CardTree, GuessDriver, GuessGrid, MatroidTree, to_fraction
 from streamsub.coverage import random_coverage
 from streamsub.errors import InvalidParams
 from streamsub.hard_cardinality import CardHardParams
@@ -20,7 +19,8 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakP
                                additive)
 from streamsub.samplers import sample_stream
 
-from _reference import ref_cardinality, ref_matroid, ref_stored_set, ref_window
+from _reference import (gamma_bound, ref_cardinality, ref_footprint, ref_matroid,
+                        ref_stored_set, ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -97,7 +97,7 @@ class TestCardinalityBranch:
         tree = CardTree(gate, 3, 3, 6)
         stream_run(tree, list(range(8)), gate)
         for node in tree.nodes:
-            assert node.subtree_size() <= gamma_bound(node.k, node.s)
+            assert subtree_size(node) <= gamma_bound(node.k, node.s)
 
 
 class TestMatroidBranch:
@@ -196,7 +196,7 @@ class StepRecorder:
         self.steps.append({
             "t": t, "mark": self.mark, "want": self.want,
             "entries": tree.trace_log[self.log_mark:],
-            "footprint": (tree.footprint(), sum(n.local_stored() for n in tree.nodes)),
+            "footprint": (tree.footprint(), ref_footprint(tree)),
             "stored": (stored, ref_stored_set(tree)),
         })
 

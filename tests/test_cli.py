@@ -48,9 +48,22 @@ class TestVerify:
         assert rc == 0
 
     def test_too_large_exhaustive_fails(self, capsys):
-        rc = main(["verify", "--constraint", "matroid", "--K", "3", "--m", "200",
-                   "--exhaustive"])
-        assert rc == 1
+        # a check that never ran is a usage error, not a mismatch, under
+        # either constraint
+        for flags in (["--constraint", "matroid", "--K", "3", "--m", "200"],
+                      ["--constraint", "cardinality", "--K", "9"]):
+            rc = main(["verify", *flags, "--exhaustive"])
+            assert rc == 2
+            assert "exceeds exhaustive limit 14" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,skips", [
+        (["--K", "4"], ["SKIP matroid axioms: n=19 exceeds enumeration limit 12"]),
+        (["--K", "3", "--m", "3"], []),
+    ])
+    def test_skipped_axioms_are_reported(self, flags, skips, capsys):
+        assert main(["verify", "--constraint", "matroid", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("SKIP")] == skips
 
 
 class TestGenRun:
@@ -117,6 +130,14 @@ class TestAuditAndSweep:
         report = json.loads(out.read_text())
         assert set(report) >= {"deviation_freq", "deviation_ci95", "exceed_freq",
                                "mean_ratio", "peak_stored"}
+
+    def test_audit_needs_hidden_reds(self, tmp_path, capsys):
+        inst_file = _gen(tmp_path, "--kind", "coverage", "--K", "2", "--n", "8")
+        assert main(["audit", "--instance", str(inst_file)]) == 2
+        captured = capsys.readouterr()
+        assert "no hidden reds" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_sweep_ratio(self, tmp_path, capsys):
         assert main(["sweep", "--what", "ratio", "--k-min", "2", "--k-max", "6"]) == 0

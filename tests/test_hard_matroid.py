@@ -4,12 +4,13 @@ from math import factorial
 
 import pytest
 
-from streamsub.errors import InvalidParams, WrongRank
+from streamsub.errors import InvalidParams
 from streamsub.hard_matroid import (MatHardParams, approx_ratio, blue_ceiling,
-                                    closed_form_3class, instantiate,
-                                    level_value, optimal_value, output_bound,
-                                    profile_value, singleton_values)
+                                    instantiate, level_value, optimal_value,
+                                    output_bound, profile_value, singleton_values)
 from streamsub.oracles import verify_monotone_submodular
+
+from _reference import closed_form_3class
 
 # hand-transcribed 3-class reference grids: grids[last_red][(r1, r2)][b1][b2]
 GRIDS = {
@@ -161,10 +162,6 @@ class TestClosedForm3Class:
     def test_matches_recursion_everywhere(self):
         for reds, blues in all_k3_profiles():
             assert closed_form_3class(reds, blues) == profile_value(3, reds, blues)
-
-    def test_wrong_rank(self):
-        with pytest.raises(WrongRank):
-            closed_form_3class((0, 0), (0, 0))
 
 
 class TestSingletons:

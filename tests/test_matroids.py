@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsub.errors import NotIndependent
 from streamsub.hard_matroid import MatHardParams, instantiate
 from streamsub.matroids import (ExplicitMatroid, PartitionMatroid,
-                                UniformMatroid, can_extend, check_axioms)
+                                UniformMatroid, check_axioms)
 
 
 class TestIsIndependent:
@@ -28,32 +27,30 @@ class TestIsIndependent:
 
 
 class TestCanExtend:
+    """``fits(load(S), e)``: can e extend the independent set S."""
+
     def test_empty_extends_anywhere(self):
         m = UniformMatroid(3, 1)
-        assert can_extend(m, frozenset(), 2)
+        assert m.fits(m.load(frozenset()), 2)
 
     def test_partition_class_exhausted(self):
         m = PartitionMatroid([0, 0, 1], capacity=1)
-        assert not can_extend(m, {0}, 1)
-        assert can_extend(m, {0}, 2)
+        assert not m.fits(m.load({0}), 1)
+        assert m.fits(m.load({0}), 2)
 
     def test_uniform_rank_reached(self):
         m = UniformMatroid(5, 3)
-        full = {0, 1, 2}
-        assert all(not can_extend(m, full, e) for e in (3, 4))
-
-    def test_dependent_input_rejected(self):
-        m = UniformMatroid(3, 1)
-        with pytest.raises(NotIndependent):
-            can_extend(m, {0, 1}, 2)
+        full = m.load({0, 1, 2})
+        assert all(not m.fits(full, e) for e in (3, 4))
 
     @settings(max_examples=60, deadline=None)
     @given(rank=st.integers(0, 4), subset=st.sets(st.integers(0, 5)), e=st.integers(0, 5))
     def test_matches_direct_query(self, rank, subset, e):
         m = UniformMatroid(6, rank)
-        if not m.is_independent(subset):
+        # fits requires e outside S
+        if not m.is_independent(subset) or e in subset:
             return
-        assert can_extend(m, subset, e) == m.is_independent(set(subset) | {e})
+        assert m.fits(m.load(subset), e) == m.is_independent(set(subset) | {e})
 
 
 class TestCheckAxioms:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,9 @@ from streamsub.hard_cardinality import (CardHardParams, blue_marginal,
 from streamsub.matroids import UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate,
                                Residual, SetFunction, StrongPolicy, WeakPolicy,
-                               additive, evaluate, marginal,
-                               verify_by_pairs, verify_monotone_submodular)
+                               additive, verify_monotone_submodular)
 from conftest import random_function, random_monotone_function
+from _reference import verify_by_pairs
 
 
 def card_instance(n=8, K=3, h=3, seed=1):
@@ -23,7 +25,7 @@ class TestEvaluate:
     def test_strong_allows_everything_and_counts(self):
         f = additive({0: 3, 1: 2})
         audit = OracleAudit()
-        assert evaluate(f, StrongPolicy(), {0, 1}, audit) == 5
+        assert QueryGate(f, StrongPolicy(), audit).value({0, 1}) == 5
         assert audit.query_count == 1
         assert audit.compliant
 
@@ -31,10 +33,10 @@ class TestEvaluate:
         f = additive({0: 1, 1: 1, 2: 1})
         audit = OracleAudit()
         policy = WeakPolicy(UniformMatroid(3, 2))
-        assert evaluate(f, policy, {0, 1, 2}, audit) is None
+        assert QueryGate(f, policy, audit).value({0, 1, 2}) is None
         assert audit.query_count == 0
         assert len(audit.rejected) == 1
-        assert evaluate(f, policy, {0, 1}, audit) == 2
+        assert QueryGate(f, policy, audit).value({0, 1}) == 2
 
     def test_element_store_window(self):
         f = additive({0: 1, 1: 1, 2: 1, 3: 1})
@@ -42,8 +44,8 @@ class TestEvaluate:
         policy = ElementStorePolicy()
         policy.commit({0, 1})
         policy.begin_step(2)
-        assert evaluate(f, policy, {0, 2}, audit) == 2
-        assert evaluate(f, policy, {0, 3}, audit) is None
+        assert QueryGate(f, policy, audit).value({0, 2}) == 2
+        assert QueryGate(f, policy, audit).value({0, 3}) is None
         assert [r[0] for r in audit.rejected] == [frozenset({0, 3})]
 
     def test_require_raises(self):
@@ -54,19 +56,11 @@ class TestEvaluate:
 
 
 class TestMarginal:
-    def test_empty_gain(self):
-        f = additive({0: 3, 1: 2})
-        assert marginal(f, frozenset(), {0}) == 0
-
-    def test_additive(self):
-        f = additive({0: 3, 1: 2})
-        assert marginal(f, {1}, {0}) == 2
-
     def test_hard_cardinality_red_on_blues(self):
         inst = card_instance(n=14, K=4, h=4)
         blues = sorted(inst.blue_ids)[:4]
         red = next(iter(inst.red_ids))
-        assert marginal(inst.fn, {red}, blues) == 3
+        assert inst.fn.value({red, *blues}) - inst.fn.value(blues) == 3
 
 
 class TestRestrict:
@@ -157,14 +151,16 @@ class TestElementStoreReplay:
         inst = card_instance(n=10, K=3, h=3)
         stream = sample_stream(inst, "purple-last", 5).ordering
         audit = OracleAudit(record_log=True)
-        policy = ElementStorePolicy(record_history=True)
-        gate = QueryGate(inst.fn, policy, audit)
+        history = []
+        watcher = SimpleNamespace(before=lambda t, e: None,
+                                  after=lambda t, e, stored: history.append(stored))
+        gate = QueryGate(inst.fn, ElementStorePolicy(), audit)
         alg = SieveStreaming(gate, inst.matroid, "2/5")
-        solution, _ = stream_run(alg, stream, gate)
+        solution, _ = stream_run(alg, stream, gate, watcher)
         assert inst.matroid.is_independent(solution)
         assert audit.compliant
         for step, subset in audit.log:
-            stored_before = policy.history[step - 1] if step >= 1 else frozenset()
+            stored_before = history[step - 1] if step >= 1 else frozenset()
             window = stored_before | {stream[step]}
             assert subset <= window
 
