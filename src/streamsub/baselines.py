@@ -85,7 +85,8 @@ class SieveStreaming:
     m <= v <= 2*K*m, where m is the best feasible singleton seen so far;
     an arriving element joins a candidate set when the set can still grow
     feasibly and the marginal reaches (v/2 - f(S)) / (K - |S|). Guesses
-    leaving the window are discarded together with their sets, which is
+    the grid reports as entering the window start with an empty set;
+    guesses leaving it are discarded together with their sets, which is
     what keeps the stored-element footprint small.
     """
 
@@ -105,18 +106,16 @@ class SieveStreaming:
             fe = self.gate.require(frozenset({e}))
             if fe > self.m:
                 self.m = fe
-        if self.m > 0 and self.K > 0:
-            first, last = self.grid.window(self.m, 2 * self.K * self.m)
-            window = range(first, last + 1)
-        else:
-            window = range(0)
+        # m > 0 implies K > 0
+        if self.m == 0:
+            return
+        first, last, entered = self.grid.window(self.m, 2 * self.K * self.m)
         for i in list(self.sets):
-            if i not in window:
+            if i < first:
                 del self.sets[i]
-        for i in window:
-            if i not in self.sets:
-                self.sets[i] = (frozenset(), self.gate.require(frozenset()), self.empty_load)
-        for i in window:
+        for i in entered:
+            self.sets[i] = (frozenset(), self.gate.require(frozenset()), self.empty_load)
+        for i in range(first, last + 1):
             s, val, load = self.sets[i]
             if len(s) >= self.K or e in s:
                 continue

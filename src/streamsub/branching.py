@@ -52,9 +52,10 @@ class GuessGrid:
 
     :meth:`window` returns the index range (first, last) from the first
     index with v_first >= lo to the last with v_last <= hi, and never
-    below first. It advances the previous window instead of rescanning
-    from index 0, which is valid because callers only ever raise both
-    ends: each is a fixed multiple of a running maximum.
+    below first, and ``entered``, the indices in it no earlier window
+    held. It advances the previous window instead of rescanning from
+    index 0, which is valid because callers only ever raise both ends:
+    each is a fixed multiple of a running maximum.
     """
 
     def __init__(self, eps):
@@ -64,7 +65,7 @@ class GuessGrid:
         self.base = 1 + self.eps
         self._pow = [Fraction(1)]
         self._first = 0
-        self._last = 0
+        self._last = -1
 
     def __getitem__(self, i: int) -> Fraction:
         powers = self._pow
@@ -72,15 +73,16 @@ class GuessGrid:
             powers.append(powers[-1] * self.base)
         return powers[i]
 
-    def window(self, lo, hi) -> tuple[int, int]:
+    def window(self, lo, hi) -> tuple[int, int, range]:
         first = self._first
         while self[first] < lo:
             first += 1
-        last = max(self._last, first)
+        old_last = self._last
+        last = max(old_last, first)
         while self[last + 1] <= hi:
             last += 1
         self._first, self._last = first, last
-        return first, last
+        return first, last, range(max(first, old_last + 1), last + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ class _CardNode:
     that element assumption."""
 
     __slots__ = ("tree", "k", "s", "v", "g", "leaf", "best",
-                 "pin", "child_take", "child_skip", "collecting")
+                 "pin", "child_take", "child_skip")
 
     def __init__(self, tree: "CardTree", k: int, s: int, v: Fraction, g: Residual):
         self.tree = tree
@@ -108,7 +110,6 @@ class _CardNode:
         self.pin = None
         self.child_take = None
         self.child_skip = None
-        self.collecting = True
         tree.nodes.append(self)
         tree.live.append(self)
         if not self.leaf:
@@ -126,7 +127,6 @@ class _CardNode:
             return
         if gain * (self.k + self.s - 1) >= self.v:
             self.pin = (e, gain)
-            self.collecting = False
             self.tree.stored += 1
             self.tree.branches_spawned += 1
             self.child_take = _CardNode(self.tree, self.k, self.s - 1,
@@ -180,7 +180,7 @@ class CardTree:
             if self.trace_log is not None:
                 self.trace_log.append((id(node), t))
             node.offer(e)
-            if node.collecting or node.leaf:
+            if node.pin is None:
                 kept.append(node)
         kept.extend(self.live)
         self.live = kept
@@ -401,7 +401,6 @@ class GuessDriver:
         self.empty_load = matroid.load(frozenset())
         self.m = 0
         self.roots: dict[int, CardTree | MatroidTree] = {}
-        self.next_i = 0
         self.champion: tuple[frozenset, int] = (frozenset(), 0)
         self.champion_v: Fraction | None = None
         self.branches_spawned = 0
@@ -433,16 +432,13 @@ class GuessDriver:
         # m > 0 implies K > 0; integer-valued functions never need
         # guesses below 1, so the window is clamped at index 0
         if self.m > 0:
-            first_i, last_i = self.grid.window(Fraction(self.m) / self.grid.base ** 2,
-                                               Fraction(self.K * self.m) / self.grid.eps)
+            first_i, _, entered = self.grid.window(Fraction(self.m) / self.grid.base ** 2,
+                                                   Fraction(self.K * self.m) / self.grid.eps)
             for i in list(self.roots):
                 if i < first_i:
                     self._retire(i)
-            # both window ends only rise, so an index in the window is
-            # new exactly when it is at or past next_i
-            for i in range(max(first_i, self.next_i), last_i + 1):
+            for i in entered:
                 self._spawn(i)
-            self.next_i = last_i + 1
         for tree in self.roots.values():
             tree.step(t, e)
         if len(self.roots) > self.live_roots_peak:

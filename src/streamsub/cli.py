@@ -6,8 +6,9 @@ Subcommands:
 * ``verify`` -- structural verification of a hard instance family
   (closed forms, indistinguishability, exhaustive monotone/submodular
   checks); exit code 0 only if everything holds.
-* ``run``    -- Monte Carlo experiment: trials of one algorithm on one
-  instance, JSON/CSV report with exact optimum and per-trial audits.
+* ``run``    -- Monte Carlo experiment: trials of one algorithm on the
+  loaded instance, seeded by its file's seed; JSON/CSV report with exact
+  optimum and per-trial audits.
 * ``audit``  -- canonical-process deviation audit under the
   element-store policy.
 * ``tables`` -- emit a reference value grid as CSV.
@@ -25,9 +26,9 @@ from fractions import Fraction
 
 from . import hard_cardinality, hard_matroid
 from .errors import GroundSetTooLarge, InvalidParams, StreamsubError
-from .harness import (ExperimentConfig, aggregates_to_csv, build_instance,
-                      canonical_audit, instance_from_json, instance_to_json,
-                      report_to_json, run_experiment)
+from .harness import (aggregates_to_csv, build_instance, canonical_audit,
+                      instance_from_json, instance_to_json, report_to_json,
+                      run_experiment)
 from .matroids import check_axioms
 from .oracles import verify_monotone_submodular
 from .samplers import DISTRIBUTIONS
@@ -59,13 +60,17 @@ def _m_list(text: str) -> list[int]:
             f"--m-list must be comma-separated integers, got {text!r}") from None
 
 
+def _matroid_m(args) -> int:
+    """``--m``, defaulting to 2(K-1) blues per class (0 when K = 1)."""
+    return args.m if args.m is not None else 2 * (args.K - 1)
+
+
 def _cmd_gen(args) -> int:
     params: dict = {}
     if args.kind == "hard-cardinality":
         params = {"n": args.n, "K": args.K, "h": args.h if args.h is not None else args.K}
     elif args.kind == "hard-matroid":
-        m = args.m if args.m is not None else max(1, 2 * (args.K - 1))
-        params = {"K": args.K, "m": m if args.K > 1 else 0}
+        params = {"K": args.K, "m": _matroid_m(args)}
     else:
         params = {"n": args.n, "K": args.K, "universe": args.universe}
     instance = build_instance(args.kind, params, args.seed)
@@ -97,8 +102,7 @@ def _verify_card(args, failures: list[str]):
 
 def _verify_matroid(args, failures: list[str]):
     K = args.K
-    m = args.m if args.m is not None else max(1, 2 * (K - 1))
-    params = hard_matroid.MatHardParams(K=K, m=m if K > 1 else 0)
+    params = hard_matroid.MatHardParams(K=K, m=_matroid_m(args))
     if hard_matroid.profile_value(K, (1,) * K, (0,) * K) != hard_matroid.optimal_value(K):
         failures.append("all-red closed form mismatch")
     reachable = hard_matroid.profile_value(
@@ -135,15 +139,8 @@ def _cmd_verify(args) -> int:
 def _cmd_run(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         instance = instance_from_json(fh.read())
-    params = instance.describe()
-    kind = params.pop("kind")
-    inst_seed = params.pop("seed", instance.seed)
-    config = ExperimentConfig(kind=kind, params=params, algorithm=args.alg,
-                              epsilon=_epsilon(args.epsilon), trials=args.trials,
-                              seed=args.seed if args.seed is not None else inst_seed,
-                              distribution=args.distribution or "",
-                              policy=args.policy)
-    report = run_experiment(config)
+    report = run_experiment(instance, args.alg, _epsilon(args.epsilon), args.trials,
+                            args.distribution, args.policy)
     text = report_to_json(report) if args.format == "json" else aggregates_to_csv(report)
     _write_output(text, args.out)
     return 0
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--distribution", default=None, choices=DISTRIBUTIONS)
     p_run.add_argument("--policy", default="weak",
                        choices=("weak", "strong", "element-store"))
-    add_common(p_run, "--seed", "--out", "--format")
+    add_common(p_run, "--out", "--format")
     p_run.set_defaults(func=_cmd_run)
 
     p_aud = sub.add_parser("audit", help="canonical-process deviation audit")

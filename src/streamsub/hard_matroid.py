@@ -59,7 +59,7 @@ def level_value(t: int, reds, blues) -> int:
         raise InvalidParams("red entries must be 0/1")
     if any(b < 0 for b in blues):
         raise InvalidParams("blue counts must be non-negative")
-    clamped = tuple(min(b, 2 * (t - 1 - j)) for j, b in enumerate(blues))
+    clamped = tuple(min(b, blue_ceiling(t, j + 1)) for j, b in enumerate(blues))
     return _level(t, reds, clamped)
 
 
@@ -146,7 +146,6 @@ class MatHardInstance:
         rng = derive_rng(seed, "hard-matroid-reds", K, m)
         reds = [rng.choice(block) for block in blocks[:-1]]
         reds.append(n - 1)
-        self.red_of_class = tuple(reds)
         self.red_ids = frozenset(reds)
         self.fn = SetFunction(n, self._value, name="hard-matroid")
         self.matroid = PartitionMatroid(self.class_of, capacity=1)

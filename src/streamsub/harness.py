@@ -3,8 +3,9 @@
 A run wires together: an instance (value oracle + feasibility matroid +
 hidden coloring), a stream sampler, an algorithm, and an access policy
 whose audit records query counts, storage peaks and refused queries.
-Reports are deterministic: identical (config, seed) produces identical
-bytes.
+:func:`run_experiment` and :func:`canonical_audit` run each trial on
+the instance they are given through :func:`run_trial`. Reports are
+deterministic: identical (config, seed) produces identical bytes.
 
 The canonical audit has harness-side privilege: it knows the hidden
 colors, replays an algorithm under the element-store policy, and flags
@@ -18,7 +19,7 @@ asserted.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
@@ -109,10 +110,6 @@ def exact_optimum(instance) -> int:
 # single trials
 
 
-def _constraint_kind(instance) -> str:
-    return "matroid" if instance.matroid.kind == "partition" else "cardinality"
-
-
 def stream_run(alg, stream, gate: QueryGate, watcher=None):
     """Drive a step-based streaming algorithm over one ordering under the
     policy and audit of ``gate``, and return ``alg.finish()``. The stored
@@ -156,7 +153,8 @@ class TrialResult:
 
 
 def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
-              distribution: str | None = None, policy_kind: str = "weak") -> TrialResult:
+              distribution: str | None = None, policy_kind: str = "weak",
+              watcher=None) -> TrialResult:
     distribution = distribution or default_distribution(instance)
     stream = sample_stream(instance, distribution, trial_seed).ordering
     audit = OracleAudit()
@@ -176,7 +174,7 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
         solution, value = offline_greedy(gate, instance.matroid)
     else:
         alg = make_streaming_algorithm(algorithm, gate, instance, eps)
-        solution, value = stream_run(alg, stream, gate)
+        solution, value = stream_run(alg, stream, gate, watcher)
 
     ratio = Fraction(value, optimum) if optimum else Fraction(1)
     return TrialResult(seed=trial_seed, value=value, ratio=ratio,
@@ -190,50 +188,38 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
 # experiment runner
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    params: dict
-    algorithm: str = "branching"
-    epsilon: str = "1/10"
-    trials: int = 20
-    seed: int = 0
-    distribution: str = ""
-    policy: str = "weak"
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["params"] = {k: d["params"][k] for k in sorted(d["params"])}
-        return d
-
-
-def run_experiment(config: ExperimentConfig) -> dict:
-    if config.trials < 1:
-        raise InvalidParams(f"trials must be at least 1, got {config.trials}")
-    instance = build_instance(config.kind, config.params, config.seed)
-    eps = Fraction(config.epsilon)
-    distribution = config.distribution or default_distribution(instance)
+def run_experiment(instance, algorithm: str = "branching", epsilon="1/10",
+                   trials: int = 20, distribution: str | None = None,
+                   policy: str = "weak") -> dict:
+    """``trials`` trials of ``algorithm`` on ``instance``, seeded from the
+    instance's seed; ``config`` holds its description and the options."""
+    if trials < 1:
+        raise InvalidParams(f"trials must be at least 1, got {trials}")
+    params = instance.describe()
+    config = {"kind": params.pop("kind"), "seed": params.pop("seed"), "params": params,
+              "algorithm": algorithm, "epsilon": str(to_fraction(epsilon)),
+              "trials": trials, "distribution": distribution or "", "policy": policy}
+    distribution = distribution or default_distribution(instance)
     opt = exact_optimum(instance)
-    trials = [run_trial(instance, config.algorithm, eps,
-                        derive_seed(config.seed, "trial", idx), opt,
-                        distribution, config.policy)
-              for idx in range(config.trials)]
-    ratios = [t.ratio for t in trials]
+    results = [run_trial(instance, algorithm, epsilon, derive_seed(config["seed"], "trial", idx),
+                         opt, distribution, policy)
+               for idx in range(trials)]
+    ratios = [t.ratio for t in results]
     aggregates = {
         "optimum": opt,
         "mean_ratio": float(sum(ratios) / len(ratios)),
         "min_ratio": float(min(ratios)),
-        "max_value": max(t.value for t in trials),
-        "max_stored_peak": max(t.max_stored for t in trials),
-        "total_queries": sum(t.queries for t in trials),
-        "total_violations": sum(t.violations for t in trials),
-        "all_feasible": all(t.feasible for t in trials),
+        "max_value": max(t.value for t in results),
+        "max_stored_peak": max(t.max_stored for t in results),
+        "total_queries": sum(t.queries for t in results),
+        "total_violations": sum(t.violations for t in results),
+        "all_feasible": all(t.feasible for t in results),
     }
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": config.to_json_dict(),
+        "config": config,
         "distribution": distribution,
-        "trials": [t.to_json_dict() for t in trials],
+        "trials": [t.to_json_dict() for t in results],
         "aggregates": aggregates,
     }
 
@@ -289,7 +275,8 @@ class CanonicalWatcher:
 
 def make_streaming_algorithm(name: str, gate: QueryGate, instance, eps):
     if name == "branching":
-        return GuessDriver(gate, instance.matroid, eps, constraint=_constraint_kind(instance))
+        constraint = "matroid" if instance.matroid.kind == "partition" else "cardinality"
+        return GuessDriver(gate, instance.matroid, eps, constraint=constraint)
     if name == "sieve":
         return SieveStreaming(gate, instance.matroid, eps)
     if name == "store-everything":
@@ -298,44 +285,34 @@ def make_streaming_algorithm(name: str, gate: QueryGate, instance, eps):
 
 
 def canonical_audit(instance, algorithm: str, trials: int, seed: int,
-                    eps="2/5", distribution: str | None = None,
-                    budget: int | None = None) -> dict:
+                    eps="2/5", budget: int | None = None) -> dict:
     """Monte Carlo deviation audit of a streaming algorithm.
 
-    Runs ``trials`` independent orderings under the element-store policy,
-    tracks the deviation events, the achieved values, and how often the
-    value exceeds the reachable bound of the instance family. ``budget``
-    is a declared storage budget; the report records whether the
-    algorithm stayed within it (the audit never enforces it).
+    Runs ``trials`` independent orderings from the instance's default
+    distribution through :func:`run_trial` under the element-store
+    policy, tracks the deviation events, the achieved values, and how
+    often the value exceeds the reachable bound of the instance family.
+    ``budget`` is a declared storage budget; the report records whether
+    the algorithm stayed within it (the audit never enforces it).
     """
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
     reds = getattr(instance, "red_ids", None)
     if reds is None:
         raise InvalidParams(f"a {instance.kind} instance has no hidden reds to audit")
-    distribution = distribution or default_distribution(instance)
-    n = instance.fn.n
+    distribution = default_distribution(instance)
     opt = exact_optimum(instance)
     bound = instance.output_bound
     deviations = 0
-    exceeds = 0
-    max_value = 0
-    peak_stored = 0
-    ratio_total = Fraction(0)
+    results = []
     for idx in range(trials):
-        trial_seed = derive_seed(seed, "audit-trial", idx)
-        stream = sample_stream(instance, distribution, trial_seed).ordering
-        gate = QueryGate(instance.fn, ElementStorePolicy(), OracleAudit())
-        alg = make_streaming_algorithm(algorithm, gate, instance, eps)
-        watcher = CanonicalWatcher(reds, n)
-        _, value = stream_run(alg, stream, gate, watcher)
-        if watcher.deviated:
-            deviations += 1
-        if value > bound:
-            exceeds += 1
-        max_value = max(max_value, value)
-        peak_stored = max(peak_stored, gate.audit.max_stored)
-        ratio_total += Fraction(value, opt) if opt else Fraction(1)
+        watcher = CanonicalWatcher(reds, instance.fn.n)
+        results.append(run_trial(instance, algorithm, eps,
+                                 derive_seed(seed, "audit-trial", idx), opt,
+                                 distribution, "element-store", watcher))
+        deviations += watcher.deviated
+    exceeds = sum(r.value > bound for r in results)
+    peak_stored = max(r.max_stored for r in results)
     lo, hi = wilson_interval(deviations, trials)
     xlo, xhi = wilson_interval(exceeds, trials)
     return {
@@ -357,6 +334,6 @@ def canonical_audit(instance, algorithm: str, trials: int, seed: int,
         "exceed_ci95": [xlo, xhi],
         "output_bound": bound,
         "optimum": opt,
-        "max_value": max_value,
-        "mean_ratio": float(ratio_total / trials),
+        "max_value": max(r.value for r in results),
+        "mean_ratio": float(sum(r.ratio for r in results) / trials),
     }

@@ -73,8 +73,6 @@ def additive(weights) -> SetFunction:
 class AccessPolicy:
     """Base policy: every query is allowed."""
 
-    mode = "strong"
-
     def check(self, subset: frozenset) -> Optional[str]:
         """Return None when the query is allowed, else a refusal reason."""
         return None
@@ -86,8 +84,6 @@ class StrongPolicy(AccessPolicy):
 
 class WeakPolicy(AccessPolicy):
     """Allows value queries on feasible (independent) sets only."""
-
-    mode = "weak"
 
     def __init__(self, matroid):
         self.matroid = matroid
@@ -106,8 +102,6 @@ class ElementStorePolicy(AccessPolicy):
     retained element set once the step is processed. Only the latest
     commit is kept; a ``stream_run`` watcher sees every step's stored set.
     """
-
-    mode = "element-store"
 
     def __init__(self):
         self.stored: frozenset = frozenset()

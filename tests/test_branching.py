@@ -174,7 +174,7 @@ class StepRecorder:
     """``stream_run`` watcher for a traced branch tree. For every step it
     records how many nodes the tree held before the step (``mark``), the
     ids of the pre-step nodes the step should reach (for a cardinality
-    tree the leaves and collecting nodes, for a matroid tree all), the
+    tree those with no pinned element, for a matroid tree all), the
     trace entries the step appended, the running footprint with the sum
     over all nodes, and the stored set with its per-node union reference."""
 
@@ -186,7 +186,7 @@ class StepRecorder:
         nodes = self.tree.nodes
         self.mark = len(nodes)
         if isinstance(self.tree, CardTree):
-            self.want = [id(node) for node in nodes if node.leaf or node.collecting]
+            self.want = [id(node) for node in nodes if node.pin is None]
         else:
             self.want = [id(node) for node in nodes]
         self.log_mark = len(self.tree.trace_log)
@@ -325,24 +325,46 @@ class TestGuessGrid:
     [m, 2Km], in the driver's [m/(1+eps)^2, Km/eps], and in [m, m], which
     mostly holds no grid point at all."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
-           K=st.integers(1, 6), rises=st.lists(st.integers(0, 40), max_size=10))
-    def test_window_matches_scan_from_zero(self, eps, K, rises):
-        shapes = {
+    @staticmethod
+    def shapes(eps, K):
+        return {
             "sieve": lambda m: (m, 2 * K * m),
             "driver": lambda m: (Fraction(m) / (1 + eps) ** 2, Fraction(K * m) / eps),
             "narrow": lambda m: (m, m),
         }
-        for shape in shapes.values():
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
+           K=st.integers(1, 6), rises=st.lists(st.integers(0, 40), max_size=10))
+    def test_window_matches_scan_from_zero(self, eps, K, rises):
+        for shape in self.shapes(eps, K).values():
             grid = GuessGrid(eps)
             m = 0
             for rise in [0, *rises]:
                 m += rise
                 lo, hi = shape(m)
-                first, last = grid.window(lo, hi)
+                first, last, _ = grid.window(lo, hi)
                 assert (first, last) == ref_window(eps, lo, hi)
                 assert grid[last] == (1 + eps) ** last
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
+           K=st.integers(1, 6), rises=st.lists(st.integers(0, 40), max_size=10))
+    def test_entered_covers_each_index_once(self, eps, K, rises):
+        """The ``entered`` ranges are ascending, disjoint and inside their
+        window, and together they hold every index any window held."""
+        for shape in self.shapes(eps, K).values():
+            grid = GuessGrid(eps)
+            m = 0
+            entered_all, windowed = [], set()
+            for rise in [0, *rises]:
+                m += rise
+                first, last, entered = grid.window(*shape(m))
+                assert all(first <= i <= last for i in entered)
+                entered_all.extend(entered)
+                windowed.update(range(first, last + 1))
+            assert entered_all == sorted(set(entered_all))
+            assert set(entered_all) == windowed
 
     @pytest.mark.parametrize("eps", [0, -1, Fraction(11, 10)])
     def test_eps_out_of_range(self, eps):
@@ -407,7 +429,7 @@ class TestGuessDriver:
 
         driver.grid.window, driver._spawn = record_window, record_spawn
         stream_run(driver, stream, gate)
-        union = {i for first, last in windows for i in range(first, last + 1)}
+        union = {i for first, last, _ in windows for i in range(first, last + 1)}
         assert spawned == sorted(union)
         assert driver.roots_spawned == len(spawned)
 

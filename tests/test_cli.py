@@ -1,11 +1,13 @@
 import json
 import pathlib
+import shlex
 
 import pytest
 
-from streamsub.cli import main
+from streamsub.cli import build_parser, main
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "golden"
 
 
 class TestTables:
@@ -33,6 +35,16 @@ class TestGoldenRunReport:
                      "--epsilon", "1/10", "--distribution", "class-blocks",
                      "--trials", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K3.json").read_bytes()
+
+
+class TestGoldenAuditReport:
+    def test_hard_matroid_sieve_audit_bytes(self, tmp_path):
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "40")
+        out = tmp_path / "audit.json"
+        assert main(["audit", "--instance", str(inst_file), "--alg", "sieve",
+                     "--trials", "20", "--seed", "3", "--budget", "20",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "audit_hard_matroid_K3.json").read_bytes()
 
 
 class TestVerify:
@@ -77,8 +89,7 @@ class TestGenRun:
 
         report_file = tmp_path / "report.json"
         rc = main(["run", "--instance", str(inst_file), "--alg", "branching",
-                   "--epsilon", "0.1", "--trials", "3", "--seed", "1",
-                   "--out", str(report_file)])
+                   "--epsilon", "0.1", "--trials", "3", "--out", str(report_file)])
         assert rc == 0
         report = json.loads(report_file.read_text())
         assert report["schema_version"] == 1
@@ -93,8 +104,7 @@ class TestGenRun:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             assert main(["run", "--instance", str(inst_file), "--alg", "sieve",
-                         "--epsilon", "1/5", "--trials", "4", "--seed", "2",
-                         "--out", str(out)]) == 0
+                         "--epsilon", "1/5", "--trials", "4", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -111,7 +121,7 @@ class TestGenRun:
         main(["gen", "--kind", "coverage", "--K", "2", "--n", "6", "--seed", "9",
               "--out", str(inst_file)])
         assert main(["run", "--instance", str(inst_file), "--alg", "greedy",
-                     "--trials", "2", "--seed", "1", "--format", "csv"]) == 0
+                     "--trials", "2", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         header, row = out.strip().split("\n")
         assert "mean_ratio" in header and len(row.split(",")) == len(header.split(","))
@@ -247,6 +257,17 @@ class TestMalformedInput:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "hard-matroid", "--K", "1", "--m", "5"],
+        ["verify", "--constraint", "matroid", "--K", "1", "--m", "5"],
+    ])
+    def test_one_class_matroid_with_blues(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "K=1 has no blue classes; use m=0" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_not_json(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         inst_file.write_text("{kind: coverage")
@@ -276,6 +297,7 @@ class TestIgnoredFlags:
         ["tables", "--which", "3", "--seed", "1"],
         ["tables", "--which", "3", "--format", "csv"],
         ["sweep", "--what", "ratio", "--k-max", "3", "--format", "csv"],
+        ["run", "--instance", "x.json", "--alg", "greedy", "--seed", "1"],
     ])
     def test_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -284,3 +306,19 @@ class TestIgnoredFlags:
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
+
+
+class TestReadmeCommands:
+    def test_command_line_block_parses(self):
+        """Every ``streamsub`` line of the README's command-line block is
+        accepted by the parser; nothing is run."""
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("streamsub ")]
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")

@@ -7,8 +7,7 @@ from streamsub.branching import GuessDriver
 from streamsub.coverage import random_coverage
 from streamsub.hard_cardinality import CardHardParams
 from streamsub.hard_cardinality import instantiate as card_instantiate
-from streamsub.harness import (ExperimentConfig, build_instance,
-                               canonical_audit, exact_optimum,
+from streamsub.harness import (build_instance, canonical_audit, exact_optimum,
                                instance_from_json, instance_to_json,
                                report_to_json, run_experiment, run_trial,
                                stream_run, wilson_interval)
@@ -55,28 +54,21 @@ class TestExactOptimum:
 
 class TestRunExperiment:
     def test_reports_are_byte_identical(self):
-        config = ExperimentConfig(kind="hard-matroid", params={"K": 2, "m": 3},
-                                  algorithm="branching", epsilon="1/10",
-                                  trials=4, seed=5)
-        a = report_to_json(run_experiment(config))
-        b = report_to_json(run_experiment(config))
+        inst = build_instance("hard-matroid", {"K": 2, "m": 3}, 5)
+        a = report_to_json(run_experiment(inst, "branching", "1/10", trials=4))
+        b = report_to_json(run_experiment(inst, "branching", "1/10", trials=4))
         assert a == b
 
     def test_hard_matroid_driver_min_ratio(self):
-        config = ExperimentConfig(kind="hard-matroid", params={"K": 3, "m": 4},
-                                  algorithm="branching", epsilon="1/20",
-                                  trials=20, seed=9)
-        report = run_experiment(config)
+        inst = build_instance("hard-matroid", {"K": 3, "m": 4}, 9)
+        report = run_experiment(inst, "branching", "1/20", trials=20)
         assert report["aggregates"]["min_ratio"] >= 3 / 5 - 0.1
         assert report["aggregates"]["all_feasible"]
         assert report["aggregates"]["total_violations"] == 0
 
     def test_offline_greedy_hits_cardinality_optimum(self):
-        config = ExperimentConfig(kind="hard-cardinality",
-                                  params={"n": 40, "K": 4, "h": 4},
-                                  algorithm="greedy", policy="strong",
-                                  trials=2, seed=3)
-        report = run_experiment(config)
+        inst = build_instance("hard-cardinality", {"n": 40, "K": 4, "h": 4}, 3)
+        report = run_experiment(inst, "greedy", policy="strong", trials=2)
         assert report["aggregates"]["max_value"] == 31
         assert report["aggregates"]["min_ratio"] == 1.0
 
@@ -89,9 +81,8 @@ class TestRunExperiment:
             calls.append(fn)
             return brute_force_optimum(fn, matroid)
         monkeypatch.setattr(harness, "brute_force_optimum", counting)
-        config = ExperimentConfig(kind="coverage", params={"n": 7, "K": 2},
-                                  algorithm=algorithm, trials=3, seed=4)
-        report = run_experiment(config)
+        inst = build_instance("coverage", {"n": 7, "K": 2}, 4)
+        report = run_experiment(inst, algorithm, trials=3)
         assert len(calls) == 1
         assert report["aggregates"]["optimum"] == brute_force_optimum(
             calls[0], UniformMatroid(7, 2))[1]
