@@ -87,7 +87,9 @@ class SieveStreaming:
     feasibly and the marginal reaches (v/2 - f(S)) / (K - |S|). Guesses
     the grid reports as entering the window start with an empty set;
     guesses leaving it are discarded together with their sets, which is
-    what keeps the stored-element footprint small.
+    what keeps the stored-element footprint small. The stream delivers
+    each element at most once, as an ordering of the ground set does, so
+    an arriving element is never in a candidate set already.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps):
@@ -117,9 +119,7 @@ class SieveStreaming:
             self.sets[i] = (frozenset(), self.gate.require(frozenset()), self.empty_load)
         for i in range(first, last + 1):
             s, val, load = self.sets[i]
-            if len(s) >= self.K or e in s:
-                continue
-            if not fits(load, e):
+            if len(s) >= self.K or not fits(load, e):
                 continue
             new_val = self.gate.require(s | {e})
             need = (self.grid[i] / 2 - val) / (self.K - len(s))

@@ -28,7 +28,6 @@ node's reported solution value never costs extra oracle queries.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import InvalidParams
@@ -215,15 +214,22 @@ class _MatNode:
     same arrival, which is pure memoization of identical invocations.
     A fallback candidate (the best singleton extending I) is always kept.
 
-    Independence is tested incrementally: ``iload`` is the matroid load
-    of I, and ``loads[b]`` that of I + T_b. T_b and its load are created
-    on the first acceptance at b; until then T_b is empty and its load is
-    ``iload``. ``open_bs`` lists, sorted, the indices whose I + T_b is
-    still below the rank.
+    The indices are kept in runs: ``runs`` holds ``(lo, hi, T, load)`` in
+    index order, tiling 0..beta, where every b in lo..hi has T_b = T and
+    ``load`` is the matroid load of I + T (``iload`` is that of I). A run
+    whose I + T has reached the rank is closed: it keeps T and its load
+    is None. A node with k = 1 tracks nothing and has no runs.
+
+    Runs are exact. All indices of a run hold the same T and load, so
+    they give the same independence answer for e; they differ only in the
+    bar, which e clears exactly at b <= b_max. So on each offer a run
+    ignores e, takes it on all its indices, or splits at b_max into a
+    lower part that takes e and an upper part that stays as it was. Runs
+    only ever split, and an offer splits at most one of them.
     """
 
     __slots__ = ("tree", "k", "v", "g", "indep", "iload", "best_single",
-                 "tracking", "loads", "open_bs", "children")
+                 "runs", "children")
 
     def __init__(self, tree: "MatroidTree", k: int, v: Fraction,
                  g: Residual, indep: frozenset, iload):
@@ -236,9 +242,7 @@ class _MatNode:
         self.best_single = None
         # accepted element -> (its child, its gain), in arrival order
         self.children: dict[int, tuple["_MatNode", int]] = {}
-        self.tracking: dict[int, set] = {}
-        self.loads: dict = {}
-        self.open_bs = tree.all_bs if k > 1 else ()
+        self.runs = [(0, tree.beta, frozenset(), iload)] if k > 1 else []
         tree.nodes.append(self)
         tree.stored += len(indep)
 
@@ -253,52 +257,38 @@ class _MatNode:
             self.best_single = (gain, e)
         elif gain > self.best_single[0]:
             self.best_single = (gain, e)
-        open_bs = self.open_bs
-        if not open_bs:
+        runs = self.runs
+        if not runs:
             return
         if self.v > 0:
             b_max = (gain * tree.k4 * self.v.denominator) // self.v.numerator
         else:
             b_max = tree.beta
-        # indices above b_max neither accept e nor close
-        cut = bisect_right(open_bs, b_max)
-        if not cut:
-            return
         fits, plus = matroid.fits, matroid.plus
-        tracking, loads = self.tracking, self.loads
         room = tree.rank - len(self.indep)
-        grown = plus(self.iload, e)
         accepted = 0
-        closed = []
-        for b in open_bs[:cut]:
-            tracked = tracking.get(b)
-            if tracked is None:
-                # T_b is empty, and I + e is independent
-                tracked = tracking[b] = {e}
-                load = grown
-            else:
-                load = loads[b]
-                if not fits(load, e):
-                    continue
-                tracked.add(e)
-                load = plus(load, e)
-            accepted += 1
-            if len(tracked) < room:
-                loads[b] = load
-            else:
-                closed.append(b)
-                loads.pop(b, None)
+        for i, (lo, hi, tracked, load) in enumerate(runs):
+            if lo > b_max:
+                break
+            if load is None or not fits(load, e):
+                continue
+            top = min(hi, b_max)
+            # stored and branches_spawned count per index
+            accepted += top - lo + 1
+            grown = tracked | {e}
+            runs[i] = (lo, top, grown, plus(load, e) if len(grown) < room else None)
+            if top < hi:
+                # the upper part, like every later run, starts above b_max
+                runs.insert(i + 1, (top + 1, hi, tracked, load))
+                break
         if not accepted:
             return
         tree.stored += accepted
         tree.branches_spawned += accepted
         v_next = (1 - Fraction(1, tree.k4)) * self.v - 2 * gain
         child = _MatNode(tree, self.k - 1, v_next, self.g.extend(e, gain),
-                         self.indep | {e}, grown)
+                         self.indep | {e}, plus(self.iload, e))
         self.children[e] = (child, gain)
-        if closed:
-            gone = set(closed)
-            self.open_bs = [b for b in open_bs if b not in gone]
 
     def solution(self) -> tuple[frozenset, int]:
         best = None
@@ -340,7 +330,6 @@ class MatroidTree:
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
-        self.all_bs = tuple(range(self.beta + 1))
         self.v = to_fraction(v)
         self.nodes: list[_MatNode] = []
         self.stored = 0
@@ -360,7 +349,7 @@ class MatroidTree:
     def stored_set(self) -> frozenset:
         out: set = set()
         for node in self.nodes:
-            for tracked in node.tracking.values():
+            for _, _, tracked, _ in node.runs:
                 out |= tracked
             if node.best_single is not None:
                 out.add(node.best_single[1])
@@ -425,12 +414,13 @@ class GuessDriver:
             self.champion_v = self.grid[i]
 
     def step(self, t: int, e: int):
-        if self.K > 0 and self.matroid.fits(self.empty_load, e):
+        if self.matroid.fits(self.empty_load, e):
             fe = self.gate.require(frozenset({e}))
             if fe > self.m:
                 self.m = fe
-        # m > 0 implies K > 0; integer-valued functions never need
-        # guesses below 1, so the window is clamped at index 0
+        # no rank-0 matroid fits a singleton, so m > 0 implies K > 0;
+        # integer-valued functions never need guesses below 1, so the
+        # window is clamped at index 0
         if self.m > 0:
             first_i, _, entered = self.grid.window(Fraction(self.m) / self.grid.base ** 2,
                                                    Fraction(self.K * self.m) / self.grid.eps)

@@ -149,8 +149,7 @@ def _cmd_run(args) -> int:
 def _cmd_audit(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         instance = instance_from_json(fh.read())
-    report = canonical_audit(instance, args.alg, trials=args.trials,
-                             seed=args.seed if args.seed is not None else 0,
+    report = canonical_audit(instance, args.alg, trials=args.trials, seed=args.seed,
                              eps=_epsilon(args.epsilon), budget=args.budget)
     if args.format == "json":
         text = report_to_json(report)
@@ -187,9 +186,9 @@ def _cmd_sweep(args) -> int:
         eps = _epsilon(args.epsilon)
         for m in _m_list(args.m_list):
             params = hard_matroid.MatHardParams(K=args.K, m=m)
-            instance = hard_matroid.instantiate(params, args.seed or 0)
+            instance = hard_matroid.instantiate(params, args.seed)
             rep = canonical_audit(instance, args.alg, trials=args.trials,
-                                  seed=args.seed or 0, eps=eps,
+                                  seed=args.seed, eps=eps,
                                   budget=args.budget)
             lo, hi = rep["deviation_ci95"]
             lines.append(f"{m},{args.trials},{rep['deviation_freq']},{lo},{hi},"
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="streaming submodular maximization testbed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--seed": {"type": int, "default": None}, "--out": {"default": None},
+    common = {"--seed": {"type": int, "default": 0}, "--out": {"default": None},
               "--format": {"choices": ("json", "csv"), "default": "json"}}
 
     def add_common(p, *flags):
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--universe", type=int, default=12)
     add_common(p_gen, "--seed", "--out")
-    p_gen.set_defaults(func=_cmd_gen, seed=0)
+    p_gen.set_defaults(func=_cmd_gen)
 
     p_ver = sub.add_parser("verify", help="verify a hard instance family")
     p_ver.add_argument("--constraint", required=True, choices=("cardinality", "matroid"))
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--exhaustive", action="store_true")
     p_ver.add_argument("--limit", type=int, default=14)
     add_common(p_ver, "--seed")
-    p_ver.set_defaults(func=_cmd_verify, seed=0)
+    p_ver.set_defaults(func=_cmd_verify)
 
     p_run = sub.add_parser("run", help="run trials of an algorithm")
     p_run.add_argument("--instance", required=True)
@@ -280,10 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StreamsubError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StreamsubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

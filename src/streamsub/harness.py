@@ -69,7 +69,6 @@ def build_instance(kind: str, params: dict, seed: int):
 def instance_to_json(instance) -> str:
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(instance.describe())
-    payload["seed"] = instance.seed
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -156,7 +155,7 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
               distribution: str | None = None, policy_kind: str = "weak",
               watcher=None) -> TrialResult:
     distribution = distribution or default_distribution(instance)
-    stream = sample_stream(instance, distribution, trial_seed).ordering
+    stream = sample_stream(instance, distribution, trial_seed)
     audit = OracleAudit()
     if policy_kind == "weak":
         policy = WeakPolicy(instance.matroid)

@@ -14,21 +14,12 @@ Sampling is deterministic in (instance, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IncompatibleDistribution
 from .hard_cardinality import CardHardInstance
 from .hard_matroid import MatHardInstance
 from .rng import derive_rng
 
 DISTRIBUTIONS = ("uniform", "purple-last", "class-blocks")
-
-
-@dataclass(frozen=True)
-class StreamSample:
-    ordering: tuple[int, ...]
-    seed: int
-    distribution: str
 
 
 def default_distribution(instance) -> str:
@@ -39,7 +30,7 @@ def default_distribution(instance) -> str:
     return "uniform"
 
 
-def sample_stream(instance, distribution: str, seed: int) -> StreamSample:
+def sample_stream(instance, distribution: str, seed: int) -> tuple[int, ...]:
     n = instance.fn.n
     rng = derive_rng(seed, "stream", distribution, n)
     if distribution == "uniform":
@@ -62,4 +53,4 @@ def sample_stream(instance, distribution: str, seed: int) -> StreamSample:
         order.extend(instance.class_blocks[-1])
     else:
         raise IncompatibleDistribution(f"unknown distribution {distribution!r}")
-    return StreamSample(tuple(order), seed, distribution)
+    return tuple(order)

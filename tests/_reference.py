@@ -13,14 +13,18 @@ fallback last.
 :func:`ref_stored_set` is a branch tree's stored set by the per-node union
 formula that also counts every pinned or carried element on each node, and
 :func:`ref_footprint` the tree's running ``stored`` count summed node by
-node. :func:`gamma_bound` and :func:`subtree_size` bound and count the
+node. :class:`PerIndexMatNode` is the matroid-tree node that tracks every
+threshold index on its own, the code path the run-compressed node
+replaced. :func:`gamma_bound` and :func:`subtree_size` bound and count the
 nodes of a cardinality tree; :func:`verify_by_pairs` is a second
 monotone-submodular checker and :func:`closed_form_3class` a polynomial
 form of the 3-class matroid function, each checked against the package.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
+from streamsub.branching import _MatNode
 from streamsub.errors import GroundSetTooLarge
 from streamsub.oracles import CheckReport, QueryGate, _mask_set
 
@@ -146,7 +150,7 @@ def ref_stored_set(tree):
     for node in tree.nodes:
         if hasattr(node, "indep"):
             out |= node.indep
-            for tracked in node.tracking.values():
+            for _, _, tracked, _ in node.runs:
                 out |= tracked
             if node.best_single is not None:
                 out.add(node.best_single[1])
@@ -162,15 +166,105 @@ def ref_stored_set(tree):
 def ref_footprint(tree):
     """Sum over all nodes of a ``CardTree`` or ``MatroidTree`` of the
     elements the node holds: its pin or best singleton (cardinality), or
-    its carried independent set, tracking sets and fallback (matroid)."""
+    its carried independent set, one tracking set per threshold index and
+    its fallback (matroid)."""
     total = 0
     for node in tree.nodes:
         if hasattr(node, "indep"):
-            total += len(node.indep) + sum(map(len, node.tracking.values()))
+            total += len(node.indep) + sum((hi - lo + 1) * len(tracked)
+                                           for lo, hi, tracked, _ in node.runs)
             total += node.best_single is not None
         else:
             total += (node.best if node.leaf else node.pin) is not None
     return total
+
+
+class PerIndexMatNode:
+    """Matroid-tree node that keeps one tracking set per threshold index:
+    ``tracking[b]`` is T_b once b has accepted an element, ``loads[b]``
+    the load of I + T_b while b is open, and ``open_bs`` the sorted open
+    indices. It offers e to every open b <= b_max on its own. Swapped in
+    for ``branching._MatNode`` it must drive a ``MatroidTree`` to the same
+    run; :attr:`runs` shows its state as one run per index."""
+
+    def __init__(self, tree, k, v, g, indep, iload):
+        self.tree = tree
+        self.k = k
+        self.v = v
+        self.g = g
+        self.indep = indep
+        self.iload = iload
+        self.best_single = None
+        self.children = {}
+        self.tracking = {}
+        self.loads = {}
+        self.open_bs = tuple(range(tree.beta + 1)) if k > 1 else ()
+        tree.nodes.append(self)
+        tree.stored += len(indep)
+
+    @property
+    def runs(self):
+        if self.k == 1:
+            return []
+        return [(b, b, frozenset(self.tracking.get(b, ())),
+                 self.loads.get(b, self.iload) if b in self.open_bs else None)
+                for b in range(self.tree.beta + 1)]
+
+    def offer(self, e):
+        tree = self.tree
+        matroid = tree.matroid
+        if not matroid.fits(self.iload, e):
+            return
+        gain = self.g.singleton(e)
+        if self.best_single is None:
+            tree.stored += 1
+            self.best_single = (gain, e)
+        elif gain > self.best_single[0]:
+            self.best_single = (gain, e)
+        open_bs = self.open_bs
+        if not open_bs:
+            return
+        if self.v > 0:
+            b_max = (gain * tree.k4 * self.v.denominator) // self.v.numerator
+        else:
+            b_max = tree.beta
+        cut = bisect_right(open_bs, b_max)
+        room = tree.rank - len(self.indep)
+        grown = matroid.plus(self.iload, e)
+        accepted = 0
+        closed = []
+        for b in open_bs[:cut]:
+            tracked = self.tracking.get(b)
+            if tracked is None:
+                # T_b is empty, and I + e is independent
+                tracked = self.tracking[b] = {e}
+                load = grown
+            else:
+                load = self.loads[b]
+                if not matroid.fits(load, e):
+                    continue
+                tracked.add(e)
+                load = matroid.plus(load, e)
+            accepted += 1
+            if len(tracked) < room:
+                self.loads[b] = load
+            else:
+                closed.append(b)
+                self.loads.pop(b, None)
+        if not accepted:
+            return
+        tree.stored += accepted
+        tree.branches_spawned += accepted
+        v_next = (1 - Fraction(1, tree.k4)) * self.v - 2 * gain
+        child = PerIndexMatNode(tree, self.k - 1, v_next, self.g.extend(e, gain),
+                                self.indep | {e}, grown)
+        self.children[e] = (child, gain)
+        if closed:
+            gone = set(closed)
+            self.open_bs = [b for b in open_bs if b not in gone]
+
+    # the same choice over children and the fallback as the run-compressed node
+    solution = _MatNode.solution
 
 
 def subtree_size(node):

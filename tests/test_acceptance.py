@@ -224,8 +224,7 @@ def driver_runs():
     results = []
 
     def run_one(instance, constraint, stream_seed, tag):
-        stream = sample_stream(instance, default_distribution(instance),
-                               stream_seed).ordering
+        stream = sample_stream(instance, default_distribution(instance), stream_seed)
         gate = QueryGate(instance.fn, WeakPolicy(instance.matroid), OracleAudit())
         driver = GuessDriver(gate, instance.matroid, eps, constraint)
         solution, value = stream_run(driver, stream, gate)
@@ -284,7 +283,7 @@ def test_criterion_8_space_bounds():
     details = []
     for K in (2, 3):
         inst = card_instantiate(CardHardParams(10, K, K), 5)
-        stream = sample_stream(inst, "purple-last", 1).ordering
+        stream = sample_stream(inst, "purple-last", 1)
         gate = QueryGate(inst.fn, WeakPolicy(inst.matroid), OracleAudit())
         solution, _ = stream_run(CardTree(gate, K, K, inst.optimal_value), stream, gate)
         bound = K * 2 ** (2 * K)
@@ -292,7 +291,7 @@ def test_criterion_8_space_bounds():
         details.append(f"card K={K}: {gate.audit.max_stored}<={bound}")
 
         minst = mat_instantiate(MatHardParams(K, 2 * (K - 1)), 5)
-        mstream = sample_stream(minst, "class-blocks", 1).ordering
+        mstream = sample_stream(minst, "class-blocks", 1)
         mgate = QueryGate(minst.fn, WeakPolicy(minst.matroid), OracleAudit())
         msolution, _ = stream_run(MatroidTree(mgate, minst.matroid, K, minst.optimal_value),
                                   mstream, mgate)

@@ -72,7 +72,7 @@ class TestGreedy:
 
 
 def run_sieve(inst, eps, seed, policy=None):
-    stream = sample_stream(inst, "uniform", seed).ordering
+    stream = sample_stream(inst, "uniform", seed)
     audit = OracleAudit()
     policy = policy or ElementStorePolicy()
     gate = QueryGate(inst.fn, policy, audit)
@@ -108,7 +108,7 @@ class TestSieve:
 class TestStoreEverything:
     def test_reaches_optimum(self):
         inst = random_coverage(7, 10, 3, 12)
-        stream = sample_stream(inst, "uniform", 1).ordering
+        stream = sample_stream(inst, "uniform", 1)
         audit = OracleAudit()
         policy = ElementStorePolicy()
         gate = QueryGate(inst.fn, policy, audit)

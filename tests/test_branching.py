@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from streamsub import branching
 from streamsub.baselines import SieveStreaming, brute_force_optimum
 from streamsub.branching import CardTree, GuessDriver, GuessGrid, MatroidTree, to_fraction
-from streamsub.coverage import random_coverage
+from streamsub.coverage import CoverageFunction, random_coverage
 from streamsub.errors import InvalidParams
 from streamsub.hard_cardinality import CardHardParams
 from streamsub.hard_cardinality import instantiate as card_instantiate
@@ -19,8 +20,8 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakP
                                additive)
 from streamsub.samplers import sample_stream
 
-from _reference import (gamma_bound, ref_cardinality, ref_footprint, ref_matroid,
-                        ref_stored_set, ref_window, subtree_size)
+from _reference import (PerIndexMatNode, gamma_bound, ref_cardinality, ref_footprint,
+                        ref_matroid, ref_stored_set, ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -447,7 +448,7 @@ class TestGuessDriver:
     @pytest.mark.parametrize("seed", range(25))
     def test_cardinality_driver_guarantee(self, seed):
         inst = random_coverage(8, 12, (seed % 3) + 1, 500 + seed)
-        stream = sample_stream(inst, "uniform", seed).ordering
+        stream = sample_stream(inst, "uniform", seed)
         gate = weak_gate(inst.fn, inst.matroid)
         _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "cardinality")
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
@@ -459,7 +460,7 @@ class TestGuessDriver:
     @pytest.mark.parametrize("seed", range(15))
     def test_matroid_driver_guarantee(self, seed):
         inst = random_coverage(7, 12, (seed % 3) + 1, 900 + seed)
-        stream = sample_stream(inst, "uniform", seed).ordering
+        stream = sample_stream(inst, "uniform", seed)
         gate = weak_gate(inst.fn, inst.matroid)
         _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
@@ -470,7 +471,7 @@ class TestGuessDriver:
 
     def test_hard_matroid_driver_reaches_reachable_bound(self):
         inst = mat_instantiate(MatHardParams(2, 3), 3)
-        stream = sample_stream(inst, "class-blocks", 1).ordering
+        stream = sample_stream(inst, "class-blocks", 1)
         gate = weak_gate(inst.fn, inst.matroid)
         driver, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
         # reachable bound K*(2K-2)! = 4; target (1/2 - 1/(2K)) of best guess
@@ -491,7 +492,7 @@ class TestSpaceAccounting:
     @pytest.mark.parametrize("K", [2, 3])
     def test_cardinality_fixed_guess_bound(self, K):
         inst = card_instantiate(CardHardParams(10, K, K), 21)
-        stream = sample_stream(inst, "purple-last", 2).ordering
+        stream = sample_stream(inst, "purple-last", 2)
         gate = weak_gate(inst.fn, inst.matroid)
         tree = CardTree(gate, K, K, inst.optimal_value)
         solution, _ = stream_run(tree, stream, gate)
@@ -501,7 +502,7 @@ class TestSpaceAccounting:
     @pytest.mark.parametrize("K", [2, 3])
     def test_matroid_fixed_guess_bound(self, K):
         inst = mat_instantiate(MatHardParams(K, 2 * (K - 1)), 22)
-        stream = sample_stream(inst, "class-blocks", 2).ordering
+        stream = sample_stream(inst, "class-blocks", 2)
         gate = weak_gate(inst.fn, inst.matroid)
         tree = MatroidTree(gate, inst.matroid, K, inst.optimal_value)
         solution, _ = stream_run(tree, stream, gate)
@@ -532,7 +533,7 @@ def loads_case(seed):
     if seed % 2 == 0:
         K = 2 + seed // 2 % 2
         inst = mat_instantiate(MatHardParams(K, rnd.randrange(2, 6)), seed)
-        stream = sample_stream(inst, "class-blocks", seed).ordering
+        stream = sample_stream(inst, "class-blocks", seed)
         return inst.fn, inst.matroid, stream
     n = rnd.randrange(5, 11)
     labels = [rnd.choice("abc") for _ in range(n)]
@@ -559,11 +560,18 @@ class TestLoadsDifferential:
         if isinstance(alg, MatroidTree):
             trace = [t for _, t in alg.trace_log]
             for node in alg.nodes:
-                # open indices are sorted, and each is still below the rank
-                assert list(node.open_bs) == sorted(node.open_bs)
-                full = [b for b in node.open_bs
-                        if len(node.indep) + len(node.tracking.get(b, ())) >= alg.rank]
-                assert full == []
+                # runs tile 0..beta in order; a run is closed exactly when
+                # I + T reached the rank, and an open run's load is that of I + T
+                bounds = [(lo, hi) for lo, hi, _, _ in node.runs]
+                if node.k > 1:
+                    assert [lo for lo, _ in bounds] == [0] + [hi + 1 for _, hi in bounds[:-1]]
+                    assert bounds[-1][1] == alg.beta
+                for lo, hi, tracked, load in node.runs:
+                    assert lo <= hi
+                    full = len(node.indep) + len(tracked) >= alg.rank
+                    assert (load is None) == full
+                    if not full:
+                        assert load == matroid.load(node.indep | tracked)
         return {"solution": solution, "value": value,
                 "max_stored": gate.audit.max_stored,
                 "branches": getattr(alg, "branches_spawned", None),
@@ -591,3 +599,111 @@ class TestLoadsDifferential:
         got = self.run(make, fn, packed, stream)
         assert got == want
         assert packed.is_independent(got["solution"])
+
+
+
+def per_index(node):
+    """A matroid-tree node's runs written out as one (T_b, load) per
+    threshold index; a closed index has load None."""
+    return [(tracked, load) for lo, hi, tracked, load in node.runs
+            for _ in range(lo, hi + 1)]
+
+
+class NodeStates:
+    """``stream_run`` watcher that records, after every step, the stored
+    set, the footprint, the gate's query count and, for every live matroid
+    tree, its running footprint with the sum over its nodes, and each
+    node's carried set and per-index tracking state."""
+
+    def __init__(self, alg, gate):
+        self.alg = alg
+        self.gate = gate
+        self.steps = []
+
+    def before(self, t, e):
+        pass
+
+    def after(self, t, e, stored):
+        alg = self.alg
+        trees = list(alg.roots.values()) if isinstance(alg, GuessDriver) else [alg]
+        self.steps.append({
+            "stored": stored, "footprint": alg.footprint(),
+            "queries": self.gate.audit.query_count,
+            "trees": [(tree.footprint(), ref_footprint(tree),
+                       [(node.indep, per_index(node)) for node in tree.nodes])
+                      for tree in trees],
+        })
+
+
+class TestRunsDifferential:
+    """Matroid-tree nodes that keep threshold runs drive a tree, and the
+    guess driver, to the same run as the per-index nodes they replaced
+    (``PerIndexMatNode``): after every step each node's runs, written out
+    per index, equal the reference's T_b with its load or closed state."""
+
+    @staticmethod
+    def run(make, fn, matroid, stream, node_class=None):
+        with pytest.MonkeyPatch.context() as mp:
+            if node_class is not None:
+                mp.setattr(branching, "_MatNode", node_class)
+            gate = weak_gate(fn, matroid)
+            alg = make(gate, matroid)
+            log = NodeStates(alg, gate)
+            solution, value = stream_run(alg, stream, gate, log)
+        out = {"solution": solution, "value": value, "steps": log.steps,
+               "queries": gate.audit.query_count,
+               "max_stored": gate.audit.max_stored,
+               "branches": alg.branches_spawned}
+        if isinstance(alg, MatroidTree):
+            index = {id(node): i for i, node in enumerate(alg.nodes)}
+            out["trace"] = [(index[node_id], t) for node_id, t in alg.trace_log]
+        return out
+
+    def check(self, fn, matroid, stream, make):
+        got = self.run(make, fn, matroid, stream)
+        want = self.run(make, fn, matroid, stream, PerIndexMatNode)
+        assert got == want
+        for step in got["steps"]:
+            for running, summed, _ in step["trees"]:
+                assert running == summed
+
+    @pytest.mark.parametrize("frac", [Fraction(1), Fraction(1, 8), Fraction(0)])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_hard_matroid_tree(self, K, m, frac):
+        inst = mat_instantiate(MatHardParams(K, m), 10 * K + m)
+        stream = sample_stream(inst, "class-blocks", m)
+
+        def make(gate, matroid):
+            return MatroidTree(gate, matroid, K, inst.optimal_value * frac, trace=True)
+
+        self.check(inst.fn, inst.matroid, stream, make)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_hard_matroid_driver(self, K, m):
+        inst = mat_instantiate(MatHardParams(K, m), 10 * K + m)
+        stream = sample_stream(inst, "class-blocks", m)
+
+        def make(gate, matroid):
+            return GuessDriver(gate, matroid, Fraction(1, 4), "matroid")
+
+        self.check(inst.fn, inst.matroid, stream, make)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7),
+           capacity=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           k=st.integers(1, 4),
+           v=st.fractions(min_value=0, max_value=24, max_denominator=6))
+    def test_coverage_partition_tree(self, data, n, capacity, k, v):
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        matroid = PartitionMatroid(labels, dict(enumerate(capacity)))
+        assume(matroid.rank <= MatroidTree.MAX_RANK)
+        fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 9), max_size=5),
+                                                 min_size=n, max_size=n)))
+        stream = data.draw(st.permutations(range(n)))
+
+        def make(gate, matroid):
+            return MatroidTree(gate, matroid, k, v, trace=True)
+
+        self.check(fn, matroid, stream, make)

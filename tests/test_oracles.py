@@ -149,7 +149,7 @@ class TestElementStoreReplay:
         from streamsub.samplers import sample_stream
 
         inst = card_instance(n=10, K=3, h=3)
-        stream = sample_stream(inst, "purple-last", 5).ordering
+        stream = sample_stream(inst, "purple-last", 5)
         audit = OracleAudit(record_log=True)
         history = []
         watcher = SimpleNamespace(before=lambda t, e: None,
