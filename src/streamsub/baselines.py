@@ -21,8 +21,11 @@ def _as_gate(fn_or_gate) -> QueryGate:
     return fn_or_gate if isinstance(fn_or_gate, QueryGate) else QueryGate(fn_or_gate)
 
 
-def brute_force_optimum(fn, matroid: Matroid, limit_uniform: int = 20,
-                        limit_matroid: int = 16) -> tuple[frozenset, int]:
+UNIFORM_LIMIT = 20  # largest ground sets brute_force_optimum enumerates
+MATROID_LIMIT = 16
+
+
+def brute_force_optimum(fn, matroid: Matroid) -> tuple[frozenset, int]:
     """Exact maximizer over feasible sets by enumeration.
 
     Uniform constraints enumerate subsets up to the rank; general
@@ -32,26 +35,26 @@ def brute_force_optimum(fn, matroid: Matroid, limit_uniform: int = 20,
     gate = _as_gate(fn)
     n = gate.n
     if isinstance(matroid, UniformMatroid):
-        if n > limit_uniform:
-            raise GroundSetTooLarge(f"n={n} exceeds uniform enumeration limit {limit_uniform}")
-        best = (frozenset(), gate.require(frozenset()))
+        if n > UNIFORM_LIMIT:
+            raise GroundSetTooLarge(f"n={n} exceeds uniform enumeration limit {UNIFORM_LIMIT}")
+        best = (frozenset(), gate.value(frozenset()))
         for k in range(1, matroid.rank + 1):
             for combo in combinations(range(n), k):
                 s = frozenset(combo)
-                v = gate.require(s)
+                v = gate.value(s)
                 if v > best[1]:
                     best = (s, v)
         return best
-    if n > limit_matroid:
-        raise GroundSetTooLarge(f"n={n} exceeds matroid enumeration limit {limit_matroid}")
-    best = (frozenset(), gate.require(frozenset()))
+    if n > MATROID_LIMIT:
+        raise GroundSetTooLarge(f"n={n} exceeds matroid enumeration limit {MATROID_LIMIT}")
+    best = (frozenset(), gate.value(frozenset()))
     stack = [(frozenset(), 0)]
     while stack:
         current, start = stack.pop()
         for e in range(start, n):
             ext = current | {e}
             if matroid.is_independent(ext):
-                v = gate.require(ext)
+                v = gate.value(ext)
                 if v > best[1] or (v == best[1] and sorted(ext) < sorted(best[0])):
                     best = (ext, v)
                 stack.append((ext, e + 1))
@@ -63,13 +66,13 @@ def offline_greedy(fn, matroid: Matroid) -> tuple[frozenset, int]:
     gate = _as_gate(fn)
     n = gate.n
     chosen: frozenset = frozenset()
-    value = gate.require(chosen)
+    value = gate.value(chosen)
     while True:
         best_gain, best_e = 0, None
         for e in range(n):
             if e in chosen or not matroid.is_independent(chosen | {e}):
                 continue
-            gain = gate.require(chosen | {e}) - value
+            gain = gate.value(chosen | {e}) - value
             if gain > best_gain:
                 best_gain, best_e = gain, e
         if best_e is None:
@@ -105,23 +108,21 @@ class SieveStreaming:
     def step(self, t: int, e: int):
         fits = self.matroid.fits
         if fits(self.empty_load, e):
-            fe = self.gate.require(frozenset({e}))
+            fe = self.gate.value(frozenset({e}))
+            # the window moves only when m rises; m > 0 implies K > 0
             if fe > self.m:
                 self.m = fe
-        # m > 0 implies K > 0
-        if self.m == 0:
-            return
-        first, last, entered = self.grid.window(self.m, 2 * self.K * self.m)
-        for i in list(self.sets):
-            if i < first:
-                del self.sets[i]
-        for i in entered:
-            self.sets[i] = (frozenset(), self.gate.require(frozenset()), self.empty_load)
-        for i in range(first, last + 1):
-            s, val, load = self.sets[i]
+                first, _, entered = self.grid.window(self.m, 2 * self.K * self.m)
+                for i in list(self.sets):
+                    if i < first:
+                        del self.sets[i]
+                for i in entered:
+                    self.sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load)
+        # guesses enter ascending and leave from the bottom: keys are in order
+        for i, (s, val, load) in self.sets.items():
             if len(s) >= self.K or not fits(load, e):
                 continue
-            new_val = self.gate.require(s | {e})
+            new_val = self.gate.value(s | {e})
             need = (self.grid[i] / 2 - val) / (self.K - len(s))
             if new_val - val >= need:
                 self.sets[i] = (s | {e}, new_val, self.matroid.plus(load, e))

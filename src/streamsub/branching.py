@@ -415,20 +415,18 @@ class GuessDriver:
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
-            fe = self.gate.require(frozenset({e}))
+            fe = self.gate.value(frozenset({e}))
+            # the window moves only when m rises (m > 0 implies K > 0);
+            # integer values need no guess below 1, so index 0 is the floor
             if fe > self.m:
                 self.m = fe
-        # no rank-0 matroid fits a singleton, so m > 0 implies K > 0;
-        # integer-valued functions never need guesses below 1, so the
-        # window is clamped at index 0
-        if self.m > 0:
-            first_i, _, entered = self.grid.window(Fraction(self.m) / self.grid.base ** 2,
-                                                   Fraction(self.K * self.m) / self.grid.eps)
-            for i in list(self.roots):
-                if i < first_i:
-                    self._retire(i)
-            for i in entered:
-                self._spawn(i)
+                first_i, _, entered = self.grid.window(Fraction(fe) / self.grid.base ** 2,
+                                                       Fraction(self.K * fe) / self.grid.eps)
+                for i in list(self.roots):
+                    if i < first_i:
+                        self._retire(i)
+                for i in entered:
+                    self._spawn(i)
         for tree in self.roots.values():
             tree.step(t, e)
         if len(self.roots) > self.live_roots_peak:
@@ -447,5 +445,5 @@ class GuessDriver:
         for i in list(self.roots):
             self._retire(i)
         solution = self.champion[0]
-        return solution, self.gate.require(solution)
+        return solution, self.gate.value(solution)
 

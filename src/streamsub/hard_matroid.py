@@ -147,6 +147,7 @@ class MatHardInstance:
         reds = [rng.choice(block) for block in blocks[:-1]]
         reds.append(n - 1)
         self.red_ids = frozenset(reds)
+        self._ceilings = tuple(blue_ceiling(K, i) for i in range(1, K + 1))
         self.fn = SetFunction(n, self._value, name="hard-matroid")
         self.matroid = PartitionMatroid(self.class_of, capacity=1)
 
@@ -163,8 +164,9 @@ class MatHardInstance:
         return tuple(reds), tuple(blues)
 
     def _value(self, subset: frozenset) -> int:
+        # a profile_of profile is valid: clamp it, skip level_value's checks
         reds, blues = self.profile_of(subset)
-        return level_value(self.params.K, reds, blues)
+        return _level(self.params.K, reds, tuple(map(min, blues, self._ceilings)))
 
     @property
     def optimal_value(self) -> int:

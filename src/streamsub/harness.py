@@ -112,7 +112,8 @@ def exact_optimum(instance) -> int:
 def stream_run(alg, stream, gate: QueryGate, watcher=None):
     """Drive a step-based streaming algorithm over one ordering under the
     policy and audit of ``gate``, and return ``alg.finish()``. The stored
-    element set is computed only for a policy or watcher that reads it."""
+    element set is computed only for a policy or watcher that reads it.
+    The last step ends before ``finish``, whose queries are not memoized."""
     policy, audit = gate.policy, gate.audit
     store_policy = isinstance(policy, ElementStorePolicy)
     for t, e in enumerate(stream):
@@ -129,6 +130,7 @@ def stream_run(alg, stream, gate: QueryGate, watcher=None):
             if watcher is not None:
                 watcher.after(t, e, stored)
         audit.observe_stored(alg.footprint())
+    audit.step = -1
     return alg.finish()
 
 
@@ -238,7 +240,8 @@ def aggregates_to_csv(report: dict) -> str:
 # canonical-process audit
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    z = 1.96  # two-sided 95%
     if n == 0:
         return 0.0, 1.0
     phat = successes / n

@@ -179,7 +179,6 @@ def check_axioms(matroid: Matroid, limit: int = 12) -> CheckReport:
     for mask in range(1 << n):
         if not indep[mask]:
             continue
-        sub = mask
         for e in range(n):
             bit = 1 << e
             if mask & bit and not indep[mask & ~bit]:

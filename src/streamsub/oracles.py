@@ -12,19 +12,19 @@ Three query policies are supported:
 * element-store -- only subsets of the currently stored elements plus
   the element arriving in the present stream step.
 
-Queries are funneled through a :class:`QueryGate`, which enforces the
+Queries are funneled through :meth:`QueryGate.value`, which enforces the
 policy and keeps an :class:`OracleAudit` of query counts, peak storage
-and refused queries. A refused query never reveals the value.
-
-A query that names an id outside ``{0, ..., n-1}`` raises
+and refused queries. A refused query raises
+:class:`~streamsub.errors.PolicyViolation` and never reveals the value;
+an id outside ``{0, ..., n-1}`` raises
 :class:`~streamsub.errors.UnknownElement` before any policy sees it.
 
 The audit counts two things. ``query_count`` counts logical queries:
-every query the policy accepted, each one checked and logged. Inside a
-stream step (``audit.step >= 0``) the gate remembers the values it has
-already evaluated and answers a repeated accepted query from that memo,
-which lasts until ``audit.step`` changes; ``oracle_calls`` counts the
-real evaluations of the function. Outside a stream nothing is memoized.
+every query the policy accepted, each one logged. Inside a stream step
+(``audit.step >= 0``) the gate answers a repeated query from a memo of
+the values it has evaluated, before any check, until ``audit.step``
+changes; ``oracle_calls`` counts the real evaluations of the function.
+Outside a stream nothing is memoized.
 
 A :class:`Residual` is the conditioned view ``g(T) = f(T | S) - f(S)``
 that the branch trees query: it holds the pinned set ``S`` and the value
@@ -154,13 +154,18 @@ class OracleAudit:
 
 
 class QueryGate:
-    """Front door for every value query of one run.
+    """Front door for every value query of one run; :meth:`value` is its
+    one query method. A refused query is recorded in ``audit.rejected``
+    and raised as :class:`PolicyViolation`, never revealing its value.
 
-    Values of accepted queries are memoized for the current stream step
-    (``audit.step``); the memo is dropped when the step changes, so it
-    holds at most one step's distinct queries. Ids are checked against
-    the ground set on a memo miss only: every memo entry passed that
-    check when it was first asked.
+    Inside a stream step (``audit.step >= 0``) accepted values are memoized
+    until the step changes, and the memo answers first: a hit only counts
+    and logs the query, while the ground-set and policy checks and the
+    evaluation run on a miss. Refusals are never memoized. This is sound
+    because no verdict changes within a step: strong refuses nothing, weak
+    reads only the set, and element-store changes only at ``begin_step``
+    (after ``audit.step`` moves) and ``commit`` (after the algorithm's
+    step). ``stream_run`` ends the last step before ``finish``.
     """
 
     def __init__(self, fn, policy: AccessPolicy | None = None, audit: OracleAudit | None = None):
@@ -175,45 +180,33 @@ class QueryGate:
     def n(self) -> int:
         return self.fn.n
 
-    def value(self, subset) -> Optional[int]:
-        """Gated query. Returns None (and records the refusal) when the
-        policy rejects; the function value is never revealed in that case.
-        Raises UnknownElement for an id outside the ground set."""
+    def value(self, subset) -> int:
+        """Gated query; raises PolicyViolation on a refusal and
+        UnknownElement for an id outside the ground set."""
         subset = frozenset(subset)
         audit = self.audit
         step = audit.step
-        if step >= 0:
-            if step != self._memo_step:
-                self._memo = {}
-                self._memo_step = step
-            result = self._memo.get(subset)
-        else:
-            result = None
-        if result is None and not subset <= self._ground:
-            raise UnknownElement(
-                f"query on {sorted(subset - self._ground, key=repr)} names ids "
-                f"outside the ground set 0..{self.fn.n - 1}")
-        reason = self.policy.check(subset)
-        if reason is not None:
-            audit.rejected.append((subset, reason))
-            return None
-        audit.query_count += 1
-        if audit.record_log:
-            audit.log.append((step, subset))
+        # only steps >= 0 fill the memo, so it is empty outside a stream
+        if step != self._memo_step:
+            self._memo = {}
+            self._memo_step = step
+        result = self._memo.get(subset)
         if result is None:
+            if not subset <= self._ground:
+                raise UnknownElement(
+                    f"query on {sorted(subset - self._ground, key=repr)} names ids "
+                    f"outside the ground set 0..{self.fn.n - 1}")
+            reason = self.policy.check(subset)
+            if reason is not None:
+                audit.rejected.append((subset, reason))
+                raise PolicyViolation(subset, reason)
             audit.oracle_calls += 1
             result = self.fn.value(subset)
             if step >= 0:
                 self._memo[subset] = result
-        return result
-
-    def require(self, subset) -> int:
-        """Gated query that raises on refusal. Used by algorithms that
-        pre-check feasibility and treat a refusal as a programming error."""
-        result = self.value(subset)
-        if result is None:
-            subset = frozenset(subset)
-            raise PolicyViolation(subset, self.audit.rejected[-1][1])
+        audit.query_count += 1
+        if audit.record_log:
+            audit.log.append((step, subset))
         return result
 
 
@@ -235,13 +228,13 @@ class Residual:
     def __init__(self, gate, pinned=frozenset(), base=None):
         self.gate = gate
         self.pinned = frozenset(pinned)
-        self.base = gate.require(self.pinned) if base is None else base
+        self.base = gate.value(self.pinned) if base is None else base
 
     def singleton(self, e: int) -> int:
-        return self.gate.require(self.pinned | {e}) - self.base
+        return self.gate.value(self.pinned | {e}) - self.base
 
     def value(self, subset) -> int:
-        return self.gate.require(self.pinned | frozenset(subset)) - self.base
+        return self.gate.value(self.pinned | frozenset(subset)) - self.base
 
     def extend(self, e: int, gain: int) -> "Residual":
         return Residual(self.gate, self.pinned | {e}, self.base + gain)

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from streamsub.branching import _MatNode
-from streamsub.errors import GroundSetTooLarge
+from streamsub.errors import GroundSetTooLarge, PolicyViolation
 from streamsub.oracles import CheckReport, QueryGate, _mask_set
 
 
@@ -37,7 +37,7 @@ class PlainGate(QueryGate):
         reason = self.policy.check(subset)
         if reason is not None:
             self.audit.rejected.append((subset, reason))
-            return None
+            raise PolicyViolation(subset, reason)
         self.audit.query_count += 1
         if self.audit.record_log:
             self.audit.log.append((self.audit.step, subset))

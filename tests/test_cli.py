@@ -36,6 +36,15 @@ class TestGoldenRunReport:
                      "--trials", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K3.json").read_bytes()
 
+    def test_hard_cardinality_branching_report_bytes(self, tmp_path):
+        inst_file = _gen(tmp_path, "--kind", "hard-cardinality", "--K", "4", "--n", "16",
+                         "--h", "4")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--epsilon", "1/10", "--distribution", "purple-last",
+                     "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_hard_cardinality_K4.json").read_bytes()
+
 
 class TestGoldenAuditReport:
     def test_hard_matroid_sieve_audit_bytes(self, tmp_path):

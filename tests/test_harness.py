@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from streamsub.baselines import brute_force_optimum
+from streamsub.baselines import SieveStreaming, StoreEverything, brute_force_optimum
 from streamsub.branching import GuessDriver
 from streamsub.coverage import random_coverage
+from streamsub.errors import PolicyViolation
 from streamsub.hard_cardinality import CardHardParams
 from streamsub.hard_cardinality import instantiate as card_instantiate
 from streamsub.harness import (build_instance, canonical_audit, exact_optimum,
@@ -14,7 +15,8 @@ from streamsub.harness import (build_instance, canonical_audit, exact_optimum,
 from streamsub.hard_matroid import MatHardParams
 from streamsub.hard_matroid import instantiate as mat_instantiate
 from streamsub.matroids import UniformMatroid
-from streamsub.oracles import OracleAudit, QueryGate, WeakPolicy
+from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakPolicy,
+                               additive)
 from streamsub.samplers import sample_stream
 
 from _reference import PlainGate
@@ -115,7 +117,7 @@ class TestMemoDifferential:
 
     @staticmethod
     def drive(gate_cls, instance, constraint, stream):
-        audit = OracleAudit()
+        audit = OracleAudit(record_log=True)
         policy = WeakPolicy(instance.matroid)
         gate = gate_cls(instance.fn, policy, audit)
         driver = GuessDriver(gate, instance.matroid, Fraction(1, 10), constraint)
@@ -125,7 +127,8 @@ class TestMemoDifferential:
                 "query_count": audit.query_count, "max_stored": audit.max_stored,
                 "branches_spawned": driver.branches_spawned,
                 "roots_spawned": driver.roots_spawned, "v_used": driver.champion_v,
-                "violations": len(audit.rejected)}, audit
+                "violations": len(audit.rejected), "log": audit.log,
+                "rejected": audit.rejected}, audit
 
     def check(self, instance, constraint, stream):
         got, audit = self.drive(QueryGate, instance, constraint, stream)
@@ -146,6 +149,119 @@ class TestMemoDifferential:
         stream = sample_stream(inst, "uniform", seed)
         self.check(inst, "cardinality", stream)
         self.check(inst, "matroid", stream)
+
+
+def ask(gate, subset):
+    """The gate's answer, or None when the policy refuses the query."""
+    try:
+        return gate.value(subset)
+    except PolicyViolation:
+        return None
+
+
+class Forgetful:
+    """Toy streaming algorithm whose queries the element-store policy
+    accepts at one step and refuses at a later one: it keeps each element
+    for two steps only. At each step it asks for {e}, twice for
+    {first}, for {e, first} and twice for {prev, e}, where e is the
+    arrival, first the stream's first element and prev the previous
+    arrival."""
+
+    def __init__(self, gate):
+        self.gate = gate
+        self.kept = {}
+        self.first = None
+        self.prev = None
+        self.answers = []
+
+    def step(self, t, e):
+        if self.first is None:
+            self.first = e
+        asks = [{e}, {self.first}, {self.first}, {e, self.first}]
+        if self.prev is not None:
+            asks += [{self.prev, e}, {self.prev, e}]
+        self.answers += [ask(self.gate, s) for s in asks]
+        self.kept = {x: u for x, u in self.kept.items() if u > t - 2}
+        self.kept[e] = t
+        self.prev = e
+
+    def stored_set(self):
+        return frozenset(self.kept)
+
+    def footprint(self):
+        return len(self.kept)
+
+    def finish(self):
+        return self.answers, ask(self.gate, {self.first})
+
+
+class TestQueryLogDifferential:
+    """Under the element-store policy, where a set's verdict changes from
+    step to step, the memoizing gate logs and refuses exactly the queries
+    the memo-free gate does, in the same order."""
+
+    @staticmethod
+    def drive(gate_cls, instance, make_alg, stream):
+        audit = OracleAudit(record_log=True)
+        gate = gate_cls(instance.fn, ElementStorePolicy(), audit)
+        result = stream_run(make_alg(gate, instance.matroid), stream, gate)
+        return {"result": result, "query_count": audit.query_count,
+                "max_stored": audit.max_stored, "log": audit.log,
+                "rejected": audit.rejected}
+
+    def check(self, instance, make_alg, stream):
+        got = self.drive(QueryGate, instance, make_alg, stream)
+        want = self.drive(PlainGate, instance, make_alg, stream)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("stream_seed", range(3))
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_sieve_and_store_everything(self, m, stream_seed):
+        inst = mat_instantiate(MatHardParams(3, m), 5)
+        stream = sample_stream(inst, "class-blocks", stream_seed)
+        for make_alg in (lambda gate, matroid: SieveStreaming(gate, matroid, "2/5"),
+                         StoreEverything):
+            got = self.check(inst, make_alg, stream)
+            assert got["rejected"] == []
+            assert got["log"]
+
+    @pytest.mark.parametrize("stream_seed", range(3))
+    def test_refused_queries(self, stream_seed):
+        inst = mat_instantiate(MatHardParams(3, 4), 5)
+        stream = sample_stream(inst, "class-blocks", stream_seed)
+        got = self.check(inst, lambda gate, matroid: Forgetful(gate), stream)
+        assert got["rejected"] and got["log"]
+
+    def test_finish_after_drop_is_refused(self):
+        # {0} is accepted at step 1 while 0 is stored; the algorithm then
+        # drops 0, and the same query from finish() is checked against the
+        # final window, not answered from step 1's memo
+        class AskDropAsk:
+            def __init__(self, gate):
+                self.gate = gate
+                self.kept = set()
+
+            def step(self, t, e):
+                if t == 1:
+                    assert ask(self.gate, {0}) == 1
+                    self.kept.discard(0)
+                self.kept.add(e)
+
+            def stored_set(self):
+                return frozenset(self.kept)
+
+            def footprint(self):
+                return len(self.kept)
+
+            def finish(self):
+                return ask(self.gate, {0})
+
+        audit = OracleAudit()
+        gate = QueryGate(additive([1, 1]), ElementStorePolicy(), audit)
+        assert stream_run(AskDropAsk(gate), [0, 1], gate) is None
+        assert [subset for subset, _ in audit.rejected] == [frozenset({0})]
+        assert audit.query_count == 1
 
 
 class TestWilson:

@@ -33,7 +33,8 @@ class TestEvaluate:
         f = additive({0: 1, 1: 1, 2: 1})
         audit = OracleAudit()
         policy = WeakPolicy(UniformMatroid(3, 2))
-        assert QueryGate(f, policy, audit).value({0, 1, 2}) is None
+        with pytest.raises(PolicyViolation):
+            QueryGate(f, policy, audit).value({0, 1, 2})
         assert audit.query_count == 0
         assert len(audit.rejected) == 1
         assert QueryGate(f, policy, audit).value({0, 1}) == 2
@@ -45,14 +46,15 @@ class TestEvaluate:
         policy.commit({0, 1})
         policy.begin_step(2)
         assert QueryGate(f, policy, audit).value({0, 2}) == 2
-        assert QueryGate(f, policy, audit).value({0, 3}) is None
+        with pytest.raises(PolicyViolation):
+            QueryGate(f, policy, audit).value({0, 3})
         assert [r[0] for r in audit.rejected] == [frozenset({0, 3})]
 
     def test_require_raises(self):
         f = additive({0: 1})
         gate = QueryGate(f, WeakPolicy(UniformMatroid(1, 0)))
         with pytest.raises(PolicyViolation):
-            gate.require({0})
+            gate.value({0})
 
 
 class TestMarginal:
@@ -178,8 +180,9 @@ class TestStepMemo:
 
     def test_infeasible_repeat_is_refused_each_time(self):
         gate, calls = self.counting_gate(WeakPolicy(UniformMatroid(3, 2)))
-        assert gate.value({0, 1, 2}) is None
-        assert gate.value({0, 1, 2}) is None
+        for _ in range(2):
+            with pytest.raises(PolicyViolation):
+                gate.value({0, 1, 2})
         assert len(gate.audit.rejected) == 2
         assert gate.audit.query_count == 0 and gate.audit.oracle_calls == 0
         assert calls == []
@@ -200,6 +203,24 @@ class TestStepMemo:
         gate.value({2})
         assert gate.audit.query_count == 3
         assert gate.audit.oracle_calls == 2 and len(calls) == 2
+
+    def test_weak_policy_checks_each_query_once_per_step(self):
+        checks = []
+
+        class CountingWeak(WeakPolicy):
+            def check(self, subset):
+                checks.append(subset)
+                return super().check(subset)
+
+        gate, calls = self.counting_gate(CountingWeak(UniformMatroid(3, 2)))
+        gate.value({0, 1})
+        gate.value({1, 0})
+        assert checks == [frozenset({0, 1})]
+        gate.audit.step = 1
+        gate.value({0, 1})
+        gate.value({0, 1})
+        assert checks == [frozenset({0, 1})] * 2
+        assert gate.audit.query_count == 4 and len(calls) == 2
 
     def test_nothing_memoized_outside_a_stream(self):
         gate, calls = self.counting_gate(step=-1)
@@ -233,7 +254,7 @@ class TestGroundSet:
         with pytest.raises(UnknownElement, match="outside the ground set"):
             gate.value(subset)
         with pytest.raises(UnknownElement):
-            gate.require(subset)
+            gate.value(subset)
         audit = gate.audit
         assert audit.rejected == []
         assert audit.query_count == 1 and audit.oracle_calls == 1
