@@ -4,13 +4,13 @@ optimum.
 
 Both algorithms are recursive procedures over stream suffixes. They are
 realized here as event-driven branch trees over one physical pass: every
-arriving element is dispatched to the tree's live nodes. A node that
-accepts an element spawns its conditioned child, and "skip" children are
-created eagerly at node construction. A node first sees the element after
-the step that created it, because each step offers the element only to
-the nodes that existed before it began. This preserves the single-pass
-semantics the recursion implies while every element is delivered exactly
-once.
+arriving element is offered to each node of the tree, and a node that
+accepts it spawns one child conditioned on it. A cardinality node holds
+all the invocations one acceptance starts, skip invocations included. A
+node first sees the element after the step that created it, because each
+step offers the element only to the nodes that existed before it began.
+This preserves the single-pass semantics the recursion implies while
+every element is delivered exactly once.
 
 A tree has one entry point: its root, with nothing pinned, stepped over
 the stream by ``streamsub.harness.stream_run``, alone for one fixed guess
@@ -89,115 +89,118 @@ class GuessGrid:
 
 
 class _CardNode:
-    """One invocation of the cardinality procedure: remaining optimum bound
-    k, solution budget s, target v, residual g. Leaves (k==1 or s==1) track
-    the best singleton; internal nodes wait for the first element whose
-    gain reaches v/(k+s-1), and carry an eagerly spawned sibling that skips
-    that element assumption."""
+    """The invocations of the cardinality procedure that one acceptance
+    starts (at the root, the root invocation): they share the residual g,
+    the budget s, one leaf and one query per step. An invocation (k, s, v)
+    takes the first element whose gain reaches v/(k+s-1) into a child
+    (k, s-1, v - gain), and its skip child (k-1, s, v(k+s-2)/(k+s-1)) waits
+    on the same residual; one with k == 1 or s == 1 is a leaf, keeping the
+    best singleton. ``chains`` holds ``[k, v, pin, child, at]`` per skip
+    chain (k, s, v), (k-1, s, .), ..., (1, s, .); once it has taken
+    ``pin = (e, gain)``, member j's take child is chain ``at + k - j`` of
+    ``child``. ``best`` is the leaves' best singleton, as ({e}, gain).
 
-    __slots__ = ("tree", "k", "s", "v", "g", "leaf", "best",
-                 "pin", "child_take", "child_skip")
+    * One chain, one element: members k..2 share the bar v/(k+s-1), since
+      v(k+s-2)/(k+s-1) / ((k-1)+s-1) = v/(k+s-1), and are created in the
+      same step on the same residual, so they accept the same element at
+      the same step.
+    * One node, one leaf: every leaf of a node is born in the same step on
+      the same residual, so all keep the same best singleton.
+    * One query, the same log: a node's invocations query the same set
+      and, stepped one by one, would run contiguously, node after node in
+      creation order; so one query counted once per invocation leaves the
+      query count and log unchanged, entry for entry.
+    """
 
-    def __init__(self, tree: "CardTree", k: int, s: int, v: Fraction, g: Residual):
+    __slots__ = ("tree", "s", "g", "best", "chains")
+
+    def __init__(self, tree: "CardTree", s: int, g: Residual, chains: list):
         self.tree = tree
-        self.k = k
         self.s = s
-        self.v = v
         self.g = g
-        self.leaf = k == 1 or s == 1
         self.best = None
-        self.pin = None
-        self.child_take = None
-        self.child_skip = None
+        self.chains = chains
         tree.nodes.append(self)
-        tree.live.append(self)
-        if not self.leaf:
-            skip_v = v * Fraction(k + s - 2, k + s - 1)
-            self.child_skip = _CardNode(tree, k - 1, s, skip_v, g)
 
     def offer(self, e: int):
-        gain = self.g.singleton(e)
-        if self.leaf:
-            if self.best is None:
-                self.tree.stored += 1
-                self.best = (gain, e)
-            elif gain > self.best[0]:
-                self.best = (gain, e)
-            return
-        if gain * (self.k + self.s - 1) >= self.v:
-            self.pin = (e, gain)
-            self.tree.stored += 1
-            self.tree.branches_spawned += 1
-            self.child_take = _CardNode(self.tree, self.k, self.s - 1,
-                                        self.v - gain, self.g.extend(e, gain))
+        tree, s = self.tree, self.s
+        # every chain's leaf queries, and so does each member of a chain
+        # that has not taken an element yet
+        waiting = [c for c in self.chains if c[0] > 1 and c[2] is None] if s > 1 else ()
+        gain = self.g.singleton(e, len(self.chains) + sum(c[0] - 1 for c in waiting))
+        if self.best is None:
+            tree.stored += len(self.chains)
+        if self.best is None or gain > self.best[1]:
+            self.best = (frozenset({e}), gain)
+        child = None
+        for chain in waiting:
+            k, v = chain[0], chain[1]
+            if gain * (k + s - 1) >= v:
+                if child is None:
+                    child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
+                chain[2:] = (e, gain), child, len(child.chains)
+                tree.stored += k - 1
+                tree.branches_spawned += k - 1
+                # member j's target is v(j+s-1)/(k+s-1), the skip product
+                child.chains.extend([j, v * Fraction(j + s - 1, k + s - 1) - gain, None, None, 0]
+                                    for j in range(k, 1, -1))
 
-    def solution(self) -> tuple[frozenset, int]:
-        if self.leaf:
-            if self.best is None:
-                return frozenset(), 0
-            gain, e = self.best
-            return frozenset({e}), gain
-        if self.pin is not None:
-            e, gain = self.pin
-            sub, sub_val = self.child_take.solution()
-            taken = (sub | {e}, sub_val + gain)
-        else:
-            taken = (frozenset(), 0)
-        skipped = self.child_skip.solution()
-        return taken if taken[1] > skipped[1] else skipped
+    def solution(self, i: int) -> tuple[frozenset, int]:
+        """The solution of the head of chain ``i``."""
+        k, _, pin, child, at = self.chains[i]
+        best = self.best or (frozenset(), 0)
+        if pin is not None:
+            e, gain = pin
+            for j in range(2, k + 1):
+                sub, sub_val = child.solution(at + k - j)
+                if sub_val + gain > best[1]:
+                    best = (sub | {e}, sub_val + gain)
+        elif k > 1 and self.s > 1 and best[1] < 0:
+            # a member that took nothing offers the empty set
+            best = (frozenset(), 0)
+        return best
 
 
 class CardTree:
     """Event-driven tree for one fixed guess v under a cardinality budget.
 
-    ``nodes`` holds every node ever created; ``live`` holds, in creation
-    order, the nodes that can still take an element (leaves, and internal
-    nodes that have not pinned one). ``stored`` is the running count of
-    the elements the nodes hold: one per leaf with a best singleton and
-    one per internal node that has pinned an element.
+    ``nodes`` holds every node ever created; each node keeps taking
+    singletons, so every node stays live. ``stored`` is the running count
+    of the elements the invocations hold: one per leaf with a best
+    singleton and one per internal invocation that has pinned an element.
     """
 
     def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
-        self.gate = gate
-        self.v = to_fraction(v)
+        v = to_fraction(v)
         self.nodes: list[_CardNode] = []
-        self.live: list[_CardNode] = []
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _CardNode(self, k, s, self.v, Residual(gate))
+        self.root = _CardNode(self, s, Residual(gate), [[k, v, None, None, 0]])
 
     def step(self, t: int, e: int):
-        current = self.live
-        # nodes created during this step land in the new list and first
-        # see the next element
-        self.live = []
-        kept = []
-        for node in current:
+        # children created during this step are not in the snapshot and
+        # first see the next element
+        for node in list(self.nodes):
             if self.trace_log is not None:
                 self.trace_log.append((id(node), t))
             node.offer(e)
-            if node.pin is None:
-                kept.append(node)
-        kept.extend(self.live)
-        self.live = kept
 
     def stored_set(self) -> frozenset:
         out: set = set()
         for node in self.nodes:
-            if node.leaf and node.best is not None:
-                out.add(node.best[1])
-            elif not node.leaf and node.pin is not None:
-                out.add(node.pin[0])
+            if node.best is not None:
+                out |= node.best[0]
+            out.update(pin[0] for _, _, pin, _, _ in node.chains if pin is not None)
         return frozenset(out)
 
     def footprint(self) -> int:
         return self.stored
 
     def finish(self) -> tuple[frozenset, int]:
-        return self.root.solution()
+        return self.root.solution(0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +208,8 @@ class CardTree:
 
 
 class _MatNode:
-    """One invocation of the matroid procedure carrying an independent set.
+    """One invocation of the matroid procedure carrying an independent set
+    I, the pinned set of its residual ``g``.
 
     For each threshold index b (0..beta, with acceptance bar b*v/K^4) the
     node grows a tracking set T_b of accepted elements; every acceptance
@@ -228,23 +232,20 @@ class _MatNode:
     only ever split, and an offer splits at most one of them.
     """
 
-    __slots__ = ("tree", "k", "v", "g", "indep", "iload", "best_single",
-                 "runs", "children")
+    __slots__ = ("tree", "k", "v", "g", "iload", "best_single", "runs", "children")
 
-    def __init__(self, tree: "MatroidTree", k: int, v: Fraction,
-                 g: Residual, indep: frozenset, iload):
+    def __init__(self, tree: "MatroidTree", k: int, v: Fraction, g: Residual, iload):
         self.tree = tree
         self.k = k
         self.v = v
         self.g = g
-        self.indep = indep
         self.iload = iload
         self.best_single = None
         # accepted element -> (its child, its gain), in arrival order
         self.children: dict[int, tuple["_MatNode", int]] = {}
         self.runs = [(0, tree.beta, frozenset(), iload)] if k > 1 else []
         tree.nodes.append(self)
-        tree.stored += len(indep)
+        tree.stored += len(g.pinned)
 
     def offer(self, e: int):
         tree = self.tree
@@ -265,7 +266,7 @@ class _MatNode:
         else:
             b_max = tree.beta
         fits, plus = matroid.fits, matroid.plus
-        room = tree.rank - len(self.indep)
+        room = tree.rank - len(self.g.pinned)
         accepted = 0
         for i, (lo, hi, tracked, load) in enumerate(runs):
             if lo > b_max:
@@ -287,7 +288,7 @@ class _MatNode:
         tree.branches_spawned += accepted
         v_next = (1 - Fraction(1, tree.k4)) * self.v - 2 * gain
         child = _MatNode(tree, self.k - 1, v_next, self.g.extend(e, gain),
-                         self.indep | {e}, plus(self.iload, e))
+                         plus(self.iload, e))
         self.children[e] = (child, gain)
 
     def solution(self) -> tuple[frozenset, int]:
@@ -325,18 +326,15 @@ class MatroidTree:
                 f"ranks above {self.MAX_RANK} are not supported")
         if k < 1:
             raise InvalidParams("need k >= 1")
-        self.gate = gate
         self.matroid = matroid
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
-        self.v = to_fraction(v)
         self.nodes: list[_MatNode] = []
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _MatNode(self, k, self.v, Residual(gate), frozenset(),
-                             matroid.load(frozenset()))
+        self.root = _MatNode(self, k, to_fraction(v), Residual(gate), matroid.load(frozenset()))
 
     def step(self, t: int, e: int):
         # children created during this step are not in the snapshot and

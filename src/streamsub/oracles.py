@@ -180,9 +180,10 @@ class QueryGate:
     def n(self) -> int:
         return self.fn.n
 
-    def value(self, subset) -> int:
+    def value(self, subset, times: int = 1) -> int:
         """Gated query; raises PolicyViolation on a refusal and
-        UnknownElement for an id outside the ground set."""
+        UnknownElement for an id outside the ground set. It answers
+        ``times`` logical queries, each counted and logged, at one check."""
         subset = frozenset(subset)
         audit = self.audit
         step = audit.step
@@ -204,9 +205,9 @@ class QueryGate:
             result = self.fn.value(subset)
             if step >= 0:
                 self._memo[subset] = result
-        audit.query_count += 1
+        audit.query_count += times
         if audit.record_log:
-            audit.log.append((step, subset))
+            audit.log.extend([(step, subset)] * times)
         return result
 
 
@@ -230,8 +231,8 @@ class Residual:
         self.pinned = frozenset(pinned)
         self.base = gate.value(self.pinned) if base is None else base
 
-    def singleton(self, e: int) -> int:
-        return self.gate.value(self.pinned | {e}) - self.base
+    def singleton(self, e: int, times: int = 1) -> int:
+        return self.gate.value(self.pinned | {e}, times) - self.base
 
     def value(self, subset) -> int:
         return self.gate.value(self.pinned | frozenset(subset)) - self.base

@@ -15,8 +15,11 @@ formula that also counts every pinned or carried element on each node, and
 :func:`ref_footprint` the tree's running ``stored`` count summed node by
 node. :class:`PerIndexMatNode` is the matroid-tree node that tracks every
 threshold index on its own, the code path the run-compressed node
-replaced. :func:`gamma_bound` and :func:`subtree_size` bound and count the
-nodes of a cardinality tree; :func:`verify_by_pairs` is a second
+replaced; :class:`PerInvocationCardTree` steps one
+:class:`PerInvocationCardNode` per invocation of the cardinality
+procedure, the code path the chain-holding node replaced.
+:func:`gamma_bound` and :func:`subtree_size` bound and count the
+invocations of a cardinality tree; :func:`verify_by_pairs` is a second
 monotone-submodular checker and :func:`closed_form_3class` a polynomial
 form of the 3-class matroid function, each checked against the package.
 """
@@ -24,23 +27,23 @@ form of the 3-class matroid function, each checked against the package.
 from bisect import bisect_right
 from fractions import Fraction
 
-from streamsub.branching import _MatNode
-from streamsub.errors import GroundSetTooLarge, PolicyViolation
-from streamsub.oracles import CheckReport, QueryGate, _mask_set
+from streamsub.branching import _MatNode, to_fraction
+from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
+from streamsub.oracles import CheckReport, QueryGate, Residual, _mask_set
 
 
 class PlainGate(QueryGate):
     """Query gate that evaluates the function on every accepted query."""
 
-    def value(self, subset):
+    def value(self, subset, times=1):
         subset = frozenset(subset)
         reason = self.policy.check(subset)
         if reason is not None:
             self.audit.rejected.append((subset, reason))
             raise PolicyViolation(subset, reason)
-        self.audit.query_count += 1
+        self.audit.query_count += times
         if self.audit.record_log:
-            self.audit.log.append((self.audit.step, subset))
+            self.audit.log.extend([(self.audit.step, subset)] * times)
         return self.fn.value(subset)
 
 
@@ -145,37 +148,37 @@ def ref_matroid(fn, matroid, stream, k, v, indep=frozenset(), rank=None):
 def ref_stored_set(tree):
     """Union over all nodes of a ``CardTree`` or ``MatroidTree`` of the
     node's pinned set (cardinality) or carried independent set (matroid)
-    and the elements the node holds itself."""
+    and the elements the node holds itself: its leaf best and chain pins,
+    or its tracking sets and fallback."""
     out = set()
     for node in tree.nodes:
-        if hasattr(node, "indep"):
-            out |= node.indep
+        out |= node.g.pinned
+        if hasattr(node, "runs"):
             for _, _, tracked, _ in node.runs:
                 out |= tracked
             if node.best_single is not None:
                 out.add(node.best_single[1])
         else:
-            out |= node.g.pinned
-            if node.leaf and node.best is not None:
-                out.add(node.best[1])
-            elif not node.leaf and node.pin is not None:
-                out.add(node.pin[0])
+            if node.best is not None:
+                out |= node.best[0]
+            out |= {pin[0] for _, _, pin, _, _ in node.chains if pin is not None}
     return frozenset(out)
 
 
 def ref_footprint(tree):
-    """Sum over all nodes of a ``CardTree`` or ``MatroidTree`` of the
-    elements the node holds: its pin or best singleton (cardinality), or
-    its carried independent set, one tracking set per threshold index and
-    its fallback (matroid)."""
+    """Sum over all invocations of a ``CardTree`` or ``MatroidTree`` of the
+    elements each holds: its pin or best singleton (cardinality: a chain
+    has one leaf, and k - 1 members that pin), or its carried independent
+    set, one tracking set per threshold index and its fallback (matroid)."""
     total = 0
     for node in tree.nodes:
-        if hasattr(node, "indep"):
-            total += len(node.indep) + sum((hi - lo + 1) * len(tracked)
-                                           for lo, hi, tracked, _ in node.runs)
+        if hasattr(node, "runs"):
+            total += len(node.g.pinned) + sum((hi - lo + 1) * len(tracked)
+                                              for lo, hi, tracked, _ in node.runs)
             total += node.best_single is not None
         else:
-            total += (node.best if node.leaf else node.pin) is not None
+            for k, _, pin, _, _ in node.chains:
+                total += (node.best is not None) + (pin is not None) * (k - 1)
     return total
 
 
@@ -187,12 +190,11 @@ class PerIndexMatNode:
     for ``branching._MatNode`` it must drive a ``MatroidTree`` to the same
     run; :attr:`runs` shows its state as one run per index."""
 
-    def __init__(self, tree, k, v, g, indep, iload):
+    def __init__(self, tree, k, v, g, iload):
         self.tree = tree
         self.k = k
         self.v = v
         self.g = g
-        self.indep = indep
         self.iload = iload
         self.best_single = None
         self.children = {}
@@ -200,7 +202,7 @@ class PerIndexMatNode:
         self.loads = {}
         self.open_bs = tuple(range(tree.beta + 1)) if k > 1 else ()
         tree.nodes.append(self)
-        tree.stored += len(indep)
+        tree.stored += len(g.pinned)
 
     @property
     def runs(self):
@@ -229,7 +231,7 @@ class PerIndexMatNode:
         else:
             b_max = tree.beta
         cut = bisect_right(open_bs, b_max)
-        room = tree.rank - len(self.indep)
+        room = tree.rank - len(self.g.pinned)
         grown = matroid.plus(self.iload, e)
         accepted = 0
         closed = []
@@ -256,8 +258,7 @@ class PerIndexMatNode:
         tree.stored += accepted
         tree.branches_spawned += accepted
         v_next = (1 - Fraction(1, tree.k4)) * self.v - 2 * gain
-        child = PerIndexMatNode(tree, self.k - 1, v_next, self.g.extend(e, gain),
-                                self.indep | {e}, grown)
+        child = PerIndexMatNode(tree, self.k - 1, v_next, self.g.extend(e, gain), grown)
         self.children[e] = (child, gain)
         if closed:
             gone = set(closed)
@@ -267,10 +268,116 @@ class PerIndexMatNode:
     solution = _MatNode.solution
 
 
-def subtree_size(node):
-    """Node count of the subtree of a cardinality-tree node."""
-    return 1 + sum(subtree_size(child) for child in (node.child_skip, node.child_take)
-                   if child is not None)
+class PerInvocationCardNode:
+    """One invocation of the cardinality procedure: remaining optimum bound
+    k, solution budget s, target v, residual g. Leaves (k==1 or s==1) track
+    the best singleton; internal nodes wait for the first element whose
+    gain reaches v/(k+s-1), and carry an eagerly spawned sibling that skips
+    that element assumption."""
+
+    def __init__(self, tree, k, s, v, g):
+        self.tree = tree
+        self.k = k
+        self.s = s
+        self.v = v
+        self.g = g
+        self.leaf = k == 1 or s == 1
+        self.best = None
+        self.pin = None
+        self.child_take = None
+        self.child_skip = None
+        tree.nodes.append(self)
+        tree.live.append(self)
+        if not self.leaf:
+            skip_v = v * Fraction(k + s - 2, k + s - 1)
+            self.child_skip = PerInvocationCardNode(tree, k - 1, s, skip_v, g)
+
+    def offer(self, e):
+        gain = self.g.singleton(e)
+        if self.leaf:
+            if self.best is None:
+                self.tree.stored += 1
+                self.best = (gain, e)
+            elif gain > self.best[0]:
+                self.best = (gain, e)
+            return
+        if gain * (self.k + self.s - 1) >= self.v:
+            self.pin = (e, gain)
+            self.tree.stored += 1
+            self.tree.branches_spawned += 1
+            self.child_take = PerInvocationCardNode(self.tree, self.k, self.s - 1,
+                                                    self.v - gain, self.g.extend(e, gain))
+
+    def solution(self):
+        if self.leaf:
+            if self.best is None:
+                return frozenset(), 0
+            gain, e = self.best
+            return frozenset({e}), gain
+        if self.pin is not None:
+            e, gain = self.pin
+            sub, sub_val = self.child_take.solution()
+            taken = (sub | {e}, sub_val + gain)
+        else:
+            taken = (frozenset(), 0)
+        skipped = self.child_skip.solution()
+        return taken if taken[1] > skipped[1] else skipped
+
+
+class PerInvocationCardTree:
+    """Cardinality tree of :class:`PerInvocationCardNode`; ``live`` holds,
+    in creation order, the nodes that can still take an element (leaves,
+    and internal nodes that have not pinned one), and each step offers the
+    element to each of them. Swapped in for ``branching.CardTree`` it must
+    drive a run, and the guess driver, to the same result."""
+
+    def __init__(self, gate, k, s, v):
+        if k < 1 or s < 1:
+            raise InvalidParams("need k >= 1 and s >= 1")
+        self.nodes = []
+        self.live = []
+        self.stored = 0
+        self.branches_spawned = 0
+        self.root = PerInvocationCardNode(self, k, s, to_fraction(v), Residual(gate))
+
+    def step(self, t, e):
+        current = self.live
+        # nodes created during this step land in the new list and first
+        # see the next element
+        self.live = []
+        kept = []
+        for node in current:
+            node.offer(e)
+            if node.pin is None:
+                kept.append(node)
+        kept.extend(self.live)
+        self.live = kept
+
+    def stored_set(self):
+        out = set()
+        for node in self.nodes:
+            if node.leaf and node.best is not None:
+                out.add(node.best[1])
+            elif not node.leaf and node.pin is not None:
+                out.add(node.pin[0])
+        return frozenset(out)
+
+    def footprint(self):
+        return self.stored
+
+    def finish(self):
+        return self.root.solution()
+
+
+def subtree_size(node, i):
+    """Invocation count of the subtree of the head of chain ``i`` of a
+    cardinality-tree node: the chain's k members (one when s == 1), and
+    once it has taken an element, the subtrees of their take children."""
+    k, _, pin, child, at = node.chains[i]
+    size = k if node.s > 1 else 1
+    if pin is not None:
+        size += sum(subtree_size(child, at + k - j) for j in range(2, k + 1))
+    return size
 
 
 def gamma_bound(k, s):

@@ -16,12 +16,13 @@ from streamsub.hard_matroid import MatHardParams
 from streamsub.hard_matroid import instantiate as mat_instantiate
 from streamsub.harness import stream_run
 from streamsub.matroids import ExplicitMatroid, PartitionMatroid, UniformMatroid
-from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakPolicy,
-                               additive)
+from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, StrongPolicy,
+                               WeakPolicy, additive)
 from streamsub.samplers import sample_stream
 
-from _reference import (PerIndexMatNode, gamma_bound, ref_cardinality, ref_footprint,
-                        ref_matroid, ref_stored_set, ref_window, subtree_size)
+from _reference import (PerIndexMatNode, PerInvocationCardTree, gamma_bound,
+                        ref_cardinality, ref_footprint, ref_matroid, ref_stored_set,
+                        ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -98,7 +99,12 @@ class TestCardinalityBranch:
         tree = CardTree(gate, 3, 3, 6)
         stream_run(tree, list(range(8)), gate)
         for node in tree.nodes:
-            assert subtree_size(node) <= gamma_bound(node.k, node.s)
+            for i, (k, *_) in enumerate(node.chains):
+                assert subtree_size(node, i) <= gamma_bound(k, node.s)
+        ref_gate = QueryGate(inst.fn)
+        ref = PerInvocationCardTree(ref_gate, 3, 3, 6)
+        stream_run(ref, list(range(8)), ref_gate)
+        assert subtree_size(tree.root, 0) == len(ref.nodes)
 
 
 class TestMatroidBranch:
@@ -174,8 +180,7 @@ class TestMatroidBranch:
 class StepRecorder:
     """``stream_run`` watcher for a traced branch tree. For every step it
     records how many nodes the tree held before the step (``mark``), the
-    ids of the pre-step nodes the step should reach (for a cardinality
-    tree those with no pinned element, for a matroid tree all), the
+    ids of the pre-step nodes the step should reach (all of them), the
     trace entries the step appended, the running footprint with the sum
     over all nodes, and the stored set with its per-node union reference."""
 
@@ -186,10 +191,7 @@ class StepRecorder:
     def before(self, t, e):
         nodes = self.tree.nodes
         self.mark = len(nodes)
-        if isinstance(self.tree, CardTree):
-            self.want = [id(node) for node in nodes if node.pin is None]
-        else:
-            self.want = [id(node) for node in nodes]
+        self.want = [id(node) for node in nodes]
         self.log_mark = len(self.tree.trace_log)
 
     def after(self, t, e, stored):
@@ -268,8 +270,8 @@ class TestSinglePassDiscipline:
 
 class TestIncrementalState:
     """After every step the running footprint equals the sum over all
-    nodes, and each step reaches exactly the pre-step nodes that can still
-    take an element, in creation order."""
+    nodes, and each step reaches every pre-step node once, in creation
+    order."""
 
     @staticmethod
     def check(steps):
@@ -568,10 +570,10 @@ class TestLoadsDifferential:
                     assert bounds[-1][1] == alg.beta
                 for lo, hi, tracked, load in node.runs:
                     assert lo <= hi
-                    full = len(node.indep) + len(tracked) >= alg.rank
+                    full = len(node.g.pinned) + len(tracked) >= alg.rank
                     assert (load is None) == full
                     if not full:
-                        assert load == matroid.load(node.indep | tracked)
+                        assert load == matroid.load(node.g.pinned | tracked)
         return {"solution": solution, "value": value,
                 "max_stored": gate.audit.max_stored,
                 "branches": getattr(alg, "branches_spawned", None),
@@ -630,7 +632,7 @@ class NodeStates:
             "stored": stored, "footprint": alg.footprint(),
             "queries": self.gate.audit.query_count,
             "trees": [(tree.footprint(), ref_footprint(tree),
-                       [(node.indep, per_index(node)) for node in tree.nodes])
+                       [(node.g.pinned, per_index(node)) for node in tree.nodes])
                       for tree in trees],
         })
 
@@ -707,3 +709,101 @@ class TestRunsDifferential:
             return MatroidTree(gate, matroid, k, v, trace=True)
 
         self.check(fn, matroid, stream, make)
+
+
+class StoredSteps:
+    """``stream_run`` watcher that records, after every step, the
+    footprint and the stored set."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.steps = []
+
+    def before(self, t, e):
+        pass
+
+    def after(self, t, e, stored):
+        self.steps.append((self.alg.footprint(), stored))
+
+
+def policy_gate(fn, policy):
+    if policy == "weak":
+        checks = WeakPolicy(UniformMatroid(fn.n, 4))
+    elif policy == "strong":
+        checks = StrongPolicy()
+    else:
+        checks = ElementStorePolicy()
+    return QueryGate(fn, checks, OracleAudit(record_log=True))
+
+
+class TestChainsDifferential:
+    """Cardinality nodes that hold every invocation one acceptance starts
+    drive a fixed-guess tree, and the guess driver, to the same run as one
+    node per invocation (``PerInvocationCardTree``): the same footprint and
+    stored set after every step, and the same solution, value, query
+    count, query log, refusals, ``max_stored`` and ``branches_spawned``."""
+
+    POLICIES = ("weak", "strong", "element-store")
+
+    @staticmethod
+    def run(make, fn, stream, policy, reference):
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                mp.setattr(branching, "CardTree", PerInvocationCardTree)
+            gate = policy_gate(fn, policy)
+            alg = make(gate)
+            log = StoredSteps(alg)
+            solution, value = stream_run(alg, stream, gate, log)
+        audit = gate.audit
+        return {"solution": solution, "value": value, "steps": log.steps,
+                "queries": audit.query_count, "log": audit.log,
+                "rejected": audit.rejected, "max_stored": audit.max_stored,
+                "branches": alg.branches_spawned}
+
+    def check(self, fn, stream, make):
+        for policy in self.POLICIES:
+            got = self.run(make, fn, stream, policy, False)
+            want = self.run(make, fn, stream, policy, True)
+            assert got == want
+
+    def check_trees(self, fn, stream, opt):
+        for k in range(1, 5):
+            for s in range(1, 5):
+                for v in (opt, Fraction(opt, 2), 0):
+                    self.check(fn, stream, lambda gate: branching.CardTree(gate, k, s, v))
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_hard_cardinality(self, K):
+        inst = card_instantiate(CardHardParams(2 * K + 4, K, K), K)
+        stream = sample_stream(inst, "purple-last", K)
+        self.check_trees(inst.fn, stream, inst.optimal_value)
+        self.check(inst.fn, stream,
+                   lambda gate: GuessDriver(gate, inst.matroid, Fraction(1, 4)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), K=st.integers(1, 4))
+    def test_coverage(self, data, n, K):
+        fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 9), max_size=5),
+                                                 min_size=n, max_size=n)))
+        stream = data.draw(st.permutations(range(n)))
+        _, opt = brute_force_optimum(fn, UniformMatroid(n, K))
+        self.check_trees(fn, stream, opt)
+        self.check(fn, stream,
+                   lambda gate: GuessDriver(gate, UniformMatroid(n, K), Fraction(1, 4)))
+
+    @pytest.mark.parametrize("weights,stream", [
+        # a negative leaf under a chain that took nothing
+        ([-3, -1], [0, 1]),
+        ([-3, -1], [1, 0]),
+        ([2, -1, 3, -2, 1], [1, 0, 3, 2, 4]),
+        ([-1, -2, -3, 4], [3, 2, 1, 0]),
+        # zero gains tie take children of one chain with different sets
+        ([1, 1, 2, 0], [2, 3, 1, 0]),
+        ([1, 0, 0, 1, 2, 0], [1, 4, 2, 0, 3, 5]),
+    ])
+    def test_additive(self, weights, stream):
+        fn = additive(weights)
+        for opt in (1, 5):
+            self.check_trees(fn, stream, opt)
+        self.check(fn, stream,
+                   lambda gate: GuessDriver(gate, UniformMatroid(fn.n, 2), Fraction(1, 4)))

@@ -45,6 +45,16 @@ class TestGoldenRunReport:
                      "--trials", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "run_hard_cardinality_K4.json").read_bytes()
 
+    def test_hard_cardinality_element_store_report_bytes(self, tmp_path):
+        # the element-store policy reads the tree's stored set every step
+        inst_file = _gen(tmp_path, "--kind", "hard-cardinality", "--K", "4", "--n", "16",
+                         "--h", "4")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--epsilon", "1/10", "--distribution", "purple-last",
+                     "--policy", "element-store", "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_hard_cardinality_K4_store.json").read_bytes()
+
 
 class TestGoldenAuditReport:
     def test_hard_matroid_sieve_audit_bytes(self, tmp_path):
