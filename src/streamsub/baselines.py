@@ -87,7 +87,11 @@ class SieveStreaming:
     Keeps one candidate set per active guess v = (1+eps)^i with
     m <= v <= 2*K*m, where m is the best feasible singleton seen so far;
     an arriving element joins a candidate set when the set can still grow
-    feasibly and the marginal reaches (v/2 - f(S)) / (K - |S|). Guesses
+    feasibly and the marginal reaches (v/2 - f(S)) / (K - |S|), the rule of
+    Sieve-Streaming (Badanidiyuru et al., KDD 2014). Each candidate carries
+    its guess as the grid's integer pair v = num/den, and the test is
+    cross-multiplied: (f(S+e) - f(S)) (K - |S|) 2 den >= num - 2 f(S) den,
+    exact without a ``Fraction``. Guesses
     the grid reports as entering the window start with an empty set;
     guesses leaving it are discarded together with their sets, which is
     what keeps the stored-element footprint small. The stream delivers
@@ -100,10 +104,12 @@ class SieveStreaming:
         self.matroid = matroid
         self.K = matroid.rank
         self.grid = GuessGrid(eps)
+        self.grid.limit(2 * self.K)
         self.m = 0
         self.empty_load = matroid.load(frozenset())
-        # guess index -> (candidate set, its value, its matroid load)
-        self.sets: dict[int, tuple[frozenset, int, object]] = {}
+        # guess index -> (candidate set, its value, its matroid load, and
+        # the guess as num, den)
+        self.sets: dict[int, tuple[frozenset, int, object, int, int]] = {}
 
     def step(self, t: int, e: int):
         fits = self.matroid.fits
@@ -112,33 +118,35 @@ class SieveStreaming:
             # the window moves only when m rises; m > 0 implies K > 0
             if fe > self.m:
                 self.m = fe
-                first, _, entered = self.grid.window(self.m, 2 * self.K * self.m)
+                first, _, entered = self.grid.window((fe, 1), (2 * self.K * fe, 1))
                 for i in list(self.sets):
                     if i < first:
                         del self.sets[i]
                 for i in entered:
-                    self.sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load)
+                    self.sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load,
+                                    *self.grid[i])
+        K = self.K
         # guesses enter ascending and leave from the bottom: keys are in order
-        for i, (s, val, load) in self.sets.items():
-            if len(s) >= self.K or not fits(load, e):
+        for i, (s, val, load, num, den) in self.sets.items():
+            room = K - len(s)
+            if room <= 0 or not fits(load, e):
                 continue
             new_val = self.gate.value(s | {e})
-            need = (self.grid[i] / 2 - val) / (self.K - len(s))
-            if new_val - val >= need:
-                self.sets[i] = (s | {e}, new_val, self.matroid.plus(load, e))
+            if (new_val - val) * room * 2 * den >= num - 2 * val * den:
+                self.sets[i] = (s | {e}, new_val, self.matroid.plus(load, e), num, den)
 
     def stored_set(self) -> frozenset:
         out: set = set()
-        for s, _, _ in self.sets.values():
+        for s, _, _, _, _ in self.sets.values():
             out |= s
         return frozenset(out)
 
     def footprint(self) -> int:
-        return sum(len(s) for s, _, _ in self.sets.values())
+        return sum(len(s) for s, _, _, _, _ in self.sets.values())
 
     def finish(self) -> tuple[frozenset, int]:
         best = (frozenset(), 0)
-        for s, val, _ in self.sets.values():
+        for s, val, _, _, _ in self.sets.values():
             if val > best[1]:
                 best = (s, val)
         return best

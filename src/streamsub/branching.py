@@ -20,10 +20,14 @@ on the elements its branch has pinned. :class:`GuessGrid` holds the
 guesses v = (1+eps)^i; the driver here and the threshold sieve in
 :mod:`streamsub.baselines` share it.
 
-Numeric conventions: function values are exact integers; guess values v
-and all thresholds are exact rationals, so acceptance decisions never
-depend on float rounding. Value bookkeeping telescopes residuals, so a
-node's reported solution value never costs extra oracle queries.
+Numeric conventions: function values are exact integers. A guess value
+v, and every target a node derives from it, is an exact rational kept as
+an integer pair ``(num, den)`` with ``den > 0`` and not reduced; a gain
+clears the bar v/c exactly when ``gain * c * den >= num``. So acceptance
+decisions are exact, never depend on float rounding, and build no
+``Fraction`` on the hot path; ``Fraction`` appears only where a guess is
+parsed or reported. Value bookkeeping telescopes residuals, so a node's
+reported solution value never costs extra oracle queries.
 """
 
 from __future__ import annotations
@@ -45,40 +49,89 @@ def to_fraction(x) -> Fraction:
     return Fraction(str(x))
 
 
+def as_pair(x) -> tuple[int, int]:
+    """``x`` as an exact ``(num, den)`` with den > 0: a pair is returned
+    as it is, anything else goes through :func:`to_fraction`."""
+    if isinstance(x, tuple):
+        return x
+    x = to_fraction(x)
+    return x.numerator, x.denominator
+
+
+# The most guesses one window may hold. A window [lo, hi] holds at most the
+# least c with (1+eps)^c > hi/lo guesses, about log(hi/lo)/eps: on the
+# driver's window at K = 6 that is ~100 at eps = 1/20, ~1,430 at
+# eps = 1/200 and ~8,700 at eps = 1/1000, each guess one branch tree.
+MAX_GUESSES = 2048
+
+
 class GuessGrid:
-    """The geometric guess grid v_i = (1+eps)^i, i >= 0, with exact cached
-    powers; ``grid[i]`` is v_i.
+    """The geometric guess grid v_i = (1+eps)^i, i >= 0, kept in integers:
+    with eps = p/q, ``grid[i]`` is the cached pair ((p+q)^i, q^i).
 
     :meth:`window` returns the index range (first, last) from the first
     index with v_first >= lo to the last with v_last <= hi, and never
     below first, and ``entered``, the indices in it no earlier window
-    held. It advances the previous window instead of rescanning from
-    index 0, which is valid because callers only ever raise both ends:
-    each is a fixed multiple of a running maximum.
+    held. The bounds are ``(num, den)`` pairs or exact numbers, compared
+    with the grid by cross-multiplication. It advances the previous window
+    instead of rescanning from index 0, which is valid because callers
+    only ever raise both ends: each is a fixed multiple of a running
+    maximum. :meth:`limit` refuses a window shape that could hold more
+    than ``MAX_GUESSES`` guesses.
     """
 
     def __init__(self, eps):
         self.eps = to_fraction(eps)
         if not 0 < self.eps <= 1:
             raise InvalidParams("eps must be in (0, 1]")
-        self.base = 1 + self.eps
-        self._pow = [Fraction(1)]
+        self.p, self.q = self.eps.numerator, self.eps.denominator
+        self._pow = [(1, 1)]
         self._first = 0
         self._last = -1
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> tuple[int, int]:
         powers = self._pow
         while len(powers) <= i:
-            powers.append(powers[-1] * self.base)
+            num, den = powers[-1]
+            powers.append((num * (self.p + self.q), den * self.q))
         return powers[i]
 
+    def limit(self, span) -> None:
+        """Refuse windows with hi/lo = ``span`` when one could hold more
+        than ``MAX_GUESSES`` guesses, that is when (1+eps)^MAX_GUESSES <=
+        span. The test is exact and needs no power of a tiny eps, since
+        1 + c*eps <= (1+eps)^c <= 1/(1 - c*eps) when c*eps < 1."""
+        n, d = as_pair(span)
+        p, q, c = self.p, self.q, MAX_GUESSES
+        if d * (q + c * p) > n * q:
+            fits = True  # 1 + c*eps > span
+        elif c * p < q and (q - c * p) * n >= q * d:
+            fits = False  # 1/(1 - c*eps) <= span
+        else:
+            fits = (p + q) ** c * d > n * q ** c
+        if fits:
+            return
+        eps = str(self.eps)
+        if len(eps) > 24:
+            eps = f"{float(self.eps):.4g}"
+        raise InvalidParams(f"eps={eps} puts more than {MAX_GUESSES} guesses "
+                            f"in one window; use a larger eps")
+
     def window(self, lo, hi) -> tuple[int, int, range]:
+        lo_n, lo_d = as_pair(lo)
+        hi_n, hi_d = as_pair(hi)
         first = self._first
-        while self[first] < lo:
+        while True:
+            num, den = self[first]
+            if num * lo_d >= lo_n * den:
+                break
             first += 1
         old_last = self._last
         last = max(old_last, first)
-        while self[last + 1] <= hi:
+        while True:
+            num, den = self[last + 1]
+            if num * hi_d > hi_n * den:
+                break
             last += 1
         self._first, self._last = first, last
         return first, last, range(max(first, old_last + 1), last + 1)
@@ -96,9 +149,18 @@ class _CardNode:
     (k, s-1, v - gain), and its skip child (k-1, s, v(k+s-2)/(k+s-1)) waits
     on the same residual; one with k == 1 or s == 1 is a leaf, keeping the
     best singleton. ``chains`` holds ``[k, v, pin, child, at]`` per skip
-    chain (k, s, v), (k-1, s, .), ..., (1, s, .); once it has taken
-    ``pin = (e, gain)``, member j's take child is chain ``at + k - j`` of
-    ``child``. ``best`` is the leaves' best singleton, as ({e}, gain).
+    chain (k, s, v), (k-1, s, .), ..., (1, s, .), with v a ``(num, den)``
+    pair; once it has taken ``pin = (e, gain)``, member j's take child is
+    chain ``at + k - j`` of ``child``. ``best`` is the leaves' best
+    singleton, as ({e}, gain).
+
+    ``waiting`` holds the chains whose members still wait for an element
+    (k > 1, no pin, and s > 1), and ``times`` the node's query count per
+    step: one per chain for its leaf and k - 1 per waiting chain. Both are
+    built at the first offer and then only shrink, on an acceptance. That
+    is exact because a node's chains are all appended in the step that
+    created it, by its parent's offer, and a node first sees an element
+    one step later.
 
     * One chain, one element: members k..2 share the bar v/(k+s-1), since
       v(k+s-2)/(k+s-1) / ((k-1)+s-1) = v/(k+s-1), and are created in the
@@ -112,7 +174,7 @@ class _CardNode:
       query count and log unchanged, entry for entry.
     """
 
-    __slots__ = ("tree", "s", "g", "best", "chains")
+    __slots__ = ("tree", "s", "g", "best", "chains", "waiting", "times")
 
     def __init__(self, tree: "CardTree", s: int, g: Residual, chains: list):
         self.tree = tree
@@ -120,30 +182,41 @@ class _CardNode:
         self.g = g
         self.best = None
         self.chains = chains
+        self.waiting = None
+        self.times = 0
         tree.nodes.append(self)
 
     def offer(self, e: int):
-        tree, s = self.tree, self.s
-        # every chain's leaf queries, and so does each member of a chain
-        # that has not taken an element yet
-        waiting = [c for c in self.chains if c[0] > 1 and c[2] is None] if s > 1 else ()
-        gain = self.g.singleton(e, len(self.chains) + sum(c[0] - 1 for c in waiting))
+        tree, s, waiting = self.tree, self.s, self.waiting
+        if waiting is None:
+            # every chain's leaf queries, and so does each member of a
+            # chain that has not taken an element yet
+            waiting = self.waiting = [c for c in self.chains if c[0] > 1] if s > 1 else []
+            self.times = len(self.chains) + sum(c[0] - 1 for c in waiting)
+        gain = self.g.singleton(e, self.times)
         if self.best is None:
             tree.stored += len(self.chains)
         if self.best is None or gain > self.best[1]:
             self.best = (frozenset({e}), gain)
         child = None
         for chain in waiting:
-            k, v = chain[0], chain[1]
-            if gain * (k + s - 1) >= v:
+            k = chain[0]
+            num, den = chain[1]
+            den_k = den * (k + s - 1)
+            over = gain * den_k
+            if over >= num:
                 if child is None:
                     child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
                 chain[2:] = (e, gain), child, len(child.chains)
                 tree.stored += k - 1
                 tree.branches_spawned += k - 1
-                # member j's target is v(j+s-1)/(k+s-1), the skip product
-                child.chains.extend([j, v * Fraction(j + s - 1, k + s - 1) - gain, None, None, 0]
+                self.times -= k - 1
+                # member j's target is v(j+s-1)/(k+s-1) - gain, the skip
+                # product less the gain
+                child.chains.extend([j, (num * (j + s - 1) - over, den_k), None, None, 0]
                                     for j in range(k, 1, -1))
+        if child is not None:
+            self.waiting = [c for c in waiting if c[2] is None]
 
     def solution(self, i: int) -> tuple[frozenset, int]:
         """The solution of the head of chain ``i``."""
@@ -173,7 +246,7 @@ class CardTree:
     def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
-        v = to_fraction(v)
+        v = as_pair(v)
         self.nodes: list[_CardNode] = []
         self.stored = 0
         self.branches_spawned = 0
@@ -209,7 +282,8 @@ class CardTree:
 
 class _MatNode:
     """One invocation of the matroid procedure carrying an independent set
-    I, the pinned set of its residual ``g``.
+    I, the pinned set of its residual ``g``, and a target ``v`` as a
+    ``(num, den)`` pair.
 
     For each threshold index b (0..beta, with acceptance bar b*v/K^4) the
     node grows a tracking set T_b of accepted elements; every acceptance
@@ -226,7 +300,8 @@ class _MatNode:
 
     Runs are exact. All indices of a run hold the same T and load, so
     they give the same independence answer for e; they differ only in the
-    bar, which e clears exactly at b <= b_max. So on each offer a run
+    bar, which e clears exactly at b <= b_max = floor(gain*K^4/v) (every b
+    when v <= 0). So on each offer a run
     ignores e, takes it on all its indices, or splits at b_max into a
     lower part that takes e and an upper part that stays as it was. Runs
     only ever split, and an offer splits at most one of them.
@@ -234,7 +309,7 @@ class _MatNode:
 
     __slots__ = ("tree", "k", "v", "g", "iload", "best_single", "runs", "children")
 
-    def __init__(self, tree: "MatroidTree", k: int, v: Fraction, g: Residual, iload):
+    def __init__(self, tree: "MatroidTree", k: int, v: tuple[int, int], g: Residual, iload):
         self.tree = tree
         self.k = k
         self.v = v
@@ -261,10 +336,9 @@ class _MatNode:
         runs = self.runs
         if not runs:
             return
-        if self.v > 0:
-            b_max = (gain * tree.k4 * self.v.denominator) // self.v.numerator
-        else:
-            b_max = tree.beta
+        num, den = self.v
+        k4 = tree.k4
+        b_max = gain * k4 * den // num if num > 0 else tree.beta
         fits, plus = matroid.fits, matroid.plus
         room = tree.rank - len(self.g.pinned)
         accepted = 0
@@ -286,7 +360,8 @@ class _MatNode:
             return
         tree.stored += accepted
         tree.branches_spawned += accepted
-        v_next = (1 - Fraction(1, tree.k4)) * self.v - 2 * gain
+        # v_next = (1 - 1/K^4) v - 2 gain
+        v_next = ((k4 - 1) * num - 2 * gain * k4 * den, k4 * den)
         child = _MatNode(tree, self.k - 1, v_next, self.g.extend(e, gain),
                          plus(self.iload, e))
         self.children[e] = (child, gain)
@@ -334,7 +409,7 @@ class MatroidTree:
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-        self.root = _MatNode(self, k, to_fraction(v), Residual(gate), matroid.load(frozenset()))
+        self.root = _MatNode(self, k, as_pair(v), Residual(gate), matroid.load(frozenset()))
 
     def step(self, t: int, e: int):
         # children created during this step are not in the snapshot and
@@ -374,6 +449,7 @@ class GuessDriver:
     frozen into the running champion so the final answer is the best
     solution over all roots ever spawned. :meth:`finish` returns the
     champion with its value queried once more through the gate.
+    ``champion_v`` is the guess that produced the champion.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps,
@@ -384,6 +460,11 @@ class GuessDriver:
         self.matroid = matroid
         self.K = matroid.rank
         self.grid = GuessGrid(eps)
+        p, q = self.grid.p, self.grid.q
+        # the window's bounds over m, as (num, den): 1/(1+eps)^2 and K/eps
+        self._lo = (q * q, (p + q) ** 2)
+        self._hi = (self.K * q, p)
+        self.grid.limit((self._hi[0] * self._lo[1], self._hi[1] * self._lo[0]))
         self.constraint = constraint
         self.empty_load = matroid.load(frozenset())
         self.m = 0
@@ -409,7 +490,7 @@ class GuessDriver:
         sol, val = tree.finish()
         if val > self.champion[1]:
             self.champion = (sol, val)
-            self.champion_v = self.grid[i]
+            self.champion_v = Fraction(*self.grid[i])
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
@@ -418,8 +499,8 @@ class GuessDriver:
             # integer values need no guess below 1, so index 0 is the floor
             if fe > self.m:
                 self.m = fe
-                first_i, _, entered = self.grid.window(Fraction(fe) / self.grid.base ** 2,
-                                                       Fraction(self.K * fe) / self.grid.eps)
+                (lo_n, lo_d), (hi_n, hi_d) = self._lo, self._hi
+                first_i, _, entered = self.grid.window((fe * lo_n, lo_d), (fe * hi_n, hi_d))
                 for i in list(self.roots):
                     if i < first_i:
                         self._retire(i)

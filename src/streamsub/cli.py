@@ -27,8 +27,7 @@ from fractions import Fraction
 from . import hard_cardinality, hard_matroid
 from .errors import GroundSetTooLarge, InvalidParams, StreamsubError
 from .harness import (aggregates_to_csv, build_instance, canonical_audit,
-                      instance_from_json, instance_to_json, report_to_json,
-                      run_experiment)
+                      instance_to_json, read_instance, report_to_json, run_experiment)
 from .matroids import check_axioms
 from .oracles import verify_monotone_submodular
 from .samplers import DISTRIBUTIONS
@@ -137,8 +136,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        instance = instance_from_json(fh.read())
+    instance = read_instance(args.instance)
     report = run_experiment(instance, args.alg, _epsilon(args.epsilon), args.trials,
                             args.distribution, args.policy)
     text = report_to_json(report) if args.format == "json" else aggregates_to_csv(report)
@@ -147,8 +145,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        instance = instance_from_json(fh.read())
+    instance = read_instance(args.instance)
     report = canonical_audit(instance, args.alg, trials=args.trials, seed=args.seed,
                              eps=_epsilon(args.epsilon), budget=args.budget)
     if args.format == "json":

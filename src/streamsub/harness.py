@@ -40,11 +40,16 @@ SCHEMA_VERSION = 1
 
 
 def _number(name: str, value, convert):
-    """``convert(value)``, or InvalidParams naming the parameter."""
+    """``convert(value)``, or InvalidParams naming the parameter. A bool is
+    no number, and an integer parameter takes no float with a fraction."""
     try:
+        if isinstance(value, bool) or (convert is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError
         return convert(value)
-    except (TypeError, ValueError):
-        raise InvalidParams(f"{name} must be a number, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if convert is int else "a number"
+        raise InvalidParams(f"{name} must be {what}, got {value!r}") from None
 
 
 def build_instance(kind: str, params: dict, seed: int):
@@ -95,6 +100,19 @@ def instance_from_json(text: str):
         raise InvalidParams(f"instance file disagrees with the {payload['kind']} instance "
                             f"it describes on: {', '.join(wrong)}")
     return instance
+
+
+def read_instance(path: str):
+    """The instance in the file at ``path``; bytes that are not UTF-8 are
+    an InvalidParams, like any other malformed file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(f"instance file {path} is not UTF-8 text: "
+                            f"{exc.reason} at byte {exc.start}") from None
+    return instance_from_json(text)
 
 
 def exact_optimum(instance) -> int:
@@ -294,11 +312,14 @@ def canonical_audit(instance, algorithm: str, trials: int, seed: int,
     distribution through :func:`run_trial` under the element-store
     policy, tracks the deviation events, the achieved values, and how
     often the value exceeds the reachable bound of the instance family.
-    ``budget`` is a declared storage budget; the report records whether
-    the algorithm stayed within it (the audit never enforces it).
+    ``budget`` is a declared storage budget, at least 0; the report
+    records whether the algorithm stayed within it (the audit never
+    enforces it).
     """
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
+    if budget is not None and budget < 0:
+        raise InvalidParams(f"budget must be at least 0, got {budget}")
     reds = getattr(instance, "red_ids", None)
     if reds is None:
         raise InvalidParams(f"a {instance.kind} instance has no hidden reds to audit")

@@ -17,7 +17,11 @@ node. :class:`PerIndexMatNode` is the matroid-tree node that tracks every
 threshold index on its own, the code path the run-compressed node
 replaced; :class:`PerInvocationCardTree` steps one
 :class:`PerInvocationCardNode` per invocation of the cardinality
-procedure, the code path the chain-holding node replaced.
+procedure, the code path the chain-holding node replaced. Both keep every
+guess and threshold as a ``Fraction``, as does :class:`FractionSieve`, the
+threshold sieve with its guess grid as ``Fraction`` powers; against them
+the package's integer ``(num, den)`` thresholds are checked, ties on the
+bar included (each counts its ties in ``ties``).
 :func:`gamma_bound` and :func:`subtree_size` bound and count the
 invocations of a cardinality tree; :func:`verify_by_pairs` is a second
 monotone-submodular checker and :func:`closed_form_3class` a polynomial
@@ -45,6 +49,12 @@ class PlainGate(QueryGate):
         if self.audit.record_log:
             self.audit.log.extend([(self.audit.step, subset)] * times)
         return self.fn.value(subset)
+
+
+def exact(v):
+    """A guess or target as a ``Fraction``, from a ``(num, den)`` pair or
+    anything ``to_fraction`` takes."""
+    return Fraction(*v) if isinstance(v, tuple) else to_fraction(v)
 
 
 def ref_window(eps, lo, hi):
@@ -186,14 +196,15 @@ class PerIndexMatNode:
     """Matroid-tree node that keeps one tracking set per threshold index:
     ``tracking[b]`` is T_b once b has accepted an element, ``loads[b]``
     the load of I + T_b while b is open, and ``open_bs`` the sorted open
-    indices. It offers e to every open b <= b_max on its own. Swapped in
+    indices. It offers e to every open b <= b_max on its own, and counts
+    in ``ties`` the offers whose gain lies exactly on bar b_max. Swapped in
     for ``branching._MatNode`` it must drive a ``MatroidTree`` to the same
     run; :attr:`runs` shows its state as one run per index."""
 
     def __init__(self, tree, k, v, g, iload):
         self.tree = tree
         self.k = k
-        self.v = v
+        self.v = exact(v)
         self.g = g
         self.iload = iload
         self.best_single = None
@@ -201,6 +212,7 @@ class PerIndexMatNode:
         self.tracking = {}
         self.loads = {}
         self.open_bs = tuple(range(tree.beta + 1)) if k > 1 else ()
+        self.ties = 0
         tree.nodes.append(self)
         tree.stored += len(g.pinned)
 
@@ -228,6 +240,7 @@ class PerIndexMatNode:
             return
         if self.v > 0:
             b_max = (gain * tree.k4 * self.v.denominator) // self.v.numerator
+            self.ties += b_max <= tree.beta and gain * tree.k4 == b_max * self.v
         else:
             b_max = tree.beta
         cut = bisect_right(open_bs, b_max)
@@ -301,7 +314,9 @@ class PerInvocationCardNode:
             elif gain > self.best[0]:
                 self.best = (gain, e)
             return
-        if gain * (self.k + self.s - 1) >= self.v:
+        over = gain * (self.k + self.s - 1)
+        self.tree.ties += over == self.v
+        if over >= self.v:
             self.pin = (e, gain)
             self.tree.stored += 1
             self.tree.branches_spawned += 1
@@ -328,8 +343,10 @@ class PerInvocationCardTree:
     """Cardinality tree of :class:`PerInvocationCardNode`; ``live`` holds,
     in creation order, the nodes that can still take an element (leaves,
     and internal nodes that have not pinned one), and each step offers the
-    element to each of them. Swapped in for ``branching.CardTree`` it must
-    drive a run, and the guess driver, to the same result."""
+    element to each of them; ``ties`` counts the offers whose gain lies
+    exactly on an internal node's bar v/(k+s-1). Swapped in for
+    ``branching.CardTree`` it must drive a run, and the guess driver, to
+    the same result."""
 
     def __init__(self, gate, k, s, v):
         if k < 1 or s < 1:
@@ -338,7 +355,8 @@ class PerInvocationCardTree:
         self.live = []
         self.stored = 0
         self.branches_spawned = 0
-        self.root = PerInvocationCardNode(self, k, s, to_fraction(v), Residual(gate))
+        self.ties = 0
+        self.root = PerInvocationCardNode(self, k, s, exact(v), Residual(gate))
 
     def step(self, t, e):
         current = self.live
@@ -367,6 +385,61 @@ class PerInvocationCardTree:
 
     def finish(self):
         return self.root.solution()
+
+
+class FractionSieve:
+    """The threshold sieve of ``baselines.SieveStreaming`` with its guesses
+    as ``Fraction`` powers (1+eps)^i, its window found by
+    :func:`ref_window`'s scan from index 0, and the test
+    new_val - val >= (v/2 - val)/(K - |S|) in ``Fraction``s. Swapped in
+    for ``SieveStreaming`` it must make the same run."""
+
+    def __init__(self, gate, matroid, eps):
+        self.gate = gate
+        self.matroid = matroid
+        self.K = matroid.rank
+        self.eps = to_fraction(eps)
+        self.m = 0
+        self.last = -1
+        self.ties = 0
+        self.sets = {}
+
+    def step(self, t, e):
+        if self.matroid.is_independent({e}):
+            fe = self.gate.value(frozenset({e}))
+            if fe > self.m:
+                self.m = fe
+                first, last = ref_window(self.eps, fe, 2 * self.K * fe)
+                last = max(last, self.last)
+                for i in [i for i in self.sets if i < first]:
+                    del self.sets[i]
+                for i in range(max(first, self.last + 1), last + 1):
+                    self.sets[i] = (frozenset(), self.gate.value(frozenset()))
+                self.last = last
+        for i, (s, val) in self.sets.items():
+            if len(s) >= self.K or not self.matroid.is_independent(s | {e}):
+                continue
+            new_val = self.gate.value(s | {e})
+            need = ((1 + self.eps) ** i / 2 - val) / (self.K - len(s))
+            self.ties += new_val - val == need
+            if new_val - val >= need:
+                self.sets[i] = (s | {e}, new_val)
+
+    def stored_set(self):
+        out = set()
+        for s, _ in self.sets.values():
+            out |= s
+        return frozenset(out)
+
+    def footprint(self):
+        return sum(len(s) for s, _ in self.sets.values())
+
+    def finish(self):
+        best = (frozenset(), 0)
+        for s, val in self.sets.values():
+            if val > best[1]:
+                best = (s, val)
+        return best
 
 
 def subtree_size(node, i):

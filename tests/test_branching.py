@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from streamsub import branching
 from streamsub.baselines import SieveStreaming, brute_force_optimum
-from streamsub.branching import CardTree, GuessDriver, GuessGrid, MatroidTree, to_fraction
+from streamsub.branching import (MAX_GUESSES, CardTree, GuessDriver, GuessGrid, MatroidTree,
+                                 to_fraction)
 from streamsub.coverage import CoverageFunction, random_coverage
 from streamsub.errors import InvalidParams
 from streamsub.hard_cardinality import CardHardParams
@@ -20,7 +21,7 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, Stron
                                WeakPolicy, additive)
 from streamsub.samplers import sample_stream
 
-from _reference import (PerIndexMatNode, PerInvocationCardTree, gamma_bound,
+from _reference import (FractionSieve, PerIndexMatNode, PerInvocationCardTree, gamma_bound,
                         ref_cardinality, ref_footprint, ref_matroid, ref_stored_set,
                         ref_window, subtree_size)
 
@@ -348,7 +349,7 @@ class TestGuessGrid:
                 lo, hi = shape(m)
                 first, last, _ = grid.window(lo, hi)
                 assert (first, last) == ref_window(eps, lo, hi)
-                assert grid[last] == (1 + eps) ** last
+                assert Fraction(*grid[last]) == (1 + eps) ** last
 
     @settings(max_examples=60, deadline=None)
     @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
@@ -368,6 +369,71 @@ class TestGuessGrid:
                 windowed.update(range(first, last + 1))
             assert entered_all == sorted(set(entered_all))
             assert set(entered_all) == windowed
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=1000),
+           K=st.integers(0, 6), rises=st.lists(st.integers(0, 10 ** 6), max_size=10))
+    def test_pair_bounds_match_fraction_scan(self, eps, K, rises):
+        """Integer pairs as the driver and the sieve build them give the
+        window a ``Fraction`` scan from index 0 finds, and ``grid[i]`` is
+        (1+eps)^i."""
+        p, q = eps.numerator, eps.denominator
+        shapes = [lambda m: ((m * q * q, (p + q) ** 2), (K * m * q, p)),
+                  lambda m: ((m, 1), (2 * K * m, 1))]
+        for shape in shapes:
+            grid = GuessGrid(eps)
+            m = 0
+            for rise in [0, *rises]:
+                m += rise
+                lo, hi = shape(m)
+                first, last, _ = grid.window(lo, hi)
+                assert (first, last) == ref_window(eps, Fraction(*lo), Fraction(*hi))
+                assert Fraction(*grid[last]) == (1 + eps) ** last
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 5), Fraction(1, 20)])
+    @pytest.mark.parametrize("K", [0, 1, 3])
+    def test_bounds_on_grid_points(self, eps, K):
+        """A bound equal to a guess keeps that guess in the window, at
+        either end."""
+        p, q = eps.numerator, eps.denominator
+        grid = GuessGrid(eps)
+        for j in range(30):
+            lo, hi = ((p + q) ** j, q ** j), ((p + q) ** (j + K), q ** (j + K))
+            assert grid.window(lo, hi)[:2] == (j, j + K)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 1000), Fraction(1, 3000),
+                                     Fraction(1, 10 ** 6)])
+    @pytest.mark.parametrize("span", ["bar", "below", "above", 6, 7000])
+    def test_limit_refuses_more_than_max_guesses(self, eps, span):
+        """A window of span hi/lo can hold more than ``MAX_GUESSES`` guesses
+        exactly when (1+eps)^MAX_GUESSES <= span; spans at, just below and
+        just above that power take each of the three exact tests."""
+        bar = (1 + eps) ** MAX_GUESSES
+        span = {"bar": bar, "below": bar - Fraction(1, 10 ** 9),
+                "above": bar + Fraction(1, 10 ** 9)}.get(span, span)
+        grid = GuessGrid(eps)
+        if bar <= span:
+            with pytest.raises(InvalidParams, match=f"more than {MAX_GUESSES} guesses"):
+                grid.limit(span)
+        else:
+            grid.limit(span)
+            grid.limit((span.numerator, span.denominator) if isinstance(span, Fraction)
+                       else (span, 1))
+
+    @pytest.mark.parametrize("K", [1, 6, 50])
+    @pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10), Fraction(2, 5), 1])
+    def test_limit_keeps_the_eps_in_use(self, K, eps):
+        gate = QueryGate(additive([1] * K))
+        GuessDriver(gate, UniformMatroid(K, K), eps)
+        SieveStreaming(gate, UniformMatroid(K, K), eps)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1, 10 ** 300)])
+    def test_driver_and_sieve_refuse_tiny_eps(self, eps):
+        gate = QueryGate(additive([1] * 6))
+        with pytest.raises(InvalidParams, match="guesses in one window"):
+            GuessDriver(gate, UniformMatroid(6, 6), eps)
+        with pytest.raises(InvalidParams, match="guesses in one window"):
+            SieveStreaming(gate, UniformMatroid(6, 6), eps / 10)
 
     @pytest.mark.parametrize("eps", [0, -1, Fraction(11, 10)])
     def test_eps_out_of_range(self, eps):
@@ -807,3 +873,105 @@ class TestChainsDifferential:
             self.check_trees(fn, stream, opt)
         self.check(fn, stream,
                    lambda gate: GuessDriver(gate, UniformMatroid(fn.n, 2), Fraction(1, 4)))
+
+
+class TestTiesOnTheBar:
+    """Integer ``(num, den)`` thresholds take the same decisions as the
+    ``Fraction`` thresholds of the reference code paths when gains sit
+    exactly on the bar, where a sign or rounding slip shows: gain*(k+s-1)
+    = v in the cardinality tree, gain*K^4 = b*v in the matroid tree, and
+    (new_val - val)*(K - |S|) = v/2 - val in the sieve. Each case checks
+    that the reference met ties, and compares, under all three policies,
+    the footprint and stored set after every step, the solution, value,
+    query count, query log, refusals, ``max_stored`` and, for the trees,
+    ``branches_spawned``."""
+
+    @staticmethod
+    def run(alg, gate, stream):
+        log = StoredSteps(alg)
+        solution, value = stream_run(alg, stream, gate, log)
+        audit = gate.audit
+        return {"solution": solution, "value": value, "steps": log.steps,
+                "queries": audit.query_count, "log": audit.log,
+                "rejected": audit.rejected, "max_stored": audit.max_stored,
+                "branches": getattr(alg, "branches_spawned", None)}
+
+    def check(self, fn, stream, make, make_ref, ties):
+        met = 0
+        for policy in TestChainsDifferential.POLICIES:
+            gate = policy_gate(fn, policy)
+            got = self.run(make(gate), gate, stream)
+            ref_gate = policy_gate(fn, policy)
+            ref = make_ref(ref_gate)
+            want = self.run(ref, ref_gate, stream)
+            assert got == want
+            met += ties(ref)
+        assert met > 0
+
+    @pytest.mark.parametrize("weights,stream", [
+        ([2] * 6, [0, 1, 2, 3, 4, 5]),
+        ([2, 1, 2, 3, 2, 1, 2], [0, 1, 2, 3, 4, 5, 6]),
+        ([3, 1, 2, 2, 1, 3], [1, 2, 5, 0, 3, 4]),
+        ([2, 0, -1, 2, 4, 2], [1, 2, 0, 3, 5, 4]),
+    ])
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+    def test_cardinality_tree(self, weights, stream, k, s):
+        fn = additive(weights)
+        # the root's bar v/(k+s-1) is 2, and with equal weights w a take
+        # child's member j has target w(j+s-2), on its bar again
+        v = 2 * (k + s - 1)
+        self.check(fn, stream, lambda gate: CardTree(gate, k, s, v),
+                   lambda gate: PerInvocationCardTree(gate, k, s, v), lambda ref: ref.ties)
+
+    @pytest.mark.parametrize("weights,stream", [
+        ([4, 2, 4, 1, 3, 4], [0, 1, 2, 3, 4, 5]),
+        ([2, 4, 1, 4, 2, 3], [3, 1, 0, 5, 2, 4]),
+    ])
+    @pytest.mark.parametrize("K,b", [(2, 1), (2, 3), (2, 8), (3, 2), (3, 27), (3, 40)])
+    def test_matroid_tree(self, weights, stream, K, b):
+        fn = additive(weights)
+        matroid = UniformMatroid(fn.n, K)
+        # gain 4 sits on bar b: 4*K^4 = b*v
+        v = Fraction(4 * K ** 4, b)
+
+        def make(gate):
+            return MatroidTree(gate, matroid, K, v)
+
+        def make_ref(gate):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(branching, "_MatNode", PerIndexMatNode)
+                tree = MatroidTree(gate, matroid, K, v)
+            # a PerIndexMatNode makes its children itself, so only the root
+            # needs the patch
+            return tree
+
+        self.check(fn, stream, make, make_ref,
+                   lambda ref: sum(node.ties for node in ref.nodes))
+
+    @pytest.mark.parametrize("weights,stream", [
+        ([4, 2, 1, 8, 2, 4, 1], [0, 1, 2, 3, 4, 5, 6]),
+        ([1, 2, 4, 8, 16, 8, 4], [0, 1, 2, 3, 4, 5, 6]),
+        ([8, 4, 4, 2, 2, 1, 1, 3], [0, 7, 1, 2, 3, 4, 5, 6]),
+    ])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_sieve(self, weights, stream, K):
+        fn = additive(weights)
+        matroid = UniformMatroid(fn.n, K)
+        # eps = 1 makes the guesses 2^i, so powers-of-two gains meet the bar
+        self.check(fn, stream, lambda gate: SieveStreaming(gate, matroid, 1),
+                   lambda gate: FractionSieve(gate, matroid, 1), lambda ref: ref.ties)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), K=st.integers(1, 3),
+           eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 5), Fraction(1, 10)]))
+    def test_sieve_coverage(self, data, n, K, eps):
+        """Off the bar too: the integer sieve makes the ``Fraction`` sieve's
+        run on coverage functions."""
+        fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 9), max_size=5),
+                                                 min_size=n, max_size=n)))
+        stream = data.draw(st.permutations(range(n)))
+        matroid = UniformMatroid(n, K)
+        for policy in TestChainsDifferential.POLICIES:
+            gate, ref_gate = policy_gate(fn, policy), policy_gate(fn, policy)
+            assert self.run(SieveStreaming(gate, matroid, eps), gate, stream) == \
+                self.run(FractionSieve(ref_gate, matroid, eps), ref_gate, stream)

@@ -341,3 +341,61 @@ class TestReadmeCommands:
                 parser.parse_args(shlex.split(line, comments=True)[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+
+class TestHostileInput:
+    """Inputs that once ended in a traceback, ran forever or passed
+    silently now exit 2 with one line on stderr."""
+
+    @staticmethod
+    def check(argv, capsys, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind,flags,old,new,message", [
+        ("hard-matroid", ("--K", "2", "--m", "3"), '"m":3', '"m":1e400',
+         "m must be an integer, got inf"),
+        ("hard-matroid", ("--K", "2", "--m", "3", "--seed", "1"), '"seed":1', '"seed":true',
+         "seed must be an integer, got True"),
+        ("coverage", ("--K", "2", "--n", "6"), '"n":6', '"n":6.5',
+         "n must be an integer, got 6.5"),
+        ("coverage", ("--K", "2", "--n", "6"), '"density":0.35', '"density":false',
+         "density must be a number, got False"),
+    ])
+    def test_bad_instance_value(self, tmp_path, capsys, kind, flags, old, new, message):
+        inst_file = _gen(tmp_path, "--kind", kind, *flags)
+        text = inst_file.read_text()
+        assert old in text
+        inst_file.write_text(text.replace(old, new))
+        self.check(["run", "--instance", str(inst_file), "--alg", "greedy", "--trials", "1"],
+                   capsys, message)
+
+    @pytest.mark.parametrize("argv", [["run", "--alg", "greedy"], ["audit"]])
+    def test_instance_not_utf8(self, tmp_path, capsys, argv):
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_bytes(b'{"kind": "hard-matroid", "note": "\xff\xfe"}')
+        self.check([*argv, "--instance", str(inst_file)], capsys, "is not UTF-8 text")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--alg", "branching", "--trials", "1"],
+        ["run", "--alg", "sieve", "--trials", "1"],
+        ["audit", "--trials", "1"],
+    ])
+    @pytest.mark.parametrize("epsilon", ["1e-300", "1/5000"])
+    def test_epsilon_with_too_many_guesses(self, tmp_path, capsys, argv, epsilon):
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "3")
+        self.check([*argv, "--instance", str(inst_file), "--epsilon", epsilon], capsys,
+                   f"eps={epsilon} puts more than")
+
+    def test_audit_negative_budget(self, tmp_path, capsys):
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")
+        self.check(["audit", "--instance", str(inst_file), "--trials", "1", "--budget", "-1"],
+                   capsys, "budget must be at least 0, got -1")
+
+    def test_sweep_negative_budget(self, capsys):
+        self.check(["sweep", "--what", "audit", "--K", "2", "--m-list", "3", "--trials", "1",
+                    "--budget", "-1"], capsys, "budget must be at least 0, got -1")
