@@ -9,8 +9,7 @@ and an experiment/verification harness.
 from .branching import CardTree, GuessDriver, GuessGrid, MatroidTree, to_fraction
 from .errors import (GroundSetTooLarge, IncompatibleDistribution, InvalidParams,
                      PolicyViolation, StreamsubError, UnknownElement)
-from .matroids import (ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid,
-                       check_axioms)
+from .matroids import Matroid, PartitionMatroid, UniformMatroid, check_axioms
 from .oracles import (AccessPolicy, ElementStorePolicy, OracleAudit, QueryGate,
                       Residual, SetFunction, StrongPolicy, WeakPolicy, additive,
                       verify_monotone_submodular)

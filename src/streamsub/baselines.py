@@ -103,9 +103,7 @@ class SieveStreaming:
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
-        self.grid = GuessGrid(eps)
-        self.grid.limit(2 * self.K)
-        self.m = 0
+        self.grid = GuessGrid(eps, 1, 2 * self.K)
         self.empty_load = matroid.load(frozenset())
         # guess index -> (candidate set, its value, its matroid load, and
         # the guess as num, den)
@@ -114,17 +112,12 @@ class SieveStreaming:
     def step(self, t: int, e: int):
         fits = self.matroid.fits
         if fits(self.empty_load, e):
-            fe = self.gate.value(frozenset({e}))
-            # the window moves only when m rises; m > 0 implies K > 0
-            if fe > self.m:
-                self.m = fe
-                first, _, entered = self.grid.window((fe, 1), (2 * self.K * fe, 1))
-                for i in list(self.sets):
-                    if i < first:
-                        del self.sets[i]
-                for i in entered:
-                    self.sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load,
-                                    *self.grid[i])
+            left, entered = self.grid.advance(self.gate.value(frozenset({e})))
+            for i in left:
+                del self.sets[i]
+            for i in entered:
+                self.sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load,
+                                *self.grid[i])
         K = self.K
         # guesses enter ascending and leave from the bottom: keys are in order
         for i, (s, val, load, num, den) in self.sets.items():

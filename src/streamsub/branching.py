@@ -17,8 +17,9 @@ the stream by ``streamsub.harness.stream_run``, alone for one fixed guess
 or under :class:`GuessDriver`. Every node queries the function through an
 :class:`~streamsub.oracles.Residual` of the run's query gate, conditioned
 on the elements its branch has pinned. :class:`GuessGrid` holds the
-guesses v = (1+eps)^i; the driver here and the threshold sieve in
-:mod:`streamsub.baselines` share it.
+guesses v = (1+eps)^i and the window of them that the best singleton so
+far selects; the driver here and the sieve in :mod:`streamsub.baselines`
+share it.
 
 Numeric conventions: function values are exact integers. A guess value
 v, and every target a node derives from it, is an exact rational kept as
@@ -66,28 +67,49 @@ MAX_GUESSES = 2048
 
 
 class GuessGrid:
-    """The geometric guess grid v_i = (1+eps)^i, i >= 0, kept in integers:
-    with eps = p/q, ``grid[i]`` is the cached pair ((p+q)^i, q^i).
+    """The geometric guess grid v_i = (1+eps)^i, i >= 0, kept in integers
+    (with eps = p/q, ``grid[i]`` is the cached pair ((p+q)^i, q^i)), and
+    the window of it that a running maximum m selects.
 
-    :meth:`window` returns the index range (first, last) from the first
-    index with v_first >= lo to the last with v_last <= hi, and never
-    below first, and ``entered``, the indices in it no earlier window
-    held. The bounds are ``(num, den)`` pairs or exact numbers, compared
-    with the grid by cross-multiplication. It advances the previous window
-    instead of rescanning from index 0, which is valid because callers
-    only ever raise both ends: each is a fixed multiple of a running
-    maximum. :meth:`limit` refuses a window shape that could hold more
-    than ``MAX_GUESSES`` guesses.
+    ``lo`` and ``hi`` are the window's bounds over m, as ``(num, den)``
+    pairs or exact numbers: it runs from the first index with v_first >=
+    lo*m to the last with v_last <= hi*m, and never below first. A shape
+    whose window could hold more than ``MAX_GUESSES`` guesses is refused.
+    :meth:`advance` raises m; as both ends only rise, it steps on from
+    ``first..last``, the previous window, instead of rescanning from 0.
+    Values are integers, so no guess below v_0 = 1 is needed.
     """
 
-    def __init__(self, eps):
+    _NO_MOVE = (range(0), range(0))
+
+    def __init__(self, eps, lo, hi):
         self.eps = to_fraction(eps)
         if not 0 < self.eps <= 1:
             raise InvalidParams("eps must be in (0, 1]")
         self.p, self.q = self.eps.numerator, self.eps.denominator
+        self.lo, self.hi = as_pair(lo), as_pair(hi)
         self._pow = [(1, 1)]
-        self._first = 0
-        self._last = -1
+        self.m = 0
+        self.first = 0
+        self.last = -1
+        # Refuse the shape when its window, of span hi/lo, could hold more
+        # than MAX_GUESSES guesses, that is when (1+eps)^MAX_GUESSES <=
+        # span. The test is exact and needs no power of a tiny eps, since
+        # 1 + c*eps <= (1+eps)^c <= 1/(1 - c*eps) when c*eps < 1.
+        n, d = self.hi[0] * self.lo[1], self.hi[1] * self.lo[0]
+        p, q, c = self.p, self.q, MAX_GUESSES
+        if d * (q + c * p) > n * q:
+            fits = True  # 1 + c*eps > span
+        elif c * p < q and (q - c * p) * n >= q * d:
+            fits = False  # 1/(1 - c*eps) <= span
+        else:
+            fits = (p + q) ** c * d > n * q ** c
+        if not fits:
+            eps = str(self.eps)
+            if len(eps) > 24:
+                eps = f"{float(self.eps):.4g}"
+            raise InvalidParams(f"eps={eps} puts more than {MAX_GUESSES} guesses "
+                                f"in one window; use a larger eps")
 
     def __getitem__(self, i: int) -> tuple[int, int]:
         powers = self._pow
@@ -96,45 +118,48 @@ class GuessGrid:
             powers.append((num * (self.p + self.q), den * self.q))
         return powers[i]
 
-    def limit(self, span) -> None:
-        """Refuse windows with hi/lo = ``span`` when one could hold more
-        than ``MAX_GUESSES`` guesses, that is when (1+eps)^MAX_GUESSES <=
-        span. The test is exact and needs no power of a tiny eps, since
-        1 + c*eps <= (1+eps)^c <= 1/(1 - c*eps) when c*eps < 1."""
-        n, d = as_pair(span)
-        p, q, c = self.p, self.q, MAX_GUESSES
-        if d * (q + c * p) > n * q:
-            fits = True  # 1 + c*eps > span
-        elif c * p < q and (q - c * p) * n >= q * d:
-            fits = False  # 1/(1 - c*eps) <= span
-        else:
-            fits = (p + q) ** c * d > n * q ** c
-        if fits:
-            return
-        eps = str(self.eps)
-        if len(eps) > 24:
-            eps = f"{float(self.eps):.4g}"
-        raise InvalidParams(f"eps={eps} puts more than {MAX_GUESSES} guesses "
-                            f"in one window; use a larger eps")
-
-    def window(self, lo, hi) -> tuple[int, int, range]:
-        lo_n, lo_d = as_pair(lo)
-        hi_n, hi_d = as_pair(hi)
-        first = self._first
-        while True:
-            num, den = self[first]
-            if num * lo_d >= lo_n * den:
-                break
+    def advance(self, m: int) -> tuple[range, range]:
+        """Take ``m`` as the new running maximum and return the ascending
+        ranges of the indices that left the window and of those that
+        entered it; both are empty unless ``m`` rises. The indices entered
+        and not left are always ``first..last``."""
+        if m <= self.m:
+            return self._NO_MOVE
+        self.m = m
+        (lo_n, lo_d), (hi_n, hi_d) = self.lo, self.hi
+        first = self.first
+        while self[first][0] * lo_d < m * lo_n * self[first][1]:
             first += 1
-        old_last = self._last
-        last = max(old_last, first)
-        while True:
-            num, den = self[last + 1]
-            if num * hi_d > hi_n * den:
-                break
+        last = max(self.last, first)
+        while self[last + 1][0] * hi_d <= m * hi_n * self[last + 1][1]:
             last += 1
-        self._first, self._last = first, last
-        return first, last, range(max(first, old_last + 1), last + 1)
+        left = range(self.first, min(first, self.last + 1))
+        entered = range(max(first, self.last + 1), last + 1)
+        self.first, self.last = first, last
+        return left, entered
+
+
+class _Tree:
+    """State and step of both branch trees: ``nodes`` holds every node ever
+    created and ``stored`` counts the elements they hold; when tracing,
+    ``trace_log`` gets one ``(id(node), t)`` per offer."""
+
+    def __init__(self, trace: bool):
+        self.nodes: list = []
+        self.stored = 0
+        self.branches_spawned = 0
+        self.trace_log: list | None = [] if trace else None
+
+    def _step(self, t: int, e: int):
+        # children created during this step are not in the snapshot and
+        # first see the next element
+        for node in list(self.nodes):
+            if self.trace_log is not None:
+                self.trace_log.append((id(node), t))
+            node.offer(e)
+
+    def footprint(self) -> int:
+        return self.stored
 
 
 # ---------------------------------------------------------------------------
@@ -234,32 +259,22 @@ class _CardNode:
         return best
 
 
-class CardTree:
+class CardTree(_Tree):
     """Event-driven tree for one fixed guess v under a cardinality budget.
 
-    ``nodes`` holds every node ever created; each node keeps taking
-    singletons, so every node stays live. ``stored`` is the running count
-    of the elements the invocations hold: one per leaf with a best
-    singleton and one per internal invocation that has pinned an element.
+    Each node keeps taking singletons, so every node stays live.
+    ``stored`` counts one element per leaf with a best singleton and one
+    per internal invocation that has pinned an element.
     """
+
+    # perfbench/spans.py hooks step and finish in each tree's own namespace
+    step = _Tree._step
 
     def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
-        v = as_pair(v)
-        self.nodes: list[_CardNode] = []
-        self.stored = 0
-        self.branches_spawned = 0
-        self.trace_log: list | None = [] if trace else None
-        self.root = _CardNode(self, s, Residual(gate), [[k, v, None, None, 0]])
-
-    def step(self, t: int, e: int):
-        # children created during this step are not in the snapshot and
-        # first see the next element
-        for node in list(self.nodes):
-            if self.trace_log is not None:
-                self.trace_log.append((id(node), t))
-            node.offer(e)
+        super().__init__(trace)
+        self.root = _CardNode(self, s, Residual(gate), [[k, as_pair(v), None, None, 0]])
 
     def stored_set(self) -> frozenset:
         out: set = set()
@@ -268,9 +283,6 @@ class CardTree:
                 out |= node.best[0]
             out.update(pin[0] for _, _, pin, _, _ in node.chains if pin is not None)
         return frozenset(out)
-
-    def footprint(self) -> int:
-        return self.stored
 
     def finish(self) -> tuple[frozenset, int]:
         return self.root.solution(0)
@@ -381,7 +393,7 @@ class _MatNode:
         return best if best is not None else (frozenset(), 0)
 
 
-class MatroidTree:
+class MatroidTree(_Tree):
     """Event-driven tree for one fixed guess v under a matroid constraint.
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above
@@ -392,6 +404,7 @@ class MatroidTree:
     """
 
     MAX_RANK = 4
+    step = _Tree._step
 
     def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False):
         rank = matroid.rank
@@ -405,19 +418,8 @@ class MatroidTree:
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
-        self.nodes: list[_MatNode] = []
-        self.stored = 0
-        self.branches_spawned = 0
-        self.trace_log: list | None = [] if trace else None
+        super().__init__(trace)
         self.root = _MatNode(self, k, as_pair(v), Residual(gate), matroid.load(frozenset()))
-
-    def step(self, t: int, e: int):
-        # children created during this step are not in the snapshot and
-        # first see the next element
-        for node in list(self.nodes):
-            if self.trace_log is not None:
-                self.trace_log.append((id(node), t))
-            node.offer(e)
 
     def stored_set(self) -> frozenset:
         out: set = set()
@@ -427,9 +429,6 @@ class MatroidTree:
             if node.best_single is not None:
                 out.add(node.best_single[1])
         return frozenset(out)
-
-    def footprint(self) -> int:
-        return self.stored
 
     def finish(self) -> tuple[frozenset, int]:
         return self.root.solution()
@@ -459,15 +458,12 @@ class GuessDriver:
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
-        self.grid = GuessGrid(eps)
-        p, q = self.grid.p, self.grid.q
+        eps = to_fraction(eps)
+        p, q = eps.numerator, eps.denominator
         # the window's bounds over m, as (num, den): 1/(1+eps)^2 and K/eps
-        self._lo = (q * q, (p + q) ** 2)
-        self._hi = (self.K * q, p)
-        self.grid.limit((self._hi[0] * self._lo[1], self._hi[1] * self._lo[0]))
+        self.grid = GuessGrid(eps, (q * q, (p + q) ** 2), (self.K * q, p))
         self.constraint = constraint
         self.empty_load = matroid.load(frozenset())
-        self.m = 0
         self.roots: dict[int, CardTree | MatroidTree] = {}
         self.champion: tuple[frozenset, int] = (frozenset(), 0)
         self.champion_v: Fraction | None = None
@@ -494,18 +490,11 @@ class GuessDriver:
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
-            fe = self.gate.value(frozenset({e}))
-            # the window moves only when m rises (m > 0 implies K > 0);
-            # integer values need no guess below 1, so index 0 is the floor
-            if fe > self.m:
-                self.m = fe
-                (lo_n, lo_d), (hi_n, hi_d) = self._lo, self._hi
-                first_i, _, entered = self.grid.window((fe * lo_n, lo_d), (fe * hi_n, hi_d))
-                for i in list(self.roots):
-                    if i < first_i:
-                        self._retire(i)
-                for i in entered:
-                    self._spawn(i)
+            left, entered = self.grid.advance(self.gate.value(frozenset({e})))
+            for i in left:
+                self._retire(i)
+            for i in entered:
+                self._spawn(i)
         for tree in self.roots.values():
             tree.step(t, e)
         if len(self.roots) > self.live_roots_peak:

@@ -44,10 +44,20 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _epsilon(text: str) -> str:
     """Normalized ``--epsilon`` value, or InvalidParams."""
+    # Python converts no int of more digits than this from or to a string
+    limit = sys.get_int_max_str_digits()
+    too_long = InvalidParams(f"--epsilon has more than {limit} digits in its numerator or "
+                             "denominator")
     try:
-        return str(Fraction(text))
+        eps = Fraction(text)
     except (ValueError, ZeroDivisionError):
+        if 0 < limit < sum(map(str.isdigit, text)):
+            raise too_long from None
         raise InvalidParams(f"--epsilon must be a number, got {text!r}") from None
+    try:
+        return str(eps)
+    except ValueError:
+        raise too_long from None
 
 
 def _m_list(text: str) -> list[int]:
@@ -96,7 +106,7 @@ def _verify_card(args, failures: list[str]):
         failures.append("reachable-value closed form mismatch")
     if hard_cardinality.profile_value(params, 0, K - 1, 1) != hard_cardinality.optimal_value(params):
         failures.append("optimal closed form mismatch")
-    return hard_cardinality.instantiate(params, args.seed)
+    return hard_cardinality.CardHardInstance(params, args.seed)
 
 
 def _verify_matroid(args, failures: list[str]):
@@ -108,7 +118,7 @@ def _verify_matroid(args, failures: list[str]):
         K, (0,) * (K - 1) + (1,), (1,) * (K - 1) + (0,))
     if reachable != hard_matroid.output_bound(K):
         failures.append("reachable closed form mismatch")
-    instance = hard_matroid.instantiate(params, args.seed)
+    instance = hard_matroid.MatHardInstance(params, args.seed)
     try:
         axioms = check_axioms(instance.matroid)
     except GroundSetTooLarge as exc:
@@ -125,7 +135,7 @@ def _cmd_verify(args) -> int:
     instance = verify(args, failures)
     if args.exhaustive:
         # an oversized ground set raises GroundSetTooLarge: a usage error
-        report = verify_monotone_submodular(instance.fn, limit=args.limit)
+        report = verify_monotone_submodular(instance.fn)
         if not report.ok:
             failures.append(f"structure check failed: {report.describe()}")
     for line in failures:
@@ -183,7 +193,7 @@ def _cmd_sweep(args) -> int:
         eps = _epsilon(args.epsilon)
         for m in _m_list(args.m_list):
             params = hard_matroid.MatHardParams(K=args.K, m=m)
-            instance = hard_matroid.instantiate(params, args.seed)
+            instance = hard_matroid.MatHardInstance(params, args.seed)
             rep = canonical_audit(instance, args.alg, trials=args.trials,
                                   seed=args.seed, eps=eps,
                                   budget=args.budget)
@@ -224,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", type=int, default=None)
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--exhaustive", action="store_true")
-    p_ver.add_argument("--limit", type=int, default=14)
     add_common(p_ver, "--seed")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -46,6 +46,3 @@ class CoverageInstance:
         return {"kind": self.kind, "n": self.n, "universe": self.universe,
                 "K": self.K, "seed": self.seed, "density": self.density}
 
-
-def random_coverage(n: int, universe: int, K: int, seed: int, density: float = 0.35) -> CoverageInstance:
-    return CoverageInstance(n, universe, K, seed, density)

@@ -205,6 +205,3 @@ class CardHardInstance:
         return {"kind": self.kind, "n": self.params.n, "K": self.params.K,
                 "h": self.params.h, "seed": self.seed}
 
-
-def instantiate(params: CardHardParams, seed: int) -> CardHardInstance:
-    return CardHardInstance(params, seed)

@@ -180,6 +180,3 @@ class MatHardInstance:
         return {"kind": self.kind, "K": self.params.K, "m": self.params.m,
                 "n": self.params.n, "seed": self.seed}
 
-
-def instantiate(params: MatHardParams, seed: int) -> MatHardInstance:
-    return MatHardInstance(params, seed)

@@ -61,10 +61,10 @@ def build_instance(kind: str, params: dict, seed: int):
     seed = _number("seed", seed, int)
     if kind == "hard-cardinality":
         p = hard_cardinality.CardHardParams(get("n"), get("K"), get("h"))
-        return hard_cardinality.instantiate(p, seed)
+        return hard_cardinality.CardHardInstance(p, seed)
     if kind == "hard-matroid":
         p = hard_matroid.MatHardParams(get("K"), get("m"))
-        return hard_matroid.instantiate(p, seed)
+        return hard_matroid.MatHardInstance(p, seed)
     if kind == "coverage":
         return CoverageInstance(get("n"), get("universe", default=12), get("K"), seed,
                                 get("density", float, 0.35))

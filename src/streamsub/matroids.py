@@ -1,4 +1,4 @@
-"""Matroid independence oracles: uniform, partition, and explicit families.
+"""Matroid independence oracles: uniform and partition families.
 
 Algorithms in this package only ever ask "is this set independent". A
 matroid provides ``n``, ``rank`` and ``is_independent``, plus three
@@ -13,9 +13,9 @@ Both ``fits`` and ``plus`` require that e is not already in S. The
 generic defaults use the frozenset S itself as its load, so any matroid
 that defines ``is_independent`` supports them. Uniform matroids override
 them with the set's size and partition matroids with per-class counts
-packed into one integer, which makes both methods O(1). Explicit
-matroids (given by their full independent family) exist for testing and
-for cross-checking the structured kinds by enumeration.
+packed into one integer, which makes both methods O(1).
+:func:`check_axioms` checks the matroid axioms of any of them by
+enumeration.
 """
 
 from __future__ import annotations
@@ -140,31 +140,6 @@ class PartitionMatroid(Matroid):
     def describe(self) -> dict:
         return {"kind": self.kind, "class_of": list(self.class_of),
                 "capacity": {str(k): v for k, v in sorted(self.capacity.items())}}
-
-
-class ExplicitMatroid(Matroid):
-    """Set system given by its full list of independent sets."""
-
-    kind = "explicit"
-
-    def __init__(self, n: int, family):
-        self.n = n
-        self.family = frozenset(frozenset(s) for s in family)
-
-    def is_independent(self, subset) -> bool:
-        return frozenset(subset) in self.family
-
-    @property
-    def rank(self) -> int:
-        return max((len(s) for s in self.family), default=0)
-
-    @classmethod
-    def from_oracle(cls, matroid: Matroid, limit: int = 12) -> "ExplicitMatroid":
-        if matroid.n > limit:
-            raise GroundSetTooLarge(f"n={matroid.n} exceeds enumeration limit {limit}")
-        fam = [_mask_set(m) for m in range(1 << matroid.n)
-               if matroid.is_independent(_mask_set(m))]
-        return cls(matroid.n, fam)
 
 
 def check_axioms(matroid: Matroid, limit: int = 12) -> CheckReport:

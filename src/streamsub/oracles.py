@@ -271,17 +271,20 @@ def _mask_set(mask: int) -> frozenset:
     return frozenset(out)
 
 
-def verify_monotone_submodular(fn, limit: int = 14) -> CheckReport:
+EXHAUSTIVE_LIMIT = 14  # largest ground sets verify_monotone_submodular enumerates
+
+
+def verify_monotone_submodular(fn) -> CheckReport:
     """Exhaustively check monotonicity and diminishing returns.
 
     Verifies f(S+e) >= f(S) for every S, e and
     f(S+e) - f(S) >= f(T+e) - f(T) for every S <= T, e outside T.
     Returns the first violating witness found. Cost is O(n * 3^n), so the
-    ground set is capped (default 14).
+    ground set is capped at ``EXHAUSTIVE_LIMIT``.
     """
     n = fn.n
-    if n > limit:
-        raise GroundSetTooLarge(f"n={n} exceeds exhaustive limit {limit}")
+    if n > EXHAUSTIVE_LIMIT:
+        raise GroundSetTooLarge(f"n={n} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
     size = 1 << n
     vals = [fn.value(_mask_set(mask)) for mask in range(size)]
     for mask in range(size):

@@ -26,6 +26,9 @@ bar included (each counts its ties in ``ties``).
 invocations of a cardinality tree; :func:`verify_by_pairs` is a second
 monotone-submodular checker and :func:`closed_form_3class` a polynomial
 form of the 3-class matroid function, each checked against the package.
+:class:`ExplicitMatroid` is a matroid given by its full independent
+family; it cross-checks the structured kinds and the generic frozenset
+loads by enumeration.
 """
 
 from bisect import bisect_right
@@ -33,6 +36,7 @@ from fractions import Fraction
 
 from streamsub.branching import _MatNode, to_fraction
 from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
+from streamsub.matroids import Matroid
 from streamsub.oracles import CheckReport, QueryGate, Residual, _mask_set
 
 
@@ -49,6 +53,31 @@ class PlainGate(QueryGate):
         if self.audit.record_log:
             self.audit.log.extend([(self.audit.step, subset)] * times)
         return self.fn.value(subset)
+
+
+class ExplicitMatroid(Matroid):
+    """Set system given by its full list of independent sets."""
+
+    kind = "explicit"
+
+    def __init__(self, n: int, family):
+        self.n = n
+        self.family = frozenset(frozenset(s) for s in family)
+
+    def is_independent(self, subset) -> bool:
+        return frozenset(subset) in self.family
+
+    @property
+    def rank(self) -> int:
+        return max((len(s) for s in self.family), default=0)
+
+    @classmethod
+    def from_oracle(cls, matroid: Matroid, limit: int = 12) -> "ExplicitMatroid":
+        if matroid.n > limit:
+            raise GroundSetTooLarge(f"n={matroid.n} exceeds enumeration limit {limit}")
+        fam = [_mask_set(m) for m in range(1 << matroid.n)
+               if matroid.is_independent(_mask_set(m))]
+        return cls(matroid.n, fam)
 
 
 def exact(v):

@@ -15,16 +15,16 @@ import pytest
 from streamsub.baselines import brute_force_optimum
 from streamsub.branching import CardTree, GuessDriver, MatroidTree
 from streamsub.cli import main as cli_main
-from streamsub.coverage import random_coverage
+from streamsub.coverage import CoverageInstance
 from streamsub.hard_cardinality import (CardHardParams, limiting_ratio,
                                         profile_value, ratio_bound,
                                         red_marginal)
-from streamsub.hard_cardinality import instantiate as card_instantiate
+from streamsub.hard_cardinality import CardHardInstance
 from streamsub.hard_cardinality import optimal_value as card_optimal
 from streamsub.hard_cardinality import output_bound as card_bound
 from streamsub.hard_matroid import MatHardParams, blue_ceiling
 from streamsub.hard_matroid import approx_ratio
-from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.hard_matroid import MatHardInstance
 from streamsub.hard_matroid import level_value
 from streamsub.hard_matroid import optimal_value as mat_optimal
 from streamsub.hard_matroid import output_bound as mat_bound
@@ -166,10 +166,10 @@ def test_criterion_4_exhaustive_structure():
     for K in (2, 3, 4):
         for h in (K, K + 1, 2 * K):
             n = min(10, max(2 * K, 8))
-            inst = card_instantiate(CardHardParams(n, K, h), 1)
+            inst = CardHardInstance(CardHardParams(n, K, h), 1)
             ok &= verify_monotone_submodular(inst.fn).ok
     for K, m in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        inst = mat_instantiate(MatHardParams(K, m), 1)
+        inst = MatHardInstance(MatHardParams(K, m), 1)
         ok &= verify_monotone_submodular(inst.fn).ok
 
     # profile-level diminishing-returns families, K <= 4
@@ -238,14 +238,14 @@ def driver_runs():
 
     for seed in range(200):
         K = (seed % 3) + 1
-        inst = random_coverage(8, 12, K, seed)
+        inst = CoverageInstance(8, 12, K, seed)
         run_one(inst, "cardinality", seed, f"coverage-{seed}")
         run_one(inst, "matroid", seed, f"coverage-{seed}")
     for K in (2, 3):
-        inst = card_instantiate(CardHardParams(10, K, K), 77)
+        inst = CardHardInstance(CardHardParams(10, K, K), 77)
         for stream_seed in range(3):
             run_one(inst, "cardinality", stream_seed, f"hard-card-K{K}")
-        minst = mat_instantiate(MatHardParams(K, 2 * (K - 1)), 77)
+        minst = MatHardInstance(MatHardParams(K, 2 * (K - 1)), 77)
         for stream_seed in range(3):
             run_one(minst, "matroid", stream_seed, f"hard-matroid-K{K}")
     return results, time.monotonic() - start
@@ -282,7 +282,7 @@ def test_criterion_8_space_bounds():
     ok = True
     details = []
     for K in (2, 3):
-        inst = card_instantiate(CardHardParams(10, K, K), 5)
+        inst = CardHardInstance(CardHardParams(10, K, K), 5)
         stream = sample_stream(inst, "purple-last", 1)
         gate = QueryGate(inst.fn, WeakPolicy(inst.matroid), OracleAudit())
         solution, _ = stream_run(CardTree(gate, K, K, inst.optimal_value), stream, gate)
@@ -290,7 +290,7 @@ def test_criterion_8_space_bounds():
         ok &= gate.audit.max_stored <= bound and inst.matroid.is_independent(solution)
         details.append(f"card K={K}: {gate.audit.max_stored}<={bound}")
 
-        minst = mat_instantiate(MatHardParams(K, 2 * (K - 1)), 5)
+        minst = MatHardInstance(MatHardParams(K, 2 * (K - 1)), 5)
         mstream = sample_stream(minst, "class-blocks", 1)
         mgate = QueryGate(minst.fn, WeakPolicy(minst.matroid), OracleAudit())
         msolution, _ = stream_run(MatroidTree(mgate, minst.matroid, K, minst.optimal_value),
@@ -309,7 +309,7 @@ def test_criterion_9_lower_bound_demonstration():
     budget = 20
     reports = {}
     for m in (667, 1334):
-        inst = mat_instantiate(MatHardParams(3, m), 3)
+        inst = MatHardInstance(MatHardParams(3, m), 3)
         reports[m] = canonical_audit(inst, "sieve", trials=trials, seed=1,
                                      eps="2/5", budget=budget)
     base = reports[667]

@@ -6,12 +6,10 @@ import pytest
 
 from streamsub.baselines import (SieveStreaming, StoreEverything,
                                  brute_force_optimum, offline_greedy)
-from streamsub.coverage import random_coverage
+from streamsub.coverage import CoverageInstance
 from streamsub.errors import GroundSetTooLarge
-from streamsub.hard_cardinality import CardHardParams
-from streamsub.hard_cardinality import instantiate as card_instantiate
-from streamsub.hard_matroid import MatHardParams
-from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.hard_cardinality import CardHardInstance, CardHardParams
+from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.harness import stream_run
 from streamsub.matroids import PartitionMatroid, UniformMatroid
 from streamsub.oracles import ElementStorePolicy, OracleAudit, QueryGate, additive
@@ -20,12 +18,12 @@ from streamsub.samplers import sample_stream
 
 class TestBruteForce:
     def test_hard_cardinality_matches_closed_form(self):
-        inst = card_instantiate(CardHardParams(8, 3, 3), 4)
+        inst = CardHardInstance(CardHardParams(8, 3, 3), 4)
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
         assert opt == inst.optimal_value
 
     def test_hard_matroid_matches_closed_form(self):
-        inst = mat_instantiate(MatHardParams(3, 2), 4)
+        inst = MatHardInstance(MatHardParams(3, 2), 4)
         sol, opt = brute_force_optimum(inst.fn, inst.matroid)
         assert opt == 120
         assert sol == inst.red_ids
@@ -43,7 +41,7 @@ class TestBruteForce:
 
     def test_general_matroid_agrees_with_uniform_path(self):
         for seed in range(10):
-            inst = random_coverage(7, 10, 3, seed)
+            inst = CoverageInstance(7, 10, 3, seed)
             _, a = brute_force_optimum(inst.fn, inst.matroid)
             explicit_rank3 = PartitionMatroid([0] * 7, 3)
             _, b = brute_force_optimum(inst.fn, explicit_rank3)
@@ -60,13 +58,13 @@ class TestGreedy:
         bound = 1 - 1 / math.e
         for seed in range(100):
             K = (seed % 3) + 1
-            inst = random_coverage(7, 10, K, seed)
+            inst = CoverageInstance(7, 10, K, seed)
             _, opt = brute_force_optimum(inst.fn, inst.matroid)
             _, val = offline_greedy(inst.fn, inst.matroid)
             assert val >= bound * opt - 1e-9
 
     def test_greedy_exact_on_hard_cardinality(self):
-        inst = card_instantiate(CardHardParams(40, 4, 4), 17)
+        inst = CardHardInstance(CardHardParams(40, 4, 4), 17)
         _, val = offline_greedy(inst.fn, inst.matroid)
         assert val == inst.optimal_value == 31
 
@@ -87,27 +85,27 @@ class TestSieve:
         eps = Fraction(1, 5)
         for seed in range(100):
             K = (seed % 3) + 1
-            inst = random_coverage(7, 10, K, seed)
+            inst = CoverageInstance(7, 10, K, seed)
             _, opt = brute_force_optimum(inst.fn, inst.matroid)
             _, val, audit = run_sieve(inst, eps, seed)
             assert val >= (Fraction(1, 2) - eps) * opt
             assert audit.compliant
 
     def test_sieve_respects_matroid_feasibility(self):
-        inst = mat_instantiate(MatHardParams(3, 4), 5)
+        inst = MatHardInstance(MatHardParams(3, 4), 5)
         sol, val, audit = run_sieve(inst, Fraction(2, 5), 3)
         assert inst.matroid.is_independent(sol)
         assert audit.compliant
 
     def test_sieve_footprint_small(self):
-        inst = mat_instantiate(MatHardParams(3, 30), 5)
+        inst = MatHardInstance(MatHardParams(3, 30), 5)
         _, _, audit = run_sieve(inst, Fraction(2, 5), 3)
         assert audit.max_stored <= 20
 
 
 class TestStoreEverything:
     def test_reaches_optimum(self):
-        inst = random_coverage(7, 10, 3, 12)
+        inst = CoverageInstance(7, 10, 3, 12)
         stream = sample_stream(inst, "uniform", 1)
         audit = OracleAudit()
         policy = ElementStorePolicy()

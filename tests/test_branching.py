@@ -9,21 +9,19 @@ from streamsub import branching
 from streamsub.baselines import SieveStreaming, brute_force_optimum
 from streamsub.branching import (MAX_GUESSES, CardTree, GuessDriver, GuessGrid, MatroidTree,
                                  to_fraction)
-from streamsub.coverage import CoverageFunction, random_coverage
+from streamsub.coverage import CoverageFunction, CoverageInstance
 from streamsub.errors import InvalidParams
-from streamsub.hard_cardinality import CardHardParams
-from streamsub.hard_cardinality import instantiate as card_instantiate
-from streamsub.hard_matroid import MatHardParams
-from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.hard_cardinality import CardHardInstance, CardHardParams
+from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.harness import stream_run
-from streamsub.matroids import ExplicitMatroid, PartitionMatroid, UniformMatroid
+from streamsub.matroids import PartitionMatroid, UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, StrongPolicy,
                                WeakPolicy, additive)
 from streamsub.samplers import sample_stream
 
-from _reference import (FractionSieve, PerIndexMatNode, PerInvocationCardTree, gamma_bound,
-                        ref_cardinality, ref_footprint, ref_matroid, ref_stored_set,
-                        ref_window, subtree_size)
+from _reference import (ExplicitMatroid, FractionSieve, PerIndexMatNode, PerInvocationCardTree,
+                        gamma_bound, ref_cardinality, ref_footprint, ref_matroid,
+                        ref_stored_set, ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -64,7 +62,7 @@ class TestCardinalityBranch:
         rnd = random.Random(seed)
         n = rnd.randrange(3, 9)
         K = rnd.randrange(2, 4)
-        inst = random_coverage(n, 10, K, seed)
+        inst = CoverageInstance(n, 10, K, seed)
         stream = list(range(n))
         rnd.shuffle(stream)
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
@@ -80,10 +78,10 @@ class TestCardinalityBranch:
         n = rnd.randrange(4, 10)
         K = rnd.randrange(1, 4)
         if seed % 3 == 0:
-            inst = card_instantiate(CardHardParams(max(n, 2 * K + 2), K + 1, K + 1), seed)
+            inst = CardHardInstance(CardHardParams(max(n, 2 * K + 2), K + 1, K + 1), seed)
             K = K + 1
         else:
-            inst = random_coverage(n, 10, K, seed)
+            inst = CoverageInstance(n, 10, K, seed)
         stream = list(range(inst.fn.n))
         rnd.shuffle(stream)
         _, opt = brute_force_optimum(inst.fn, UniformMatroid(inst.fn.n, K))
@@ -95,7 +93,7 @@ class TestCardinalityBranch:
         assert gate.audit.compliant
 
     def test_node_count_recurrence(self):
-        inst = random_coverage(8, 12, 3, 99)
+        inst = CoverageInstance(8, 12, 3, 99)
         gate = QueryGate(inst.fn)
         tree = CardTree(gate, 3, 3, 6)
         stream_run(tree, list(range(8)), gate)
@@ -138,7 +136,7 @@ class TestMatroidBranch:
         else:
             matroid = PartitionMatroid([rnd.randrange(2) for _ in range(n)],
                                        capacity=1)
-        inst = random_coverage(n, 9, matroid.rank, seed)
+        inst = CoverageInstance(n, 9, matroid.rank, seed)
         stream = list(range(n))
         rnd.shuffle(stream)
         _, opt = brute_force_optimum(inst.fn, matroid)
@@ -153,10 +151,10 @@ class TestMatroidBranch:
     def test_guarantee_and_feasibility(self, seed):
         rnd = random.Random(4000 + seed)
         if seed % 3 == 0:
-            inst = mat_instantiate(MatHardParams(2, rnd.randrange(2, 5)), seed)
+            inst = MatHardInstance(MatHardParams(2, rnd.randrange(2, 5)), seed)
         else:
             n = rnd.randrange(4, 9)
-            inst = random_coverage(n, 10, 0, seed)
+            inst = CoverageInstance(n, 10, 0, seed)
             inst.matroid = PartitionMatroid([rnd.randrange(3) for _ in range(n)], 1)
         matroid = inst.matroid
         K = matroid.rank
@@ -215,10 +213,10 @@ def card_case(seed):
     rnd = random.Random(300 + seed)
     if seed % 3 == 0:
         K = 3
-        inst = card_instantiate(CardHardParams(10, K, K), seed)
+        inst = CardHardInstance(CardHardParams(10, K, K), seed)
     else:
         K = rnd.randrange(2, 4)
-        inst = random_coverage(rnd.randrange(5, 9), 12, K, seed)
+        inst = CoverageInstance(rnd.randrange(5, 9), 12, K, seed)
     stream = list(range(inst.fn.n))
     rnd.shuffle(stream)
     _, opt = brute_force_optimum(inst.fn, UniformMatroid(inst.fn.n, K))
@@ -232,7 +230,7 @@ def mat_case(seed):
         matroid = UniformMatroid(n, rnd.randrange(1, 3))
     else:
         matroid = PartitionMatroid([rnd.randrange(2) for _ in range(n)], capacity=1)
-    inst = random_coverage(n, 9, matroid.rank, seed)
+    inst = CoverageInstance(n, 9, matroid.rank, seed)
     stream = list(range(n))
     rnd.shuffle(stream)
     _, opt = brute_force_optimum(inst.fn, matroid)
@@ -257,13 +255,13 @@ class TestSinglePassDiscipline:
         assert len(tree.nodes) > steps[0]["mark"]
 
     def test_card_tree_each_node_sees_each_position_once(self):
-        inst = random_coverage(8, 12, 3, 5)
+        inst = CoverageInstance(8, 12, 3, 5)
         gate = QueryGate(inst.fn)
         tree = CardTree(gate, 3, 3, 5, trace=True)
         self.check(tree, record(tree, list(range(8)), gate))
 
     def test_mat_tree_each_node_sees_each_position_once(self):
-        inst = random_coverage(6, 10, 2, 6)
+        inst = CoverageInstance(6, 10, 2, 6)
         gate = QueryGate(inst.fn)
         tree = MatroidTree(gate, inst.matroid, 2, 4, trace=True)
         self.check(tree, record(tree, list(range(6)), gate))
@@ -331,43 +329,53 @@ class TestGuessGrid:
 
     @staticmethod
     def shapes(eps, K):
-        return {
-            "sieve": lambda m: (m, 2 * K * m),
-            "driver": lambda m: (Fraction(m) / (1 + eps) ** 2, Fraction(K * m) / eps),
-            "narrow": lambda m: (m, m),
-        }
+        return {"sieve": (1, 2 * K), "driver": (1 / (1 + eps) ** 2, K / eps), "narrow": (1, 1)}
 
     @settings(max_examples=60, deadline=None)
     @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
            K=st.integers(1, 6), rises=st.lists(st.integers(0, 40), max_size=10))
     def test_window_matches_scan_from_zero(self, eps, K, rises):
-        for shape in self.shapes(eps, K).values():
-            grid = GuessGrid(eps)
+        for lo, hi in self.shapes(eps, K).values():
+            grid = GuessGrid(eps, lo, hi)
             m = 0
-            for rise in [0, *rises]:
+            for rise in rises:
                 m += rise
-                lo, hi = shape(m)
-                first, last, _ = grid.window(lo, hi)
-                assert (first, last) == ref_window(eps, lo, hi)
-                assert Fraction(*grid[last]) == (1 + eps) ** last
+                grid.advance(m)
+                if m > 0:
+                    assert (grid.first, grid.last) == ref_window(eps, lo * m, hi * m)
+                    assert Fraction(*grid[grid.last]) == (1 + eps) ** grid.last
 
     @settings(max_examples=60, deadline=None)
     @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
            K=st.integers(1, 6), rises=st.lists(st.integers(0, 40), max_size=10))
     def test_entered_covers_each_index_once(self, eps, K, rises):
         """The ``entered`` ranges are ascending, disjoint and inside their
-        window, and together they hold every index any window held."""
-        for shape in self.shapes(eps, K).values():
-            grid = GuessGrid(eps)
+        window, and together they hold every index any window held. After
+        every raise, the indices entered and not left are the window of a
+        scan from 0; ``left`` and ``entered`` are ascending and disjoint,
+        and both are empty when m does not rise."""
+        for lo, hi in self.shapes(eps, K).values():
+            grid = GuessGrid(eps, lo, hi)
             m = 0
-            entered_all, windowed = [], set()
-            for rise in [0, *rises]:
+            entered_all, left_all, windowed = [], [], set()
+            for rise in rises:
                 m += rise
-                first, last, entered = grid.window(*shape(m))
-                assert all(first <= i <= last for i in entered)
+                left, entered = grid.advance(m)
+                assert list(left) == sorted(set(left))
+                assert list(entered) == sorted(set(entered))
+                assert not set(left) & set(entered)
+                if rise == 0:
+                    assert not left and not entered
                 entered_all.extend(entered)
-                windowed.update(range(first, last + 1))
+                left_all.extend(left)
+                assert set(left_all) <= set(entered_all)
+                if m > 0:
+                    first, last = ref_window(eps, lo * m, hi * m)
+                    assert set(entered_all) - set(left_all) == set(range(first, last + 1))
+                    assert all(first <= i <= last for i in entered)
+                    windowed.update(range(first, last + 1))
             assert entered_all == sorted(set(entered_all))
+            assert left_all == sorted(set(left_all))
             assert set(entered_all) == windowed
 
     @settings(max_examples=60, deadline=None)
@@ -378,28 +386,28 @@ class TestGuessGrid:
         window a ``Fraction`` scan from index 0 finds, and ``grid[i]`` is
         (1+eps)^i."""
         p, q = eps.numerator, eps.denominator
-        shapes = [lambda m: ((m * q * q, (p + q) ** 2), (K * m * q, p)),
-                  lambda m: ((m, 1), (2 * K * m, 1))]
-        for shape in shapes:
-            grid = GuessGrid(eps)
+        for lo, hi in [((q * q, (p + q) ** 2), (K * q, p)), ((1, 1), (2 * K, 1))]:
+            grid = GuessGrid(eps, lo, hi)
             m = 0
-            for rise in [0, *rises]:
+            for rise in rises:
                 m += rise
-                lo, hi = shape(m)
-                first, last, _ = grid.window(lo, hi)
-                assert (first, last) == ref_window(eps, Fraction(*lo), Fraction(*hi))
-                assert Fraction(*grid[last]) == (1 + eps) ** last
+                grid.advance(m)
+                if m > 0:
+                    assert (grid.first, grid.last) == ref_window(eps, m * Fraction(*lo),
+                                                                 m * Fraction(*hi))
+                    assert Fraction(*grid[grid.last]) == (1 + eps) ** grid.last
 
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 5), Fraction(1, 20)])
     @pytest.mark.parametrize("K", [0, 1, 3])
     def test_bounds_on_grid_points(self, eps, K):
         """A bound equal to a guess keeps that guess in the window, at
-        either end."""
-        p, q = eps.numerator, eps.denominator
-        grid = GuessGrid(eps)
-        for j in range(30):
-            lo, hi = ((p + q) ** j, q ** j), ((p + q) ** (j + K), q ** (j + K))
-            assert grid.window(lo, hi)[:2] == (j, j + K)
+        either end: with bounds over m of 1/q^J and (p+q)^K/q^(J+K), the
+        integer m = (p+q)^j q^(J-j) puts them on v_j and v_(j+K)."""
+        p, q, J = eps.numerator, eps.denominator, 29
+        grid = GuessGrid(eps, (1, q ** J), ((p + q) ** K, q ** (J + K)))
+        for j in range(J + 1):
+            grid.advance((p + q) ** j * q ** (J - j))
+            assert (grid.first, grid.last) == (j, j + K)
 
     @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 1000), Fraction(1, 3000),
                                      Fraction(1, 10 ** 6)])
@@ -409,16 +417,15 @@ class TestGuessGrid:
         exactly when (1+eps)^MAX_GUESSES <= span; spans at, just below and
         just above that power take each of the three exact tests."""
         bar = (1 + eps) ** MAX_GUESSES
-        span = {"bar": bar, "below": bar - Fraction(1, 10 ** 9),
-                "above": bar + Fraction(1, 10 ** 9)}.get(span, span)
-        grid = GuessGrid(eps)
-        if bar <= span:
-            with pytest.raises(InvalidParams, match=f"more than {MAX_GUESSES} guesses"):
-                grid.limit(span)
-        else:
-            grid.limit(span)
-            grid.limit((span.numerator, span.denominator) if isinstance(span, Fraction)
-                       else (span, 1))
+        span = Fraction({"bar": bar, "below": bar - Fraction(1, 10 ** 9),
+                         "above": bar + Fraction(1, 10 ** 9)}.get(span, span))
+        shapes = [(1, span), ((span.denominator, 1), (span.numerator, 1))]
+        for lo, hi in shapes:
+            if bar <= span:
+                with pytest.raises(InvalidParams, match=f"more than {MAX_GUESSES} guesses"):
+                    GuessGrid(eps, lo, hi)
+            else:
+                GuessGrid(eps, lo, hi)
 
     @pytest.mark.parametrize("K", [1, 6, 50])
     @pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10), Fraction(2, 5), 1])
@@ -438,7 +445,9 @@ class TestGuessGrid:
     @pytest.mark.parametrize("eps", [0, -1, Fraction(11, 10)])
     def test_eps_out_of_range(self, eps):
         with pytest.raises(InvalidParams):
-            GuessGrid(eps)
+            GuessGrid(eps, 1, 1)
+        with pytest.raises(InvalidParams):
+            GuessDriver(QueryGate(additive([1] * 3)), UniformMatroid(3, 3), eps)
 
 
 class TestGuessDriver:
@@ -452,7 +461,7 @@ class TestGuessDriver:
         assert m.is_independent(solution)
 
     def test_finish_queries_the_champion_once(self):
-        inst = random_coverage(8, 12, 3, 11)
+        inst = CoverageInstance(8, 12, 3, 11)
         gate = weak_gate(inst.fn, inst.matroid)
         driver = GuessDriver(gate, inst.matroid, "1/10")
         for t, e in enumerate(range(8)):
@@ -464,7 +473,7 @@ class TestGuessDriver:
         assert solution == driver.champion[0]
 
     def test_active_roots_bounded_by_grid_window(self):
-        inst = random_coverage(8, 12, 3, 11)
+        inst = CoverageInstance(8, 12, 3, 11)
         gate = weak_gate(inst.fn, inst.matroid)
         eps = Fraction(1, 10)
         driver, solution, _ = run_driver(list(range(8)), gate, inst.matroid, eps,
@@ -481,25 +490,26 @@ class TestGuessDriver:
            eps=st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(1)]),
            constraint=st.sampled_from(["cardinality", "matroid"]), data=st.data())
     def test_spawns_each_window_index_once(self, seed, n, K, eps, constraint, data):
-        inst = random_coverage(n, 12, K, seed)
+        inst = CoverageInstance(n, 12, K, seed)
         stream = data.draw(st.permutations(range(n)))
         gate = weak_gate(inst.fn, inst.matroid)
         driver = GuessDriver(gate, inst.matroid, eps, constraint)
-        windows, spawned = [], []
-        grid_window, spawn = driver.grid.window, driver._spawn
+        moves, spawned = [], []
+        advance, spawn = driver.grid.advance, driver._spawn
 
-        def record_window(lo, hi):
-            windows.append(grid_window(lo, hi))
-            return windows[-1]
+        def record_advance(m):
+            left, entered = advance(m)
+            moves.append((entered, driver.grid.first, driver.grid.last))
+            return left, entered
 
         def record_spawn(i):
             spawned.append(i)
             spawn(i)
 
-        driver.grid.window, driver._spawn = record_window, record_spawn
+        driver.grid.advance, driver._spawn = record_advance, record_spawn
         stream_run(driver, stream, gate)
-        union = {i for first, last, _ in windows for i in range(first, last + 1)}
-        assert spawned == sorted(union)
+        union = {i for _, first, last in moves for i in range(first, last + 1)}
+        assert spawned == sorted(union) == [i for entered, _, _ in moves for i in entered]
         assert driver.roots_spawned == len(spawned)
 
     def test_window_jump_skips_the_gap(self):
@@ -515,7 +525,7 @@ class TestGuessDriver:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_cardinality_driver_guarantee(self, seed):
-        inst = random_coverage(8, 12, (seed % 3) + 1, 500 + seed)
+        inst = CoverageInstance(8, 12, (seed % 3) + 1, 500 + seed)
         stream = sample_stream(inst, "uniform", seed)
         gate = weak_gate(inst.fn, inst.matroid)
         _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "cardinality")
@@ -527,7 +537,7 @@ class TestGuessDriver:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matroid_driver_guarantee(self, seed):
-        inst = random_coverage(7, 12, (seed % 3) + 1, 900 + seed)
+        inst = CoverageInstance(7, 12, (seed % 3) + 1, 900 + seed)
         stream = sample_stream(inst, "uniform", seed)
         gate = weak_gate(inst.fn, inst.matroid)
         _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
@@ -538,7 +548,7 @@ class TestGuessDriver:
         assert gate.audit.compliant
 
     def test_hard_matroid_driver_reaches_reachable_bound(self):
-        inst = mat_instantiate(MatHardParams(2, 3), 3)
+        inst = MatHardInstance(MatHardParams(2, 3), 3)
         stream = sample_stream(inst, "class-blocks", 1)
         gate = weak_gate(inst.fn, inst.matroid)
         driver, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
@@ -548,7 +558,7 @@ class TestGuessDriver:
         assert inst.matroid.is_independent(solution)
 
     def test_v_used_is_exact_rational(self):
-        inst = random_coverage(6, 10, 2, 77)
+        inst = CoverageInstance(6, 10, 2, 77)
         gate = weak_gate(inst.fn, inst.matroid)
         driver, solution, _ = run_driver(list(range(6)), gate, inst.matroid, "1/10",
                                          "cardinality")
@@ -559,7 +569,7 @@ class TestGuessDriver:
 class TestSpaceAccounting:
     @pytest.mark.parametrize("K", [2, 3])
     def test_cardinality_fixed_guess_bound(self, K):
-        inst = card_instantiate(CardHardParams(10, K, K), 21)
+        inst = CardHardInstance(CardHardParams(10, K, K), 21)
         stream = sample_stream(inst, "purple-last", 2)
         gate = weak_gate(inst.fn, inst.matroid)
         tree = CardTree(gate, K, K, inst.optimal_value)
@@ -569,7 +579,7 @@ class TestSpaceAccounting:
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_matroid_fixed_guess_bound(self, K):
-        inst = mat_instantiate(MatHardParams(K, 2 * (K - 1)), 22)
+        inst = MatHardInstance(MatHardParams(K, 2 * (K - 1)), 22)
         stream = sample_stream(inst, "class-blocks", 2)
         gate = weak_gate(inst.fn, inst.matroid)
         tree = MatroidTree(gate, inst.matroid, K, inst.optimal_value)
@@ -600,13 +610,13 @@ def loads_case(seed):
     rnd = random.Random(9100 + seed)
     if seed % 2 == 0:
         K = 2 + seed // 2 % 2
-        inst = mat_instantiate(MatHardParams(K, rnd.randrange(2, 6)), seed)
+        inst = MatHardInstance(MatHardParams(K, rnd.randrange(2, 6)), seed)
         stream = sample_stream(inst, "class-blocks", seed)
         return inst.fn, inst.matroid, stream
     n = rnd.randrange(5, 11)
     labels = [rnd.choice("abc") for _ in range(n)]
     matroid = PartitionMatroid(labels, {"a": 0, "b": 1, "c": 2})
-    inst = random_coverage(n, 10, matroid.rank, seed)
+    inst = CoverageInstance(n, 10, matroid.rank, seed)
     stream = list(range(n))
     rnd.shuffle(stream)
     return inst.fn, matroid, stream
@@ -739,7 +749,7 @@ class TestRunsDifferential:
     @pytest.mark.parametrize("m", [1, 3, 5])
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_hard_matroid_tree(self, K, m, frac):
-        inst = mat_instantiate(MatHardParams(K, m), 10 * K + m)
+        inst = MatHardInstance(MatHardParams(K, m), 10 * K + m)
         stream = sample_stream(inst, "class-blocks", m)
 
         def make(gate, matroid):
@@ -750,7 +760,7 @@ class TestRunsDifferential:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_hard_matroid_driver(self, K, m):
-        inst = mat_instantiate(MatHardParams(K, m), 10 * K + m)
+        inst = MatHardInstance(MatHardParams(K, m), 10 * K + m)
         stream = sample_stream(inst, "class-blocks", m)
 
         def make(gate, matroid):
@@ -840,7 +850,7 @@ class TestChainsDifferential:
 
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_hard_cardinality(self, K):
-        inst = card_instantiate(CardHardParams(2 * K + 4, K, K), K)
+        inst = CardHardInstance(CardHardParams(2 * K + 4, K, K), K)
         stream = sample_stream(inst, "purple-last", K)
         self.check_trees(inst.fn, stream, inst.optimal_value)
         self.check(inst.fn, stream,

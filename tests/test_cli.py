@@ -307,12 +307,14 @@ class TestMalformedInput:
 
 
 class TestIgnoredFlags:
-    """Subcommands accept only the common flags they act on."""
+    """Subcommands accept only the flags they act on; ``verify`` has no
+    ``--limit``, its exhaustive cap is fixed."""
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--kind", "coverage", "--K", "2", "--format", "csv"],
         ["verify", "--constraint", "matroid", "--K", "2", "--out", "v.txt"],
         ["verify", "--constraint", "matroid", "--K", "2", "--format", "csv"],
+        ["verify", "--constraint", "matroid", "--K", "2", "--exhaustive", "--limit", "30"],
         ["tables", "--which", "3", "--seed", "1"],
         ["tables", "--which", "3", "--format", "csv"],
         ["sweep", "--what", "ratio", "--k-max", "3", "--format", "csv"],
@@ -390,6 +392,15 @@ class TestHostileInput:
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "3")
         self.check([*argv, "--instance", str(inst_file), "--epsilon", epsilon], capsys,
                    f"eps={epsilon} puts more than")
+
+    @pytest.mark.parametrize("epsilon", ["1e-5000", "0." + "0" * 5000 + "1"],
+                             ids=["1e-5000", "5001-decimals"])
+    def test_epsilon_with_too_many_digits(self, tmp_path, capsys, epsilon):
+        """A valid number whose numerator or denominator passes Python's
+        int-to-str digit limit is named as such, not as "not a number"."""
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")
+        self.check(["run", "--alg", "greedy", "--trials", "1", "--instance", str(inst_file),
+                    "--epsilon", epsilon], capsys, "--epsilon has more than")
 
     def test_audit_negative_budget(self, tmp_path, capsys):
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")

@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsub.errors import InvalidParams
-from streamsub.hard_cardinality import (CardHardParams, blue_marginal,
-                                        instantiate, limiting_ratio,
-                                        optimal_value, output_bound,
-                                        profile_value, ratio_bound,
-                                        red_marginal)
+from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_marginal,
+                                        limiting_ratio, optimal_value, output_bound,
+                                        profile_value, ratio_bound, red_marginal)
 from streamsub.oracles import verify_monotone_submodular
 
 P44 = CardHardParams(n=14, K=4, h=4)
@@ -150,11 +148,11 @@ class TestMarginalMonotonicityFamilies:
 
 class TestInstantiate:
     def test_empty_set_is_zero(self):
-        inst = instantiate(P44, 3)
+        inst = CardHardInstance(P44, 3)
         assert inst.fn.value(frozenset()) == 0
 
     def test_colorwise_symmetry_exhaustive(self):
-        inst = instantiate(CardHardParams(8, 3, 3), 5)
+        inst = CardHardInstance(CardHardParams(8, 3, 3), 5)
         by_profile = {}
         for mask in range(1 << 8):
             s = frozenset(e for e in range(8) if mask >> e & 1)
@@ -163,16 +161,16 @@ class TestInstantiate:
             assert by_profile.setdefault(key, val) == val
 
     def test_planted_solution_values(self):
-        inst = instantiate(P44, 9)
+        inst = CardHardInstance(P44, 9)
         blues = sorted(inst.blue_ids)[:3]
         assert inst.fn.value(set(blues) | {inst.purple_id}) == \
             profile_value(P44, 3, 0, 1)
         assert inst.fn.value(inst.red_ids | {inst.purple_id}) == optimal_value(P44)
 
     def test_coloring_sizes_and_determinism(self):
-        a = instantiate(P44, 12)
-        b = instantiate(P44, 12)
-        c = instantiate(P44, 13)
+        a = CardHardInstance(P44, 12)
+        b = CardHardInstance(P44, 12)
+        c = CardHardInstance(P44, 13)
         assert a.colors == b.colors
         assert a.colors != c.colors
         assert len(a.blue_ids) == P44.blues
@@ -188,7 +186,7 @@ class TestInstantiate:
 class TestStructure:
     @pytest.mark.parametrize("K,h,n", [(3, 3, 8), (3, 6, 10), (4, 4, 10)])
     def test_monotone_submodular(self, K, h, n):
-        inst = instantiate(CardHardParams(n, K, h), 1)
+        inst = CardHardInstance(CardHardParams(n, K, h), 1)
         assert verify_monotone_submodular(inst.fn).ok
 
 

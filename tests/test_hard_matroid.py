@@ -5,8 +5,8 @@ from math import factorial
 import pytest
 
 from streamsub.errors import InvalidParams
-from streamsub.hard_matroid import (MatHardParams, approx_ratio, blue_ceiling,
-                                    instantiate, level_value, optimal_value,
+from streamsub.hard_matroid import (MatHardInstance, MatHardParams, approx_ratio,
+                                    blue_ceiling, level_value, optimal_value,
                                     output_bound, profile_value, singleton_values)
 from streamsub.oracles import verify_monotone_submodular
 
@@ -197,12 +197,12 @@ class TestLandmarks:
 
 class TestInstantiate:
     def test_empty_and_single_values(self):
-        inst = instantiate(MatHardParams(3, 4), 2)
+        inst = MatHardInstance(MatHardParams(3, 4), 2)
         assert inst.fn.value(frozenset()) == 0
         assert inst.fn.value({inst.fn.n - 1}) == factorial(2 * 3 - 2)
 
     def test_colorwise_symmetry_within_classes(self):
-        inst = instantiate(MatHardParams(3, 3), 4)
+        inst = MatHardInstance(MatHardParams(3, 3), 4)
         by_profile = {}
         for mask in range(1 << inst.fn.n):
             s = frozenset(e for e in range(inst.fn.n) if mask >> e & 1)
@@ -211,7 +211,7 @@ class TestInstantiate:
             assert by_profile.setdefault(key, val) == val
 
     def test_block_layout_and_hidden_reds(self):
-        inst = instantiate(MatHardParams(4, 5), 8)
+        inst = MatHardInstance(MatHardParams(4, 5), 8)
         n = inst.params.n
         assert n == 16
         for i, block in enumerate(inst.class_blocks[:-1], start=1):
@@ -221,8 +221,8 @@ class TestInstantiate:
         assert n - 1 in inst.red_ids
 
     def test_determinism(self):
-        a = instantiate(MatHardParams(3, 5), 6)
-        b = instantiate(MatHardParams(3, 5), 6)
+        a = MatHardInstance(MatHardParams(3, 5), 6)
+        b = MatHardInstance(MatHardParams(3, 5), 6)
         assert a.red_ids == b.red_ids
 
     def test_invalid_params(self):
@@ -237,5 +237,5 @@ class TestInstantiate:
 class TestStructure:
     @pytest.mark.parametrize("K,m", [(1, 0), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_monotone_submodular(self, K, m):
-        inst = instantiate(MatHardParams(K, m), 1)
+        inst = MatHardInstance(MatHardParams(K, m), 1)
         assert verify_monotone_submodular(inst.fn).ok

@@ -4,16 +4,14 @@ import pytest
 
 from streamsub.baselines import SieveStreaming, StoreEverything, brute_force_optimum
 from streamsub.branching import GuessDriver
-from streamsub.coverage import random_coverage
+from streamsub.coverage import CoverageInstance
 from streamsub.errors import PolicyViolation
-from streamsub.hard_cardinality import CardHardParams
-from streamsub.hard_cardinality import instantiate as card_instantiate
+from streamsub.hard_cardinality import CardHardInstance, CardHardParams
 from streamsub.harness import (build_instance, canonical_audit, exact_optimum,
                                instance_from_json, instance_to_json,
                                report_to_json, run_experiment, run_trial,
                                stream_run, wilson_interval)
-from streamsub.hard_matroid import MatHardParams
-from streamsub.hard_matroid import instantiate as mat_instantiate
+from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.matroids import UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakPolicy,
                                additive)
@@ -139,13 +137,13 @@ class TestMemoDifferential:
     @pytest.mark.parametrize("stream_seed", range(3))
     @pytest.mark.parametrize("K", [3, 4, 5])
     def test_hard_cardinality(self, K, stream_seed):
-        inst = card_instantiate(CardHardParams(3 * K, K, K), 77)
+        inst = CardHardInstance(CardHardParams(3 * K, K, K), 77)
         stream = sample_stream(inst, "purple-last", stream_seed)
         self.check(inst, "cardinality", stream)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_coverage(self, seed):
-        inst = random_coverage(8, 12, (seed % 3) + 1, seed)
+        inst = CoverageInstance(8, 12, (seed % 3) + 1, seed)
         stream = sample_stream(inst, "uniform", seed)
         self.check(inst, "cardinality", stream)
         self.check(inst, "matroid", stream)
@@ -218,7 +216,7 @@ class TestQueryLogDifferential:
     @pytest.mark.parametrize("stream_seed", range(3))
     @pytest.mark.parametrize("m", [3, 4])
     def test_sieve_and_store_everything(self, m, stream_seed):
-        inst = mat_instantiate(MatHardParams(3, m), 5)
+        inst = MatHardInstance(MatHardParams(3, m), 5)
         stream = sample_stream(inst, "class-blocks", stream_seed)
         for make_alg in (lambda gate, matroid: SieveStreaming(gate, matroid, "2/5"),
                          StoreEverything):
@@ -228,7 +226,7 @@ class TestQueryLogDifferential:
 
     @pytest.mark.parametrize("stream_seed", range(3))
     def test_refused_queries(self, stream_seed):
-        inst = mat_instantiate(MatHardParams(3, 4), 5)
+        inst = MatHardInstance(MatHardParams(3, 4), 5)
         stream = sample_stream(inst, "class-blocks", stream_seed)
         got = self.check(inst, lambda gate, matroid: Forgetful(gate), stream)
         assert got["rejected"] and got["log"]
@@ -288,7 +286,7 @@ class TestCanonicalAudit:
         assert report["exceed_freq"] > 0
 
     def test_sieve_on_hard_matroid_stays_at_bound(self):
-        inst = mat_instantiate(MatHardParams(3, 40), 6)
+        inst = MatHardInstance(MatHardParams(3, 40), 6)
         report = canonical_audit(inst, "sieve", trials=40, seed=3, eps="2/5",
                                  budget=20)
         assert report["within_budget"]
@@ -313,7 +311,7 @@ class TestCanonicalAudit:
         # noticeably when the class size doubles
         freqs = {}
         for m in (30, 120):
-            inst = mat_instantiate(MatHardParams(3, m), 8)
+            inst = MatHardInstance(MatHardParams(3, m), 8)
             rep = canonical_audit(inst, "sieve", trials=60, seed=4, eps="2/5")
             freqs[m] = (rep["deviation_freq"], rep["deviation_ci95"])
         f_small, ci_small = freqs[30]

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsub.hard_matroid import MatHardParams, instantiate
-from streamsub.matroids import (ExplicitMatroid, PartitionMatroid,
-                                UniformMatroid, check_axioms)
+from streamsub.hard_matroid import MatHardInstance, MatHardParams
+from streamsub.matroids import PartitionMatroid, UniformMatroid, check_axioms
+
+from _reference import ExplicitMatroid
 
 
 class TestIsIndependent:
@@ -88,7 +89,7 @@ class TestAgainstExplicitEnumeration:
             assert matroid.is_independent(s) == explicit.is_independent(s)
 
     def test_hard_matroid_feasibility_is_one_per_class(self):
-        inst = instantiate(MatHardParams(3, 3), 2)
+        inst = MatHardInstance(MatHardParams(3, 3), 2)
         m = inst.matroid
         for mask in range(1 << inst.fn.n):
             s = frozenset(e for e in range(inst.fn.n) if mask >> e & 1)

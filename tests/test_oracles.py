@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsub.errors import GroundSetTooLarge, PolicyViolation, UnknownElement
-from streamsub.hard_matroid import MatHardParams
-from streamsub.hard_matroid import instantiate as mat_instantiate
-from streamsub.hard_cardinality import (CardHardParams, blue_marginal,
-                                        instantiate, profile_value)
+from streamsub.hard_matroid import MatHardInstance, MatHardParams
+from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_marginal,
+                                        profile_value)
 from streamsub.matroids import UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate,
                                Residual, SetFunction, StrongPolicy, WeakPolicy,
@@ -18,7 +17,7 @@ from _reference import verify_by_pairs
 
 
 def card_instance(n=8, K=3, h=3, seed=1):
-    return instantiate(CardHardParams(n, K, h), seed)
+    return CardHardInstance(CardHardParams(n, K, h), seed)
 
 
 class TestEvaluate:
@@ -128,7 +127,7 @@ class TestVerifyStructure:
     def test_limit_enforced(self):
         f = additive([1] * 15)
         with pytest.raises(GroundSetTooLarge):
-            verify_monotone_submodular(f, limit=14)
+            verify_monotone_submodular(f)
 
     def test_checkers_agree_on_random_functions(self, rng):
         agree = 0
@@ -236,7 +235,7 @@ class TestGroundSet:
 
     @staticmethod
     def gate(policy_kind, step):
-        inst = mat_instantiate(MatHardParams(2, 3), 0)
+        inst = MatHardInstance(MatHardParams(2, 3), 0)
         policy = {"strong": StrongPolicy(), "weak": WeakPolicy(inst.matroid),
                   "element-store": ElementStorePolicy()}[policy_kind]
         if policy_kind == "element-store":
