@@ -9,17 +9,10 @@ textbook description).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .branching import GuessGrid
 from .errors import GroundSetTooLarge
 from .matroids import Matroid, UniformMatroid
 from .oracles import QueryGate
-
-
-def _as_gate(fn_or_gate) -> QueryGate:
-    return fn_or_gate if isinstance(fn_or_gate, QueryGate) else QueryGate(fn_or_gate)
-
 
 UNIFORM_LIMIT = 20  # largest ground sets brute_force_optimum enumerates
 MATROID_LIMIT = 16
@@ -28,56 +21,53 @@ MATROID_LIMIT = 16
 def brute_force_optimum(fn, matroid: Matroid) -> tuple[frozenset, int]:
     """Exact maximizer over feasible sets by enumeration.
 
-    Uniform constraints enumerate subsets up to the rank; general
-    matroids walk the independence lattice. Ties go to the set that
-    enumerates first, which is deterministic for a fixed ground order.
+    ``fn`` is anything with ``n`` and ``value``, a set function or a gate.
+    A depth-first walk grows sets in ascending id order on the matroid's
+    loads, stops growing at the rank and queries each independent set
+    once. Ties go to the smallest maximizer, then to the lexicographically
+    first sorted ids.
     """
-    gate = _as_gate(fn)
-    n = gate.n
+    n = fn.n
     if isinstance(matroid, UniformMatroid):
         if n > UNIFORM_LIMIT:
             raise GroundSetTooLarge(f"n={n} exceeds uniform enumeration limit {UNIFORM_LIMIT}")
-        best = (frozenset(), gate.value(frozenset()))
-        for k in range(1, matroid.rank + 1):
-            for combo in combinations(range(n), k):
-                s = frozenset(combo)
-                v = gate.value(s)
-                if v > best[1]:
-                    best = (s, v)
-        return best
-    if n > MATROID_LIMIT:
+    elif n > MATROID_LIMIT:
         raise GroundSetTooLarge(f"n={n} exceeds matroid enumeration limit {MATROID_LIMIT}")
-    best = (frozenset(), gate.value(frozenset()))
-    stack = [(frozenset(), 0)]
+    fits, plus, rank = matroid.fits, matroid.plus, matroid.rank
+    best_key, best_value = (0, ()), fn.value(())
+    # (sorted ids of an independent set, its load)
+    stack = [((), matroid.load(()))]
     while stack:
-        current, start = stack.pop()
-        for e in range(start, n):
-            ext = current | {e}
-            if matroid.is_independent(ext):
-                v = gate.value(ext)
-                if v > best[1] or (v == best[1] and sorted(ext) < sorted(best[0])):
-                    best = (ext, v)
-                stack.append((ext, e + 1))
-    return best
+        ids, load = stack.pop()
+        for e in range(ids[-1] + 1 if ids else 0, n):
+            if fits(load, e):
+                ext = ids + (e,)
+                v = fn.value(ext)
+                if v > best_value or (v == best_value and (len(ext), ext) < best_key):
+                    best_key, best_value = (len(ext), ext), v
+                if len(ext) < rank:
+                    stack.append((ext, plus(load, e)))
+    return frozenset(best_key[1]), best_value
 
 
 def offline_greedy(fn, matroid: Matroid) -> tuple[frozenset, int]:
-    """Iterative best-feasible-augmentation with a strong oracle."""
-    gate = _as_gate(fn)
-    n = gate.n
+    """Iterative best-feasible-augmentation with a strong oracle; ``fn``
+    is a set function or a gate."""
     chosen: frozenset = frozenset()
-    value = gate.value(chosen)
+    load = matroid.load(chosen)
+    value = fn.value(chosen)
     while True:
         best_gain, best_e = 0, None
-        for e in range(n):
-            if e in chosen or not matroid.is_independent(chosen | {e}):
+        for e in range(fn.n):
+            if e in chosen or not matroid.fits(load, e):
                 continue
-            gain = gate.value(chosen | {e}) - value
+            gain = fn.value(chosen | {e}) - value
             if gain > best_gain:
                 best_gain, best_e = gain, e
         if best_e is None:
             return chosen, value
         chosen = chosen | {best_e}
+        load = matroid.plus(load, best_e)
         value += best_gain
 
 

@@ -33,6 +33,7 @@ reported solution value never costs extra oracle queries.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InvalidParams
@@ -107,7 +108,7 @@ class GuessGrid:
         if not fits:
             eps = str(self.eps)
             if len(eps) > 24:
-                eps = f"{float(self.eps):.4g}"
+                eps = format(Decimal(self.p) / Decimal(self.q), ".4g")
             raise InvalidParams(f"eps={eps} puts more than {MAX_GUESSES} guesses "
                                 f"in one window; use a larger eps")
 

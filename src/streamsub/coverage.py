@@ -31,6 +31,8 @@ class CoverageInstance:
     def __init__(self, n: int, universe: int, K: int, seed: int, density: float = 0.35):
         if n < 1 or universe < 1 or K < 0:
             raise InvalidParams("coverage instance needs n,universe >= 1 and K >= 0")
+        if not 0 <= density <= 1:
+            raise InvalidParams(f"coverage density must be in [0, 1], got {density!r}")
         self.n = n
         self.universe = universe
         self.K = K

@@ -174,6 +174,8 @@ class TrialResult:
 def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
               distribution: str | None = None, policy_kind: str = "weak",
               watcher=None) -> TrialResult:
+    if optimum == 0:
+        raise InvalidParams("the instance's optimum is 0, so no ratio is defined")
     distribution = distribution or default_distribution(instance)
     stream = sample_stream(instance, distribution, trial_seed)
     audit = OracleAudit()
@@ -195,8 +197,7 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
         alg = make_streaming_algorithm(algorithm, gate, instance, eps)
         solution, value = stream_run(alg, stream, gate, watcher)
 
-    ratio = Fraction(value, optimum) if optimum else Fraction(1)
-    return TrialResult(seed=trial_seed, value=value, ratio=ratio,
+    return TrialResult(seed=trial_seed, value=value, ratio=Fraction(value, optimum),
                        queries=audit.query_count, max_stored=audit.max_stored,
                        violations=len(audit.rejected),
                        solution=tuple(sorted(solution)),

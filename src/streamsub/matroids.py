@@ -74,9 +74,6 @@ class UniformMatroid(Matroid):
     def plus(self, load: int, e: int) -> int:
         return load + 1
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "rank": self._rank}
-
 
 class PartitionMatroid(Matroid):
     """Per-class capacities; independent iff no class is over capacity.
@@ -137,17 +134,17 @@ class PartitionMatroid(Matroid):
         sizes = Counter(self.class_of)
         return sum(min(self.capacity[c], sizes[c]) for c in sizes)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "class_of": list(self.class_of),
-                "capacity": {str(k): v for k, v in sorted(self.capacity.items())}}
+
+AXIOMS_LIMIT = 12  # largest ground sets check_axioms enumerates
 
 
-def check_axioms(matroid: Matroid, limit: int = 12) -> CheckReport:
+def check_axioms(matroid: Matroid) -> CheckReport:
     """Verify non-emptiness, heredity and the exchange axiom by
-    enumerating all subsets of the ground set (n capped at ``limit``)."""
+    enumerating all subsets of the ground set (n capped at
+    ``AXIOMS_LIMIT``)."""
     n = matroid.n
-    if n > limit:
-        raise GroundSetTooLarge(f"n={n} exceeds enumeration limit {limit}")
+    if n > AXIOMS_LIMIT:
+        raise GroundSetTooLarge(f"n={n} exceeds enumeration limit {AXIOMS_LIMIT}")
     indep = [matroid.is_independent(_mask_set(m)) for m in range(1 << n)]
     if not indep[0]:
         return CheckReport(False, "non-empty", (frozenset(),))

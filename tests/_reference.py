@@ -28,11 +28,14 @@ monotone-submodular checker and :func:`closed_form_3class` a polynomial
 form of the 3-class matroid function, each checked against the package.
 :class:`ExplicitMatroid` is a matroid given by its full independent
 family; it cross-checks the structured kinds and the generic frozenset
-loads by enumeration.
+loads by enumeration. :func:`ref_brute_force` is the brute-force optimum
+by plain subset enumeration and ``is_independent``, the code path the
+walk on matroid loads replaced.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations
 
 from streamsub.branching import _MatNode, to_fraction
 from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
@@ -78,6 +81,21 @@ class ExplicitMatroid(Matroid):
         fam = [_mask_set(m) for m in range(1 << matroid.n)
                if matroid.is_independent(_mask_set(m))]
         return cls(matroid.n, fam)
+
+
+def ref_brute_force(fn, matroid):
+    """Maximizer over the independent sets, enumerated by size and then
+    lexicographically with ``combinations``; the best is replaced only on
+    a strictly greater value, so ties go to the smallest, then the
+    lexicographically first, maximizer. Queries each independent set once."""
+    best = (frozenset(), fn.value(frozenset()))
+    for k in range(1, fn.n + 1):
+        for combo in combinations(range(fn.n), k):
+            if matroid.is_independent(combo):
+                v = fn.value(combo)
+                if v > best[1]:
+                    best = (frozenset(combo), v)
+    return best
 
 
 def exact(v):

@@ -1,18 +1,23 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import ExplicitMatroid, ref_brute_force
 from streamsub.baselines import (SieveStreaming, StoreEverything,
                                  brute_force_optimum, offline_greedy)
-from streamsub.coverage import CoverageInstance
+from streamsub.coverage import CoverageFunction, CoverageInstance
 from streamsub.errors import GroundSetTooLarge
 from streamsub.hard_cardinality import CardHardInstance, CardHardParams
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.harness import stream_run
 from streamsub.matroids import PartitionMatroid, UniformMatroid
-from streamsub.oracles import ElementStorePolicy, OracleAudit, QueryGate, additive
+from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, SetFunction,
+                               additive)
 from streamsub.samplers import sample_stream
 
 
@@ -42,10 +47,76 @@ class TestBruteForce:
     def test_general_matroid_agrees_with_uniform_path(self):
         for seed in range(10):
             inst = CoverageInstance(7, 10, 3, seed)
-            _, a = brute_force_optimum(inst.fn, inst.matroid)
+            a = brute_force_optimum(inst.fn, inst.matroid)
             explicit_rank3 = PartitionMatroid([0] * 7, 3)
-            _, b = brute_force_optimum(inst.fn, explicit_rank3)
+            b = brute_force_optimum(inst.fn, explicit_rank3)
             assert a == b
+
+    @pytest.mark.parametrize("matroid", [UniformMatroid(3, 3), PartitionMatroid([0, 1, 2], 1)],
+                             ids=["uniform", "partition"])
+    def test_ties_go_to_the_smallest_maximizer(self, matroid):
+        # the depth-first walk once kept {0, 1, 2} under a partition matroid
+        assert brute_force_optimum(additive([0, 0, 5]), matroid) == (frozenset({2}), 5)
+
+
+def _graphic_family(n_vertices, edges):
+    """The forests among ``edges``, as sets of edge ids."""
+    def acyclic(ids):
+        parent = list(range(n_vertices))
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+        for i in ids:
+            a, b = root(edges[i][0]), root(edges[i][1])
+            if a == b:
+                return False
+            parent[a] = b
+        return True
+    return [frozenset(c) for k in range(len(edges) + 1)
+            for c in combinations(range(len(edges)), k) if acyclic(c)]
+
+
+@st.composite
+def coverage_and_matroid(draw):
+    n = draw(st.integers(1, 7))
+    fn = CoverageFunction(draw(st.lists(st.sets(st.integers(0, 7)), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["uniform", "partition", "explicit"]))
+    if kind == "uniform":
+        return fn, UniformMatroid(n, draw(st.integers(0, n)))
+    if kind == "partition":
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return fn, PartitionMatroid(labels, {c: draw(st.integers(0, 3)) for c in set(labels)})
+    edges = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=n, max_size=n))
+    return fn, ExplicitMatroid(n, _graphic_family(4, edges))
+
+
+def counted(fn):
+    """``fn`` as a set function that records each query."""
+    calls = []
+    return SetFunction(fn.n, lambda s: calls.append(s) or fn.value(s)), calls
+
+
+class TestBruteForceDifferential:
+    """The walk on matroid loads against plain subset enumeration with
+    ``is_independent`` (``_reference.ref_brute_force``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=coverage_and_matroid(), via_gate=st.booleans())
+    def test_matches_subset_enumeration(self, case, via_gate):
+        fn, matroid = case
+        ref_fn, ref_calls = counted(fn)
+        expected = ref_brute_force(ref_fn, matroid)
+        walk_fn, walk_calls = counted(fn)
+        if via_gate:
+            gate = QueryGate(walk_fn)
+            assert brute_force_optimum(gate, matroid) == expected
+            assert gate.audit.query_count == len(ref_calls)
+        else:
+            assert brute_force_optimum(walk_fn, matroid) == expected
+        assert sorted(map(sorted, walk_calls)) == sorted(map(sorted, ref_calls))
 
 
 class TestGreedy:

@@ -1,10 +1,15 @@
+import io
 import json
 import pathlib
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamsub.cli import build_parser, main
+from streamsub.harness import build_instance, instance_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden"
@@ -367,6 +372,12 @@ class TestHostileInput:
          "n must be an integer, got 6.5"),
         ("coverage", ("--K", "2", "--n", "6"), '"density":0.35', '"density":false',
          "density must be a number, got False"),
+        ("coverage", ("--K", "2", "--n", "6"), '"density":0.35', '"density":1e400',
+         "density must be in [0, 1], got inf"),
+        ("coverage", ("--K", "2", "--n", "6"), '"density":0.35', '"density":-2',
+         "density must be in [0, 1], got -2.0"),
+        ("coverage", ("--K", "2", "--n", "6"), '"density":0.35', '"density":NaN',
+         "density must be in [0, 1], got nan"),
     ])
     def test_bad_instance_value(self, tmp_path, capsys, kind, flags, old, new, message):
         inst_file = _gen(tmp_path, "--kind", kind, *flags)
@@ -387,7 +398,7 @@ class TestHostileInput:
         ["run", "--alg", "sieve", "--trials", "1"],
         ["audit", "--trials", "1"],
     ])
-    @pytest.mark.parametrize("epsilon", ["1e-300", "1/5000"])
+    @pytest.mark.parametrize("epsilon", ["1e-300", "1e-400", "1/5000"])
     def test_epsilon_with_too_many_guesses(self, tmp_path, capsys, argv, epsilon):
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "3")
         self.check([*argv, "--instance", str(inst_file), "--epsilon", epsilon], capsys,
@@ -402,6 +413,17 @@ class TestHostileInput:
         self.check(["run", "--alg", "greedy", "--trials", "1", "--instance", str(inst_file),
                     "--epsilon", epsilon], capsys, "--epsilon has more than")
 
+    @pytest.mark.parametrize("alg", ["branching", "sieve", "greedy"])
+    @pytest.mark.parametrize("flags,old,new", [
+        (("--K", "0"), "", ""),
+        (("--K", "2"), '"density":0.35', '"density":0'),
+    ], ids=["K=0", "density=0"])
+    def test_zero_optimum_has_no_ratio(self, tmp_path, capsys, alg, flags, old, new):
+        inst_file = _gen(tmp_path, "--kind", "coverage", "--n", "6", *flags)
+        inst_file.write_text(inst_file.read_text().replace(old, new))
+        self.check(["run", "--instance", str(inst_file), "--alg", alg, "--trials", "2"],
+                   capsys, "optimum is 0, so no ratio is defined")
+
     def test_audit_negative_budget(self, tmp_path, capsys):
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")
         self.check(["audit", "--instance", str(inst_file), "--trials", "1", "--budget", "-1"],
@@ -410,3 +432,82 @@ class TestHostileInput:
     def test_sweep_negative_budget(self, capsys):
         self.check(["sweep", "--what", "audit", "--K", "2", "--m-list", "3", "--trials", "1",
                     "--budget", "-1"], capsys, "budget must be at least 0, got -1")
+
+
+BASE_INSTANCES = [instance_to_json(build_instance(kind, params, 1)) for kind, params in [
+    ("hard-cardinality", {"n": 6, "K": 2, "h": 2}),
+    ("hard-matroid", {"K": 2, "m": 2}),
+    ("coverage", {"n": 6, "K": 2}),
+]]
+BAD_VALUES = ["true", '"x"', "null", "[1]", "0", "-1", "2.5", "1e400", "-1e400", "NaN"]
+BAD_FLAGS = {
+    "--epsilon": ["0", "-1", "2", "nan", "inf", "1/0", "x", "1e400", "1e-400"],
+    "--trials": ["0", "-1", "2.5", "x", "1e400"],
+    "--budget": ["-1", "x", "2.5", "1e400"],
+}
+
+
+@st.composite
+def mutated_calls(draw):
+    """A ``run`` or ``audit`` call on a small valid instance file, with at
+    most one mutation: a key of the file dropped or set to a bad value,
+    bytes that are not UTF-8 appended to it, or one bad flag value."""
+    tokens = {k: json.dumps(v)
+              for k, v in json.loads(draw(st.sampled_from(BASE_INSTANCES))).items()}
+    if draw(st.booleans()):
+        flags = {"run": None, "--alg": draw(st.sampled_from(["branching", "sieve", "greedy"])),
+                 "--epsilon": "1/10", "--trials": "2"}
+    else:
+        flags = {"audit": None, "--epsilon": "2/5", "--trials": "2", "--budget": "3"}
+    how = draw(st.sampled_from(["none", "drop", "set", "bytes", "flag"]))
+    key = draw(st.sampled_from(sorted(tokens)))
+    if how == "drop":
+        del tokens[key]
+    elif how == "set":
+        tokens[key] = draw(st.sampled_from(BAD_VALUES))
+    elif how == "flag":
+        flag = draw(st.sampled_from([f for f in BAD_FLAGS if f in flags]))
+        flags[flag] = draw(st.sampled_from(BAD_FLAGS[flag]))
+    data = ("{" + ",".join(f'"{k}":{v}' for k, v in tokens.items()) + "}\n").encode()
+    argv = [x for item in flags.items() for x in item if x is not None]
+    return data + b"\xff\xfe" if how == "bytes" else data, argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def _coverage_with(old, new):
+    return BASE_INSTANCES[2].replace(old, new).encode()
+
+
+class TestMutatedInputs:
+    """``cli.main`` on mutated instance files and flag values exits 0 or
+    2 without a traceback, and every report it writes is strict JSON with
+    a positive optimum."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(call=mutated_calls())
+    @example(call=(_coverage_with('"density":0.35', '"density":1e400'),
+                   ["run", "--alg", "greedy", "--trials", "1"]))
+    @example(call=(_coverage_with('"density":0.35', '"density":NaN'),
+                   ["run", "--alg", "sieve", "--trials", "1"]))
+    @example(call=(_coverage_with('"K":2', '"K":0'), ["run", "--alg", "greedy", "--trials", "1"]))
+    def test_exits_cleanly(self, tmp_path_factory, call):
+        data, argv = call
+        inst_file = tmp_path_factory.getbasetemp() / "mutated.json"
+        inst_file.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([*argv, "--instance", str(inst_file)])
+            except SystemExit as exc:  # argparse refuses the flag value
+                code = exc.code
+            else:
+                assert code != 2 or err.getvalue().count("\n") == 1
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert report.get("aggregates", report)["optimum"] > 0
+
