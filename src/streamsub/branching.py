@@ -66,6 +66,11 @@ def as_pair(x) -> tuple[int, int]:
 # eps = 1/200 and ~8,700 at eps = 1/1000, each guess one branch tree.
 MAX_GUESSES = 2048
 
+# The most decimal digits eps = p/q may have in p or in q. A guess
+# ((p+q)^i, q^i) grows by about that many digits per index, so a long eps
+# makes every threshold comparison big-integer work.
+MAX_EPS_DIGITS = 32
+
 
 class GuessGrid:
     """The geometric guess grid v_i = (1+eps)^i, i >= 0, kept in integers
@@ -106,11 +111,17 @@ class GuessGrid:
         else:
             fits = (p + q) ** c * d > n * q ** c
         if not fits:
-            eps = str(self.eps)
-            if len(eps) > 24:
-                eps = format(Decimal(self.p) / Decimal(self.q), ".4g")
-            raise InvalidParams(f"eps={eps} puts more than {MAX_GUESSES} guesses "
-                                f"in one window; use a larger eps")
+            raise InvalidParams(f"eps={self._label()} puts more than {MAX_GUESSES} "
+                                f"guesses in one window; use a larger eps")
+        if max(p, q) >= 10 ** MAX_EPS_DIGITS:
+            raise InvalidParams(f"eps={self._label()} has more than {MAX_EPS_DIGITS} digits "
+                                f"in its numerator or denominator; use a shorter eps")
+
+    def _label(self) -> str:
+        eps = str(self.eps)
+        if len(eps) > 24:
+            eps = format(Decimal(self.p) / Decimal(self.q), ".4g")
+        return eps
 
     def __getitem__(self, i: int) -> tuple[int, int]:
         powers = self._pow

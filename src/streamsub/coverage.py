@@ -3,9 +3,16 @@
 f(S) = number of universe points covered by the union of the sets
 attached to the elements of S. Monotone, submodular, integer-valued;
 the workhorse for randomized algorithm-guarantee tests.
+
+Points may be any hashable values. Each distinct point gets one bit
+position, in the order the points are first seen, and each element's set
+is kept as one integer bitmask; f(S) is the number of bits set in the OR
+of the masks of S. Evaluations still go through ``SetFunction.value``.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import InvalidParams
 from .matroids import UniformMatroid
@@ -15,14 +22,16 @@ from .rng import derive_rng
 
 class CoverageFunction(SetFunction):
     def __init__(self, element_sets):
-        self.element_sets = tuple(frozenset(s) for s in element_sets)
-        super().__init__(len(self.element_sets), self._cover, name="coverage")
+        sets = [set(s) for s in element_sets]
+        bit = {u: 1 << i for i, u in enumerate(dict.fromkeys(chain.from_iterable(sets)))}
+        self.masks = tuple(sum(map(bit.get, s)) for s in sets)
+        super().__init__(len(self.masks), self._cover, name="coverage")
 
     def _cover(self, subset: frozenset) -> int:
-        covered: set = set()
+        covered = 0
         for e in subset:
-            covered |= self.element_sets[e]
-        return len(covered)
+            covered |= self.masks[e]
+        return covered.bit_count()
 
 
 class CoverageInstance:

@@ -30,7 +30,9 @@ form of the 3-class matroid function, each checked against the package.
 family; it cross-checks the structured kinds and the generic frozenset
 loads by enumeration. :func:`ref_brute_force` is the brute-force optimum
 by plain subset enumeration and ``is_independent``, the code path the
-walk on matroid loads replaced.
+walk on matroid loads replaced. :class:`SetUnionCoverage` is the coverage
+function that unions the elements' point sets as frozensets, the
+evaluator the bitmask ``CoverageFunction`` replaced.
 """
 
 from bisect import bisect_right
@@ -40,7 +42,7 @@ from itertools import combinations
 from streamsub.branching import _MatNode, to_fraction
 from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
 from streamsub.matroids import Matroid
-from streamsub.oracles import CheckReport, QueryGate, Residual, _mask_set
+from streamsub.oracles import CheckReport, QueryGate, Residual, SetFunction, _mask_set
 
 
 class PlainGate(QueryGate):
@@ -96,6 +98,20 @@ def ref_brute_force(fn, matroid):
                 if v > best[1]:
                     best = (frozenset(combo), v)
     return best
+
+
+class SetUnionCoverage(SetFunction):
+    """f(S) = the number of points in the union of the sets of S."""
+
+    def __init__(self, element_sets):
+        self.element_sets = tuple(frozenset(s) for s in element_sets)
+        super().__init__(len(self.element_sets), self._cover, name="coverage")
+
+    def _cover(self, subset: frozenset) -> int:
+        covered: set = set()
+        for e in subset:
+            covered |= self.element_sets[e]
+        return len(covered)
 
 
 def exact(v):

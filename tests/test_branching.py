@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from streamsub import branching
 from streamsub.baselines import SieveStreaming, brute_force_optimum
-from streamsub.branching import (MAX_GUESSES, CardTree, GuessDriver, GuessGrid, MatroidTree,
-                                 to_fraction)
+from streamsub.branching import (MAX_EPS_DIGITS, MAX_GUESSES, CardTree, GuessDriver, GuessGrid,
+                                 MatroidTree, to_fraction)
 from streamsub.coverage import CoverageFunction, CoverageInstance
 from streamsub.errors import InvalidParams
 from streamsub.hard_cardinality import CardHardInstance, CardHardParams
@@ -426,6 +426,24 @@ class TestGuessGrid:
                     GuessGrid(eps, lo, hi)
             else:
                 GuessGrid(eps, lo, hi)
+
+    @pytest.mark.parametrize("eps", [Fraction(10 ** (MAX_EPS_DIGITS - 2) + 1,
+                                              10 ** (MAX_EPS_DIGITS - 1)),
+                                     Fraction(10 ** MAX_EPS_DIGITS - 3, 10 ** MAX_EPS_DIGITS - 1)])
+    def test_digit_cap_keeps_eps_at_the_cap(self, eps):
+        """Numerators and denominators of ``MAX_EPS_DIGITS`` digits pass."""
+        assert len(str(eps.denominator)) == MAX_EPS_DIGITS
+        GuessGrid(eps, 1, 12)
+
+    @pytest.mark.parametrize("eps", [Fraction(10 ** (MAX_EPS_DIGITS - 1) + 1,
+                                              3 * 10 ** MAX_EPS_DIGITS),
+                                     Fraction(10 ** MAX_EPS_DIGITS, 10 ** MAX_EPS_DIGITS + 1),
+                                     Fraction(10 ** 300 + 1, 10 ** 301)])
+    def test_digit_cap_refuses_longer_eps(self, eps):
+        """A numerator or denominator of more than ``MAX_EPS_DIGITS`` digits
+        is refused, after the guess-count test."""
+        with pytest.raises(InvalidParams, match=f"more than {MAX_EPS_DIGITS} digits"):
+            GuessGrid(eps, 1, 12)
 
     @pytest.mark.parametrize("K", [1, 6, 50])
     @pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10), Fraction(2, 5), 1])

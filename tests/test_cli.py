@@ -5,11 +5,12 @@ import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from streamsub.branching import MAX_EPS_DIGITS
 from streamsub.cli import build_parser, main
-from streamsub.harness import build_instance, instance_to_json
+from streamsub.harness import build_instance, instance_to_json, read_instance
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden"
@@ -404,6 +405,18 @@ class TestHostileInput:
         self.check([*argv, "--instance", str(inst_file), "--epsilon", epsilon], capsys,
                    f"eps={epsilon} puts more than")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--alg", "branching", "--trials", "1"],
+        ["run", "--alg", "sieve", "--trials", "1"],
+        ["audit", "--trials", "1"],
+    ])
+    def test_epsilon_too_long_for_the_grid(self, tmp_path, capsys, argv):
+        """A 304-character eps near 1/10 fits the guess-count cap, but its
+        guesses would gain about 300 digits per index."""
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")
+        self.check([*argv, "--instance", str(inst_file), "--epsilon", "0.1" + "0" * 300 + "1"],
+                   capsys, f"has more than {MAX_EPS_DIGITS} digits in its numerator or denominator")
+
     @pytest.mark.parametrize("epsilon", ["1e-5000", "0." + "0" * 5000 + "1"],
                              ids=["1e-5000", "5001-decimals"])
     def test_epsilon_with_too_many_digits(self, tmp_path, capsys, epsilon):
@@ -511,3 +524,55 @@ class TestMutatedInputs:
             report = json.loads(out.getvalue(), parse_constant=_reject_constant)
             assert report.get("aggregates", report)["optimum"] > 0
 
+
+@st.composite
+def runner_calls(draw):
+    """``gen`` flags for a small random instance of each kind, and the
+    flags of one ``run`` on it under the weak policy."""
+    kind = draw(st.sampled_from(["coverage", "hard-cardinality", "hard-matroid"]))
+    if kind == "coverage":
+        gen = {"--n": draw(st.integers(1, 8)), "--K": draw(st.integers(1, 3)),
+               "--universe": draw(st.integers(1, 12))}
+    elif kind == "hard-cardinality":
+        K = draw(st.integers(2, 3))
+        gen = {"--K": K, "--n": draw(st.integers(2 * K, 2 * K + 3)),
+               "--h": draw(st.integers(K, K + 2))}
+    else:
+        gen = {"--K": draw(st.integers(2, 3)), "--m": draw(st.integers(1, 3))}
+    gen.update({"--kind": kind, "--seed": draw(st.integers(0, 1000))})
+    run = {"--alg": draw(st.sampled_from(["branching", "sieve", "greedy"])),
+           "--epsilon": draw(st.sampled_from(["1", "2/5", "1/10"])),
+           "--trials": draw(st.integers(1, 2)), "--policy": "weak"}
+    return [[str(x) for item in flags.items() for x in item] for flags in (gen, run)]
+
+
+class TestRunnerProperty:
+    """``run`` on small random instances returns feasible solutions of the
+    reported value, the weak policy refuses none of its queries, and the
+    same file and flags give the same report bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(call=runner_calls())
+    def test_feasible_compliant_and_reproducible(self, tmp_path_factory, call):
+        gen, run = call
+        base = tmp_path_factory.getbasetemp()
+        inst_file = base / "runner.json"
+        assert main(["gen", *gen, "--out", str(inst_file)]) == 0
+        reports = []
+        for name in ("first.json", "second.json"):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(["run", "--instance", str(inst_file), *run,
+                             "--out", str(base / name)])
+            assume("optimum is 0" not in err.getvalue())
+            assert code == 0, err.getvalue()
+            reports.append((base / name).read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        instance = read_instance(str(inst_file))
+        assert report["aggregates"]["total_violations"] == 0
+        for trial in report["trials"]:
+            assert trial["violations"] == 0
+            assert instance.matroid.is_independent(trial["solution"])
+            assert instance.fn.value(trial["solution"]) == trial["value"]
+            assert 0 <= trial["value"] <= report["aggregates"]["optimum"]

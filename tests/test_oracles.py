@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamsub.coverage import CoverageFunction
 from streamsub.errors import GroundSetTooLarge, PolicyViolation, UnknownElement
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_marginal,
@@ -13,7 +14,7 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate,
                                Residual, SetFunction, StrongPolicy, WeakPolicy,
                                additive, verify_monotone_submodular)
 from conftest import random_function, random_monotone_function
-from _reference import verify_by_pairs
+from _reference import SetUnionCoverage, verify_by_pairs
 
 
 def card_instance(n=8, K=3, h=3, seed=1):
@@ -264,3 +265,26 @@ class TestGroundSet:
         assert gate.audit.query_count == 2 and gate.audit.oracle_calls == 1
         with pytest.raises(UnknownElement):
             gate.value({gate.n})
+
+
+# negative ints, strings, and ints past one 64-bit machine word
+POINTS = st.one_of(st.integers(-40, 200), st.text(max_size=2))
+
+
+class TestCoverageDifferential:
+    """The bitmask coverage function agrees with the frozenset union on
+    any hashable points, and gives each distinct point one bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_set_union(self, data):
+        sets = data.draw(st.lists(st.sets(POINTS, max_size=12), min_size=1, max_size=8))
+        fn, ref = CoverageFunction(sets), SetUnionCoverage(sets)
+        assert fn.n == ref.n == len(sets)
+        distinct = set().union(*sets)
+        assert all(mask.bit_length() <= len(distinct) for mask in fn.masks)
+        for _ in range(6):
+            ids = data.draw(st.lists(st.integers(0, fn.n - 1), max_size=fn.n + 2))
+            subset = data.draw(st.sampled_from([frozenset, tuple, list]))(ids)
+            assert fn.value(subset) == ref.value(subset)
+        assert fn.value(range(fn.n)) == len(distinct)
