@@ -42,14 +42,23 @@ class TestGoldenRunReport:
                      "--trials", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K3.json").read_bytes()
 
-    def test_hard_cardinality_branching_report_bytes(self, tmp_path):
+    @staticmethod
+    def _hard_cardinality_branching_bytes(tmp_path, fmt: str) -> bytes:
         inst_file = _gen(tmp_path, "--kind", "hard-cardinality", "--K", "4", "--n", "16",
                          "--h", "4")
-        out = tmp_path / "report.json"
+        out = tmp_path / "report"
         assert main(["run", "--instance", str(inst_file), "--alg", "branching",
                      "--epsilon", "1/10", "--distribution", "purple-last",
-                     "--trials", "3", "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "run_hard_cardinality_K4.json").read_bytes()
+                     "--trials", "3", "--format", fmt, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_hard_cardinality_branching_report_bytes(self, tmp_path):
+        assert self._hard_cardinality_branching_bytes(tmp_path, "json") == \
+            (GOLDEN / "run_hard_cardinality_K4.json").read_bytes()
+
+    def test_hard_cardinality_branching_csv_bytes(self, tmp_path):
+        assert self._hard_cardinality_branching_bytes(tmp_path, "csv") == \
+            (GOLDEN / "run_hard_cardinality_K4.csv").read_bytes()
 
     def test_hard_cardinality_element_store_report_bytes(self, tmp_path):
         # the element-store policy reads the tree's stored set every step
@@ -63,13 +72,34 @@ class TestGoldenRunReport:
 
 
 class TestGoldenAuditReport:
-    def test_hard_matroid_sieve_audit_bytes(self, tmp_path):
+    @staticmethod
+    def _hard_matroid_sieve_bytes(tmp_path, fmt: str) -> bytes:
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "40")
-        out = tmp_path / "audit.json"
+        out = tmp_path / "audit"
         assert main(["audit", "--instance", str(inst_file), "--alg", "sieve",
                      "--trials", "20", "--seed", "3", "--budget", "20",
-                     "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "audit_hard_matroid_K3.json").read_bytes()
+                     "--format", fmt, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_hard_matroid_sieve_audit_bytes(self, tmp_path):
+        assert self._hard_matroid_sieve_bytes(tmp_path, "json") == \
+            (GOLDEN / "audit_hard_matroid_K3.json").read_bytes()
+
+    def test_hard_matroid_sieve_audit_csv_bytes(self, tmp_path):
+        assert self._hard_matroid_sieve_bytes(tmp_path, "csv") == \
+            (GOLDEN / "audit_hard_matroid_K3.csv").read_bytes()
+
+
+class TestGoldenInstanceFile:
+    @pytest.mark.parametrize("flags,name", [
+        (("--kind", "hard-cardinality", "--K", "4", "--n", "16", "--h", "4"),
+         "gen_hard_cardinality_K4.json"),
+        (("--kind", "hard-matroid", "--K", "3", "--m", "8"), "gen_hard_matroid_K3.json"),
+        (("--kind", "coverage", "--K", "2", "--n", "6", "--seed", "9"),
+         "gen_coverage_K2.json"),
+    ])
+    def test_gen_bytes(self, tmp_path, flags, name):
+        assert _gen(tmp_path, *flags).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 class TestVerify:
