@@ -37,7 +37,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InvalidParams
-from .matroids import Matroid
+from .matroids import Matroid, UniformMatroid
 from .oracles import QueryGate, Residual
 
 
@@ -460,12 +460,15 @@ class GuessDriver:
     frozen into the running champion so the final answer is the best
     solution over all roots ever spawned. :meth:`finish` returns the
     champion with its value queried once more through the gate.
-    ``champion_v`` is the guess that produced the champion.
+    ``champion_v`` is the guess that produced the champion. The trees are
+    :class:`CardTree` on a ``UniformMatroid`` and :class:`MatroidTree` on any
+    other matroid, unless ``constraint`` ("cardinality" or "matroid") says.
     """
 
-    def __init__(self, gate: QueryGate, matroid: Matroid, eps,
-                 constraint: str = "cardinality"):
-        if constraint not in ("cardinality", "matroid"):
+    def __init__(self, gate: QueryGate, matroid: Matroid, eps, constraint: str | None = None):
+        if constraint is None:
+            constraint = "cardinality" if isinstance(matroid, UniformMatroid) else "matroid"
+        elif constraint not in ("cardinality", "matroid"):
             raise InvalidParams(f"unknown constraint kind {constraint!r}")
         self.gate = gate
         self.matroid = matroid

@@ -26,12 +26,12 @@ from fractions import Fraction
 
 from . import hard_cardinality, hard_matroid
 from .errors import GroundSetTooLarge, InvalidParams, StreamsubError
-from .harness import (aggregates_to_csv, build_instance, canonical_audit,
-                      instance_to_json, read_instance, report_to_json, run_experiment)
+from .harness import (POLICIES, build_instance, canonical_audit, instance_to_json,
+                      read_instance, report_to_json, run_experiment)
 from .matroids import check_axioms
 from .oracles import verify_monotone_submodular
 from .samplers import DISTRIBUTIONS
-from .tables import emit_table
+from .tables import emit_table, render_csv
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -75,7 +75,6 @@ def _matroid_m(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params: dict = {}
     if args.kind == "hard-cardinality":
         params = {"n": args.n, "K": args.K, "h": args.h if args.h is not None else args.K}
     elif args.kind == "hard-matroid":
@@ -149,7 +148,10 @@ def _cmd_run(args) -> int:
     instance = read_instance(args.instance)
     report = run_experiment(instance, args.alg, _epsilon(args.epsilon), args.trials,
                             args.distribution, args.policy)
-    text = report_to_json(report) if args.format == "json" else aggregates_to_csv(report)
+    aggregates = report["aggregates"]
+    keys = sorted(aggregates)
+    text = (report_to_json(report) if args.format == "json"
+            else render_csv([keys, [aggregates[k] for k in keys]]))
     _write_output(text, args.out)
     return 0
 
@@ -158,11 +160,9 @@ def _cmd_audit(args) -> int:
     instance = read_instance(args.instance)
     report = canonical_audit(instance, args.alg, trials=args.trials, seed=args.seed,
                              eps=_epsilon(args.epsilon), budget=args.budget)
-    if args.format == "json":
-        text = report_to_json(report)
-    else:
-        keys = ["deviation_freq", "exceed_freq", "mean_ratio", "peak_stored", "max_value"]
-        text = ",".join(keys) + "\n" + ",".join(str(report[k]) for k in keys) + "\n"
+    keys = ("deviation_freq", "exceed_freq", "mean_ratio", "peak_stored", "max_value")
+    text = (report_to_json(report) if args.format == "json"
+            else render_csv([keys, [report[k] for k in keys]]))
     _write_output(text, args.out)
     return 0
 
@@ -180,16 +180,16 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    lines = []
     if args.what == "ratio":
         if args.k_min > args.k_max:
             raise InvalidParams(f"--k-min {args.k_min} is above --k-max {args.k_max}")
-        lines.append("K,h,ratio,ratio_float")
+        rows = [["K", "h", "ratio", "ratio_float"]]
         for K in range(args.k_min, args.k_max + 1):
             h, ratio = hard_cardinality.ratio_bound(K)
-            lines.append(f"{K},{h},{ratio},{float(ratio):.10f}")
+            rows.append([K, h, ratio, f"{float(ratio):.10f}"])
     else:
-        lines.append("m,trials,deviation_freq,ci_lo,ci_hi,exceed_freq,mean_ratio,peak_stored")
+        rows = [["m", "trials", "deviation_freq", "ci_lo", "ci_hi", "exceed_freq",
+                 "mean_ratio", "peak_stored"]]
         eps = _epsilon(args.epsilon)
         for m in _m_list(args.m_list):
             params = hard_matroid.MatHardParams(K=args.K, m=m)
@@ -197,10 +197,9 @@ def _cmd_sweep(args) -> int:
             rep = canonical_audit(instance, args.alg, trials=args.trials,
                                   seed=args.seed, eps=eps,
                                   budget=args.budget)
-            lo, hi = rep["deviation_ci95"]
-            lines.append(f"{m},{args.trials},{rep['deviation_freq']},{lo},{hi},"
-                         f"{rep['exceed_freq']},{rep['mean_ratio']},{rep['peak_stored']}")
-    _write_output("\n".join(lines) + "\n", args.out)
+            rows.append([m, args.trials, rep["deviation_freq"], *rep["deviation_ci95"],
+                         rep["exceed_freq"], rep["mean_ratio"], rep["peak_stored"]])
+    _write_output(render_csv(rows), args.out)
     return 0
 
 
@@ -243,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--epsilon", default="1/10")
     p_run.add_argument("--trials", type=int, default=20)
     p_run.add_argument("--distribution", default=None, choices=DISTRIBUTIONS)
-    p_run.add_argument("--policy", default="weak",
-                       choices=("weak", "strong", "element-store"))
+    p_run.add_argument("--policy", default="weak", choices=tuple(POLICIES))
     add_common(p_run, "--out", "--format")
     p_run.set_defaults(func=_cmd_run)
 

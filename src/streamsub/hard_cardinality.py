@@ -9,15 +9,18 @@ blue indistinguishable to any bounded-memory observer, while the best
 value reachable without hoarding reds stays well below the optimum
 ``profile_value(0, K-1, 1)``.
 
-All values are exact integers. The shape parameter h (>= K) controls the
-gap; ``ratio_bound`` picks the h that minimizes the reachable/optimal
-ratio for a given K.
+All values are exact integers. Every gain at ``CardHardParams.blue_cap``
+blues or more is 0, so one memo over profiles with the blue count clamped
+there serves every value, as in ``hard_matroid``. The shape parameter h
+(>= K) controls the gap; ``ratio_bound`` picks the h that minimizes the
+reachable/optimal ratio for a given K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, sqrt
 
 from .errors import InvalidParams
@@ -50,6 +53,11 @@ class CardHardParams:
     def reds(self) -> int:
         return self.K - 1
 
+    @property
+    def blue_cap(self) -> int:
+        """Every blue and red gain at this many blues or more is 0."""
+        return self.h + 2 * (self.K - 2) + 1
+
 
 def red_marginal(params: CardHardParams, b: int, r: int) -> int:
     """Gain of one more red on top of b blues and r reds (purple-independent)."""
@@ -79,21 +87,12 @@ def blue_marginal(params: CardHardParams, b: int, with_purple: int) -> int:
     return 0
 
 
-_prefix_cache: dict = {}
-
-
-def _blue_prefix(params: CardHardParams, b: int, with_purple: int) -> int:
-    # cumulative blue gains, grown incrementally so large ground sets
-    # never recurse
-    key = (params, with_purple)
-    sums = _prefix_cache.get(key)
-    if sums is None:
-        base = params.h * (params.h + 1) // 2 if with_purple else 0
-        sums = _prefix_cache[key] = [base]
-    while len(sums) <= b:
-        j = len(sums) - 1
-        sums.append(sums[-1] + blue_marginal(params, j, with_purple))
-    return sums[b]
+@lru_cache(maxsize=None)
+def _value(params: CardHardParams, b: int, r: int, p: int) -> int:
+    # b must already be clamped to params.blue_cap
+    base = params.h * (params.h + 1) // 2 if p else 0
+    return (base + sum(blue_marginal(params, j, p) for j in range(b))
+            + sum(red_marginal(params, b, i) for i in range(r)))
 
 
 def profile_value(params: CardHardParams, b: int, r: int, p: int) -> int:
@@ -104,10 +103,7 @@ def profile_value(params: CardHardParams, b: int, r: int, p: int) -> int:
         raise InvalidParams(f"red count {r} outside 0..{params.reds}")
     if p not in (0, 1):
         raise InvalidParams("purple count must be 0 or 1")
-    total = _blue_prefix(params, b, p)
-    for i in range(r):
-        total += red_marginal(params, b, i)
-    return total
+    return _value(params, min(b, params.blue_cap), r, p)
 
 
 def _output_bound(K: int, h: int) -> int:
@@ -190,8 +186,9 @@ class CardHardInstance:
         return b, r, p
 
     def _value(self, subset: frozenset) -> int:
+        # a profile_of profile is valid: clamp it, skip profile_value's checks
         b, r, p = self.profile_of(subset)
-        return profile_value(self.params, b, r, p)
+        return _value(self.params, min(b, self.params.blue_cap), r, p)
 
     @property
     def optimal_value(self) -> int:

@@ -19,7 +19,7 @@ asserted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import sqrt
 
@@ -72,9 +72,7 @@ def build_instance(kind: str, params: dict, seed: int):
 
 
 def instance_to_json(instance) -> str:
-    payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(instance.describe())
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return report_to_json({"schema_version": SCHEMA_VERSION, **instance.describe()})
 
 
 def instance_from_json(text: str):
@@ -164,11 +162,13 @@ class TrialResult:
     feasible: bool
 
     def to_json_dict(self) -> dict:
-        return {"seed": self.seed, "value": self.value,
-                "ratio": str(self.ratio), "ratio_float": float(self.ratio),
-                "queries": self.queries, "max_stored": self.max_stored,
-                "violations": self.violations,
-                "solution": list(self.solution), "feasible": self.feasible}
+        return {**asdict(self), "ratio": str(self.ratio), "ratio_float": float(self.ratio),
+                "solution": list(self.solution)}
+
+
+# the query policy of each name, built from the instance's matroid
+POLICIES = {"weak": WeakPolicy, "strong": lambda matroid: StrongPolicy(),
+            "element-store": lambda matroid: ElementStorePolicy()}
 
 
 def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
@@ -178,16 +178,10 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
         raise InvalidParams("the instance's optimum is 0, so no ratio is defined")
     distribution = distribution or default_distribution(instance)
     stream = sample_stream(instance, distribution, trial_seed)
-    audit = OracleAudit()
-    if policy_kind == "weak":
-        policy = WeakPolicy(instance.matroid)
-    elif policy_kind == "element-store":
-        policy = ElementStorePolicy()
-    elif policy_kind == "strong":
-        policy = StrongPolicy()
-    else:
+    if policy_kind not in POLICIES:
         raise InvalidParams(f"unknown policy {policy_kind!r}")
-    gate = QueryGate(instance.fn, policy, audit)
+    audit = OracleAudit()
+    gate = QueryGate(instance.fn, POLICIES[policy_kind](instance.matroid), audit)
 
     if algorithm == "greedy":
         if policy_kind == "element-store":
@@ -248,13 +242,6 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def aggregates_to_csv(report: dict) -> str:
-    agg = report["aggregates"]
-    keys = sorted(agg)
-    lines = [",".join(keys), ",".join(str(agg[k]) for k in keys)]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # canonical-process audit
 
@@ -296,8 +283,7 @@ class CanonicalWatcher:
 
 def make_streaming_algorithm(name: str, gate: QueryGate, instance, eps):
     if name == "branching":
-        constraint = "matroid" if instance.matroid.kind == "partition" else "cardinality"
-        return GuessDriver(gate, instance.matroid, eps, constraint=constraint)
+        return GuessDriver(gate, instance.matroid, eps)
     if name == "sieve":
         return SieveStreaming(gate, instance.matroid, eps)
     if name == "store-everything":

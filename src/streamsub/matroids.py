@@ -27,7 +27,6 @@ from .oracles import CheckReport, _mask_set
 
 
 class Matroid:
-    kind = "abstract"
     n: int
 
     def is_independent(self, subset) -> bool:
@@ -49,8 +48,6 @@ class Matroid:
 
 class UniformMatroid(Matroid):
     """Independent iff the set has at most ``rank`` elements."""
-
-    kind = "uniform"
 
     def __init__(self, n: int, rank: int):
         if rank < 0 or n < 0:
@@ -87,8 +84,6 @@ class PartitionMatroid(Matroid):
     field per class, each wide enough for the largest capacity. Element e
     fits when the count in its class's field is below the capacity.
     """
-
-    kind = "partition"
 
     def __init__(self, class_of, capacity=1):
         self.class_of = tuple(class_of)

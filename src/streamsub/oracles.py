@@ -41,7 +41,12 @@ from .errors import GroundSetTooLarge, PolicyViolation, UnknownElement
 
 
 class SetFunction:
-    """Deterministic exact-valued function on subsets of {0..n-1}."""
+    """Deterministic exact-valued function on subsets of {0..n-1}.
+
+    ``value`` trusts its ids: one outside 0..n-1 may raise any error or
+    answer for another element. Only :class:`QueryGate` checks them;
+    brute force, greedy and the exhaustive checks pass ids from range(n).
+    """
 
     def __init__(self, n: int, fn: Callable[[frozenset], int], name: str = ""):
         self.n = n

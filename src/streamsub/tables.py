@@ -61,8 +61,9 @@ def matroid_grid_rows(last_present: int) -> list[list[str]]:
     return rows
 
 
-def render_csv(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows) + "\n"
+def render_csv(rows) -> str:
+    """One CSV line per row, each value written with ``str``."""
+    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
 
 
 def emit_table(which: int) -> str:

@@ -33,14 +33,22 @@ by plain subset enumeration and ``is_independent``, the code path the
 walk on matroid loads replaced. :class:`SetUnionCoverage` is the coverage
 function that unions the elements' point sets as frozensets, the
 evaluator the bitmask ``CoverageFunction`` replaced.
+:func:`prefix_profile_value` is the hard-cardinality profile value by
+unclamped running sums of the blue gains, the evaluator the clamped memo
+replaced. :func:`profile_lattice` lists the profiles of the K-class
+matroid family, and :func:`first_dominance_violation` is the all-pairs
+diminishing-returns scan over them that the local unit-move check is
+tested against.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from streamsub.branching import _MatNode, to_fraction
 from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
+from streamsub.hard_cardinality import blue_marginal, red_marginal
+from streamsub.hard_matroid import blue_ceiling
 from streamsub.matroids import Matroid
 from streamsub.oracles import CheckReport, QueryGate, Residual, SetFunction, _mask_set
 
@@ -567,3 +575,61 @@ def closed_form_3class(reds, blues):
     d2 = 2 - min(b2, 2)
     d3 = 4 - min(b1, 4)
     return 120 - (12 * s3 + (2 * s2 + s1 * (d2 - 1)) * d2 * (d3 - 1)) * d3
+
+
+_prefix_cache: dict = {}
+
+
+def _blue_prefix(params, b, with_purple):
+    # cumulative blue gains, grown incrementally so large ground sets
+    # never recurse
+    key = (params, with_purple)
+    sums = _prefix_cache.get(key)
+    if sums is None:
+        base = params.h * (params.h + 1) // 2 if with_purple else 0
+        sums = _prefix_cache[key] = [base]
+    while len(sums) <= b:
+        j = len(sums) - 1
+        sums.append(sums[-1] + blue_marginal(params, j, with_purple))
+    return sums[b]
+
+
+def prefix_profile_value(params, b, r, p):
+    """Hard-cardinality value of b blues, r reds and p purples: the blue
+    gains summed up to b, with no cap, plus the red gains at b."""
+    total = _blue_prefix(params, b, p)
+    for i in range(r):
+        total += red_marginal(params, b, i)
+    return total
+
+
+def profile_lattice(K):
+    """Every (reds, blues) profile of the K-class matroid family, with
+    each class's blue count up to its ceiling."""
+    ranges = [range(blue_ceiling(K, i + 1) + 1) for i in range(K)]
+    return [(r, b) for r in product((0, 1), repeat=K) for b in product(*ranges)]
+
+
+def first_dominance_violation(K, value):
+    """The first (move, p1, p2) with p1 >= p2 on the profile lattice where
+    the gain of a unit move at p1 is above its gain at p2, or None.
+    ``value(reds, blues)`` must take a blue count one past its ceiling."""
+    profiles = profile_lattice(K)
+    vals = {p: value(*p) for p in profiles}
+    for p1 in profiles:
+        for p2 in profiles:
+            if not (all(x >= y for x, y in zip(p1[0], p2[0]))
+                    and all(x >= y for x, y in zip(p1[1], p2[1]))):
+                continue
+            for i in range(K):
+                if p1[0][i] == 0:
+                    u1 = list(p1[0]); u1[i] = 1
+                    u2 = list(p2[0]); u2[i] = 1
+                    if (value(tuple(u1), p1[1]) - vals[p1]
+                            > value(tuple(u2), p2[1]) - vals[p2]):
+                        return ("red", i), p1, p2
+                w1 = list(p1[1]); w1[i] += 1
+                w2 = list(p2[1]); w2[i] += 1
+                if value(p1[0], tuple(w1)) - vals[p1] > value(p2[0], tuple(w2)) - vals[p2]:
+                    return ("blue", i), p1, p2
+    return None

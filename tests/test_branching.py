@@ -530,6 +530,30 @@ class TestGuessDriver:
         assert spawned == sorted(union) == [i for entered, _, _ in moves for i in entered]
         assert driver.roots_spawned == len(spawned)
 
+    @pytest.mark.parametrize("matroid,constraint,tree", [
+        (UniformMatroid(6, 3), None, CardTree),
+        (PartitionMatroid([0, 0, 1, 1, 2, 2]), None, branching.MatroidTree),
+        (PartitionMatroid([0, 0, 1, 1, 2, 2]), "cardinality", CardTree),
+    ])
+    def test_the_matroid_picks_the_tree(self, matroid, constraint, tree):
+        """With no ``constraint`` a uniform matroid gets cardinality trees
+        and a partition matroid matroid trees, which the weak policy lets
+        run; an explicit ``constraint`` overrides the choice, here with
+        trees that ignore the classes and need the strong policy."""
+        fn = additive([3, 2, 2, 1, 4, 1])
+        gate = weak_gate(fn, matroid) if constraint is None else QueryGate(fn, StrongPolicy())
+        driver = GuessDriver(gate, matroid, "1/10", constraint)
+        roots, spawn = [], driver._spawn
+
+        def record_spawn(i):
+            spawn(i)
+            roots.append(type(driver.roots[i]))
+
+        driver._spawn = record_spawn
+        solution, _ = stream_run(driver, range(6), gate)
+        assert roots and set(roots) == {tree}
+        assert matroid.is_independent(solution) or constraint is not None
+
     def test_window_jump_skips_the_gap(self):
         # m jumps from 1 to 100: the window [0, 0] becomes [5, 6] (eps=1,
         # K=1), and guesses 1..4 never enter it

@@ -10,6 +10,8 @@ from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_m
                                         profile_value, ratio_bound, red_marginal)
 from streamsub.oracles import verify_monotone_submodular
 
+from _reference import prefix_profile_value
+
 P44 = CardHardParams(n=14, K=4, h=4)
 
 # hand-transcribed reference grid for K=h=4, purple absent: f[r][b] and
@@ -214,3 +216,34 @@ class TestRatioBound:
     def test_ratio_above_limit(self, K):
         _, ratio = ratio_bound(K)
         assert float(ratio) > limiting_ratio()
+
+
+class TestClampedCoreDifferential:
+    """``profile_value`` and the instance's oracle, which clamp the blue
+    count at ``blue_cap``, agree with unclamped prefix sums of the gains."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(2, 8), data=st.data())
+    def test_matches_prefix_sums(self, K, data):
+        h = data.draw(st.integers(K, 3 * K + 2))
+        cap = CardHardParams(2 * K, K, h).blue_cap
+        # blues from K (n = 2K) to past the cap
+        params = CardHardParams(K + data.draw(st.integers(K, cap + 4)), K, h)
+        inst = CardHardInstance(params, data.draw(st.integers(0, 99)))
+        blues, reds = sorted(inst.blue_ids), sorted(inst.red_ids)
+        for b in range(params.blues + 1):
+            for r in range(params.reds + 1):
+                for p in (0, 1):
+                    want = prefix_profile_value(params, b, r, p)
+                    assert profile_value(params, b, r, p) == want, (b, r, p)
+                    subset = blues[:b] + reds[:r] + [inst.purple_id] * p
+                    assert inst.fn.value(subset) == want, (b, r, p)
+
+    def test_gains_vanish_at_the_cap(self):
+        for K in range(2, 9):
+            for h in range(K, 3 * K + 3):
+                cap = CardHardParams(2 * K, K, h).blue_cap
+                params = CardHardParams(K + cap + 3, K, h)
+                for b in range(cap, params.blues + 1):
+                    assert blue_marginal(params, b, 0) == blue_marginal(params, b, 1) == 0
+                    assert all(red_marginal(params, b, r) == 0 for r in range(K - 1))

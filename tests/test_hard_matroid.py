@@ -3,6 +3,8 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsub.errors import InvalidParams
 from streamsub.hard_matroid import (MatHardInstance, MatHardParams, approx_ratio,
@@ -10,7 +12,7 @@ from streamsub.hard_matroid import (MatHardInstance, MatHardParams, approx_ratio
                                     output_bound, profile_value, singleton_values)
 from streamsub.oracles import verify_monotone_submodular
 
-from _reference import closed_form_3class
+from _reference import closed_form_3class, first_dominance_violation, profile_lattice
 
 # hand-transcribed 3-class reference grids: grids[last_red][(r1, r2)][b1][b2]
 GRIDS = {
@@ -120,37 +122,74 @@ class TestProfileValue:
             profile_value(3, (0, 0, 0), (0, 0, 1))
 
 
+def _up(profile, move):
+    """``profile`` after the unit move ("red", i) or ("blue", i)."""
+    (colour, i), (reds, blues) = move, profile
+    if colour == "red":
+        return reds[:i] + (1,) + reds[i + 1:], blues
+    return reds, blues[:i] + (blues[i] + 1,) + blues[i + 1:]
+
+
+def first_local_violation(K, value):
+    """The first (x, j, i) on the profile lattice where the unit move j
+    keeps x on the lattice and raises the gain of the unit move i, or None.
+    A red move applies where that class has no red; a blue move may go one
+    past its ceiling, so ``value(reds, blues)`` must take that. Every
+    dominating pair of a product of chains is joined by unit moves, so by
+    telescoping this gives the verdict of the all-pairs dominance scan
+    (Soma and Yoshida, NIPS 2015)."""
+    moves = [(colour, i) for i in range(K) for colour in ("red", "blue")]
+    gains = {}
+    for x in profile_lattice(K):
+        base = value(*x)
+        gains[x] = {move: value(*_up(x, move)) - base for move in moves
+                    if move[0] == "blue" or not x[0][move[1]]}
+    for x, here in gains.items():
+        for j in here:
+            there = gains.get(_up(x, j))
+            if there is None:
+                continue
+            for i, gain in there.items():
+                if gain > here[i]:
+                    return x, j, i
+    return None
+
+
 class TestDiminishingProfileFamilies:
-    @pytest.mark.parametrize("K", [2, 3, 4])
+    """Diminishing returns of both unit-move families over the profile
+    lattice, checked in local form; the all-pairs scan in ``_reference``
+    is the reference it is checked against."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_both_marginal_families(self, K):
-        ranges = [range(blue_ceiling(K, i + 1) + 1) for i in range(K)]
-        profiles = [(r, b)
-                    for r in product((0, 1), repeat=K)
-                    for b in product(*ranges)]
+        assert first_local_violation(K, lambda reds, blues: level_value(K, reds, blues)) is None
 
-        def dominates(p1, p2):
-            return all(x >= y for x, y in zip(p1[0], p2[0])) and \
-                all(x >= y for x, y in zip(p1[1], p2[1]))
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_local_check_agrees_with_scan(self, K):
+        def value(reds, blues):
+            return level_value(K, reds, blues)
+        assert first_local_violation(K, value) is first_dominance_violation(K, value) is None
 
-        def val(p):
-            return level_value(K, p[0], p[1])
+    @settings(max_examples=80, deadline=None)
+    @given(K=st.sampled_from([2, 3]), data=st.data())
+    def test_same_verdict_on_mutated_tables(self, K, data):
+        """A non-decreasing concave term per class keeps the table's
+        diminishing returns, and edits of single values on top may break
+        them; the two checkers must give the same verdict either way."""
+        ceilings = [blue_ceiling(K, i + 1) for i in range(K)]
+        steps = [sorted(data.draw(st.lists(st.integers(0, 4), min_size=c, max_size=c)),
+                        reverse=True) for c in ceilings]
+        table = {(reds, blues): level_value(K, reds, blues)
+                 + sum(sum(step[:b]) for step, b in zip(steps, blues))
+                 for reds, blues in profile_lattice(K)}
+        edits = st.tuples(st.sampled_from(sorted(table)), st.integers(-3, 3))
+        for profile, delta in data.draw(st.lists(edits, max_size=2)):
+            table[profile] += delta
 
-        for p1 in profiles:
-            for p2 in profiles:
-                if not dominates(p1, p2):
-                    continue
-                for i in range(K):
-                    if p1[0][i] == 0:
-                        up1 = list(p1[0]); up1[i] = 1
-                        up2 = list(p2[0]); up2[i] = 1
-                        lhs = level_value(K, tuple(up1), p1[1]) - val(p1)
-                        rhs = level_value(K, tuple(up2), p2[1]) - val(p2)
-                        assert lhs <= rhs, ("red", i, p1, p2)
-                    up1 = list(p1[1]); up1[i] += 1
-                    up2 = list(p2[1]); up2[i] += 1
-                    lhs = level_value(K, p1[0], tuple(up1)) - val(p1)
-                    rhs = level_value(K, p2[0], tuple(up2)) - val(p2)
-                    assert lhs <= rhs, ("blue", i, p1, p2)
+        def value(reds, blues):
+            return table[reds, tuple(map(min, blues, ceilings))]
+        assert ((first_local_violation(K, value) is None)
+                == (first_dominance_violation(K, value) is None))
 
 
 class TestClosedForm3Class:

@@ -232,11 +232,12 @@ class TestStepMemo:
 
 class TestGroundSet:
     """Ids outside 0..n-1 raise before any policy sees them, inside and
-    outside a stream step, and leave no trace in the audit."""
+    outside a stream step, and leave no trace in the audit. The gate is
+    the only check: a coverage function's own ``value`` trusts its ids."""
 
     @staticmethod
-    def gate(policy_kind, step):
-        inst = MatHardInstance(MatHardParams(2, 3), 0)
+    def gate(policy_kind, step, instance=None):
+        inst = instance or MatHardInstance(MatHardParams(2, 3), 0)
         policy = {"strong": StrongPolicy(), "weak": WeakPolicy(inst.matroid),
                   "element-store": ElementStorePolicy()}[policy_kind]
         if policy_kind == "element-store":
@@ -247,17 +248,19 @@ class TestGroundSet:
     @pytest.mark.parametrize("policy_kind", ["strong", "weak", "element-store"])
     @pytest.mark.parametrize("ids", ["minus_one", "n", "n_with_valid"])
     def test_outside_ids_raise(self, ids, policy_kind, step):
-        gate = self.gate(policy_kind, step)
-        n = gate.n
-        subset = {"minus_one": {-1}, "n": {n}, "n_with_valid": {0, n}}[ids]
-        assert gate.value({0}) is not None
-        with pytest.raises(UnknownElement, match="outside the ground set"):
-            gate.value(subset)
-        with pytest.raises(UnknownElement):
-            gate.value(subset)
-        audit = gate.audit
-        assert audit.rejected == []
-        assert audit.query_count == 1 and audit.oracle_calls == 1
+        coverage = SimpleNamespace(fn=CoverageFunction([{1}, {2, 3}, {3}]),
+                                   matroid=UniformMatroid(3, 2))
+        for gate in (self.gate(policy_kind, step), self.gate(policy_kind, step, coverage)):
+            n = gate.n
+            subset = {"minus_one": {-1}, "n": {n}, "n_with_valid": {0, n}}[ids]
+            assert gate.value({0}) is not None
+            with pytest.raises(UnknownElement, match="outside the ground set"):
+                gate.value(subset)
+            with pytest.raises(UnknownElement):
+                gate.value(subset)
+            audit = gate.audit
+            assert audit.rejected == []
+            assert audit.query_count == 1 and audit.oracle_calls == 1
 
     def test_memo_hit_answers_without_error(self):
         gate = self.gate("weak", 0)
