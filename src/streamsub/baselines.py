@@ -87,6 +87,9 @@ class SieveStreaming:
     what keeps the stored-element footprint small. The stream delivers
     each element at most once, as an ordering of the ground set does, so
     an arriving element is never in a candidate set already.
+
+    The stored set and the footprint are kept current as sets change:
+    ``held`` counts the candidate sets that hold each stored element.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps):
@@ -98,17 +101,21 @@ class SieveStreaming:
         # guess index -> (candidate set, its value, its matroid load, and
         # the guess as num, den)
         self.sets: dict[int, tuple[frozenset, int, object, int, int]] = {}
+        self.held: dict[int, int] = {}
+        self._stored: frozenset = frozenset()
+        self._footprint = 0
 
     def step(self, t: int, e: int):
         fits = self.matroid.fits
         if fits(self.empty_load, e):
             left, entered = self.grid.advance(self.gate.value(frozenset({e})))
             for i in left:
-                del self.sets[i]
+                self._drop(self.sets.pop(i)[0])
             for i in entered:
                 self.sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load,
                                 *self.grid[i])
         K = self.K
+        took = 0
         # guesses enter ascending and leave from the bottom: keys are in order
         for i, (s, val, load, num, den) in self.sets.items():
             room = K - len(s)
@@ -117,15 +124,30 @@ class SieveStreaming:
             new_val = self.gate.value(s | {e})
             if (new_val - val) * room * 2 * den >= num - 2 * val * den:
                 self.sets[i] = (s | {e}, new_val, self.matroid.plus(load, e), num, den)
+                took += 1
+        if took:
+            # e is in no candidate set yet
+            self.held[e] = took
+            self._stored = self._stored | {e}
+            self._footprint += took
+
+    def _drop(self, s: frozenset):
+        """Account for the candidate set ``s`` of a guess that left."""
+        held, gone = self.held, []
+        for x in s:
+            held[x] -= 1
+            if not held[x]:
+                del held[x]
+                gone.append(x)
+        if gone:
+            self._stored = self._stored.difference(gone)
+        self._footprint -= len(s)
 
     def stored_set(self) -> frozenset:
-        out: set = set()
-        for s, _, _, _, _ in self.sets.values():
-            out |= s
-        return frozenset(out)
+        return self._stored
 
     def footprint(self) -> int:
-        return sum(len(s) for s, _, _, _, _ in self.sets.values())
+        return self._footprint
 
     def finish(self) -> tuple[frozenset, int]:
         best = (frozenset(), 0)

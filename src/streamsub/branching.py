@@ -21,10 +21,22 @@ guesses v = (1+eps)^i and the window of them that the best singleton so
 far selects; the driver here and the sieve in :mod:`streamsub.baselines`
 share it.
 
+The guess enters a cardinality tree only through its take bars, so one
+:class:`CardTree` stands for a contiguous run of guesses for as long as
+their trees make the same take/skip decisions, and splits where an
+offered gain clears the bar of the run's lower guesses and not of its
+upper ones. The driver steps each run once and replays the run's queries
+through the gate for its other guesses, so the query count and log are
+those of one tree per guess.
+
 Numeric conventions: function values are exact integers. A guess value
-v, and every target a node derives from it, is an exact rational kept as
-an integer pair ``(num, den)`` with ``den > 0`` and not reduced; a gain
-clears the bar v/c exactly when ``gain * c * den >= num``. So acceptance
+v is an exact rational kept as an integer pair ``(num, den)`` with
+``den > 0`` and not reduced. A matroid-tree target is such a pair, and a
+gain clears the bar v/c exactly when ``gain * c * den >= num``. A
+cardinality-tree target is affine in the guess, t(v) = (alpha*v -
+beta)/delta with integers alpha, delta > 0, so that one target serves a
+run of guesses; a gain clears the bar t(v)/c exactly when
+``(gain * c * delta + beta) * den >= alpha * num``. So acceptance
 decisions are exact, never depend on float rounding, and build no
 ``Fraction`` on the hot path; ``Fraction`` appears only where a guess is
 parsed or reported. Value bookkeeping telescopes residuals, so a node's
@@ -152,8 +164,8 @@ class GuessGrid:
 
 
 class _Tree:
-    """State and step of both branch trees: ``nodes`` holds every node ever
-    created and ``stored`` counts the elements they hold; when tracing,
+    """State of both branch trees: ``nodes`` holds every node ever created
+    and ``stored`` counts the elements they hold; when tracing,
     ``trace_log`` gets one ``(id(node), t)`` per offer."""
 
     def __init__(self, trace: bool):
@@ -161,14 +173,6 @@ class _Tree:
         self.stored = 0
         self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
-
-    def _step(self, t: int, e: int):
-        # children created during this step are not in the snapshot and
-        # first see the next element
-        for node in list(self.nodes):
-            if self.trace_log is not None:
-                self.trace_log.append((id(node), t))
-            node.offer(e)
 
     def footprint(self) -> int:
         return self.stored
@@ -178,18 +182,43 @@ class _Tree:
 # cardinality branch tree
 
 
+def _cut(run: list, over: int, alpha: int) -> int:
+    """How many guesses of ``run``, ascending ``(index, num, den)``, a bar
+    with ``over * den >= alpha * num`` clears, given that the lowest does:
+    they are a prefix, as alpha > 0. Bisects between the ends."""
+    _, num, den = run[-1]
+    if over * den >= alpha * num:
+        return len(run)
+    lo, hi = 1, len(run) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        _, num, den = run[mid]
+        if over * den >= alpha * num:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class _CardNode:
     """The invocations of the cardinality procedure that one acceptance
     starts (at the root, the root invocation): they share the residual g,
-    the budget s, one leaf and one query per step. An invocation (k, s, v)
-    takes the first element whose gain reaches v/(k+s-1) into a child
-    (k, s-1, v - gain), and its skip child (k-1, s, v(k+s-2)/(k+s-1)) waits
+    the budget s, one leaf and one query per step. An invocation (k, s, t)
+    takes the first element whose gain reaches t/(k+s-1) into a child
+    (k, s-1, t - gain), and its skip child (k-1, s, t(k+s-2)/(k+s-1)) waits
     on the same residual; one with k == 1 or s == 1 is a leaf, keeping the
-    best singleton. ``chains`` holds ``[k, v, pin, child, at]`` per skip
-    chain (k, s, v), (k-1, s, .), ..., (1, s, .), with v a ``(num, den)``
-    pair; once it has taken ``pin = (e, gain)``, member j's take child is
-    chain ``at + k - j`` of ``child``. ``best`` is the leaves' best
-    singleton, as ({e}, gain).
+    best singleton. ``chains`` holds ``[k, target, pin, child, at]`` per skip
+    chain (k, s, t), (k-1, s, .), ..., (1, s, .); once it has taken
+    ``pin = (e, gain)``, member j's take child is chain ``at + k - j`` of
+    ``child``. ``best`` is the leaves' best singleton, as ({e}, gain).
+
+    A target is affine in the guess v: ``(alpha, beta, delta)`` stands for
+    t(v) = (alpha*v - beta)/delta, with integers alpha, delta > 0; the
+    root's is (1, 0, 1). With c = k+s-1 and c_j = j+s-1, member j's take
+    child gets t*c_j/c - gain = (alpha*c_j, beta*c_j + gain*delta*c,
+    delta*c). So a gain clears the bar of the guess v = num/den exactly
+    when (gain*c*delta + beta) * den >= alpha * num, and, as alpha > 0, the
+    guesses that clear it are a prefix of the tree's ascending run.
 
     ``waiting`` holds the chains whose members still wait for an element
     (k > 1, no pin, and s > 1), and ``times`` the node's query count per
@@ -199,8 +228,8 @@ class _CardNode:
     created it, by its parent's offer, and a node first sees an element
     one step later.
 
-    * One chain, one element: members k..2 share the bar v/(k+s-1), since
-      v(k+s-2)/(k+s-1) / ((k-1)+s-1) = v/(k+s-1), and are created in the
+    * One chain, one element: members k..2 share the bar t/(k+s-1), since
+      t(k+s-2)/(k+s-1) / ((k-1)+s-1) = t/(k+s-1), and are created in the
       same step on the same residual, so they accept the same element at
       the same step.
     * One node, one leaf: every leaf of a node is born in the same step on
@@ -223,37 +252,57 @@ class _CardNode:
         self.times = 0
         tree.nodes.append(self)
 
-    def offer(self, e: int):
-        tree, s, waiting = self.tree, self.s, self.waiting
+    def offer(self, e: int, run: list, asked: list):
+        """Query the gain of ``e`` once for all invocations, record the
+        query and its count in ``asked`` and keep the best singleton.
+        Return None if no waiting chain's bar clears the run's lowest
+        guess, else ``(self, gain, takes)`` with one ``(chain, cut)`` per
+        chain whose bar the first ``cut`` guesses of the run clear."""
+        s, waiting = self.s, self.waiting
         if waiting is None:
             # every chain's leaf queries, and so does each member of a
             # chain that has not taken an element yet
             waiting = self.waiting = [c for c in self.chains if c[0] > 1] if s > 1 else []
             self.times = len(self.chains) + sum(c[0] - 1 for c in waiting)
-        gain = self.g.singleton(e, self.times)
+        g = self.g
+        query = g.pinned | {e}
+        gain = g.gate.value(query, self.times) - g.base
+        asked.append((query, self.times))
         if self.best is None:
-            tree.stored += len(self.chains)
+            self.tree.stored += len(self.chains)
         if self.best is None or gain > self.best[1]:
             self.best = (frozenset({e}), gain)
-        child = None
+        if not waiting:
+            return None
+        takes = None
+        _, num, den = run[0]
         for chain in waiting:
+            alpha, beta, delta = chain[1]
+            over = gain * (chain[0] + s - 1) * delta + beta
+            if over * den >= alpha * num:
+                if takes is None:
+                    takes = []
+                takes.append((chain, _cut(run, over, alpha)))
+        return None if takes is None else (self, gain, takes)
+
+    def take(self, e: int, gain: int, chains: list):
+        """Pin ``e`` in each of ``chains``, waiting chains of this node in
+        order, under one new child."""
+        tree, s = self.tree, self.s
+        child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
+        for chain in chains:
             k = chain[0]
-            num, den = chain[1]
-            den_k = den * (k + s - 1)
-            over = gain * den_k
-            if over >= num:
-                if child is None:
-                    child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
-                chain[2:] = (e, gain), child, len(child.chains)
-                tree.stored += k - 1
-                tree.branches_spawned += k - 1
-                self.times -= k - 1
-                # member j's target is v(j+s-1)/(k+s-1) - gain, the skip
-                # product less the gain
-                child.chains.extend([j, (num * (j + s - 1) - over, den_k), None, None, 0]
-                                    for j in range(k, 1, -1))
-        if child is not None:
-            self.waiting = [c for c in waiting if c[2] is None]
+            alpha, beta, delta = chain[1]
+            chain[2:] = (e, gain), child, len(child.chains)
+            tree.stored += k - 1
+            tree.branches_spawned += k - 1
+            self.times -= k - 1
+            # member j's target is t(j+s-1)/(k+s-1) - gain, the skip
+            # product less the gain
+            over, delta_k = gain * delta * (k + s - 1), delta * (k + s - 1)
+            child.chains.extend([j, (alpha * (j + s - 1), beta * (j + s - 1) + over, delta_k),
+                                 None, None, 0] for j in range(k, 1, -1))
+        self.waiting = [c for c in self.waiting if c[2] is None]
 
     def solution(self, i: int) -> tuple[frozenset, int]:
         """The solution of the head of chain ``i``."""
@@ -272,21 +321,110 @@ class _CardNode:
 
 
 class CardTree(_Tree):
-    """Event-driven tree for one fixed guess v under a cardinality budget.
+    """Event-driven tree under a cardinality budget for a run of guesses.
+
+    ``run`` holds the guesses the tree stands for, ascending, as
+    ``(index, num, den)``. ``CardTree(gate, k, s, v)`` is a run of one
+    guess v; :class:`GuessDriver` adds the guesses that enter its window
+    in the same step. The guess enters only the take bars, so the trees of
+    the run's guesses are one tree for as long as they make the same
+    take/skip decisions.
+
+    :meth:`step` runs in three phases. (1) Every pre-step node queries
+    once, at the run's lowest guess, and finds for each waiting chain the
+    prefix of the run whose bars its gain clears; ``asked`` records each
+    query with its count. (2) Where a prefix ends inside the run, the
+    still unchanged tree is copied once for each sub-run above such a
+    cut, the copies sharing its residuals, and keeps the lowest sub-run.
+    (3) Each tree applies its own takes. An offer changes only its node,
+    the node's new child and the tree's counters, so the offers of one
+    step are independent, and each tree makes the run its guesses would
+    have made alone. :meth:`step` returns the copies; a driver replays
+    ``asked`` once for each other guess of the run.
 
     Each node keeps taking singletons, so every node stays live.
-    ``stored`` counts one element per leaf with a best singleton and one
-    per internal invocation that has pinned an element.
+    ``stored`` counts, for each guess of the run, one element per leaf
+    with a best singleton and one per internal invocation that has pinned
+    an element. Budgets above ``MAX_K`` are refused: runs of guesses do
+    not shrink the per-guess space bound K*2^(2K).
     """
 
-    # perfbench/spans.py hooks step and finish in each tree's own namespace
-    step = _Tree._step
+    MAX_K = 10
 
-    def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False):
+    def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False,
+                 index: int = 0):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
+        self.check_size(max(k, s))
         super().__init__(trace)
-        self.root = _CardNode(self, s, Residual(gate), [[k, as_pair(v), None, None, 0]])
+        self.run = [(index, *as_pair(v))]
+        self.asked: list = []
+        self.root = _CardNode(self, s, Residual(gate), [[k, (1, 0, 1), None, None, 0]])
+
+    @classmethod
+    def check_size(cls, k: int):
+        if k > cls.MAX_K:
+            raise InvalidParams(f"K={k} cardinality branch tree holds up to K*2^(2K) elements "
+                                f"per guess; K above {cls.MAX_K} is not supported")
+
+    def step(self, t: int, e: int) -> list:
+        run, trace = self.run, self.trace_log
+        asked = self.asked = []
+        offers = []
+        # (1) no node is created before (3), and the children made there
+        # first see the next element
+        for node in self.nodes:
+            if trace is not None:
+                trace.append((id(node), t))
+            offer = node.offer(e, run, asked)
+            if offer is not None:
+                offers.append(offer)
+        if not offers:
+            return []
+        twins = []
+        # (2) the sub-runs above the cuts inside the run, then (3)
+        cuts = sorted({cut for _, _, takes in offers for _, cut in takes if cut < len(run)})
+        if cuts:
+            for lo, hi in zip(cuts, cuts[1:] + [len(run)]):
+                twin, remap = self._copy(run[lo:hi])
+                twin._take(e, offers, hi, remap)
+                twins.append(twin)
+            del run[cuts[0]:]
+        self._take(e, offers, len(run), None)
+        return twins
+
+    def _take(self, e: int, offers: list, bound: int, remap: dict | None):
+        # a chain takes e when its bar clears the first `bound` guesses,
+        # the whole run of this tree
+        for node, gain, takes in offers:
+            chains = [chain for chain, cut in takes if cut >= bound]
+            if chains:
+                if remap is not None:
+                    node = remap[id(node)]
+                    chains = [remap[id(chain)] for chain in chains]
+                node.take(e, gain, chains)
+
+    def _copy(self, run: list) -> tuple["CardTree", dict]:
+        """This tree for the guesses ``run``, sharing its residuals, and a
+        map from the id of each node and chain to its copy."""
+        twin = CardTree.__new__(CardTree)
+        _Tree.__init__(twin, self.trace_log is not None)
+        twin.stored, twin.branches_spawned = self.stored, self.branches_spawned
+        twin.run, twin.asked = run, []
+        remap = {}
+        for node in self.nodes:
+            copy = _CardNode(twin, node.s, node.g, [list(chain) for chain in node.chains])
+            copy.best, copy.times = node.best, node.times
+            remap[id(node)] = copy
+            remap.update(zip(map(id, node.chains), copy.chains))
+        for node in self.nodes:
+            copy = remap[id(node)]
+            for chain in copy.chains:
+                if chain[3] is not None:
+                    chain[3] = remap[id(chain[3])]
+            copy.waiting = [remap[id(chain)] for chain in node.waiting]
+        twin.root = twin.nodes[0]
+        return twin, remap
 
     def stored_set(self) -> frozenset:
         out: set = set()
@@ -416,14 +554,10 @@ class MatroidTree(_Tree):
     """
 
     MAX_RANK = 4
-    step = _Tree._step
 
     def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False):
         rank = matroid.rank
-        if rank > self.MAX_RANK:
-            raise InvalidParams(
-                f"rank {rank} branch tree is Theta(K^5)-wide per node; "
-                f"ranks above {self.MAX_RANK} are not supported")
+        self.check_size(rank)
         if k < 1:
             raise InvalidParams("need k >= 1")
         self.matroid = matroid
@@ -432,6 +566,21 @@ class MatroidTree(_Tree):
         self.beta = self.k4 // 2
         super().__init__(trace)
         self.root = _MatNode(self, k, as_pair(v), Residual(gate), matroid.load(frozenset()))
+
+    @classmethod
+    def check_size(cls, rank: int):
+        if rank > cls.MAX_RANK:
+            raise InvalidParams(
+                f"rank {rank} branch tree is Theta(K^5)-wide per node; "
+                f"ranks above {cls.MAX_RANK} are not supported")
+
+    def step(self, t: int, e: int):
+        # children created during this step are not in the snapshot and
+        # first see the next element
+        for node in list(self.nodes):
+            if self.trace_log is not None:
+                self.trace_log.append((id(node), t))
+            node.offer(e)
 
     def stored_set(self) -> frozenset:
         out: set = set()
@@ -451,7 +600,8 @@ class MatroidTree(_Tree):
 
 
 class GuessDriver:
-    """Runs one branch tree per active guess v = (1+eps)^i in a single pass.
+    """Runs the branch trees of the active guesses v = (1+eps)^i in a single
+    pass.
 
     The active window is m/(1+eps)^2 <= v <= K*m/eps where m is the best
     feasible singleton seen so far. Guesses are spawned lazily as they
@@ -462,7 +612,21 @@ class GuessDriver:
     champion with its value queried once more through the gate.
     ``champion_v`` is the guess that produced the champion. The trees are
     :class:`CardTree` on a ``UniformMatroid`` and :class:`MatroidTree` on any
-    other matroid, unless ``constraint`` ("cardinality" or "matroid") says.
+    other matroid, unless ``constraint`` ("cardinality" or "matroid") says;
+    a budget above the tree's cap is refused here, before any element.
+
+    ``roots`` maps each live guess index to its tree. Matroid trees are one
+    per guess. A cardinality tree stands for a contiguous run of guesses
+    (:class:`CardTree`), so the guesses that enter in one step share one
+    new tree, and a tree splits only where an offered gain clears the bar
+    of some of its guesses and not of the rest. Each step steps every
+    distinct tree once, in ascending guess order, and after each replays
+    the tree's queries through the gate once for each other guess of its
+    run. So the query count, the query log (guess by guess, as one tree
+    per guess would make it), the oracle calls and the refusals are those
+    of one tree per guess, and so are the footprint, the stored set and
+    the counters. A tree's solution is computed once for all its guesses
+    that retire in one step.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps, constraint: str | None = None):
@@ -473,6 +637,7 @@ class GuessDriver:
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
+        (CardTree if constraint == "cardinality" else MatroidTree).check_size(self.K)
         eps = to_fraction(eps)
         p, q = eps.numerator, eps.denominator
         # the window's bounds over m, as (num, den): 1/(1+eps)^2 and K/eps
@@ -485,39 +650,68 @@ class GuessDriver:
         self.branches_spawned = 0
         self.roots_spawned = 0
         self.live_roots_peak = 0
+        # the cardinality tree spawned in this step, and the last retired
+        # tree with its solution
+        self._entering: CardTree | None = None
+        self._finished = None
+        self._solution: tuple[frozenset, int] = (frozenset(), 0)
 
     def _spawn(self, i: int):
         v = self.grid[i]
-        if self.constraint == "cardinality":
-            tree = CardTree(self.gate, self.K, self.K, v)
-        else:
+        if self.constraint == "matroid":
             tree = MatroidTree(self.gate, self.matroid, self.K, v)
+        elif self._entering is None:
+            tree = self._entering = CardTree(self.gate, self.K, self.K, v, index=i)
+        else:
+            tree = self._entering
+            tree.run.append((i, *v))
+            # the query of f(empty) this guess's own root would make
+            self.gate.value(frozenset())
         self.roots[i] = tree
         self.roots_spawned += 1
 
     def _retire(self, i: int):
         tree = self.roots.pop(i)
         self.branches_spawned += tree.branches_spawned
-        sol, val = tree.finish()
+        if tree is not self._finished:
+            self._finished, self._solution = tree, tree.finish()
+        sol, val = self._solution
         if val > self.champion[1]:
             self.champion = (sol, val)
             self.champion_v = Fraction(*self.grid[i])
+        if self.constraint != "matroid":
+            # guesses leave from the bottom of the window and of the run
+            del tree.run[0]
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
             left, entered = self.grid.advance(self.gate.value(frozenset({e})))
             for i in left:
                 self._retire(i)
+            self._finished = self._entering = None
             for i in entered:
                 self._spawn(i)
-        for tree in self.roots.values():
-            tree.step(t, e)
-        if len(self.roots) > self.live_roots_peak:
-            self.live_roots_peak = len(self.roots)
+        roots = self.roots
+        if self.constraint == "matroid":
+            for tree in roots.values():
+                tree.step(t, e)
+        else:
+            value = self.gate.value
+            # roots keeps its keys ascending, so the distinct trees come
+            # in ascending guess order
+            for tree in dict.fromkeys(roots.values()):
+                others = len(tree.run) - 1
+                for twin in tree.step(t, e):
+                    for i, _, _ in twin.run:
+                        roots[i] = twin
+                for query, times in tree.asked * others:
+                    value(query, times)
+        if len(roots) > self.live_roots_peak:
+            self.live_roots_peak = len(roots)
 
     def stored_set(self) -> frozenset:
         out = set(self.champion[0])
-        for tree in self.roots.values():
+        for tree in dict.fromkeys(self.roots.values()):
             out |= tree.stored_set()
         return frozenset(out)
 
@@ -529,4 +723,3 @@ class GuessDriver:
             self._retire(i)
         solution = self.champion[0]
         return solution, self.gate.value(solution)
-

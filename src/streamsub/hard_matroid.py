@@ -48,11 +48,21 @@ def _level(t: int, reds: tuple, blues: tuple) -> int:
 def level_value(t: int, reds, blues) -> int:
     """Recursion value on the last t classes; blues are clamped here.
 
-    The memo key is the clamped profile, filled lazily, so large-K
-    instances only pay for the profiles they actually touch.
+    Checked profiles are memoized as given, and ``_level``'s memo key is
+    the clamped profile, both filled lazily, so large-K instances only pay
+    for the profiles they actually touch. A profile with an unhashable
+    entry is checked without the memo, so it fails as any invalid one.
     """
-    reds = tuple(reds)
-    blues = tuple(blues)
+    reds, blues = tuple(reds), tuple(blues)
+    try:
+        return _checked_level(t, reds, blues)
+    except TypeError:
+        return _checked_level.__wrapped__(t, reds, blues)
+
+
+@lru_cache(maxsize=None)
+def _checked_level(t: int, reds: tuple, blues: tuple) -> int:
+    # an invalid profile raises, and lru_cache stores no exception
     if t < 1 or len(reds) != t or len(blues) != t:
         raise InvalidParams("need one red flag and one blue count per level")
     if any(x not in (0, 1) for x in reds):

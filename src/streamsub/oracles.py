@@ -236,8 +236,8 @@ class Residual:
         self.pinned = frozenset(pinned)
         self.base = gate.value(self.pinned) if base is None else base
 
-    def singleton(self, e: int, times: int = 1) -> int:
-        return self.gate.value(self.pinned | {e}, times) - self.base
+    def singleton(self, e: int) -> int:
+        return self.gate.value(self.pinned | {e}) - self.base
 
     def value(self, subset) -> int:
         return self.gate.value(self.pinned | frozenset(subset)) - self.base

@@ -17,11 +17,13 @@ node. :class:`PerIndexMatNode` is the matroid-tree node that tracks every
 threshold index on its own, the code path the run-compressed node
 replaced; :class:`PerInvocationCardTree` steps one
 :class:`PerInvocationCardNode` per invocation of the cardinality
-procedure, the code path the chain-holding node replaced. Both keep every
-guess and threshold as a ``Fraction``, as does :class:`FractionSieve`, the
-threshold sieve with its guess grid as ``Fraction`` powers; against them
-the package's integer ``(num, den)`` thresholds are checked, ties on the
-bar included (each counts its ties in ``ties``).
+procedure, the code path the chain-holding node replaced.
+:class:`PerGuessDriver` is the guess driver with one tree per guess, the
+code path that runs of guesses sharing one tree replaced. The two
+reference trees keep every guess and threshold as a ``Fraction``, as does
+:class:`FractionSieve`, the threshold sieve with its guess grid as
+``Fraction`` powers; against them the package's integer thresholds are
+checked, ties on the bar included (each counts its ties in ``ties``).
 :func:`gamma_bound` and :func:`subtree_size` bound and count the
 invocations of a cardinality tree; :func:`verify_by_pairs` is a second
 monotone-submodular checker and :func:`closed_form_3class` a polynomial
@@ -45,11 +47,11 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 
-from streamsub.branching import _MatNode, to_fraction
+from streamsub.branching import CardTree, GuessGrid, MatroidTree, _MatNode, to_fraction
 from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
 from streamsub.hard_cardinality import blue_marginal, red_marginal
 from streamsub.hard_matroid import blue_ceiling
-from streamsub.matroids import Matroid
+from streamsub.matroids import Matroid, UniformMatroid
 from streamsub.oracles import CheckReport, QueryGate, Residual, SetFunction, _mask_set
 
 
@@ -456,6 +458,78 @@ class PerInvocationCardTree:
 
     def finish(self):
         return self.root.solution()
+
+
+class PerGuessDriver:
+    """The guess driver with one tree of its own per guess: every live
+    guess index spawns a ``card_tree`` (cardinality) or a ``MatroidTree``,
+    each tree is stepped on its own in ascending guess order, and each
+    retiring guess computes its tree's solution. The code path that runs
+    of guesses sharing one :class:`~streamsub.branching.CardTree`
+    replaced; the package's ``GuessDriver`` must make the same run."""
+
+    def __init__(self, gate, matroid, eps, constraint=None, card_tree=CardTree):
+        if constraint is None:
+            constraint = "cardinality" if isinstance(matroid, UniformMatroid) else "matroid"
+        self.gate = gate
+        self.matroid = matroid
+        self.K = matroid.rank
+        eps = to_fraction(eps)
+        p, q = eps.numerator, eps.denominator
+        self.grid = GuessGrid(eps, (q * q, (p + q) ** 2), (self.K * q, p))
+        self.constraint = constraint
+        self.card_tree = card_tree
+        self.empty_load = matroid.load(frozenset())
+        self.roots = {}
+        self.champion = (frozenset(), 0)
+        self.champion_v = None
+        self.branches_spawned = 0
+        self.roots_spawned = 0
+        self.live_roots_peak = 0
+
+    def _spawn(self, i):
+        v = self.grid[i]
+        if self.constraint == "cardinality":
+            tree = self.card_tree(self.gate, self.K, self.K, v)
+        else:
+            tree = MatroidTree(self.gate, self.matroid, self.K, v)
+        self.roots[i] = tree
+        self.roots_spawned += 1
+
+    def _retire(self, i):
+        tree = self.roots.pop(i)
+        self.branches_spawned += tree.branches_spawned
+        sol, val = tree.finish()
+        if val > self.champion[1]:
+            self.champion = (sol, val)
+            self.champion_v = Fraction(*self.grid[i])
+
+    def step(self, t, e):
+        if self.matroid.fits(self.empty_load, e):
+            left, entered = self.grid.advance(self.gate.value(frozenset({e})))
+            for i in left:
+                self._retire(i)
+            for i in entered:
+                self._spawn(i)
+        for tree in self.roots.values():
+            tree.step(t, e)
+        if len(self.roots) > self.live_roots_peak:
+            self.live_roots_peak = len(self.roots)
+
+    def stored_set(self):
+        out = set(self.champion[0])
+        for tree in self.roots.values():
+            out |= tree.stored_set()
+        return frozenset(out)
+
+    def footprint(self):
+        return len(self.champion[0]) + sum(t.footprint() for t in self.roots.values())
+
+    def finish(self):
+        for i in list(self.roots):
+            self._retire(i)
+        solution = self.champion[0]
+        return solution, self.gate.value(solution)
 
 
 class FractionSieve:

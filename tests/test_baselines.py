@@ -174,6 +174,54 @@ class TestSieve:
         assert audit.max_stored <= 20
 
 
+class Recount:
+    """``stream_run`` watcher that, after every step, compares the sieve's
+    running stored set and footprint with both recomputed from its
+    candidate sets."""
+
+    def __init__(self, sieve):
+        self.sieve = sieve
+        self.steps = 0
+
+    def before(self, t, e):
+        pass
+
+    def after(self, t, e, stored):
+        sets = [s for s, *_ in self.sieve.sets.values()]
+        assert stored == self.sieve.stored_set() == frozenset().union(*sets)
+        assert self.sieve.footprint() == sum(map(len, sets))
+        self.steps += 1
+
+
+class TestSieveAccounting:
+    """Under the element-store policy of the audits, the stored set and
+    footprint the sieve keeps as its sets change equal the ones recomputed
+    from its sets, after every step, while guesses enter and leave."""
+
+    @staticmethod
+    def check(inst, stream, eps):
+        gate = QueryGate(inst.fn, ElementStorePolicy(), OracleAudit())
+        sieve = SieveStreaming(gate, inst.matroid, eps)
+        watcher = Recount(sieve)
+        stream_run(sieve, stream, gate, watcher)
+        assert watcher.steps == len(stream)
+        assert gate.audit.compliant
+
+    @settings(max_examples=30, deadline=None)
+    @given(K=st.integers(2, 4), m=st.integers(1, 12), seed=st.integers(0, 10 ** 6),
+           eps=st.sampled_from(["2/5", "1/10", "1"]))
+    def test_hard_matroid_audit(self, K, m, seed, eps):
+        inst = MatHardInstance(MatHardParams(K, m), seed)
+        self.check(inst, sample_stream(inst, "class-blocks", seed), eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 12), K=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+           eps=st.sampled_from(["2/5", "1/10", "1"]))
+    def test_coverage(self, n, K, seed, eps):
+        inst = CoverageInstance(n, 16, K, seed)
+        self.check(inst, sample_stream(inst, "uniform", seed), eps)
+
+
 class TestStoreEverything:
     def test_reaches_optimum(self):
         inst = CoverageInstance(7, 10, 3, 12)

@@ -1,4 +1,7 @@
+import importlib.util
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,9 +22,9 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, Stron
                                WeakPolicy, additive)
 from streamsub.samplers import sample_stream
 
-from _reference import (ExplicitMatroid, FractionSieve, PerIndexMatNode, PerInvocationCardTree,
-                        gamma_bound, ref_cardinality, ref_footprint, ref_matroid,
-                        ref_stored_set, ref_window, subtree_size)
+from _reference import (ExplicitMatroid, FractionSieve, PerGuessDriver, PerIndexMatNode,
+                        PerInvocationCardTree, gamma_bound, ref_cardinality, ref_footprint,
+                        ref_matroid, ref_stored_set, ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -449,7 +452,15 @@ class TestGuessGrid:
     @pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10), Fraction(2, 5), 1])
     def test_limit_keeps_the_eps_in_use(self, K, eps):
         gate = QueryGate(additive([1] * K))
-        GuessDriver(gate, UniformMatroid(K, K), eps)
+        eps = to_fraction(eps)
+        p, q = eps.numerator, eps.denominator
+        # the driver's window; above the tree's cap the driver refuses K itself
+        GuessGrid(eps, (q * q, (p + q) ** 2), (K * q, p))
+        if K <= CardTree.MAX_K:
+            GuessDriver(gate, UniformMatroid(K, K), eps)
+        else:
+            with pytest.raises(InvalidParams, match=f"K={K} cardinality branch tree"):
+                GuessDriver(gate, UniformMatroid(K, K), eps)
         SieveStreaming(gate, UniformMatroid(K, K), eps)
 
     @pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1, 10 ** 300)])
@@ -553,6 +564,20 @@ class TestGuessDriver:
         solution, _ = stream_run(driver, range(6), gate)
         assert roots and set(roots) == {tree}
         assert matroid.is_independent(solution) or constraint is not None
+
+    def test_card_cap_runs_every_benchmark_budget(self, monkeypatch):
+        """``CardTree.MAX_K`` refuses the K=12 probe and still runs every
+        cardinality budget of the benchmark's workloads."""
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        budgets = [int(flags[flags.index("--K") + 1])
+                   for w in workloads.WORKLOADS.values() if w.kind != "hard-matroid"
+                   for flags in (w.gen_full, w.gen_tiny)]
+        assert max(budgets) <= CardTree.MAX_K < 12
 
     def test_window_jump_skips_the_gap(self):
         # m jumps from 1 to 100: the window [0, 0] becomes [5, 6] (eps=1,
@@ -857,9 +882,10 @@ def policy_gate(fn, policy):
 class TestChainsDifferential:
     """Cardinality nodes that hold every invocation one acceptance starts
     drive a fixed-guess tree, and the guess driver, to the same run as one
-    node per invocation (``PerInvocationCardTree``): the same footprint and
-    stored set after every step, and the same solution, value, query
-    count, query log, refusals, ``max_stored`` and ``branches_spawned``."""
+    node per invocation (``PerInvocationCardTree``, under the driver one
+    per guess in ``PerGuessDriver``): the same footprint and stored set
+    after every step, and the same solution, value, query count, query
+    log, refusals, ``max_stored`` and ``branches_spawned``."""
 
     POLICIES = ("weak", "strong", "element-store")
 
@@ -878,11 +904,17 @@ class TestChainsDifferential:
                 "rejected": audit.rejected, "max_stored": audit.max_stored,
                 "branches": alg.branches_spawned}
 
-    def check(self, fn, stream, make):
+    def check(self, fn, stream, make, make_ref=None):
         for policy in self.POLICIES:
             got = self.run(make, fn, stream, policy, False)
-            want = self.run(make, fn, stream, policy, True)
+            want = self.run(make_ref or make, fn, stream, policy, True)
             assert got == want
+
+    @staticmethod
+    def drivers(matroid):
+        return (lambda gate: GuessDriver(gate, matroid, Fraction(1, 4)),
+                lambda gate: PerGuessDriver(gate, matroid, Fraction(1, 4),
+                                            card_tree=PerInvocationCardTree))
 
     def check_trees(self, fn, stream, opt):
         for k in range(1, 5):
@@ -895,8 +927,7 @@ class TestChainsDifferential:
         inst = CardHardInstance(CardHardParams(2 * K + 4, K, K), K)
         stream = sample_stream(inst, "purple-last", K)
         self.check_trees(inst.fn, stream, inst.optimal_value)
-        self.check(inst.fn, stream,
-                   lambda gate: GuessDriver(gate, inst.matroid, Fraction(1, 4)))
+        self.check(inst.fn, stream, *self.drivers(inst.matroid))
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), n=st.integers(1, 7), K=st.integers(1, 4))
@@ -906,8 +937,7 @@ class TestChainsDifferential:
         stream = data.draw(st.permutations(range(n)))
         _, opt = brute_force_optimum(fn, UniformMatroid(n, K))
         self.check_trees(fn, stream, opt)
-        self.check(fn, stream,
-                   lambda gate: GuessDriver(gate, UniformMatroid(n, K), Fraction(1, 4)))
+        self.check(fn, stream, *self.drivers(UniformMatroid(n, K)))
 
     @pytest.mark.parametrize("weights,stream", [
         # a negative leaf under a chain that took nothing
@@ -923,8 +953,117 @@ class TestChainsDifferential:
         fn = additive(weights)
         for opt in (1, 5):
             self.check_trees(fn, stream, opt)
-        self.check(fn, stream,
-                   lambda gate: GuessDriver(gate, UniformMatroid(fn.n, 2), Fraction(1, 4)))
+        self.check(fn, stream, *self.drivers(UniformMatroid(fn.n, 2)))
+
+
+class TestRunsOfGuesses:
+    """One ``CardTree`` per run of guesses drives the guess driver to the
+    run of one tree per guess (``PerGuessDriver``): the same footprint and
+    stored set after every step, and the same solution, value, query
+    count, query log, refusals, ``max_stored``, ``branches_spawned``,
+    ``roots_spawned``, ``live_roots_peak`` and ``champion_v``, under all
+    three policies."""
+
+    EPS = st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1)])
+
+    @staticmethod
+    def run(alg, gate, stream):
+        log = StoredSteps(alg)
+        solution, value = stream_run(alg, stream, gate, log)
+        audit = gate.audit
+        return {"solution": solution, "value": value, "steps": log.steps,
+                "queries": audit.query_count, "log": audit.log,
+                "rejected": audit.rejected, "max_stored": audit.max_stored,
+                "branches": alg.branches_spawned, "roots": alg.roots_spawned,
+                "peak": alg.live_roots_peak, "champion_v": alg.champion_v}
+
+    def check(self, fn, matroid, stream, eps):
+        for policy in TestChainsDifferential.POLICIES:
+            gate, ref_gate = policy_gate(fn, policy), policy_gate(fn, policy)
+            assert self.run(GuessDriver(gate, matroid, eps), gate, stream) == \
+                self.run(PerGuessDriver(ref_gate, matroid, eps), ref_gate, stream)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), K=st.integers(1, 4), eps=EPS)
+    def test_coverage(self, data, n, K, eps):
+        fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 11), max_size=5),
+                                                 min_size=n, max_size=n)))
+        self.check(fn, UniformMatroid(n, K), data.draw(st.permutations(range(n))), eps)
+
+    @settings(max_examples=15, deadline=None)
+    @given(K=st.integers(2, 4), extra=st.integers(0, 6), seed=st.integers(0, 10 ** 6),
+           distribution=st.sampled_from(["purple-last", "uniform"]), eps=EPS)
+    def test_hard_cardinality(self, K, extra, seed, distribution, eps):
+        inst = CardHardInstance(CardHardParams(2 * K + 2 + extra, K, K), seed)
+        self.check(inst.fn, inst.matroid, sample_stream(inst, distribution, seed), eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 4), eps=EPS,
+           weights=st.sampled_from([[2] * 6, [2, 1, 2, 3, 2, 1, 2], [3, 1, 2, 2, 1, 3],
+                                    [2, 0, -1, 2, 4, 2], [4, 0, 1, 8, 2, 4, 1, 16]]))
+    def test_additive_ties(self, data, K, eps, weights):
+        """Small integer and power-of-two gains put offers on the bars
+        of guesses (1+eps)^i and of the targets derived from them."""
+        fn = additive(weights)
+        self.check(fn, UniformMatroid(fn.n, K), data.draw(st.permutations(range(fn.n))), eps)
+
+    def test_one_element_splits_the_run(self):
+        """K=3, eps=1, gains 4, 0, 1. The first element sets m=4, so the
+        guesses 1, 2, 4, 8 enter together and take it at the root's bar
+        v/5. Member 3 of the take child then has the bar (v - 4)/4, which
+        a gain of 0 clears for v <= 4 and not for v = 8: the second
+        element splits the run there, and the third (gain 1) takes at v=8
+        too."""
+        fn = additive([4, 0, 1])
+        matroid = UniformMatroid(3, 3)
+        gate = weak_gate(fn, matroid)
+        driver = GuessDriver(gate, matroid, 1)
+        runs = []
+        for t, e in enumerate(range(3)):
+            driver.step(t, e)
+            trees = dict.fromkeys(driver.roots.values())
+            runs.append([[i for i, _, _ in tree.run] for tree in trees])
+        assert runs == [[[0, 1, 2, 3]], [[0, 1, 2], [3]], [[0, 1, 2], [3]]]
+        assert [driver.roots[i] for i in range(3)] == [driver.roots[0]] * 3
+        self.check(fn, matroid, [0, 1, 2], 1)
+
+    def test_a_tie_at_the_top_keeps_the_run(self):
+        """As above, but the second gain is 1, exactly on member 3's bar
+        (8 - 4)/4 at the top guess v = 8: every guess takes it, and the
+        run stays whole."""
+        fn = additive([4, 1, 0])
+        matroid = UniformMatroid(3, 3)
+        gate = weak_gate(fn, matroid)
+        driver = GuessDriver(gate, matroid, 1)
+        for t, e in enumerate(range(3)):
+            driver.step(t, e)
+            assert [[i for i, _, _ in tree.run]
+                    for tree in dict.fromkeys(driver.roots.values())] == [[0, 1, 2, 3]]
+        self.check(fn, matroid, [0, 1, 2], 1)
+
+    def test_few_trees_serve_the_driver_card_shape(self):
+        """Hard cardinality K=6, n=80, h=6 under eps=1/10, the weak policy
+        and purple-last order: the 45 live guesses are served by at most 7
+        distinct trees at any step, 5.8 on average."""
+        for seed in range(4):
+            inst = CardHardInstance(CardHardParams(80, 6, 6), seed)
+            gate = weak_gate(inst.fn, inst.matroid)
+            driver = GuessDriver(gate, inst.matroid, Fraction(1, 10))
+            trees = []
+            with pytest.MonkeyPatch.context() as mp:
+                step = CardTree.step
+
+                def counted(tree, t, e):
+                    trees[-1] += 1
+                    return step(tree, t, e)
+
+                mp.setattr(CardTree, "step", counted)
+                for t, e in enumerate(sample_stream(inst, "purple-last", seed)):
+                    trees.append(0)
+                    driver.step(t, e)
+            assert driver.live_roots_peak == 45
+            assert max(trees) == 7
+            assert sum(trees) == 466
 
 
 class TestTiesOnTheBar:

@@ -2,13 +2,14 @@ import io
 import json
 import pathlib
 import shlex
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from streamsub.branching import MAX_EPS_DIGITS
+from streamsub.branching import MAX_EPS_DIGITS, CardTree
 from streamsub.cli import build_parser, main
 from streamsub.harness import build_instance, instance_to_json, read_instance
 
@@ -59,6 +60,16 @@ class TestGoldenRunReport:
     def test_hard_cardinality_branching_csv_bytes(self, tmp_path):
         assert self._hard_cardinality_branching_bytes(tmp_path, "csv") == \
             (GOLDEN / "run_hard_cardinality_K4.csv").read_bytes()
+
+    def test_coverage_branching_report_bytes(self, tmp_path):
+        # 38 live guesses in 2 runs after the first element; by the last,
+        # the runs have split into 4 to 11 trees, by trial
+        inst_file = _gen(tmp_path, "--kind", "coverage", "--n", "12", "--K", "3",
+                         "--universe", "30", "--seed", "7")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--trials", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_coverage_K3.json").read_bytes()
 
     def test_hard_cardinality_element_store_report_bytes(self, tmp_path):
         # the element-store policy reads the tree's stored set every step
@@ -466,6 +477,22 @@ class TestHostileInput:
         inst_file.write_text(inst_file.read_text().replace(old, new))
         self.check(["run", "--instance", str(inst_file), "--alg", alg, "--trials", "2"],
                    capsys, "optimum is 0, so no ratio is defined")
+
+    @pytest.mark.parametrize("kind,flags,K", [
+        ("hard-cardinality", ("--n", "24", "--h", "12"), 12),
+        ("coverage", ("--n", "12"), CardTree.MAX_K + 1),
+    ])
+    def test_cardinality_budget_above_the_cap(self, tmp_path, capsys, kind, flags, K):
+        """A K=12 hard-cardinality run once grew until a MemoryError; the
+        driver now refuses a budget above ``CardTree.MAX_K`` before the
+        first element."""
+        inst_file = _gen(tmp_path, "--kind", kind, "--K", str(K), *flags)
+        start = time.perf_counter()
+        self.check(["run", "--instance", str(inst_file), "--alg", "branching",
+                    "--trials", "1"], capsys,
+                   f"K={K} cardinality branch tree holds up to K*2^(2K) elements per guess; "
+                   f"K above {CardTree.MAX_K} is not supported")
+        assert time.perf_counter() - start < 1
 
     def test_audit_negative_budget(self, tmp_path, capsys):
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")

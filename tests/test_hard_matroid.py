@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsub.errors import InvalidParams
-from streamsub.hard_matroid import (MatHardInstance, MatHardParams, approx_ratio,
+from streamsub.hard_matroid import (MatHardInstance, MatHardParams, _level, approx_ratio,
                                     blue_ceiling, level_value, optimal_value,
                                     output_bound, profile_value, singleton_values)
 from streamsub.oracles import verify_monotone_submodular
@@ -120,6 +120,37 @@ class TestProfileValue:
     def test_last_blue_rejected(self):
         with pytest.raises(InvalidParams):
             profile_value(3, (0, 0, 0), (0, 0, 1))
+
+
+class TestCheckedMemo:
+    """``level_value`` memoizes checked profiles: a valid profile, asked
+    twice and in list form, gets the value of the clamped recursion, and
+    an invalid one raises the same error on every call, unhashable
+    entries included."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_values_match_the_clamped_recursion(self, K):
+        for reds, blues in profile_lattice(K):
+            over = tuple(b + 2 for b in blues)
+            clamped = tuple(min(b, blue_ceiling(K, j + 1)) for j, b in enumerate(over))
+            want = _level(K, reds, clamped)
+            for _ in range(2):
+                assert level_value(K, reds, over) == want
+                assert level_value(K, list(reds), list(over)) == want
+
+    @pytest.mark.parametrize("t,reds,blues,message", [
+        (0, (), (), "one red flag and one blue count per level"),
+        (2, (0,), (0, 0), "one red flag and one blue count per level"),
+        (2, (0, 2), (0, 0), "red entries must be 0/1"),
+        (2, (0, 1), (0, -1), "blue counts must be non-negative"),
+        (2, ([1], 0), (0, 0), "red entries must be 0/1"),
+        (2, (0, {1}), (0, 0), "red entries must be 0/1"),
+        (2, [[0], 1], [0, 0], "red entries must be 0/1"),
+    ])
+    def test_invalid_profiles_raise_every_time(self, t, reds, blues, message):
+        for _ in range(2):
+            with pytest.raises(InvalidParams, match=message):
+                level_value(t, reds, blues)
 
 
 def _up(profile, move):
