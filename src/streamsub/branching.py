@@ -21,13 +21,17 @@ guesses v = (1+eps)^i and the window of them that the best singleton so
 far selects; the driver here and the sieve in :mod:`streamsub.baselines`
 share it.
 
-The guess enters a cardinality tree only through its take bars, so one
-:class:`CardTree` stands for a contiguous run of guesses for as long as
-their trees make the same take/skip decisions, and splits where an
-offered gain clears the bar of the run's lower guesses and not of its
-upper ones. The driver steps each run once and replays the run's queries
-through the gate for its other guesses, so the query count and log are
-those of one tree per guess.
+A tree of either kind stands for a contiguous run of guesses for as long
+as their trees make the same decisions, and splits where they stop. The
+guess enters a cardinality tree only through its take bars, so a
+:class:`CardTree` splits where an offered gain clears the bar of the
+run's lower guesses and not of its upper ones. A :class:`MatroidTree`
+shares every node among its guesses and keeps per guess only each node's
+target and threshold runs; it splits where adjacent guesses disagree on
+whether a node spawns a child. The driver steps each run once and
+replays the run's queries through the gate for its other guesses
+(:meth:`~streamsub.oracles.QueryGate.replay`), so the query count and log
+are those of one tree per guess.
 
 Numeric conventions: function values are exact integers. A guess value
 v is an exact rational kept as an integer pair ``(num, den)`` with
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .errors import InvalidParams
 from .matroids import Matroid, UniformMatroid
@@ -164,18 +169,46 @@ class GuessGrid:
 
 
 class _Tree:
-    """State of both branch trees: ``nodes`` holds every node ever created
-    and ``stored`` counts the elements they hold; when tracing,
-    ``trace_log`` gets one ``(id(node), t)`` per offer."""
+    """What both branch trees share. A tree stands for ``run``, an
+    ascending list of guesses ``(index, num, den)``; ``nodes`` holds every
+    node ever created, in creation order, and ``asked`` the ``(query,
+    times)`` pairs of the last step, which a driver replays through
+    :meth:`~streamsub.oracles.QueryGate.replay` once for each other guess
+    of the run. ``stored`` counts the elements that each guess of the run
+    holds alike. When tracing, ``trace_log`` gets one ``(id(node), t)``
+    per offer. Nodes keep no reference to their tree, which passes itself
+    in, so a tree holds no reference cycle and is freed once dropped."""
 
-    def __init__(self, trace: bool):
+    def __init__(self, run: list, trace: bool):
+        self.run = run
         self.nodes: list = []
+        self.asked: list = []
         self.stored = 0
-        self.branches_spawned = 0
         self.trace_log: list | None = [] if trace else None
 
     def footprint(self) -> int:
-        return self.stored
+        """The elements the tree holds, summed over its guesses."""
+        return self.stored * len(self.run)
+
+    def join(self, index: int, v: tuple[int, int]):
+        """Add guess ``index`` of value ``v`` on top of the run, before the
+        tree's first step."""
+        self.run.append((index, *v))
+
+    def _offer(self, t: int, e: int) -> list:
+        """Offer ``e`` to every node, in creation order, and return the
+        offers that take it. No node is created here, and the children the
+        offers make later in the step first see the next element."""
+        trace = self.trace_log
+        self.asked = []
+        offers = []
+        for node in self.nodes:
+            if trace is not None:
+                trace.append((id(node), t))
+            offer = node.offer(self, e)
+            if offer is not None:
+                offers.append(offer)
+        return offers
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +273,9 @@ class _CardNode:
       query count and log unchanged, entry for entry.
     """
 
-    __slots__ = ("tree", "s", "g", "best", "chains", "waiting", "times")
+    __slots__ = ("s", "g", "best", "chains", "waiting", "times")
 
     def __init__(self, tree: "CardTree", s: int, g: Residual, chains: list):
-        self.tree = tree
         self.s = s
         self.g = g
         self.best = None
@@ -252,9 +284,9 @@ class _CardNode:
         self.times = 0
         tree.nodes.append(self)
 
-    def offer(self, e: int, run: list, asked: list):
+    def offer(self, tree: "CardTree", e: int):
         """Query the gain of ``e`` once for all invocations, record the
-        query and its count in ``asked`` and keep the best singleton.
+        query and its count in ``tree.asked`` and keep the best singleton.
         Return None if no waiting chain's bar clears the run's lowest
         guess, else ``(self, gain, takes)`` with one ``(chain, cut)`` per
         chain whose bar the first ``cut`` guesses of the run clear."""
@@ -267,14 +299,15 @@ class _CardNode:
         g = self.g
         query = g.pinned | {e}
         gain = g.gate.value(query, self.times) - g.base
-        asked.append((query, self.times))
+        tree.asked.append((query, self.times))
         if self.best is None:
-            self.tree.stored += len(self.chains)
+            tree.stored += len(self.chains)
         if self.best is None or gain > self.best[1]:
             self.best = (frozenset({e}), gain)
         if not waiting:
             return None
         takes = None
+        run = tree.run
         _, num, den = run[0]
         for chain in waiting:
             alpha, beta, delta = chain[1]
@@ -285,10 +318,10 @@ class _CardNode:
                 takes.append((chain, _cut(run, over, alpha)))
         return None if takes is None else (self, gain, takes)
 
-    def take(self, e: int, gain: int, chains: list):
+    def take(self, tree: "CardTree", e: int, gain: int, chains: list):
         """Pin ``e`` in each of ``chains``, waiting chains of this node in
         order, under one new child."""
-        tree, s = self.tree, self.s
+        s = self.s
         child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
         for chain in chains:
             k = chain[0]
@@ -325,7 +358,7 @@ class CardTree(_Tree):
 
     ``run`` holds the guesses the tree stands for, ascending, as
     ``(index, num, den)``. ``CardTree(gate, k, s, v)`` is a run of one
-    guess v; :class:`GuessDriver` adds the guesses that enter its window
+    guess v; :class:`GuessDriver` joins the guesses that enter its window
     in the same step. The guess enters only the take bars, so the trees of
     the run's guesses are one tree for as long as they make the same
     take/skip decisions.
@@ -356,9 +389,8 @@ class CardTree(_Tree):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
         self.check_size(max(k, s))
-        super().__init__(trace)
-        self.run = [(index, *as_pair(v))]
-        self.asked: list = []
+        super().__init__([(index, *as_pair(v))], trace)
+        self.branches_spawned = 0
         self.root = _CardNode(self, s, Residual(gate), [[k, (1, 0, 1), None, None, 0]])
 
     @classmethod
@@ -367,18 +399,15 @@ class CardTree(_Tree):
             raise InvalidParams(f"K={k} cardinality branch tree holds up to K*2^(2K) elements "
                                 f"per guess; K above {cls.MAX_K} is not supported")
 
+    def drop_lowest(self) -> int:
+        """Drop the run's lowest guess and return its count of branches
+        spawned."""
+        del self.run[0]
+        return self.branches_spawned
+
     def step(self, t: int, e: int) -> list:
-        run, trace = self.run, self.trace_log
-        asked = self.asked = []
-        offers = []
-        # (1) no node is created before (3), and the children made there
-        # first see the next element
-        for node in self.nodes:
-            if trace is not None:
-                trace.append((id(node), t))
-            offer = node.offer(e, run, asked)
-            if offer is not None:
-                offers.append(offer)
+        run = self.run
+        offers = self._offer(t, e)  # (1)
         if not offers:
             return []
         twins = []
@@ -402,15 +431,14 @@ class CardTree(_Tree):
                 if remap is not None:
                     node = remap[id(node)]
                     chains = [remap[id(chain)] for chain in chains]
-                node.take(e, gain, chains)
+                node.take(self, e, gain, chains)
 
     def _copy(self, run: list) -> tuple["CardTree", dict]:
         """This tree for the guesses ``run``, sharing its residuals, and a
         map from the id of each node and chain to its copy."""
         twin = CardTree.__new__(CardTree)
-        _Tree.__init__(twin, self.trace_log is not None)
+        _Tree.__init__(twin, run, self.trace_log is not None)
         twin.stored, twin.branches_spawned = self.stored, self.branches_spawned
-        twin.run, twin.asked = run, []
         remap = {}
         for node in self.nodes:
             copy = _CardNode(twin, node.s, node.g, [list(chain) for chain in node.chains])
@@ -443,36 +471,39 @@ class CardTree(_Tree):
 
 
 class _MatNode:
-    """One invocation of the matroid procedure carrying an independent set
-    I, the pinned set of its residual ``g``, and a target ``v`` as a
-    ``(num, den)`` pair.
+    """One invocation of the matroid procedure for every guess of its
+    tree's run: the carried independent set I, the pinned set of its
+    residual ``g``, with its load ``iload``, and per guess j a target
+    ``v[j]`` as a ``(num, den)`` pair.
 
     For each threshold index b (0..beta, with acceptance bar b*v/K^4) the
     node grows a tracking set T_b of accepted elements; every acceptance
     logically spawns a child conditioned on that element. Children are
     shared across threshold indices that accept the same element at the
-    same arrival, which is pure memoization of identical invocations.
-    A fallback candidate (the best singleton extending I) is always kept.
+    same arrival, which is pure memoization of identical invocations, and
+    across the guesses of the run, which all accept it. A fallback
+    candidate (the best singleton extending I) is always kept. The
+    residual, I, the fallback and ``children`` are those of every guess;
+    only the targets and the tracking sets are kept per guess.
 
-    The indices are kept in runs: ``runs`` holds ``(lo, hi, T, load)`` in
-    index order, tiling 0..beta, where every b in lo..hi has T_b = T and
-    ``load`` is the matroid load of I + T (``iload`` is that of I). A run
-    whose I + T has reached the rank is closed: it keeps T and its load
-    is None. A node with k = 1 tracks nothing and has no runs.
+    The indices are kept in runs: ``runs[j]`` holds guess j's ``(lo, hi,
+    T, load)`` in index order, tiling 0..beta, where every b in lo..hi has
+    T_b = T and ``load`` is the matroid load of I + T. A run whose I + T
+    has reached the rank is closed: it keeps T and its load is None. A
+    node with k = 1 tracks nothing and has no runs.
 
     Runs are exact. All indices of a run hold the same T and load, so
     they give the same independence answer for e; they differ only in the
     bar, which e clears exactly at b <= b_max = floor(gain*K^4/v) (every b
-    when v <= 0). So on each offer a run
-    ignores e, takes it on all its indices, or splits at b_max into a
-    lower part that takes e and an upper part that stays as it was. Runs
-    only ever split, and an offer splits at most one of them.
+    when v <= 0). So on each offer a run ignores e, takes it on all its
+    indices, or splits at b_max into a lower part that takes e and an
+    upper part that stays as it was. Runs only ever split, and an offer
+    splits at most one of each guess's runs.
     """
 
-    __slots__ = ("tree", "k", "v", "g", "iload", "best_single", "runs", "children")
+    __slots__ = ("k", "v", "g", "iload", "best_single", "runs", "children")
 
-    def __init__(self, tree: "MatroidTree", k: int, v: tuple[int, int], g: Residual, iload):
-        self.tree = tree
+    def __init__(self, tree: "MatroidTree", k: int, v: list, g: Residual, iload):
         self.k = k
         self.v = v
         self.g = g
@@ -480,52 +511,66 @@ class _MatNode:
         self.best_single = None
         # accepted element -> (its child, its gain), in arrival order
         self.children: dict[int, tuple["_MatNode", int]] = {}
-        self.runs = [(0, tree.beta, frozenset(), iload)] if k > 1 else []
+        self.runs = [[(0, tree.beta, frozenset(), iload)] if k > 1 else [] for _ in v]
         tree.nodes.append(self)
         tree.stored += len(g.pinned)
 
-    def offer(self, e: int):
-        tree = self.tree
+    def offer(self, tree: "MatroidTree", e: int):
+        """When I + e is independent, query the gain of ``e`` once for the
+        whole run, record the query in ``tree.asked``, keep the fallback
+        and offer ``e`` to each guess's runs. Return None if no guess takes
+        ``e``, else ``(self, gain, took)`` with ``took`` None if every guess
+        takes it, else one flag per guess."""
         matroid = tree.matroid
         if not matroid.fits(self.iload, e):
-            return
-        gain = self.g.singleton(e)
-        if self.best_single is None:
+            return None
+        g = self.g
+        query = g.pinned | {e}
+        gain = g.gate.value(query) - g.base
+        tree.asked.append((query, 1))
+        best = self.best_single
+        if best is None:
             tree.stored += 1
             self.best_single = (gain, e)
-        elif gain > self.best_single[0]:
+        elif gain > best[0]:
             self.best_single = (gain, e)
-        runs = self.runs
-        if not runs:
-            return
-        num, den = self.v
-        k4 = tree.k4
-        b_max = gain * k4 * den // num if num > 0 else tree.beta
+        if self.k == 1:
+            return None
+        over, beta = gain * tree.k4, tree.beta
         fits, plus = matroid.fits, matroid.plus
-        room = tree.rank - len(self.g.pinned)
-        accepted = 0
-        for i, (lo, hi, tracked, load) in enumerate(runs):
-            if lo > b_max:
-                break
-            if load is None or not fits(load, e):
-                continue
-            top = min(hi, b_max)
-            # stored and branches_spawned count per index
-            accepted += top - lo + 1
-            grown = tracked | {e}
-            runs[i] = (lo, top, grown, plus(load, e) if len(grown) < room else None)
-            if top < hi:
-                # the upper part, like every later run, starts above b_max
-                runs.insert(i + 1, (top + 1, hi, tracked, load))
-                break
-        if not accepted:
-            return
-        tree.stored += accepted
-        tree.branches_spawned += accepted
+        room = tree.rank - len(g.pinned)
+        taken = tree.taken
+        took = []
+        for j, (runs, (num, den)) in enumerate(zip(self.runs, self.v)):
+            b_max = over * den // num if num > 0 else beta
+            accepted = 0
+            for i, (lo, hi, tracked, load) in enumerate(runs):
+                if lo > b_max:
+                    break
+                if load is None or not fits(load, e):
+                    continue
+                top = min(hi, b_max)
+                # the tracking sets and branches count per index
+                accepted += top - lo + 1
+                grown = tracked | {e}
+                runs[i] = (lo, top, grown, plus(load, e) if len(grown) < room else None)
+                if top < hi:
+                    # the upper part, like every later run, starts above b_max
+                    runs.insert(i + 1, (top + 1, hi, tracked, load))
+                    break
+            taken[j] += accepted
+            took.append(accepted > 0)
+        if True not in took:
+            return None
+        return self, gain, took if False in took else None
+
+    def branch(self, tree: "MatroidTree", e: int, gain: int):
+        """Spawn the child conditioned on ``e`` for every guess of the run."""
+        k4 = tree.k4
         # v_next = (1 - 1/K^4) v - 2 gain
-        v_next = ((k4 - 1) * num - 2 * gain * k4 * den, k4 * den)
-        child = _MatNode(tree, self.k - 1, v_next, self.g.extend(e, gain),
-                         plus(self.iload, e))
+        v = [((k4 - 1) * num - 2 * gain * k4 * den, k4 * den) for num, den in self.v]
+        child = _MatNode(tree, self.k - 1, v, self.g.extend(e, gain),
+                         tree.matroid.plus(self.iload, e))
         self.children[e] = (child, gain)
 
     def solution(self) -> tuple[frozenset, int]:
@@ -544,28 +589,52 @@ class _MatNode:
 
 
 class MatroidTree(_Tree):
-    """Event-driven tree for one fixed guess v under a matroid constraint.
+    """Event-driven tree under a matroid constraint for a run of guesses.
+
+    ``run`` holds the guesses the tree stands for, ascending, as
+    ``(index, num, den)``. ``MatroidTree(gate, matroid, k, v)`` is a run
+    of one guess v; :class:`GuessDriver` joins the guesses that enter its
+    window in the same step. Every guess of the run has the same nodes,
+    with the same residuals, fallbacks and children; per guess, each node
+    keeps its target and its threshold runs (:class:`_MatNode`).
+
+    :meth:`step` runs in three phases. (1) Every pre-step node that can
+    extend I by e queries the gain of e once, keeps its fallback and
+    offers e to the runs of each guess; ``asked`` records each query. (2)
+    Where two adjacent guesses disagree on whether some node spawns a
+    child for e, the tree is copied once for each sub-run above such a
+    boundary, the copies sharing its residuals, and keeps the lowest
+    sub-run. (3) Each tree spawns the children of its own guesses. Index
+    0's bar is 0, so T_0 is the same for every guess with a positive
+    target: guesses can disagree only when T_0 cannot take e or a target
+    is <= 0. Each tree makes the run its guesses would have made alone.
+    :meth:`step` returns the copies; a driver replays ``asked`` once for
+    each other guess of the run.
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above
-    ``MAX_RANK`` are refused. ``stored`` is the running count, summed over
-    the nodes, of the carried independent set I, the tracking sets T_b
-    and the fallback candidate. The stream delivers each element at most
-    once, as an ordering of the ground set does.
+    ``MAX_RANK`` are refused. ``stored`` counts, for each guess of the run,
+    the carried sets I and the fallbacks of the nodes, and ``taken[j]``
+    the elements of guess j's tracking sets, one per threshold index that
+    accepted an element, which is also its count of branches spawned. The
+    stream delivers each element at most once, as an ordering of the
+    ground set does.
     """
 
     MAX_RANK = 4
 
-    def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False):
+    def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False,
+                 index: int = 0):
         rank = matroid.rank
         self.check_size(rank)
         if k < 1:
             raise InvalidParams("need k >= 1")
+        super().__init__([(index, *as_pair(v))], trace)
         self.matroid = matroid
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
-        super().__init__(trace)
-        self.root = _MatNode(self, k, as_pair(v), Residual(gate), matroid.load(frozenset()))
+        self.taken = [0]
+        self.root = _MatNode(self, k, [as_pair(v)], Residual(gate), matroid.load(frozenset()))
 
     @classmethod
     def check_size(cls, rank: int):
@@ -574,19 +643,83 @@ class MatroidTree(_Tree):
                 f"rank {rank} branch tree is Theta(K^5)-wide per node; "
                 f"ranks above {cls.MAX_RANK} are not supported")
 
-    def step(self, t: int, e: int):
-        # children created during this step are not in the snapshot and
-        # first see the next element
-        for node in list(self.nodes):
-            if self.trace_log is not None:
-                self.trace_log.append((id(node), t))
-            node.offer(e)
+    @property
+    def branches_spawned(self) -> int:
+        """Branches spawned, summed over the guesses of the run."""
+        return sum(self.taken)
+
+    def join(self, index: int, v: tuple[int, int]):
+        super().join(index, v)
+        self.taken.append(0)
+        root = self.root
+        root.v.append(v)
+        root.runs.append(list(root.runs[0]))
+
+    def drop_lowest(self) -> int:
+        """Drop the run's lowest guess and return its count of branches
+        spawned."""
+        del self.run[0]
+        for node in self.nodes:
+            del node.v[0], node.runs[0]
+        return self.taken.pop(0)
+
+    def footprint(self) -> int:
+        return super().footprint() + sum(self.taken)
+
+    def step(self, t: int, e: int) -> list:
+        offers = self._offer(t, e)  # (1)
+        if not offers:
+            return []
+        twins = []
+        # (2) the sub-runs above the boundaries inside the run, then (3)
+        cuts = sorted({j for _, _, took in offers if took is not None
+                       for j in range(1, len(took)) if took[j] != took[j - 1]})
+        if cuts:
+            for lo, hi in zip(cuts, cuts[1:] + [len(self.run)]):
+                twin, remap = self._copy(lo, hi)
+                twin._branch(e, offers, lo, remap)
+                twins.append(twin)
+            cut = cuts[0]
+            del self.run[cut:], self.taken[cut:]
+            for node in self.nodes:
+                del node.v[cut:], node.runs[cut:]
+        self._branch(e, offers, 0, None)
+        return twins
+
+    def _branch(self, e: int, offers: list, at: int, remap: dict | None):
+        # the guesses of this tree, from position `at` of the stepped run
+        # on, agree on every offer
+        for node, gain, took in offers:
+            if took is None or took[at]:
+                if remap is not None:
+                    node = remap[id(node)]
+                node.branch(self, e, gain)
+
+    def _copy(self, lo: int, hi: int) -> tuple["MatroidTree", dict]:
+        """This tree for the guesses at positions ``lo..hi-1`` of its run,
+        sharing its residuals, and a map from the id of each node to its
+        copy. The copy takes over those guesses' targets and runs."""
+        twin = MatroidTree.__new__(MatroidTree)
+        _Tree.__init__(twin, self.run[lo:hi], self.trace_log is not None)
+        twin.matroid, twin.rank, twin.k4, twin.beta = self.matroid, self.rank, self.k4, self.beta
+        twin.taken = self.taken[lo:hi]
+        remap = {}
+        for node in self.nodes:
+            copy = remap[id(node)] = _MatNode(twin, node.k, node.v[lo:hi], node.g, node.iload)
+            copy.runs, copy.best_single = node.runs[lo:hi], node.best_single
+        for node in self.nodes:
+            remap[id(node)].children = {e: (remap[id(child)], gain)
+                                        for e, (child, gain) in node.children.items()}
+        twin.stored = self.stored
+        twin.root = twin.nodes[0]
+        return twin, remap
 
     def stored_set(self) -> frozenset:
         out: set = set()
         for node in self.nodes:
-            for _, _, tracked, _ in node.runs:
-                out |= tracked
+            for runs in node.runs:
+                for _, _, tracked, _ in runs:
+                    out |= tracked
             if node.best_single is not None:
                 out.add(node.best_single[1])
         return frozenset(out)
@@ -615,18 +748,19 @@ class GuessDriver:
     other matroid, unless ``constraint`` ("cardinality" or "matroid") says;
     a budget above the tree's cap is refused here, before any element.
 
-    ``roots`` maps each live guess index to its tree. Matroid trees are one
-    per guess. A cardinality tree stands for a contiguous run of guesses
-    (:class:`CardTree`), so the guesses that enter in one step share one
-    new tree, and a tree splits only where an offered gain clears the bar
-    of some of its guesses and not of the rest. Each step steps every
-    distinct tree once, in ascending guess order, and after each replays
-    the tree's queries through the gate once for each other guess of its
-    run. So the query count, the query log (guess by guess, as one tree
-    per guess would make it), the oracle calls and the refusals are those
-    of one tree per guess, and so are the footprint, the stored set and
-    the counters. A tree's solution is computed once for all its guesses
-    that retire in one step.
+    ``roots`` maps each live guess index to its tree. A tree of either
+    kind stands for a contiguous run of guesses: the guesses that enter in
+    one step join one new tree, and a tree splits only where its guesses
+    stop making the same decisions. Each step steps every distinct tree
+    once, in ascending guess order, registers the copies it returns, and
+    replays the tree's queries through
+    :meth:`~streamsub.oracles.QueryGate.replay` once for each other guess
+    of its run. So the query count, the query log (guess by guess, as one
+    tree per guess would make it), the oracle calls and the refusals are
+    those of one tree per guess, and so are the footprint, the stored set
+    and the counters, which the trees keep per guess where guesses differ.
+    A tree's solution is computed once for all its guesses that retire in
+    one step.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps, constraint: str | None = None):
@@ -637,12 +771,16 @@ class GuessDriver:
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
-        (CardTree if constraint == "cardinality" else MatroidTree).check_size(self.K)
+        if constraint == "cardinality":
+            CardTree.check_size(self.K)
+            self._new_tree = partial(CardTree, gate, self.K, self.K)
+        else:
+            MatroidTree.check_size(self.K)
+            self._new_tree = partial(MatroidTree, gate, matroid, self.K)
         eps = to_fraction(eps)
         p, q = eps.numerator, eps.denominator
         # the window's bounds over m, as (num, den): 1/(1+eps)^2 and K/eps
         self.grid = GuessGrid(eps, (q * q, (p + q) ** 2), (self.K * q, p))
-        self.constraint = constraint
         self.empty_load = matroid.load(frozenset())
         self.roots: dict[int, CardTree | MatroidTree] = {}
         self.champion: tuple[frozenset, int] = (frozenset(), 0)
@@ -650,21 +788,19 @@ class GuessDriver:
         self.branches_spawned = 0
         self.roots_spawned = 0
         self.live_roots_peak = 0
-        # the cardinality tree spawned in this step, and the last retired
-        # tree with its solution
-        self._entering: CardTree | None = None
+        # the tree spawned in this step, and the last retired tree with its
+        # solution
+        self._entering: CardTree | MatroidTree | None = None
         self._finished = None
         self._solution: tuple[frozenset, int] = (frozenset(), 0)
 
     def _spawn(self, i: int):
         v = self.grid[i]
-        if self.constraint == "matroid":
-            tree = MatroidTree(self.gate, self.matroid, self.K, v)
-        elif self._entering is None:
-            tree = self._entering = CardTree(self.gate, self.K, self.K, v, index=i)
+        tree = self._entering
+        if tree is None:
+            tree = self._entering = self._new_tree(v, index=i)
         else:
-            tree = self._entering
-            tree.run.append((i, *v))
+            tree.join(i, v)
             # the query of f(empty) this guess's own root would make
             self.gate.value(frozenset())
         self.roots[i] = tree
@@ -672,16 +808,14 @@ class GuessDriver:
 
     def _retire(self, i: int):
         tree = self.roots.pop(i)
-        self.branches_spawned += tree.branches_spawned
         if tree is not self._finished:
             self._finished, self._solution = tree, tree.finish()
+        # guesses leave from the bottom of the window and of the run
+        self.branches_spawned += tree.drop_lowest()
         sol, val = self._solution
         if val > self.champion[1]:
             self.champion = (sol, val)
             self.champion_v = Fraction(*self.grid[i])
-        if self.constraint != "matroid":
-            # guesses leave from the bottom of the window and of the run
-            del tree.run[0]
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
@@ -692,20 +826,15 @@ class GuessDriver:
             for i in entered:
                 self._spawn(i)
         roots = self.roots
-        if self.constraint == "matroid":
-            for tree in roots.values():
-                tree.step(t, e)
-        else:
-            value = self.gate.value
-            # roots keeps its keys ascending, so the distinct trees come
-            # in ascending guess order
-            for tree in dict.fromkeys(roots.values()):
-                others = len(tree.run) - 1
-                for twin in tree.step(t, e):
-                    for i, _, _ in twin.run:
-                        roots[i] = twin
-                for query, times in tree.asked * others:
-                    value(query, times)
+        replay = self.gate.replay
+        # roots keeps its keys ascending, so the distinct trees come in
+        # ascending guess order
+        for tree in dict.fromkeys(roots.values()):
+            others = len(tree.run) - 1
+            for twin in tree.step(t, e):
+                for i, _, _ in twin.run:
+                    roots[i] = twin
+            replay(tree.asked, others)
         if len(roots) > self.live_roots_peak:
             self.live_roots_peak = len(roots)
 
@@ -716,7 +845,8 @@ class GuessDriver:
         return frozenset(out)
 
     def footprint(self) -> int:
-        return len(self.champion[0]) + sum(t.footprint() for t in self.roots.values())
+        return len(self.champion[0]) + sum(tree.footprint()
+                                           for tree in dict.fromkeys(self.roots.values()))
 
     def finish(self) -> tuple[frozenset, int]:
         for i in list(self.roots):

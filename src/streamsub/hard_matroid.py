@@ -67,8 +67,8 @@ def _checked_level(t: int, reds: tuple, blues: tuple) -> int:
         raise InvalidParams("need one red flag and one blue count per level")
     if any(x not in (0, 1) for x in reds):
         raise InvalidParams("red entries must be 0/1")
-    if any(b < 0 for b in blues):
-        raise InvalidParams("blue counts must be non-negative")
+    if any(not isinstance(b, int) or b < 0 for b in blues):
+        raise InvalidParams("blue counts must be non-negative integers")
     clamped = tuple(min(b, blue_ceiling(t, j + 1)) for j, b in enumerate(blues))
     return _level(t, reds, clamped)
 

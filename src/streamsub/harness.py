@@ -206,7 +206,10 @@ def run_experiment(instance, algorithm: str = "branching", epsilon="1/10",
                    trials: int = 20, distribution: str | None = None,
                    policy: str = "weak") -> dict:
     """``trials`` trials of ``algorithm`` on ``instance``, seeded from the
-    instance's seed; ``config`` holds its description and the options."""
+    instance's seed; ``config`` holds its description and the options. A
+    streaming algorithm is built once before the optimum is computed, so
+    that what it refuses, such as a budget above its tree's cap, is
+    refused before any brute force."""
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
     params = instance.describe()
@@ -214,6 +217,9 @@ def run_experiment(instance, algorithm: str = "branching", epsilon="1/10",
               "algorithm": algorithm, "epsilon": str(to_fraction(epsilon)),
               "trials": trials, "distribution": distribution or "", "policy": policy}
     distribution = distribution or default_distribution(instance)
+    if algorithm != "greedy":
+        # what the algorithm refuses is refused before the optimum is paid for
+        make_streaming_algorithm(algorithm, QueryGate(instance.fn), instance, epsilon)
     opt = exact_optimum(instance)
     results = [run_trial(instance, algorithm, epsilon, derive_seed(config["seed"], "trial", idx),
                          opt, distribution, policy)

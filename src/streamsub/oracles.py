@@ -160,8 +160,9 @@ class OracleAudit:
 
 class QueryGate:
     """Front door for every value query of one run; :meth:`value` is its
-    one query method. A refused query is recorded in ``audit.rejected``
-    and raised as :class:`PolicyViolation`, never revealing its value.
+    one query method, and :meth:`replay` only repeats what it answered. A
+    refused query is recorded in ``audit.rejected`` and raised as
+    :class:`PolicyViolation`, never revealing its value.
 
     Inside a stream step (``audit.step >= 0``) accepted values are memoized
     until the step changes, and the memo answers first: a hit only counts
@@ -215,6 +216,28 @@ class QueryGate:
             audit.log.extend([(step, subset)] * times)
         return result
 
+    def replay(self, asked: list, repeats: int):
+        """Answer ``repeats`` more rounds of ``asked``, ``(subset, times)``
+        pairs with frozenset subsets, as ``value(subset, times)`` for each
+        pair in order, round after round, would. When this step's memo
+        holds every subset, the count grows in one operation and the log,
+        when kept, by the same entries in the same order. Otherwise each
+        pair goes through :meth:`value`, so every check runs and a refusal
+        raises and is recorded."""
+        if repeats < 1 or not asked:
+            return
+        audit, memo = self.audit, self._memo
+        if self._memo_step != audit.step or not all(subset in memo for subset, _ in asked):
+            for _ in range(repeats):
+                for subset, times in asked:
+                    self.value(subset, times)
+            return
+        audit.query_count += repeats * sum(times for _, times in asked)
+        if audit.record_log:
+            step = audit.step
+            audit.log.extend([(step, subset) for subset, times in asked
+                              for _ in range(times)] * repeats)
+
 
 # ---------------------------------------------------------------------------
 # residual views
@@ -235,9 +258,6 @@ class Residual:
         self.gate = gate
         self.pinned = frozenset(pinned)
         self.base = gate.value(self.pinned) if base is None else base
-
-    def singleton(self, e: int) -> int:
-        return self.gate.value(self.pinned | {e}) - self.base
 
     def value(self, subset) -> int:
         return self.gate.value(self.pinned | frozenset(subset)) - self.base

@@ -13,14 +13,18 @@ fallback last.
 :func:`ref_stored_set` is a branch tree's stored set by the per-node union
 formula that also counts every pinned or carried element on each node, and
 :func:`ref_footprint` the tree's running ``stored`` count summed node by
-node. :class:`PerIndexMatNode` is the matroid-tree node that tracks every
-threshold index on its own, the code path the run-compressed node
-replaced; :class:`PerInvocationCardTree` steps one
+node, and guess by guess in a matroid tree (:func:`guess_runs`).
+:class:`PerGuessMatroidTree` is the matroid tree for one fixed guess, of
+:class:`PerGuessMatNode` nodes, the code path the tree for a run of
+guesses replaced. :class:`PerIndexMatNode` is the matroid-tree node that
+tracks every threshold index on its own, the code path the
+run-compressed node replaced; :class:`PerInvocationCardTree` steps one
 :class:`PerInvocationCardNode` per invocation of the cardinality
 procedure, the code path the chain-holding node replaced.
 :class:`PerGuessDriver` is the guess driver with one tree per guess, the
-code path that runs of guesses sharing one tree replaced. The two
-reference trees keep every guess and threshold as a ``Fraction``, as does
+code path that runs of guesses sharing one tree replaced. The
+per-invocation and per-index reference trees keep every guess and
+threshold as a ``Fraction``, as does
 :class:`FractionSieve`, the threshold sieve with its guess grid as
 ``Fraction`` powers; against them the package's integer thresholds are
 checked, ties on the bar included (each counts its ties in ``ties``).
@@ -47,7 +51,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 
-from streamsub.branching import CardTree, GuessGrid, MatroidTree, _MatNode, to_fraction
+from streamsub.branching import (CardTree, GuessGrid, MatroidTree, _MatNode, as_pair,
+                                to_fraction)
 from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
 from streamsub.hard_cardinality import blue_marginal, red_marginal
 from streamsub.hard_matroid import blue_ceiling
@@ -228,17 +233,25 @@ def ref_matroid(fn, matroid, stream, k, v, indep=frozenset(), rank=None):
     return best if best is not None else (frozenset(), 0)
 
 
+def guess_runs(node):
+    """A matroid-tree node's threshold runs, one list per guess: the
+    package's ``_MatNode`` keeps one per guess of its tree's run, a
+    reference node the one of its guess."""
+    return node.runs if isinstance(node, _MatNode) else [node.runs]
+
+
 def ref_stored_set(tree):
-    """Union over all nodes of a ``CardTree`` or ``MatroidTree`` of the
+    """Union over all nodes of a ``CardTree`` or matroid tree of the
     node's pinned set (cardinality) or carried independent set (matroid)
     and the elements the node holds itself: its leaf best and chain pins,
-    or its tracking sets and fallback."""
+    or its tracking sets, of every guess, and fallback."""
     out = set()
     for node in tree.nodes:
         out |= node.g.pinned
         if hasattr(node, "runs"):
-            for _, _, tracked, _ in node.runs:
-                out |= tracked
+            for runs in guess_runs(node):
+                for _, _, tracked, _ in runs:
+                    out |= tracked
             if node.best_single is not None:
                 out.add(node.best_single[1])
         else:
@@ -249,20 +262,139 @@ def ref_stored_set(tree):
 
 
 def ref_footprint(tree):
-    """Sum over all invocations of a ``CardTree`` or ``MatroidTree`` of the
-    elements each holds: its pin or best singleton (cardinality: a chain
-    has one leaf, and k - 1 members that pin), or its carried independent
-    set, one tracking set per threshold index and its fallback (matroid)."""
+    """Sum over all invocations of a ``CardTree`` for one guess, or of a
+    matroid tree for each of its guesses, of the elements each holds: its
+    pin or best singleton (cardinality: a chain has one leaf, and k - 1
+    members that pin), or its carried independent set, one tracking set
+    per threshold index and its fallback (matroid)."""
     total = 0
     for node in tree.nodes:
         if hasattr(node, "runs"):
-            total += len(node.g.pinned) + sum((hi - lo + 1) * len(tracked)
-                                              for lo, hi, tracked, _ in node.runs)
-            total += node.best_single is not None
+            for runs in guess_runs(node):
+                total += len(node.g.pinned) + sum((hi - lo + 1) * len(tracked)
+                                                  for lo, hi, tracked, _ in runs)
+                total += node.best_single is not None
         else:
             for k, _, pin, _, _ in node.chains:
                 total += (node.best is not None) + (pin is not None) * (k - 1)
     return total
+
+
+class PerGuessMatNode:
+    """Matroid-tree node for one fixed guess: the package's node as it was
+    before a node served a run of guesses. ``v`` is its target as a
+    ``(num, den)`` pair, and ``runs`` its ``(lo, hi, T, load)`` threshold
+    runs, tiling 0..beta."""
+
+    def __init__(self, tree, k, v, g, iload):
+        self.tree = tree
+        self.k = k
+        self.v = v
+        self.g = g
+        self.iload = iload
+        self.best_single = None
+        self.children = {}
+        self.runs = [(0, tree.beta, frozenset(), iload)] if k > 1 else []
+        tree.nodes.append(self)
+        tree.stored += len(g.pinned)
+
+    def offer(self, e):
+        tree = self.tree
+        matroid = tree.matroid
+        if not matroid.fits(self.iload, e):
+            return
+        gain = self.g.value({e})
+        if self.best_single is None:
+            tree.stored += 1
+            self.best_single = (gain, e)
+        elif gain > self.best_single[0]:
+            self.best_single = (gain, e)
+        runs = self.runs
+        if not runs:
+            return
+        num, den = self.v
+        k4 = tree.k4
+        b_max = gain * k4 * den // num if num > 0 else tree.beta
+        room = tree.rank - len(self.g.pinned)
+        accepted = 0
+        for i, (lo, hi, tracked, load) in enumerate(runs):
+            if lo > b_max:
+                break
+            if load is None or not matroid.fits(load, e):
+                continue
+            top = min(hi, b_max)
+            accepted += top - lo + 1
+            grown = tracked | {e}
+            runs[i] = (lo, top, grown, matroid.plus(load, e) if len(grown) < room else None)
+            if top < hi:
+                runs.insert(i + 1, (top + 1, hi, tracked, load))
+                break
+        if not accepted:
+            return
+        tree.stored += accepted
+        tree.branches_spawned += accepted
+        v_next = ((k4 - 1) * num - 2 * gain * k4 * den, k4 * den)
+        child = type(self)(tree, self.k - 1, v_next, self.g.extend(e, gain),
+                           matroid.plus(self.iload, e))
+        self.children[e] = (child, gain)
+
+    def solution(self):
+        best = None
+        for e, (child, gain) in self.children.items():
+            sub, sub_val = child.solution()
+            cand = (sub | {e}, sub_val + gain)
+            if best is None or cand[1] > best[1]:
+                best = cand
+        if self.best_single is not None:
+            gain, e = self.best_single
+            cand = (frozenset({e}), gain)
+            if best is None or cand[1] > best[1]:
+                best = cand
+        return best if best is not None else (frozenset(), 0)
+
+
+class PerGuessMatroidTree:
+    """Matroid branch tree for one fixed guess v, whose root is a ``node``
+    (:class:`PerGuessMatNode` or :class:`PerIndexMatNode`); each step
+    offers the element to the nodes that existed before it. The package's
+    ``MatroidTree`` for a run of guesses must make, guess by guess, the
+    run of one such tree per guess."""
+
+    def __init__(self, gate, matroid, k, v, trace=False, node=PerGuessMatNode):
+        rank = matroid.rank
+        MatroidTree.check_size(rank)
+        if k < 1:
+            raise InvalidParams("need k >= 1")
+        self.matroid = matroid
+        self.rank = rank
+        self.k4 = max(rank, 1) ** 4
+        self.beta = self.k4 // 2
+        self.nodes = []
+        self.stored = 0
+        self.branches_spawned = 0
+        self.trace_log = [] if trace else None
+        self.root = node(self, k, as_pair(v), Residual(gate), matroid.load(frozenset()))
+
+    def step(self, t, e):
+        for node in list(self.nodes):
+            if self.trace_log is not None:
+                self.trace_log.append((id(node), t))
+            node.offer(e)
+
+    def stored_set(self):
+        out = set()
+        for node in self.nodes:
+            for _, _, tracked, _ in node.runs:
+                out |= tracked
+            if node.best_single is not None:
+                out.add(node.best_single[1])
+        return frozenset(out)
+
+    def footprint(self):
+        return self.stored
+
+    def finish(self):
+        return self.root.solution()
 
 
 class PerIndexMatNode:
@@ -270,9 +402,10 @@ class PerIndexMatNode:
     ``tracking[b]`` is T_b once b has accepted an element, ``loads[b]``
     the load of I + T_b while b is open, and ``open_bs`` the sorted open
     indices. It offers e to every open b <= b_max on its own, and counts
-    in ``ties`` the offers whose gain lies exactly on bar b_max. Swapped in
-    for ``branching._MatNode`` it must drive a ``MatroidTree`` to the same
-    run; :attr:`runs` shows its state as one run per index."""
+    in ``ties`` the offers whose gain lies exactly on bar b_max. As the
+    root of a :class:`PerGuessMatroidTree` it must drive the tree to the
+    run of the package's ``MatroidTree``; :attr:`runs` shows its state as
+    one run per index."""
 
     def __init__(self, tree, k, v, g, iload):
         self.tree = tree
@@ -302,7 +435,7 @@ class PerIndexMatNode:
         matroid = tree.matroid
         if not matroid.fits(self.iload, e):
             return
-        gain = self.g.singleton(e)
+        gain = self.g.value({e})
         if self.best_single is None:
             tree.stored += 1
             self.best_single = (gain, e)
@@ -351,7 +484,7 @@ class PerIndexMatNode:
             self.open_bs = [b for b in open_bs if b not in gone]
 
     # the same choice over children and the fallback as the run-compressed node
-    solution = _MatNode.solution
+    solution = PerGuessMatNode.solution
 
 
 class PerInvocationCardNode:
@@ -379,7 +512,7 @@ class PerInvocationCardNode:
             self.child_skip = PerInvocationCardNode(tree, k - 1, s, skip_v, g)
 
     def offer(self, e):
-        gain = self.g.singleton(e)
+        gain = self.g.value({e})
         if self.leaf:
             if self.best is None:
                 self.tree.stored += 1
@@ -462,13 +595,14 @@ class PerInvocationCardTree:
 
 class PerGuessDriver:
     """The guess driver with one tree of its own per guess: every live
-    guess index spawns a ``card_tree`` (cardinality) or a ``MatroidTree``,
-    each tree is stepped on its own in ascending guess order, and each
-    retiring guess computes its tree's solution. The code path that runs
-    of guesses sharing one :class:`~streamsub.branching.CardTree`
-    replaced; the package's ``GuessDriver`` must make the same run."""
+    guess index spawns a ``card_tree`` (cardinality) or a ``mat_tree``
+    (matroid), each tree is stepped on its own in ascending guess order,
+    and each retiring guess computes its tree's solution. The code path
+    that runs of guesses sharing one tree replaced; the package's
+    ``GuessDriver`` must make the same run."""
 
-    def __init__(self, gate, matroid, eps, constraint=None, card_tree=CardTree):
+    def __init__(self, gate, matroid, eps, constraint=None, card_tree=CardTree,
+                 mat_tree=PerGuessMatroidTree):
         if constraint is None:
             constraint = "cardinality" if isinstance(matroid, UniformMatroid) else "matroid"
         self.gate = gate
@@ -479,6 +613,7 @@ class PerGuessDriver:
         self.grid = GuessGrid(eps, (q * q, (p + q) ** 2), (self.K * q, p))
         self.constraint = constraint
         self.card_tree = card_tree
+        self.mat_tree = mat_tree
         self.empty_load = matroid.load(frozenset())
         self.roots = {}
         self.champion = (frozenset(), 0)
@@ -492,7 +627,7 @@ class PerGuessDriver:
         if self.constraint == "cardinality":
             tree = self.card_tree(self.gate, self.K, self.K, v)
         else:
-            tree = MatroidTree(self.gate, self.matroid, self.K, v)
+            tree = self.mat_tree(self.gate, self.matroid, self.K, v)
         self.roots[i] = tree
         self.roots_spawned += 1
 

@@ -1,8 +1,11 @@
+import gc
 import importlib.util
 import pathlib
 import random
 import sys
+import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,9 +25,10 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, Stron
                                WeakPolicy, additive)
 from streamsub.samplers import sample_stream
 
-from _reference import (ExplicitMatroid, FractionSieve, PerGuessDriver, PerIndexMatNode,
-                        PerInvocationCardTree, gamma_bound, ref_cardinality, ref_footprint,
-                        ref_matroid, ref_stored_set, ref_window, subtree_size)
+from _reference import (ExplicitMatroid, FractionSieve, PerGuessDriver, PerGuessMatroidTree,
+                        PerIndexMatNode, PerInvocationCardTree, gamma_bound, guess_runs,
+                        ref_cardinality, ref_footprint, ref_matroid, ref_stored_set, ref_window,
+                        subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -633,6 +637,31 @@ class TestGuessDriver:
         assert inst.matroid.is_independent(solution)
 
 
+class TestNoReferenceCycles:
+    """Branch trees hold no reference cycle: with the cyclic collector off,
+    the trees of a dropped driver are freed at once."""
+
+    @pytest.mark.parametrize("matroid", [UniformMatroid(8, 3),
+                                         PartitionMatroid([0, 0, 1, 1, 2, 2, 0, 1])])
+    def test_a_dropped_driver_frees_its_trees(self, matroid):
+        inst = CoverageInstance(8, 12, 3, 11)
+        gate = weak_gate(inst.fn, matroid)
+        driver = GuessDriver(gate, matroid, Fraction(1, 10))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for t, e in enumerate(range(8)):
+                gate.audit.step = t
+                driver.step(t, e)
+            trees = [weakref.ref(tree) for tree in dict.fromkeys(driver.roots.values())]
+            assert trees and all(ref().nodes for ref in trees)
+            del driver
+            assert [ref() for ref in trees] == [None] * len(trees)
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestSpaceAccounting:
     @pytest.mark.parametrize("K", [2, 3])
     def test_cardinality_fixed_guess_bound(self, K):
@@ -707,11 +736,12 @@ class TestLoadsDifferential:
             for node in alg.nodes:
                 # runs tile 0..beta in order; a run is closed exactly when
                 # I + T reached the rank, and an open run's load is that of I + T
-                bounds = [(lo, hi) for lo, hi, _, _ in node.runs]
+                (runs,) = node.runs
+                bounds = [(lo, hi) for lo, hi, _, _ in runs]
                 if node.k > 1:
                     assert [lo for lo, _ in bounds] == [0] + [hi + 1 for _, hi in bounds[:-1]]
                     assert bounds[-1][1] == alg.beta
-                for lo, hi, tracked, load in node.runs:
+                for lo, hi, tracked, load in runs:
                     assert lo <= hi
                     full = len(node.g.pinned) + len(tracked) >= alg.rank
                     assert (load is None) == full
@@ -747,70 +777,81 @@ class TestLoadsDifferential:
 
 
 
-def per_index(node):
-    """A matroid-tree node's runs written out as one (T_b, load) per
-    threshold index; a closed index has load None."""
-    return [(tracked, load) for lo, hi, tracked, load in node.runs
-            for _ in range(lo, hi + 1)]
+def per_index(runs):
+    """One guess's threshold runs of a matroid-tree node written out as
+    one (T_b, load) per threshold index; a closed index has load None."""
+    return [(tracked, load) for lo, hi, tracked, load in runs for _ in range(lo, hi + 1)]
+
+
+def guess_states(alg):
+    """Per live guess, ascending, of a matroid tree or a guess driver: each
+    node's carried set and per-index tracking state for that guess."""
+    roots = alg.roots if hasattr(alg, "roots") else {0: alg}
+    states = []
+    for i, tree in roots.items():
+        j = [index for index, _, _ in tree.run].index(i) if hasattr(tree, "run") else 0
+        states.append([(node.g.pinned, per_index(guess_runs(node)[j])) for node in tree.nodes])
+    return states
 
 
 class NodeStates:
     """``stream_run`` watcher that records, after every step, the stored
-    set, the footprint, the gate's query count and, for every live matroid
-    tree, its running footprint with the sum over its nodes, and each
-    node's carried set and per-index tracking state."""
+    set, the footprint, the gate's query count, the running footprint of
+    every live matroid tree with the sum over its nodes, and per live guess
+    each node's carried set and per-index tracking state."""
 
     def __init__(self, alg, gate):
         self.alg = alg
         self.gate = gate
         self.steps = []
+        self.footprints = []
 
     def before(self, t, e):
         pass
 
     def after(self, t, e, stored):
         alg = self.alg
-        trees = list(alg.roots.values()) if isinstance(alg, GuessDriver) else [alg]
+        trees = dict.fromkeys(alg.roots.values()) if hasattr(alg, "roots") else [alg]
+        self.footprints.extend((tree.footprint(), ref_footprint(tree)) for tree in trees)
         self.steps.append({
             "stored": stored, "footprint": alg.footprint(),
-            "queries": self.gate.audit.query_count,
-            "trees": [(tree.footprint(), ref_footprint(tree),
-                       [(node.g.pinned, per_index(node)) for node in tree.nodes])
-                      for tree in trees],
+            "queries": self.gate.audit.query_count, "guesses": guess_states(alg),
         })
 
 
 class TestRunsDifferential:
-    """Matroid-tree nodes that keep threshold runs drive a tree, and the
-    guess driver, to the same run as the per-index nodes they replaced
-    (``PerIndexMatNode``): after every step each node's runs, written out
-    per index, equal the reference's T_b with its load or closed state."""
+    """Matroid-tree nodes that keep threshold runs for each guess of a run
+    drive a tree, and the guess driver, to the same run as one tree per
+    guess of the per-index nodes they replaced (``PerIndexMatNode`` in a
+    ``PerGuessMatroidTree``): after every step, for every live guess, each
+    node's runs, written out per index, equal the reference's T_b with its
+    load or closed state."""
 
     @staticmethod
-    def run(make, fn, matroid, stream, node_class=None):
-        with pytest.MonkeyPatch.context() as mp:
-            if node_class is not None:
-                mp.setattr(branching, "_MatNode", node_class)
-            gate = weak_gate(fn, matroid)
-            alg = make(gate, matroid)
-            log = NodeStates(alg, gate)
-            solution, value = stream_run(alg, stream, gate, log)
+    def run(make, fn, matroid, stream):
+        gate = weak_gate(fn, matroid)
+        alg = make(gate, matroid)
+        log = NodeStates(alg, gate)
+        solution, value = stream_run(alg, stream, gate, log)
+        for running, summed in log.footprints:
+            assert running == summed
         out = {"solution": solution, "value": value, "steps": log.steps,
                "queries": gate.audit.query_count,
                "max_stored": gate.audit.max_stored,
                "branches": alg.branches_spawned}
-        if isinstance(alg, MatroidTree):
+        if not hasattr(alg, "roots"):
             index = {id(node): i for i, node in enumerate(alg.nodes)}
             out["trace"] = [(index[node_id], t) for node_id, t in alg.trace_log]
         return out
 
-    def check(self, fn, matroid, stream, make):
-        got = self.run(make, fn, matroid, stream)
-        want = self.run(make, fn, matroid, stream, PerIndexMatNode)
-        assert got == want
-        for step in got["steps"]:
-            for running, summed, _ in step["trees"]:
-                assert running == summed
+    def check(self, fn, matroid, stream, make, make_ref):
+        assert self.run(make, fn, matroid, stream) == self.run(make_ref, fn, matroid, stream)
+
+    def check_tree(self, fn, matroid, stream, k, v):
+        self.check(fn, matroid, stream,
+                   lambda gate, matroid: MatroidTree(gate, matroid, k, v, trace=True),
+                   lambda gate, matroid: PerGuessMatroidTree(gate, matroid, k, v, trace=True,
+                                                             node=PerIndexMatNode))
 
     @pytest.mark.parametrize("frac", [Fraction(1), Fraction(1, 8), Fraction(0)])
     @pytest.mark.parametrize("m", [1, 3, 5])
@@ -818,22 +859,18 @@ class TestRunsDifferential:
     def test_hard_matroid_tree(self, K, m, frac):
         inst = MatHardInstance(MatHardParams(K, m), 10 * K + m)
         stream = sample_stream(inst, "class-blocks", m)
-
-        def make(gate, matroid):
-            return MatroidTree(gate, matroid, K, inst.optimal_value * frac, trace=True)
-
-        self.check(inst.fn, inst.matroid, stream, make)
+        self.check_tree(inst.fn, inst.matroid, stream, K, inst.optimal_value * frac)
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_hard_matroid_driver(self, K, m):
         inst = MatHardInstance(MatHardParams(K, m), 10 * K + m)
         stream = sample_stream(inst, "class-blocks", m)
-
-        def make(gate, matroid):
-            return GuessDriver(gate, matroid, Fraction(1, 4), "matroid")
-
-        self.check(inst.fn, inst.matroid, stream, make)
+        per_index = partial(PerGuessMatroidTree, node=PerIndexMatNode)
+        self.check(inst.fn, inst.matroid, stream,
+                   lambda gate, matroid: GuessDriver(gate, matroid, Fraction(1, 4), "matroid"),
+                   lambda gate, matroid: PerGuessDriver(gate, matroid, Fraction(1, 4), "matroid",
+                                                        mat_tree=per_index))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 7),
@@ -846,12 +883,7 @@ class TestRunsDifferential:
         assume(matroid.rank <= MatroidTree.MAX_RANK)
         fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 9), max_size=5),
                                                  min_size=n, max_size=n)))
-        stream = data.draw(st.permutations(range(n)))
-
-        def make(gate, matroid):
-            return MatroidTree(gate, matroid, k, v, trace=True)
-
-        self.check(fn, matroid, stream, make)
+        self.check_tree(fn, matroid, data.draw(st.permutations(range(n))), k, v)
 
 
 class StoredSteps:
@@ -957,8 +989,9 @@ class TestChainsDifferential:
 
 
 class TestRunsOfGuesses:
-    """One ``CardTree`` per run of guesses drives the guess driver to the
-    run of one tree per guess (``PerGuessDriver``): the same footprint and
+    """One ``CardTree`` or ``MatroidTree`` per run of guesses drives the
+    guess driver to the run of one tree per guess (``PerGuessDriver``, with
+    ``PerGuessMatroidTree`` for matroids): the same footprint and
     stored set after every step, and the same solution, value, query
     count, query log, refusals, ``max_stored``, ``branches_spawned``,
     ``roots_spawned``, ``live_roots_peak`` and ``champion_v``, under all
@@ -969,6 +1002,10 @@ class TestRunsOfGuesses:
     @staticmethod
     def run(alg, gate, stream):
         log = StoredSteps(alg)
+        if not isinstance(alg.matroid, UniformMatroid):
+            # and each live guess's node states
+            log.after = lambda t, e, stored: log.steps.append(
+                (alg.footprint(), stored, guess_states(alg)))
         solution, value = stream_run(alg, stream, gate, log)
         audit = gate.audit
         return {"solution": solution, "value": value, "steps": log.steps,
@@ -1041,6 +1078,71 @@ class TestRunsOfGuesses:
                     for tree in dict.fromkeys(driver.roots.values())] == [[0, 1, 2, 3]]
         self.check(fn, matroid, [0, 1, 2], 1)
 
+    @settings(max_examples=10, deadline=None)
+    @given(K=st.integers(2, 4), m=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
+           distribution=st.sampled_from(["class-blocks", "uniform"]),
+           eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    def test_hard_matroid(self, K, m, seed, distribution, eps):
+        """At K=4 one tree per guess takes seconds under eps=1/10; the
+        golden ``run_hard_matroid_K4.json`` pins that eps on the
+        ``driver-matroid`` shape."""
+        inst = MatHardInstance(MatHardParams(K, m), seed)
+        self.check(inst.fn, inst.matroid, sample_stream(inst, distribution, seed), eps)
+
+    @staticmethod
+    def partition(data, n):
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        capacity = data.draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        matroid = PartitionMatroid(labels, dict(enumerate(capacity)))
+        assume(matroid.rank <= MatroidTree.MAX_RANK)
+        return matroid
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), eps=EPS)
+    def test_partition_additive(self, data, n, eps):
+        """Gains on and off the bars, negative ones included, so that some
+        targets fall to 0 and below."""
+        matroid = self.partition(data, n)
+        fn = additive(data.draw(st.lists(st.sampled_from([-2, 0, 1, 2, 3, 4, 8, 16, 32]),
+                                         min_size=n, max_size=n)))
+        self.check(fn, matroid, data.draw(st.permutations(range(n))), eps)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), eps=EPS)
+    def test_partition_coverage(self, data, n, eps):
+        matroid = self.partition(data, n)
+        fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 11), max_size=5),
+                                                 min_size=n, max_size=n)))
+        self.check(fn, matroid, data.draw(st.permutations(range(n))), eps)
+
+    def test_a_later_larger_gain_splits_a_matroid_run(self):
+        """Rank K=2, eps=1, additive gains: z=32 in a class of its own,
+        then x=2 and y=3 of one class. z sets m=32, so the guesses v = 8,
+        16, 32, 64 enter together, in one tree, and every T_b takes z. x
+        clears T_0's bar at every guess, and bar b for b <= 32/v; each T_b
+        that took x is full. y fits only the others and clears bar b for b
+        <= 48/v: b = 5, 6 at v=8 and b = 3 at v=16, but at v = 32 and 64,
+        48/v and 32/v have the same floor. Only the two low guesses spawn
+        a child for y, and the run splits between them and the high
+        ones. u=5, of the class of x and y, then fits a T_b of every guess
+        again, at v=32 and at v=64 in different ones, and splits nothing."""
+        fn = additive([32, 2, 3, 5])
+        matroid = PartitionMatroid([1, 0, 0, 0])
+        gate = weak_gate(fn, matroid)
+        driver = GuessDriver(gate, matroid, 1)
+        runs = []
+        for t, e in enumerate(range(4)):
+            driver.step(t, e)
+            trees = dict.fromkeys(driver.roots.values())
+            runs.append([[i for i, _, _ in tree.run] for tree in trees])
+        assert runs == [[[3, 4, 5, 6]]] * 2 + [[[3, 4], [5, 6]]] * 2
+        low, high = driver.roots[3].root, driver.roots[5].root
+        assert list(low.children) == [0, 1, 2, 3] and list(high.children) == [0, 1, 3]
+        assert [[(lo, hi, sorted(tracked)) for lo, hi, tracked, _ in runs]
+                for runs in high.runs] == [[(0, 1, [0, 1]), (2, 2, [0, 3]), (3, 8, [0])],
+                                           [(0, 0, [0, 1]), (1, 1, [0, 3]), (2, 8, [0])]]
+        self.check(fn, matroid, [0, 1, 2, 3], 1)
+
     def test_few_trees_serve_the_driver_card_shape(self):
         """Hard cardinality K=6, n=80, h=6 under eps=1/10, the weak policy
         and purple-last order: the 45 live guesses are served by at most 7
@@ -1064,6 +1166,25 @@ class TestRunsOfGuesses:
             assert driver.live_roots_peak == 45
             assert max(trees) == 7
             assert sum(trees) == 466
+
+
+    def test_one_tree_serves_the_driver_matroid_shape(self):
+        """Hard matroid K=4, m=12 under eps=1/10, the weak policy and
+        class-blocks order: one tree, of 15 nodes, serves the 41 live
+        guesses from the first element on, so each of the 37 elements is
+        one tree step."""
+        for seed in range(2):
+            inst = MatHardInstance(MatHardParams(4, 12), seed)
+            gate = weak_gate(inst.fn, inst.matroid)
+            driver = GuessDriver(gate, inst.matroid, Fraction(1, 10))
+            trees = set()
+            for t, e in enumerate(sample_stream(inst, "class-blocks", seed)):
+                gate.audit.step = t
+                driver.step(t, e)
+                trees.update(driver.roots.values())
+            (tree,) = trees
+            assert driver.live_roots_peak == len(tree.run) == 41
+            assert len(tree.nodes) == 15 and t == 36
 
 
 class TestTiesOnTheBar:
@@ -1129,12 +1250,7 @@ class TestTiesOnTheBar:
             return MatroidTree(gate, matroid, K, v)
 
         def make_ref(gate):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(branching, "_MatNode", PerIndexMatNode)
-                tree = MatroidTree(gate, matroid, K, v)
-            # a PerIndexMatNode makes its children itself, so only the root
-            # needs the patch
-            return tree
+            return PerGuessMatroidTree(gate, matroid, K, v, node=PerIndexMatNode)
 
         self.check(fn, stream, make, make_ref,
                    lambda ref: sum(node.ties for node in ref.nodes))

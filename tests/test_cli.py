@@ -35,13 +35,23 @@ class TestTables:
 
 
 class TestGoldenRunReport:
-    def test_hard_matroid_branching_report_bytes(self, tmp_path):
-        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "8")
+    @staticmethod
+    def _hard_matroid_branching_bytes(tmp_path, K: int, m: int) -> bytes:
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", str(K), "--m", str(m))
         out = tmp_path / "report.json"
         assert main(["run", "--instance", str(inst_file), "--alg", "branching",
                      "--epsilon", "1/10", "--distribution", "class-blocks",
                      "--trials", "3", "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K3.json").read_bytes()
+        return out.read_bytes()
+
+    def test_hard_matroid_branching_report_bytes(self, tmp_path):
+        assert self._hard_matroid_branching_bytes(tmp_path, 3, 8) == \
+            (GOLDEN / "run_hard_matroid_K3.json").read_bytes()
+
+    def test_hard_matroid_K4_branching_report_bytes(self, tmp_path):
+        # the benchmark's driver-matroid shape: 41 live guesses in runs
+        assert self._hard_matroid_branching_bytes(tmp_path, 4, 12) == \
+            (GOLDEN / "run_hard_matroid_K4.json").read_bytes()
 
     @staticmethod
     def _hard_cardinality_branching_bytes(tmp_path, fmt: str) -> bytes:
@@ -481,11 +491,13 @@ class TestHostileInput:
     @pytest.mark.parametrize("kind,flags,K", [
         ("hard-cardinality", ("--n", "24", "--h", "12"), 12),
         ("coverage", ("--n", "12"), CardTree.MAX_K + 1),
+        ("coverage", ("--n", "20", "--universe", "48"), CardTree.MAX_K + 1),
     ])
     def test_cardinality_budget_above_the_cap(self, tmp_path, capsys, kind, flags, K):
         """A K=12 hard-cardinality run once grew until a MemoryError; the
         driver now refuses a budget above ``CardTree.MAX_K`` before the
-        first element."""
+        first element, and before the brute-force optimum of a coverage
+        instance, which takes over a second at n=20."""
         inst_file = _gen(tmp_path, "--kind", kind, "--K", str(K), *flags)
         start = time.perf_counter()
         self.check(["run", "--instance", str(inst_file), "--alg", "branching",

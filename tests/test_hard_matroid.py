@@ -146,6 +146,9 @@ class TestCheckedMemo:
         (2, ([1], 0), (0, 0), "red entries must be 0/1"),
         (2, (0, {1}), (0, 0), "red entries must be 0/1"),
         (2, [[0], 1], [0, 0], "red entries must be 0/1"),
+        (2, (0, 0), ("a", 0), "blue counts must be non-negative integers"),
+        (2, (0, 0), ([1], 0), "blue counts must be non-negative integers"),
+        (2, (0, 0), (None, 0), "blue counts must be non-negative integers"),
     ])
     def test_invalid_profiles_raise_every_time(self, t, reds, blues, message):
         for _ in range(2):

@@ -79,7 +79,7 @@ class TestRestrict:
         s1, s2 = {0, 3}, {1, 3, 5}
         nested = Residual(gate, s1)
         for e in sorted(s2 - s1):
-            nested = nested.extend(e, nested.singleton(e))
+            nested = nested.extend(e, nested.value({e}))
         flat = Residual(gate, s1 | s2)
         for mask in range(1 << 6):
             s = frozenset(e for e in range(6) if mask >> e & 1)
@@ -228,6 +228,61 @@ class TestStepMemo:
         gate.value({0})
         assert gate.audit.query_count == 2
         assert gate.audit.oracle_calls == 2 and len(calls) == 2
+
+
+class TestReplay:
+    """``QueryGate.replay`` answers more rounds of a step's queries as the
+    per-call loop would: the same count, log, evaluations and refusals.
+    Outside a stream, or for a subset the step has not answered, each query
+    goes through the checks, so a refusal raises and is recorded."""
+
+    ASKED = [(frozenset({0}), 1), (frozenset({0, 1}), 3), (frozenset(), 2), (frozenset({0}), 1)]
+
+    @staticmethod
+    def gate(policy=None, step=4):
+        return QueryGate(SetFunction(3, len), policy, OracleAudit(step=step, record_log=True))
+
+    @staticmethod
+    def summary(gate):
+        audit = gate.audit
+        return audit.query_count, audit.oracle_calls, audit.log, audit.rejected
+
+    @pytest.mark.parametrize("step", [4, -1])
+    @pytest.mark.parametrize("repeats", [0, 1, 3])
+    def test_matches_the_per_call_loop(self, step, repeats):
+        got, want = self.gate(step=step), self.gate(step=step)
+        for gate in (got, want):
+            for subset, times in self.ASKED:
+                gate.value(subset, times)
+        got.replay(self.ASKED, repeats)
+        for _ in range(repeats):
+            for subset, times in self.ASKED:
+                want.value(subset, times)
+        assert self.summary(got) == self.summary(want)
+        assert got.audit.query_count == 7 * (1 + repeats)
+        assert got.audit.oracle_calls == (3 if step >= 0 else 4 * (1 + repeats))
+
+    def test_outside_a_stream_a_refusal_raises(self):
+        policy = ElementStorePolicy()
+        policy.commit({0, 1})
+        gate = self.gate(policy, step=-1)
+        gate.value({0, 1})
+        policy.commit({0})
+        with pytest.raises(PolicyViolation):
+            gate.replay([(frozenset({0, 1}), 1)], 2)
+        assert gate.audit.rejected == [
+            (frozenset({0, 1}), "query outside stored set plus current arrival")]
+        assert gate.audit.query_count == 1
+
+    def test_an_unanswered_subset_is_checked(self):
+        gate = self.gate(WeakPolicy(UniformMatroid(3, 1)))
+        gate.value({0})
+        with pytest.raises(PolicyViolation):
+            gate.replay([(frozenset({0}), 1), (frozenset({0, 1}), 1)], 2)
+        assert gate.audit.rejected == [(frozenset({0, 1}), "infeasible set under weak oracle")]
+        # as in the per-call loop, {0} was counted again before the refusal
+        assert gate.audit.query_count == 2
+        assert gate.audit.log == [(4, frozenset({0}))] * 2
 
 
 class TestGroundSet:
