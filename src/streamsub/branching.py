@@ -27,9 +27,11 @@ guess enters a cardinality tree only through its take bars, so a
 :class:`CardTree` splits where an offered gain clears the bar of the
 run's lower guesses and not of its upper ones. A :class:`MatroidTree`
 shares every node among its guesses and keeps per guess only each node's
-target and threshold runs; it splits where adjacent guesses disagree on
-whether a node spawns a child. The driver steps each run once and
-replays the run's queries through the gate for its other guesses
+target. A node's threshold runs are over the acceptance levels b*v/K^4,
+not over each guess's indices b, so one list of them serves every guess;
+the tree splits where adjacent guesses disagree on whether a node spawns
+a child. The driver steps each run once and replays the run's queries
+through the gate for its other guesses
 (:meth:`~streamsub.oracles.QueryGate.replay`), so the query count and log
 are those of one tree per guess.
 
@@ -470,6 +472,23 @@ class CardTree(_Tree):
 # matroid branch tree
 
 
+def _upto(v: list, k4: int, n: int, x, none: int = 0) -> list:
+    """Per target ``(num, den)`` of ``v``, how many of its ``n`` threshold
+    indices b = 0..n-1 lie at a level b*num/(den*k4) <= x, for an integer
+    ``x``; ``none`` for each when ``x`` is None, an infinite run bound. A
+    target <= 0 puts every index at level -inf."""
+    if x is None:
+        return [none] * len(v)
+    out = []
+    for num, den in v:
+        if num > 0:
+            c = x * k4 * den // num + 1
+            out.append(n if c > n else c if c > 0 else 0)
+        else:
+            out.append(n)
+    return out
+
+
 class _MatNode:
     """One invocation of the matroid procedure for every guess of its
     tree's run: the carried independent set I, the pinned set of its
@@ -484,21 +503,29 @@ class _MatNode:
     across the guesses of the run, which all accept it. A fallback
     candidate (the best singleton extending I) is always kept. The
     residual, I, the fallback and ``children`` are those of every guess;
-    only the targets and the tracking sets are kept per guess.
+    only the targets are kept per guess.
 
-    The indices are kept in runs: ``runs[j]`` holds guess j's ``(lo, hi,
-    T, load)`` in index order, tiling 0..beta, where every b in lo..hi has
-    T_b = T and ``load`` is the matroid load of I + T. A run whose I + T
-    has reached the rank is closed: it keeps T and its load is None. A
-    node with k = 1 tracks nothing and has no runs.
+    T_b depends on the guess only through its level b*v/K^4: the node's
+    gains and independence tests are the same for every guess, and an
+    element joins the greedy set at level L exactly when L <= gain. So
+    the node keeps one list of ``runs`` for the whole run of guesses,
+    ``(lo, hi, T, load)`` in level order, where every level in (lo, hi]
+    holds T and ``load`` is the matroid load of I + T. The bounds are
+    gains, so integers; ``lo`` None is -inf and ``hi`` None is +inf, and
+    the runs tile that extended line. A target v <= 0 puts all its
+    indices at level -inf, in the lowest run: every gain clears every bar
+    of such a target, a negative one included. A run whose I + T has
+    reached the rank is closed: it keeps T and its load is None. A node
+    with k = 1 tracks nothing and has no runs.
 
-    Runs are exact. All indices of a run hold the same T and load, so
-    they give the same independence answer for e; they differ only in the
-    bar, which e clears exactly at b <= b_max = floor(gain*K^4/v) (every b
-    when v <= 0). So on each offer a run ignores e, takes it on all its
-    indices, or splits at b_max into a lower part that takes e and an
-    upper part that stays as it was. Runs only ever split, and an offer
-    splits at most one of each guess's runs.
+    On each offer a run ignores e, takes it on all its levels, or splits
+    at the gain into a lower part (lo, gain] that takes e and an upper
+    part that stays as it was. A run splits only where both parts hold an
+    index of a guess of the tree, and an acceptance whose part holds none
+    is skipped: a node gains no guess once it has seen an element, so a
+    level that holds no index now never will. Per guess, only the count
+    of its indices in each accepting part is computed (:func:`_upto`),
+    which feeds the tree's ``taken``.
     """
 
     __slots__ = ("k", "v", "g", "iload", "best_single", "runs", "children")
@@ -511,16 +538,16 @@ class _MatNode:
         self.best_single = None
         # accepted element -> (its child, its gain), in arrival order
         self.children: dict[int, tuple["_MatNode", int]] = {}
-        self.runs = [[(0, tree.beta, frozenset(), iload)] if k > 1 else [] for _ in v]
+        self.runs = [(None, None, frozenset(), iload)] if k > 1 else []
         tree.nodes.append(self)
         tree.stored += len(g.pinned)
 
     def offer(self, tree: "MatroidTree", e: int):
         """When I + e is independent, query the gain of ``e`` once for the
         whole run, record the query in ``tree.asked``, keep the fallback
-        and offer ``e`` to each guess's runs. Return None if no guess takes
-        ``e``, else ``(self, gain, took)`` with ``took`` None if every guess
-        takes it, else one flag per guess."""
+        and offer ``e`` to the runs. Return None if no guess takes ``e``,
+        else ``(self, gain, took)`` with ``took`` None if every guess takes
+        it, else one flag per guess."""
         matroid = tree.matroid
         if not matroid.fits(self.iload, e):
             return None
@@ -534,35 +561,41 @@ class _MatNode:
             self.best_single = (gain, e)
         elif gain > best[0]:
             self.best_single = (gain, e)
-        if self.k == 1:
+        runs = self.runs
+        if not runs:
             return None
-        over, beta = gain * tree.k4, tree.beta
         fits, plus = matroid.fits, matroid.plus
         room = tree.rank - len(g.pinned)
-        taken = tree.taken
-        took = []
-        for j, (runs, (num, den)) in enumerate(zip(self.runs, self.v)):
-            b_max = over * den // num if num > 0 else beta
-            accepted = 0
-            for i, (lo, hi, tracked, load) in enumerate(runs):
-                if lo > b_max:
-                    break
-                if load is None or not fits(load, e):
-                    continue
-                top = min(hi, b_max)
-                # the tracking sets and branches count per index
-                accepted += top - lo + 1
-                grown = tracked | {e}
-                runs[i] = (lo, top, grown, plus(load, e) if len(grown) < room else None)
-                if top < hi:
-                    # the upper part, like every later run, starts above b_max
-                    runs.insert(i + 1, (top + 1, hi, tracked, load))
-                    break
-            taken[j] += accepted
-            took.append(accepted > 0)
-        if True not in took:
+        v, k4, n = self.v, tree.k4, tree.beta + 1
+        counts = None
+        for i, (lo, hi, tracked, load) in enumerate(runs):
+            if lo is not None and lo >= gain:
+                break  # every level of this run and the later ones is above the gain
+            if load is None or not fits(load, e):
+                continue
+            below = _upto(v, k4, n, lo)
+            if hi is not None and hi <= gain:
+                top, upto = hi, _upto(v, k4, n, hi)
+            else:
+                top, upto = gain, _upto(v, k4, n, gain)
+                if upto == _upto(v, k4, n, hi, n):
+                    top = hi  # no index lies above the gain: the run takes e whole
+            part = [b - a for a, b in zip(below, upto)]
+            if not any(part):
+                continue  # no index lies in the part that would take e
+            grown = tracked | {e}
+            runs[i] = (lo, top, grown, plus(load, e) if len(grown) < room else None)
+            counts = part if counts is None else [c + p for c, p in zip(counts, part)]
+            if top != hi:
+                # the upper part, like every later run, starts at the gain
+                runs.insert(i + 1, (gain, hi, tracked, load))
+                break
+        if counts is None:
             return None
-        return self, gain, took if False in took else None
+        taken = tree.taken
+        for j, c in enumerate(counts):
+            taken[j] += c
+        return self, gain, None if 0 not in counts else [c > 0 for c in counts]
 
     def branch(self, tree: "MatroidTree", e: int, gain: int):
         """Spawn the child conditioned on ``e`` for every guess of the run."""
@@ -595,19 +628,20 @@ class MatroidTree(_Tree):
     ``(index, num, den)``. ``MatroidTree(gate, matroid, k, v)`` is a run
     of one guess v; :class:`GuessDriver` joins the guesses that enter its
     window in the same step. Every guess of the run has the same nodes,
-    with the same residuals, fallbacks and children; per guess, each node
-    keeps its target and its threshold runs (:class:`_MatNode`).
+    with the same residuals, fallbacks, children and threshold runs over
+    levels; per guess, each node keeps only its target (:class:`_MatNode`).
 
     :meth:`step` runs in three phases. (1) Every pre-step node that can
     extend I by e queries the gain of e once, keeps its fallback and
-    offers e to the runs of each guess; ``asked`` records each query. (2)
-    Where two adjacent guesses disagree on whether some node spawns a
-    child for e, the tree is copied once for each sub-run above such a
-    boundary, the copies sharing its residuals, and keeps the lowest
-    sub-run. (3) Each tree spawns the children of its own guesses. Index
-    0's bar is 0, so T_0 is the same for every guess with a positive
-    target: guesses can disagree only when T_0 cannot take e or a target
-    is <= 0. Each tree makes the run its guesses would have made alone.
+    offers e to its runs once, counting per guess the indices that take
+    it; ``asked`` records each query. (2) Where two adjacent guesses
+    disagree on whether some node spawns a child for e, the tree is copied
+    once for each sub-run above such a boundary, the copies sharing its
+    residuals, and keeps the lowest sub-run. (3) Each tree spawns the
+    children of its own guesses. Index 0's bar is 0, so T_0 is the same
+    for every guess with a positive target: guesses can disagree only when
+    T_0 cannot take e or a target is <= 0. Each tree makes the run its
+    guesses would have made alone.
     :meth:`step` returns the copies; a driver replays ``asked`` once for
     each other guess of the run.
 
@@ -615,9 +649,15 @@ class MatroidTree(_Tree):
     ``MAX_RANK`` are refused. ``stored`` counts, for each guess of the run,
     the carried sets I and the fallbacks of the nodes, and ``taken[j]``
     the elements of guess j's tracking sets, one per threshold index that
-    accepted an element, which is also its count of branches spawned. The
-    stream delivers each element at most once, as an ordering of the
-    ground set does.
+    accepted an element, which is also its count of branches spawned.
+    :meth:`stored_set` holds, besides the fallbacks, the tracking sets of
+    the runs that hold an index of a guess of the tree, not those of runs
+    that hold only indices of guesses that left it; these are the
+    elements the node's children are conditioned on, since the guesses of
+    a tree take the same elements at every node and a node spawns a child
+    exactly when they take one. :meth:`index_runs` shows a node's runs as
+    one guess's runs of indices. The stream delivers each element at
+    most once, as an ordering of the ground set does.
     """
 
     MAX_RANK = 4
@@ -651,16 +691,14 @@ class MatroidTree(_Tree):
     def join(self, index: int, v: tuple[int, int]):
         super().join(index, v)
         self.taken.append(0)
-        root = self.root
-        root.v.append(v)
-        root.runs.append(list(root.runs[0]))
+        self.root.v.append(v)
 
     def drop_lowest(self) -> int:
         """Drop the run's lowest guess and return its count of branches
         spawned."""
         del self.run[0]
         for node in self.nodes:
-            del node.v[0], node.runs[0]
+            del node.v[0]
         return self.taken.pop(0)
 
     def footprint(self) -> int:
@@ -682,7 +720,7 @@ class MatroidTree(_Tree):
             cut = cuts[0]
             del self.run[cut:], self.taken[cut:]
             for node in self.nodes:
-                del node.v[cut:], node.runs[cut:]
+                del node.v[cut:]
         self._branch(e, offers, 0, None)
         return twins
 
@@ -698,7 +736,8 @@ class MatroidTree(_Tree):
     def _copy(self, lo: int, hi: int) -> tuple["MatroidTree", dict]:
         """This tree for the guesses at positions ``lo..hi-1`` of its run,
         sharing its residuals, and a map from the id of each node to its
-        copy. The copy takes over those guesses' targets and runs."""
+        copy. The copy takes over those guesses' targets, and copies the
+        runs."""
         twin = MatroidTree.__new__(MatroidTree)
         _Tree.__init__(twin, self.run[lo:hi], self.trace_log is not None)
         twin.matroid, twin.rank, twin.k4, twin.beta = self.matroid, self.rank, self.k4, self.beta
@@ -706,7 +745,7 @@ class MatroidTree(_Tree):
         remap = {}
         for node in self.nodes:
             copy = remap[id(node)] = _MatNode(twin, node.k, node.v[lo:hi], node.g, node.iload)
-            copy.runs, copy.best_single = node.runs[lo:hi], node.best_single
+            copy.runs, copy.best_single = list(node.runs), node.best_single
         for node in self.nodes:
             remap[id(node)].children = {e: (remap[id(child)], gain)
                                         for e, (child, gain) in node.children.items()}
@@ -714,12 +753,24 @@ class MatroidTree(_Tree):
         twin.root = twin.nodes[0]
         return twin, remap
 
+    def index_runs(self, node: _MatNode, j: int) -> list:
+        """Guess j's threshold runs at ``node`` by index: ``(lo, hi, T,
+        load)`` for each run of the node that holds the indices lo..hi of
+        the guess, in order, tiling 0..beta."""
+        v, k4, n = node.v[j:j + 1], self.k4, self.beta + 1
+        out = []
+        for lo, hi, tracked, load in node.runs:
+            (a,), (b,) = _upto(v, k4, n, lo), _upto(v, k4, n, hi, n)
+            if a < b:
+                out.append((a, b - 1, tracked, load))
+        return out
+
     def stored_set(self) -> frozenset:
         out: set = set()
         for node in self.nodes:
-            for runs in node.runs:
-                for _, _, tracked, _ in runs:
-                    out |= tracked
+            # the elements of the runs that hold an index of a guess: those
+            # the guesses took, and so the node's children
+            out.update(node.children)
             if node.best_single is not None:
                 out.add(node.best_single[1])
         return frozenset(out)

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from . import hard_cardinality, hard_matroid
 from .errors import GroundSetTooLarge, InvalidParams, StreamsubError
-from .harness import (POLICIES, build_instance, canonical_audit, instance_to_json,
-                      read_instance, report_to_json, run_experiment)
+from .harness import (POLICIES, algorithm_names, build_instance, canonical_audit,
+                      instance_to_json, read_instance, report_to_json, run_experiment)
 from .matroids import check_axioms
 from .oracles import verify_monotone_submodular
 from .samplers import DISTRIBUTIONS
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run trials of an algorithm")
     p_run.add_argument("--instance", required=True)
-    p_run.add_argument("--alg", required=True, choices=("branching", "greedy", "sieve"))
+    p_run.add_argument("--alg", required=True, choices=algorithm_names("run"))
     p_run.add_argument("--epsilon", default="1/10")
     p_run.add_argument("--trials", type=int, default=20)
     p_run.add_argument("--distribution", default=None, choices=DISTRIBUTIONS)
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_aud = sub.add_parser("audit", help="canonical-process deviation audit")
     p_aud.add_argument("--instance", required=True)
-    p_aud.add_argument("--alg", default="sieve", choices=("sieve", "store-everything"))
+    p_aud.add_argument("--alg", default="sieve", choices=algorithm_names("audit"))
     p_aud.add_argument("--epsilon", default="2/5")
     p_aud.add_argument("--trials", type=int, default=100)
     p_aud.add_argument("--budget", type=int, default=None)
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--k-max", type=int, default=50)
     p_sw.add_argument("--K", type=int, default=3)
     p_sw.add_argument("--m-list", default="100,200,400")
-    p_sw.add_argument("--alg", default="sieve", choices=("sieve", "store-everything"))
+    p_sw.add_argument("--alg", default="sieve", choices=algorithm_names("sweep"))
     p_sw.add_argument("--epsilon", default="2/5")
     p_sw.add_argument("--trials", type=int, default=100)
     p_sw.add_argument("--budget", type=int, default=None)

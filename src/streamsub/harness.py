@@ -22,6 +22,7 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import Callable, NamedTuple
 
 from . import hard_cardinality, hard_matroid
 from .baselines import SieveStreaming, StoreEverything, brute_force_optimum, offline_greedy
@@ -171,6 +172,46 @@ POLICIES = {"weak": WeakPolicy, "strong": lambda matroid: StrongPolicy(),
             "element-store": lambda matroid: ElementStorePolicy()}
 
 
+class Algorithm(NamedTuple):
+    """An algorithm by name. ``make(gate, instance, eps)`` builds it when
+    it ``streams``; an offline one it runs, returning ``(solution,
+    value)``. ``commands`` are the CLI subcommands whose ``--alg`` offers
+    it."""
+
+    make: Callable
+    streams: bool
+    commands: tuple[str, ...]
+
+
+ALGORITHMS = {
+    "branching": Algorithm(
+        lambda gate, inst, eps: GuessDriver(gate, inst.matroid, eps), True, ("run",)),
+    "greedy": Algorithm(
+        lambda gate, inst, eps: offline_greedy(gate, inst.matroid), False, ("run",)),
+    "sieve": Algorithm(
+        lambda gate, inst, eps: SieveStreaming(gate, inst.matroid, eps), True,
+        ("run", "audit", "sweep")),
+    "store-everything": Algorithm(
+        lambda gate, inst, eps: StoreEverything(gate, inst.matroid), True, ("audit", "sweep")),
+}
+
+
+def algorithm_names(command: str) -> tuple[str, ...]:
+    """The names the ``--alg`` of CLI subcommand ``command`` offers."""
+    return tuple(name for name, alg in ALGORITHMS.items() if command in alg.commands)
+
+
+def _offline(name: str) -> bool:
+    return name in ALGORITHMS and not ALGORITHMS[name].streams
+
+
+def make_streaming_algorithm(name: str, gate: QueryGate, instance, eps):
+    alg = ALGORITHMS.get(name)
+    if alg is None or not alg.streams:
+        raise InvalidParams(f"no streaming step-algorithm named {name!r}")
+    return alg.make(gate, instance, eps)
+
+
 def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
               distribution: str | None = None, policy_kind: str = "weak",
               watcher=None) -> TrialResult:
@@ -183,10 +224,10 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
     audit = OracleAudit()
     gate = QueryGate(instance.fn, POLICIES[policy_kind](instance.matroid), audit)
 
-    if algorithm == "greedy":
+    if _offline(algorithm):
         if policy_kind == "element-store":
-            raise InvalidParams("greedy is offline; use weak or strong policy")
-        solution, value = offline_greedy(gate, instance.matroid)
+            raise InvalidParams(f"{algorithm} is offline; use weak or strong policy")
+        solution, value = ALGORITHMS[algorithm].make(gate, instance, eps)
     else:
         alg = make_streaming_algorithm(algorithm, gate, instance, eps)
         solution, value = stream_run(alg, stream, gate, watcher)
@@ -217,7 +258,7 @@ def run_experiment(instance, algorithm: str = "branching", epsilon="1/10",
               "algorithm": algorithm, "epsilon": str(to_fraction(epsilon)),
               "trials": trials, "distribution": distribution or "", "policy": policy}
     distribution = distribution or default_distribution(instance)
-    if algorithm != "greedy":
+    if not _offline(algorithm):
         # what the algorithm refuses is refused before the optimum is paid for
         make_streaming_algorithm(algorithm, QueryGate(instance.fn), instance, epsilon)
     opt = exact_optimum(instance)
@@ -285,16 +326,6 @@ class CanonicalWatcher:
     @property
     def deviated(self) -> bool:
         return self.red_arrival_clash or self.red_at_end
-
-
-def make_streaming_algorithm(name: str, gate: QueryGate, instance, eps):
-    if name == "branching":
-        return GuessDriver(gate, instance.matroid, eps)
-    if name == "sieve":
-        return SieveStreaming(gate, instance.matroid, eps)
-    if name == "store-everything":
-        return StoreEverything(gate, instance.matroid)
-    raise InvalidParams(f"no streaming step-algorithm named {name!r}")
 
 
 def canonical_audit(instance, algorithm: str, trials: int, seed: int,

@@ -233,11 +233,14 @@ def ref_matroid(fn, matroid, stream, k, v, indep=frozenset(), rank=None):
     return best if best is not None else (frozenset(), 0)
 
 
-def guess_runs(node):
-    """A matroid-tree node's threshold runs, one list per guess: the
-    package's ``_MatNode`` keeps one per guess of its tree's run, a
-    reference node the one of its guess."""
-    return node.runs if isinstance(node, _MatNode) else [node.runs]
+def guess_runs(tree, node):
+    """A matroid-tree node's threshold runs by index, one list per guess:
+    for a ``_MatNode``, its tree's view of each guess of the run
+    (``MatroidTree.index_runs``), and for a reference node, the runs of
+    its guess."""
+    if isinstance(node, _MatNode):
+        return [tree.index_runs(node, j) for j in range(len(node.v))]
+    return [node.runs]
 
 
 def ref_stored_set(tree):
@@ -249,7 +252,7 @@ def ref_stored_set(tree):
     for node in tree.nodes:
         out |= node.g.pinned
         if hasattr(node, "runs"):
-            for runs in guess_runs(node):
+            for runs in guess_runs(tree, node):
                 for _, _, tracked, _ in runs:
                     out |= tracked
             if node.best_single is not None:
@@ -270,7 +273,7 @@ def ref_footprint(tree):
     total = 0
     for node in tree.nodes:
         if hasattr(node, "runs"):
-            for runs in guess_runs(node):
+            for runs in guess_runs(tree, node):
                 total += len(node.g.pinned) + sum((hi - lo + 1) * len(tracked)
                                                   for lo, hi, tracked, _ in runs)
                 total += node.best_single is not None

@@ -736,7 +736,7 @@ class TestLoadsDifferential:
             for node in alg.nodes:
                 # runs tile 0..beta in order; a run is closed exactly when
                 # I + T reached the rank, and an open run's load is that of I + T
-                (runs,) = node.runs
+                (runs,) = guess_runs(alg, node)
                 bounds = [(lo, hi) for lo, hi, _, _ in runs]
                 if node.k > 1:
                     assert [lo for lo, _ in bounds] == [0] + [hi + 1 for _, hi in bounds[:-1]]
@@ -790,7 +790,8 @@ def guess_states(alg):
     states = []
     for i, tree in roots.items():
         j = [index for index, _, _ in tree.run].index(i) if hasattr(tree, "run") else 0
-        states.append([(node.g.pinned, per_index(guess_runs(node)[j])) for node in tree.nodes])
+        states.append([(node.g.pinned, per_index(guess_runs(tree, node)[j]))
+                       for node in tree.nodes])
     return states
 
 
@@ -1136,11 +1137,13 @@ class TestRunsOfGuesses:
             trees = dict.fromkeys(driver.roots.values())
             runs.append([[i for i, _, _ in tree.run] for tree in trees])
         assert runs == [[[3, 4, 5, 6]]] * 2 + [[[3, 4], [5, 6]]] * 2
-        low, high = driver.roots[3].root, driver.roots[5].root
+        high_tree = driver.roots[5]
+        low, high = driver.roots[3].root, high_tree.root
         assert list(low.children) == [0, 1, 2, 3] and list(high.children) == [0, 1, 3]
         assert [[(lo, hi, sorted(tracked)) for lo, hi, tracked, _ in runs]
-                for runs in high.runs] == [[(0, 1, [0, 1]), (2, 2, [0, 3]), (3, 8, [0])],
-                                           [(0, 0, [0, 1]), (1, 1, [0, 3]), (2, 8, [0])]]
+                for runs in guess_runs(high_tree, high)] == \
+            [[(0, 1, [0, 1]), (2, 2, [0, 3]), (3, 8, [0])],
+             [(0, 0, [0, 1]), (1, 1, [0, 3]), (2, 8, [0])]]
         self.check(fn, matroid, [0, 1, 2, 3], 1)
 
     def test_few_trees_serve_the_driver_card_shape(self):
@@ -1185,6 +1188,108 @@ class TestRunsOfGuesses:
             (tree,) = trees
             assert driver.live_roots_peak == len(tree.run) == 41
             assert len(tree.nodes) == 15 and t == 36
+
+
+class TestLevelRuns:
+    """A matroid node keeps one list of threshold runs over the levels
+    b*v/K^4 for every guess of its tree. Hand-built streams for the cases
+    that list must get right, each also checked against one tree per
+    guess: per index (``PerIndexMatNode``) after every step, and under the
+    three policies (``PerGuessDriver``)."""
+
+    @staticmethod
+    def levels(node):
+        return [(lo, hi, sorted(tracked)) for lo, hi, tracked, _ in node.runs]
+
+    @staticmethod
+    def check_driver(fn, matroid, stream):
+        TestRunsOfGuesses().check(fn, matroid, stream, 1)
+        per_index = partial(PerGuessMatroidTree, node=PerIndexMatNode)
+        TestRunsDifferential().check(
+            fn, matroid, stream,
+            lambda gate, matroid: GuessDriver(gate, matroid, 1),
+            lambda gate, matroid: PerGuessDriver(gate, matroid, 1, mat_tree=per_index))
+
+    def test_gains_between_two_index_levels_add_no_run(self):
+        """Rank 2, one guess v = 160, so index b sits at level 10b. The
+        gains 1, 2, ..., 9 all fit, and all lie between the levels of
+        indices 0 and 1. The first splits the line at 1. Each later one
+        would split the upper run into a part below its gain that holds no
+        index, so that run skips it, and the node keeps two runs."""
+        fn = additive(list(range(1, 10)))
+        matroid = UniformMatroid(9, 2)
+        gate = weak_gate(fn, matroid)
+        tree = MatroidTree(gate, matroid, 2, 160)
+        for t in range(9):
+            gate.audit.step = t
+            tree.step(t, t)
+            assert len(tree.root.runs) == 2
+        assert self.levels(tree.root) == [(None, 1, [0, 1]), (1, None, [])]
+        TestRunsDifferential().check_tree(fn, matroid, list(range(9)), 2, 160)
+
+    def test_a_gain_on_the_bars_of_several_guesses(self):
+        """Rank 2, eps = 1, additive gains. z = 32, in a class of its own,
+        sets m = 32, and the guesses v = 8, 16, 32, 64 enter in one tree.
+        x = 4, of the other class, lies exactly on a bar of each, b*v/16 =
+        4 at b = 8, 4, 2, 1: the root's runs split once, at 4, and every
+        guess takes x on its indices up to the tie. y = 5, of x's class,
+        fits only above level 4; v = 16 takes it on index 5, again on the
+        bar, and the other guesses have no index in (4, 5]."""
+        matroid = PartitionMatroid([0, 1, 1])
+        fn = additive([32, 4, 5])
+        driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
+        driver.step(0, 0)
+        driver.step(1, 1)
+        tree = driver.roots[3]
+        assert self.levels(tree.root) == [(None, 4, [0, 1]), (4, None, [0])]
+        assert [tree.index_runs(tree.root, j)[0][1] for j in range(4)] == [8, 4, 2, 1]
+        driver.step(2, 2)
+        assert [[i for i, _, _ in t.run] for t in dict.fromkeys(driver.roots.values())] == \
+            [[3], [4], [5, 6]]
+        assert self.levels(driver.roots[4].root) == \
+            [(None, 4, [0, 1]), (4, 5, [0, 2]), (5, None, [0])]
+        self.check_driver(fn, matroid, [0, 1, 2])
+
+    # rank 3, eps = 1, additive gains: x = 3 of class 0, then y = -2 and
+    # z = 32 of class 1
+    BOTH_SIDES = (PartitionMatroid([1, 0, 1], {0: 1, 1: 2}), additive([32, 3, -2]), [1, 2, 0])
+
+    def test_one_node_serves_targets_on_both_sides_of_zero(self):
+        """x sets m = 3, and the guesses v = 1, 2, 4, 8 enter in one tree;
+        every guess takes x at index 0. The child on x has the target
+        v(1 - 1/81) - 6, at most 0 for v = 1, 2, 4 and above 0 for v = 8.
+        The negative gain of y clears every bar of the three low guesses,
+        whose indices all sit at level -inf, and no bar of v = 8: the
+        child's runs split at -2, and the tree between v = 4 and v = 8."""
+        matroid, fn, stream = self.BOTH_SIDES
+        driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
+        driver.step(0, 1)
+        child, _ = driver.roots[0].root.children[1]
+        assert [num > 0 for num, _ in child.v] == [False, False, False, True]
+        driver.step(1, 2)
+        assert [[i for i, _, _ in t.run] for t in dict.fromkeys(driver.roots.values())] == \
+            [[0, 1, 2], [3]]
+        assert self.levels(child) == [(None, -2, [2]), (-2, None, [])]
+        self.check_driver(fn, matroid, stream)
+
+    def test_a_twin_stores_only_the_runs_that_hold_its_indices(self):
+        """As above. The twin of v = 8 copies the child's runs, and the one
+        up to -2, which holds y, holds indices only of the guesses the
+        twin left behind. z then sets m = 32, so v = 1, 2, 4 retire, and z
+        replaces y as the child's fallback. Now y lies only in a run that
+        holds no index of the twin, and is not stored, as in the tree of
+        v = 8 alone."""
+        matroid, fn, stream = self.BOTH_SIDES
+        driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
+        for t, e in enumerate(stream):
+            driver.step(t, e)
+        twin = driver.roots[3]
+        child, _ = twin.root.children[1]
+        assert self.levels(child) == [(None, -2, [2]), (-2, None, [0])]
+        assert [(lo, hi, sorted(tracked)) for lo, hi, tracked, _ in twin.index_runs(child, 0)] \
+            == [(0, 40, [0])]
+        assert 2 not in twin.stored_set() and 2 not in driver.stored_set()
+        self.check_driver(fn, matroid, stream)
 
 
 class TestTiesOnTheBar:

@@ -36,12 +36,12 @@ class TestTables:
 
 class TestGoldenRunReport:
     @staticmethod
-    def _hard_matroid_branching_bytes(tmp_path, K: int, m: int) -> bytes:
+    def _hard_matroid_branching_bytes(tmp_path, K: int, m: int, policy: str = "weak") -> bytes:
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", str(K), "--m", str(m))
         out = tmp_path / "report.json"
         assert main(["run", "--instance", str(inst_file), "--alg", "branching",
                      "--epsilon", "1/10", "--distribution", "class-blocks",
-                     "--trials", "3", "--out", str(out)]) == 0
+                     "--policy", policy, "--trials", "3", "--out", str(out)]) == 0
         return out.read_bytes()
 
     def test_hard_matroid_branching_report_bytes(self, tmp_path):
@@ -52,6 +52,12 @@ class TestGoldenRunReport:
         # the benchmark's driver-matroid shape: 41 live guesses in runs
         assert self._hard_matroid_branching_bytes(tmp_path, 4, 12) == \
             (GOLDEN / "run_hard_matroid_K4.json").read_bytes()
+
+    def test_hard_matroid_K4_element_store_report_bytes(self, tmp_path):
+        # the element-store policy reads every matroid tree's stored set
+        # after every step
+        assert self._hard_matroid_branching_bytes(tmp_path, 4, 12, "element-store") == \
+            (GOLDEN / "run_hard_matroid_K4_store.json").read_bytes()
 
     @staticmethod
     def _hard_cardinality_branching_bytes(tmp_path, fmt: str) -> bytes:

@@ -7,10 +7,10 @@ from streamsub.branching import GuessDriver
 from streamsub.coverage import CoverageInstance
 from streamsub.errors import PolicyViolation
 from streamsub.hard_cardinality import CardHardInstance, CardHardParams
-from streamsub.harness import (build_instance, canonical_audit, exact_optimum,
+from streamsub.harness import (ALGORITHMS, build_instance, canonical_audit, exact_optimum,
                                instance_from_json, instance_to_json,
-                               report_to_json, run_experiment, run_trial,
-                               stream_run, wilson_interval)
+                               make_streaming_algorithm, report_to_json, run_experiment,
+                               run_trial, stream_run, wilson_interval)
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.matroids import UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakPolicy,
@@ -105,6 +105,42 @@ class TestRunExperiment:
         from streamsub.errors import InvalidParams
         inst = build_instance("coverage", {"n": 6, "K": 2}, 2)
         with pytest.raises(InvalidParams):
+            run_trial(inst, "greedy", Fraction(1, 5), 7, exact_optimum(inst),
+                      policy_kind="element-store")
+
+
+class TestAlgorithmTable:
+    """``ALGORITHMS`` is the one table of algorithm names: the CLI's
+    ``--alg`` choices, the streaming factory and the offline path of
+    ``run_trial`` all read it."""
+
+    def test_cli_choices(self):
+        from streamsub.cli import build_parser
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        choices = {name: next(a.choices for a in sub._actions if a.dest == "alg")
+                   for name, sub in commands.choices.items() if name in ("run", "audit", "sweep")}
+        assert choices == {"run": ("branching", "greedy", "sieve"),
+                           "audit": ("sieve", "store-everything"),
+                           "sweep": ("sieve", "store-everything")}
+
+    def test_streaming_entries_build_their_algorithm(self):
+        inst = build_instance("coverage", {"n": 6, "K": 2}, 2)
+        built = {name: type(make_streaming_algorithm(name, QueryGate(inst.fn), inst, "1/5"))
+                 for name, alg in ALGORITHMS.items() if alg.streams}
+        assert built == {"branching": GuessDriver, "sieve": SieveStreaming,
+                         "store-everything": StoreEverything}
+
+    @pytest.mark.parametrize("name", ["greedy", "nope"])
+    def test_no_streaming_algorithm_of_another_name(self, name):
+        from streamsub.errors import InvalidParams
+        inst = build_instance("coverage", {"n": 6, "K": 2}, 2)
+        with pytest.raises(InvalidParams, match=f"no streaming step-algorithm named '{name}'"):
+            make_streaming_algorithm(name, QueryGate(inst.fn), inst, "1/5")
+
+    def test_offline_entry_refuses_element_store_by_name(self):
+        from streamsub.errors import InvalidParams
+        inst = build_instance("coverage", {"n": 6, "K": 2}, 2)
+        with pytest.raises(InvalidParams, match="^greedy is offline; use weak or strong policy$"):
             run_trial(inst, "greedy", Fraction(1, 5), 7, exact_optimum(inst),
                       policy_kind="element-store")
 
