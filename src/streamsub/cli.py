@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import hard_cardinality, hard_matroid
 from .errors import GroundSetTooLarge, InvalidParams, StreamsubError
-from .harness import (POLICIES, algorithm_names, build_instance, canonical_audit,
+from .harness import (KINDS, POLICIES, algorithm_names, build_instance, canonical_audit,
                       instance_to_json, read_instance, report_to_json, run_experiment)
 from .matroids import check_axioms
 from .oracles import verify_monotone_submodular
@@ -75,12 +75,9 @@ def _matroid_m(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "hard-cardinality":
-        params = {"n": args.n, "K": args.K, "h": args.h if args.h is not None else args.K}
-    elif args.kind == "hard-matroid":
-        params = {"K": args.K, "m": _matroid_m(args)}
-    else:
-        params = {"n": args.n, "K": args.K, "universe": args.universe}
+    # every flag; the kind's builder reads only its own
+    params = {"n": args.n, "K": args.K, "h": args.h if args.h is not None else args.K,
+              "m": _matroid_m(args), "universe": args.universe}
     instance = build_instance(args.kind, params, args.seed)
     _write_output(instance_to_json(instance), args.out)
     return 0
@@ -216,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **common[flag])
 
     p_gen = sub.add_parser("gen", help="write an instance file")
-    p_gen.add_argument("--kind", required=True,
-                       choices=("hard-cardinality", "hard-matroid", "coverage"))
+    p_gen.add_argument("--kind", required=True, choices=tuple(KINDS))
     p_gen.add_argument("--K", type=int, required=True)
     p_gen.add_argument("--n", type=int, default=16)
     p_gen.add_argument("--h", type=int, default=None)
@@ -241,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alg", required=True, choices=algorithm_names("run"))
     p_run.add_argument("--epsilon", default="1/10")
     p_run.add_argument("--trials", type=int, default=20)
-    p_run.add_argument("--distribution", default=None, choices=DISTRIBUTIONS)
+    p_run.add_argument("--distribution", default=None, choices=tuple(DISTRIBUTIONS))
     p_run.add_argument("--policy", default="weak", choices=tuple(POLICIES))
     add_common(p_run, "--out", "--format")
     p_run.set_defaults(func=_cmd_run)

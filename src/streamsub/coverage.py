@@ -16,7 +16,7 @@ from itertools import chain
 
 from .errors import InvalidParams
 from .matroids import UniformMatroid
-from .oracles import SetFunction
+from .oracles import MAX_GROUND_SET, SetFunction
 from .rng import derive_rng
 
 
@@ -35,13 +35,15 @@ class CoverageFunction(SetFunction):
 
 
 class CoverageInstance:
-    kind = "coverage"
+    kind, distribution = "coverage", "uniform"
 
     def __init__(self, n: int, universe: int, K: int, seed: int, density: float = 0.35):
         if n < 1 or universe < 1 or K < 0:
             raise InvalidParams("coverage instance needs n,universe >= 1 and K >= 0")
         if not 0 <= density <= 1:
             raise InvalidParams(f"coverage density must be in [0, 1], got {density!r}")
+        if n * universe > MAX_GROUND_SET:
+            raise InvalidParams(f"n*universe={n * universe} is above the cap {MAX_GROUND_SET}")
         self.n = n
         self.universe = universe
         self.K = K

@@ -25,7 +25,7 @@ from math import isqrt, sqrt
 
 from .errors import InvalidParams
 from .matroids import UniformMatroid
-from .oracles import SetFunction
+from .oracles import MAX_GROUND_SET, SetFunction
 from .rng import derive_rng
 
 BLUE, RED, PURPLE = "b", "r", "p"
@@ -44,6 +44,8 @@ class CardHardParams:
             raise InvalidParams("shape parameter must satisfy h >= K")
         if self.n < 2 * self.K:
             raise InvalidParams("need n >= 2K so blues outnumber the budget")
+        if self.n > MAX_GROUND_SET:
+            raise InvalidParams(f"n={self.n} is above the ground-set cap {MAX_GROUND_SET}")
 
     @property
     def blues(self) -> int:
@@ -154,7 +156,7 @@ class CardHardInstance:
     sets with equal color profiles have equal values.
     """
 
-    kind = "hard-cardinality"
+    kind, distribution = "hard-cardinality", "purple-last"
 
     def __init__(self, params: CardHardParams, seed: int):
         self.params = params
@@ -170,7 +172,7 @@ class CardHardInstance:
             colors[e] = RED
         colors[self.purple_id] = PURPLE
         self.colors = tuple(colors)
-        self.fn = SetFunction(params.n, self._value, name="hard-cardinality")
+        self.fn = SetFunction(params.n, self._value, name=self.kind)
         self.matroid = UniformMatroid(params.n, params.K)
 
     def profile_of(self, subset) -> tuple[int, int, int]:

@@ -22,7 +22,7 @@ from math import factorial
 
 from .errors import InvalidParams
 from .matroids import PartitionMatroid
-from .oracles import SetFunction
+from .oracles import MAX_GROUND_SET, SetFunction
 from .rng import derive_rng
 
 
@@ -112,15 +112,20 @@ def approx_ratio(K: int) -> Fraction:
 class MatHardParams:
     K: int
     m: int
+    MAX_K = 200  # _level recurses once per class, and a run fails from K=494
 
     def __post_init__(self):
         if self.K < 1:
             raise InvalidParams("need K >= 1")
+        if self.K > self.MAX_K:
+            raise InvalidParams(f"need K <= {self.MAX_K}, got K={self.K}")
         if self.K == 1:
             if self.m != 0:
                 raise InvalidParams("K=1 has no blue classes; use m=0")
         elif self.m < 1:
             raise InvalidParams("need m >= 1 blue-class size")
+        if self.n > MAX_GROUND_SET:
+            raise InvalidParams(f"n={self.n} is above the ground-set cap {MAX_GROUND_SET}")
 
     @property
     def n(self) -> int:
@@ -136,29 +141,18 @@ class MatHardInstance:
     class is chosen by the seeded generator; the class-K element is red.
     """
 
-    kind = "hard-matroid"
+    kind, distribution = "hard-matroid", "class-blocks"
 
     def __init__(self, params: MatHardParams, seed: int):
         self.params = params
         self.seed = seed
-        K, m = params.K, params.m
-        n = params.n
-        class_of = []
-        blocks = []
-        for i in range(1, K):
-            block = list(range((i - 1) * m, i * m))
-            blocks.append(block)
-            class_of.extend([i] * m)
-        blocks.append([n - 1])
-        class_of.append(K)
-        self.class_of = tuple(class_of)
-        self.class_blocks = blocks
+        K, m, n = params.K, params.m, params.n
+        self.class_blocks = [list(range(i * m, (i + 1) * m)) for i in range(K - 1)] + [[n - 1]]
+        self.class_of = tuple(i for i, block in enumerate(self.class_blocks, 1) for _ in block)
         rng = derive_rng(seed, "hard-matroid-reds", K, m)
-        reds = [rng.choice(block) for block in blocks[:-1]]
-        reds.append(n - 1)
-        self.red_ids = frozenset(reds)
+        self.red_ids = frozenset([rng.choice(block) for block in self.class_blocks[:-1]] + [n - 1])
         self._ceilings = tuple(blue_ceiling(K, i) for i in range(1, K + 1))
-        self.fn = SetFunction(n, self._value, name="hard-matroid")
+        self.fn = SetFunction(n, self._value, name=self.kind)
         self.matroid = PartitionMatroid(self.class_of, capacity=1)
 
     def profile_of(self, subset) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -53,23 +53,29 @@ def _number(name: str, value, convert):
         raise InvalidParams(f"{name} must be {what}, got {value!r}") from None
 
 
+# each kind's builder, from get(name, convert=int, default=None) and the seed
+KINDS = {
+    "hard-cardinality": lambda get, seed: hard_cardinality.CardHardInstance(
+        hard_cardinality.CardHardParams(get("n"), get("K"), get("h")), seed),
+    "hard-matroid": lambda get, seed: hard_matroid.MatHardInstance(
+        hard_matroid.MatHardParams(get("K"), get("m")), seed),
+    "coverage": lambda get, seed: CoverageInstance(
+        get("n"), get("universe", default=12), get("K"), seed, get("density", float, 0.35)),
+}
+
+
 def build_instance(kind: str, params: dict, seed: int):
+    """The ``kind`` instance from ``params``, ignoring keys it does not read."""
     def get(name, convert=int, default=None):
         if name not in params and default is None:
             raise InvalidParams(f"{kind} instance needs {name}")
         return _number(name, params.get(name, default), convert)
 
     seed = _number("seed", seed, int)
-    if kind == "hard-cardinality":
-        p = hard_cardinality.CardHardParams(get("n"), get("K"), get("h"))
-        return hard_cardinality.CardHardInstance(p, seed)
-    if kind == "hard-matroid":
-        p = hard_matroid.MatHardParams(get("K"), get("m"))
-        return hard_matroid.MatHardInstance(p, seed)
-    if kind == "coverage":
-        return CoverageInstance(get("n"), get("universe", default=12), get("K"), seed,
-                                get("density", float, 0.35))
-    raise InvalidParams(f"unknown instance kind {kind!r}")
+    # a kind read from a file may be unhashable, which no dict lookup takes
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise InvalidParams(f"unknown instance kind {kind!r}")
+    return KINDS[kind](get, seed)
 
 
 def instance_to_json(instance) -> str:

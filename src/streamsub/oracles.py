@@ -297,6 +297,7 @@ def _mask_set(mask: int) -> frozenset:
 
 
 EXHAUSTIVE_LIMIT = 14  # largest ground sets verify_monotone_submodular enumerates
+MAX_GROUND_SET = 100_000  # largest ground set, or coverage n*universe, an instance holds
 
 
 def verify_monotone_submodular(fn) -> CheckReport:

@@ -1,15 +1,16 @@
 """Stream-order samplers for the experiment distributions.
 
-Three named orderings:
+Each named ordering is some blocks, each uniformly shuffled in turn, and
+then a fixed tail:
 
-* ``uniform``      -- any instance; a uniformly random permutation.
-* ``purple-last``  -- cardinality-hard instances; blues and reds arrive in
-  uniformly random order and the hidden purple element arrives last.
-* ``class-blocks`` -- matroid-hard instances; classes arrive as contiguous
-  blocks 1..K-1 (uniformly shuffled inside each block) followed by the
-  single last-class element.
+* ``uniform``      -- any instance; one block of all elements, no tail.
+* ``purple-last``  -- cardinality-hard instances; the blues and reds as
+  one block, and the hidden purple element as the tail.
+* ``class-blocks`` -- matroid-hard instances; classes 1..K-1 as one block
+  each, and the single last-class element as the tail.
 
-Sampling is deterministic in (instance, seed).
+An instance names its default ordering as ``distribution``. Sampling is
+deterministic in (instance, seed).
 """
 
 from __future__ import annotations
@@ -19,38 +20,34 @@ from .hard_cardinality import CardHardInstance
 from .hard_matroid import MatHardInstance
 from .rng import derive_rng
 
-DISTRIBUTIONS = ("uniform", "purple-last", "class-blocks")
+# each ordering: the instance kind it needs (None for any), and the
+# instance's blocks and tail
+DISTRIBUTIONS = {
+    "uniform": (None, lambda inst: ((range(inst.fn.n),), ())),
+    "purple-last": (CardHardInstance.kind, lambda inst: (
+        ([e for e in range(inst.fn.n) if e != inst.purple_id],), (inst.purple_id,))),
+    "class-blocks": (MatHardInstance.kind, lambda inst: (
+        inst.class_blocks[:-1], inst.class_blocks[-1])),
+}
 
 
 def default_distribution(instance) -> str:
-    if isinstance(instance, CardHardInstance):
-        return "purple-last"
-    if isinstance(instance, MatHardInstance):
-        return "class-blocks"
-    return "uniform"
+    return instance.distribution
 
 
 def sample_stream(instance, distribution: str, seed: int) -> tuple[int, ...]:
-    n = instance.fn.n
-    rng = derive_rng(seed, "stream", distribution, n)
-    if distribution == "uniform":
-        order = list(range(n))
-        rng.shuffle(order)
-    elif distribution == "purple-last":
-        if not isinstance(instance, CardHardInstance):
-            raise IncompatibleDistribution("purple-last needs a cardinality-hard instance")
-        order = [e for e in range(n) if e != instance.purple_id]
-        rng.shuffle(order)
-        order.append(instance.purple_id)
-    elif distribution == "class-blocks":
-        if not isinstance(instance, MatHardInstance):
-            raise IncompatibleDistribution("class-blocks needs a matroid-hard instance")
-        order = []
-        for block in instance.class_blocks[:-1]:
-            chunk = list(block)
-            rng.shuffle(chunk)
-            order.extend(chunk)
-        order.extend(instance.class_blocks[-1])
-    else:
+    if distribution not in DISTRIBUTIONS:
         raise IncompatibleDistribution(f"unknown distribution {distribution!r}")
+    needs, parts = DISTRIBUTIONS[distribution]
+    if needs not in (None, instance.kind):
+        raise IncompatibleDistribution(
+            f"{distribution} needs a {needs.removeprefix('hard-')}-hard instance")
+    blocks, tail = parts(instance)
+    rng = derive_rng(seed, "stream", distribution, instance.fn.n)
+    order = []
+    for block in blocks:
+        chunk = list(block)
+        rng.shuffle(chunk)
+        order.extend(chunk)
+    order.extend(tail)
     return tuple(order)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from streamsub.branching import MAX_EPS_DIGITS, CardTree
 from streamsub.cli import build_parser, main
+from streamsub.hard_matroid import MatHardParams
 from streamsub.harness import build_instance, instance_to_json, read_instance
+from streamsub.oracles import MAX_GROUND_SET
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden"
@@ -124,9 +126,19 @@ class TestGoldenInstanceFile:
         (("--kind", "hard-matroid", "--K", "3", "--m", "8"), "gen_hard_matroid_K3.json"),
         (("--kind", "coverage", "--K", "2", "--n", "6", "--seed", "9"),
          "gen_coverage_K2.json"),
+        # h defaults to K
+        (("--kind", "hard-cardinality", "--K", "4", "--n", "16"), "gen_hard_cardinality_K4.json"),
+        # a kind reads only its own flags
+        (("--kind", "hard-matroid", "--K", "3", "--m", "8", "--n", "99", "--h", "7",
+          "--universe", "5"), "gen_hard_matroid_K3.json"),
     ])
     def test_gen_bytes(self, tmp_path, flags, name):
         assert _gen(tmp_path, *flags).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_matroid_m_defaults_to_two_blues_per_later_class(self, tmp_path):
+        flags = ("--kind", "hard-matroid", "--K", "3")
+        default = _gen(tmp_path, *flags).read_bytes()
+        assert default == _gen(tmp_path, *flags, "--m", "4").read_bytes()
 
 
 class TestVerify:
@@ -436,6 +448,13 @@ class TestHostileInput:
          "density must be in [0, 1], got -2.0"),
         ("coverage", ("--K", "2", "--n", "6"), '"density":0.35', '"density":NaN',
          "density must be in [0, 1], got nan"),
+        ("hard-matroid", ("--K", "2", "--m", "3"), '"kind":"hard-matroid"', '"kind":"nope"',
+         "error: unknown instance kind 'nope'\n"),
+        # an unhashable kind is no dict key: it must not end in a TypeError
+        ("hard-matroid", ("--K", "2", "--m", "3"), '"kind":"hard-matroid"', '"kind":["x"]',
+         "error: unknown instance kind ['x']\n"),
+        ("hard-matroid", ("--K", "2", "--m", "3"), '"kind":"hard-matroid"', '"kind":{"a":1}',
+         "error: unknown instance kind {'a': 1}\n"),
     ])
     def test_bad_instance_value(self, tmp_path, capsys, kind, flags, old, new, message):
         inst_file = _gen(tmp_path, "--kind", kind, *flags)
@@ -444,6 +463,62 @@ class TestHostileInput:
         inst_file.write_text(text.replace(old, new))
         self.check(["run", "--instance", str(inst_file), "--alg", "greedy", "--trials", "1"],
                    capsys, message)
+
+    @pytest.mark.parametrize("kind,flags,distribution,needs", [
+        ("coverage", ("--K", "2", "--n", "6"), "purple-last", "cardinality-hard"),
+        ("hard-matroid", ("--K", "2", "--m", "3"), "purple-last", "cardinality-hard"),
+        ("hard-cardinality", ("--K", "2", "--n", "6"), "class-blocks", "matroid-hard"),
+    ])
+    def test_distribution_of_another_kind(self, tmp_path, capsys, kind, flags, distribution,
+                                          needs):
+        inst_file = _gen(tmp_path, "--kind", kind, *flags)
+        self.check(["run", "--instance", str(inst_file), "--alg", "sieve", "--trials", "1",
+                    "--distribution", distribution], capsys,
+                   f"error: {distribution} needs a {needs} instance\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        # MatHardParams.MAX_K: the value recursion once overflowed the stack at K=1500
+        (["--kind", "hard-matroid", "--K", "1500", "--m", "1"],
+         f"need K <= {MatHardParams.MAX_K}, got K=1500"),
+        (["--kind", "hard-matroid", "--K", "3", "--m", str(MAX_GROUND_SET)],
+         f"n={2 * MAX_GROUND_SET + 1} is above the ground-set cap {MAX_GROUND_SET}"),
+        (["--kind", "hard-cardinality", "--K", "4", "--n", str(MAX_GROUND_SET + 1)],
+         f"n={MAX_GROUND_SET + 1} is above the ground-set cap {MAX_GROUND_SET}"),
+        (["--kind", "coverage", "--n", "8", "--K", "2", "--universe", "100000000"],
+         f"n*universe=800000000 is above the cap {MAX_GROUND_SET}"),
+    ])
+    def test_gen_above_a_size_cap(self, tmp_path, capsys, argv, message):
+        """Each is refused before the instance allocates anything."""
+        start = time.perf_counter()
+        self.check(["gen", *argv, "--out", str(tmp_path / "inst.json")], capsys, message)
+        assert time.perf_counter() - start < 1
+        assert not (tmp_path / "inst.json").exists()
+
+    @pytest.mark.parametrize("kind,flags,old,new,message", [
+        # once a RecursionError traceback in the first query
+        ("hard-matroid", ("--K", "2", "--m", "1"), '"K":2', '"K":1500',
+         f"need K <= {MatHardParams.MAX_K}, got K=1500"),
+        # once a MemoryError traceback while building the coloring
+        ("hard-cardinality", ("--K", "2", "--n", "6"), '"n":6', '"n":10000000000',
+         f"n=10000000000 is above the ground-set cap {MAX_GROUND_SET}"),
+        ("coverage", ("--K", "2", "--n", "6"), '"universe":12', '"universe":100000000',
+         f"n*universe=600000000 is above the cap {MAX_GROUND_SET}"),
+    ])
+    def test_instance_file_above_a_size_cap(self, tmp_path, capsys, kind, flags, old, new,
+                                            message):
+        inst_file = _gen(tmp_path, "--kind", kind, *flags)
+        text = inst_file.read_text()
+        assert old in text
+        inst_file.write_text(text.replace(old, new))
+        start = time.perf_counter()
+        self.check(["run", "--instance", str(inst_file), "--alg", "sieve", "--trials", "1"],
+                   capsys, message)
+        assert time.perf_counter() - start < 1
+
+    def test_size_caps_fit_the_largest_sizes_in_use(self):
+        # the criterion-9 audit and perfbench's audit-sieve run K=3, m=1334
+        assert MatHardParams(3, 1334).n <= MAX_GROUND_SET
+        assert MatHardParams.MAX_K >= 4
 
     @pytest.mark.parametrize("argv", [["run", "--alg", "greedy"], ["audit"]])
     def test_instance_not_utf8(self, tmp_path, capsys, argv):

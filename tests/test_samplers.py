@@ -17,7 +17,8 @@ class TestCardOrdering:
 
     def test_incompatible(self):
         inst = CoverageInstance(6, 8, 2, 1)
-        with pytest.raises(IncompatibleDistribution):
+        with pytest.raises(IncompatibleDistribution,
+                           match="^purple-last needs a cardinality-hard instance$"):
             sample_stream(inst, "purple-last", 0)
 
 
@@ -34,7 +35,8 @@ class TestMatroidOrdering:
 
     def test_incompatible(self):
         inst = CardHardInstance(CardHardParams(8, 3, 3), 1)
-        with pytest.raises(IncompatibleDistribution):
+        with pytest.raises(IncompatibleDistribution,
+                           match="^class-blocks needs a matroid-hard instance$"):
             sample_stream(inst, "class-blocks", 0)
 
 
@@ -57,7 +59,7 @@ class TestDeterminismAndSpread:
 
     def test_unknown_distribution(self):
         inst = CoverageInstance(5, 8, 2, 1)
-        with pytest.raises(IncompatibleDistribution):
+        with pytest.raises(IncompatibleDistribution, match="^unknown distribution 'zigzag'$"):
             sample_stream(inst, "zigzag", 0)
 
     def test_defaults_by_kind(self):
