@@ -5,12 +5,27 @@ suite; greedy is the classical offline comparison point; the sieve is a
 standard single-pass threshold algorithm used as the bounded-memory
 baseline in the lower-bound demonstrations (implemented from its usual
 textbook description).
+
+Brute force is a branch and bound that needs a submodular function: for
+one, f(S + T) <= f(S) + the sum over x in T of f(S + x) - f(S)
+(Nemhauser, Wolsey and Fisher, Math. Programming 1978), and a gain at S
+is at most the gain at any subset of S. So a set whose value, plus the
+largest gains it could still add, is strictly below the best value found
+needs neither its query nor those of its supersets. The skip is strict,
+so every set that ties the optimum is still queried and the tie rule
+picks the same set as full enumeration. A gain the walk sees above a
+gain of the same element at a subset proves the function is not
+submodular, and it raises ``InvalidParams`` rather than return a value
+the bound may have got wrong.
 """
 
 from __future__ import annotations
 
+from heapq import heappush, heapreplace
+from operator import itemgetter
+
 from .branching import GuessGrid
-from .errors import GroundSetTooLarge
+from .errors import GroundSetTooLarge, InvalidParams
 from .matroids import Matroid, UniformMatroid
 from .oracles import QueryGate
 
@@ -19,13 +34,24 @@ MATROID_LIMIT = 16
 
 
 def brute_force_optimum(fn, matroid: Matroid) -> tuple[frozenset, int]:
-    """Exact maximizer over feasible sets by enumeration.
+    """Exact maximizer over feasible sets by branch and bound.
 
-    ``fn`` is anything with ``n`` and ``value``, a set function or a gate.
-    A depth-first walk grows sets in ascending id order on the matroid's
-    loads, stops growing at the rank and queries each independent set
-    once. Ties go to the smallest maximizer, then to the lexicographically
-    first sorted ids.
+    ``fn`` is anything with ``n`` and ``value``, a set function or a gate,
+    and must be submodular (see the module docstring). A depth-first walk
+    grows sets in ascending id order on the matroid's loads and stops
+    growing at the rank. A node S first queries each child S + x that the
+    bound allows, then visits the children it queried, highest gain
+    first. The cap of a later candidate x at S is its gain at S's
+    parent, or the cap it had there if the parent did not query it; at
+    the root every singleton is queried. A child S + x is skipped, with
+    every superset below it, when f(S) + cap(x) + the sum of the
+    rank - |S| - 1 largest positive caps of the candidates after x is
+    strictly below the best value queried so far. Where the children are
+    leaves, each node's candidates are scanned in descending cap order
+    and the scan stops at the first that cannot reach the best. Every
+    set that ties the optimum is queried and none twice. Ties go to the
+    smallest maximizer, then to the lexicographically first sorted ids.
+    A queried gain above its cap raises ``InvalidParams`` naming the set.
     """
     n = fn.n
     if isinstance(matroid, UniformMatroid):
@@ -33,20 +59,69 @@ def brute_force_optimum(fn, matroid: Matroid) -> tuple[frozenset, int]:
             raise GroundSetTooLarge(f"n={n} exceeds uniform enumeration limit {UNIFORM_LIMIT}")
     elif n > MATROID_LIMIT:
         raise GroundSetTooLarge(f"n={n} exceeds matroid enumeration limit {MATROID_LIMIT}")
-    fits, plus, rank = matroid.fits, matroid.plus, matroid.rank
-    best_key, best_value = (0, ()), fn.value(())
-    # (sorted ids of an independent set, its load)
-    stack = [((), matroid.load(()))]
-    while stack:
-        ids, load = stack.pop()
-        for e in range(ids[-1] + 1 if ids else 0, n):
-            if fits(load, e):
-                ext = ids + (e,)
-                v = fn.value(ext)
-                if v > best_value or (v == best_value and (len(ext), ext) < best_key):
-                    best_key, best_value = (len(ext), ext), v
-                if len(ext) < rank:
-                    stack.append((ext, plus(load, e)))
+    value, fits, plus, rank = fn.value, matroid.fits, matroid.plus, matroid.rank
+    best_key, best_value = (0, ()), value(())
+
+    def query(ext, f_ids, cap):
+        """f(ext), after recording it as the best if it is; its gain over
+        the parent's value ``f_ids`` may not exceed ``cap``."""
+        nonlocal best_key, best_value
+        v = value(ext)
+        if cap is not None and v - f_ids > cap:
+            raise InvalidParams(f"the function is not submodular at {list(ext)}: the gain "
+                                f"of {ext[-1]} there is {v - f_ids}, above its gain {cap} "
+                                f"at a subset")
+        if v >= best_value and (v > best_value or (len(ext), ext) < best_key):
+            best_key, best_value = (len(ext), ext), v
+        return v
+
+    def visit(ids, f_ids, load, cands):
+        """Query the children of the independent set ``ids`` that the bound
+        allows, then their children. ``cands`` holds (e, cap) for each
+        later e that fits ``load``, in ascending id order; at the root,
+        where no gain is known yet, each cap is None."""
+        room = rank - len(ids)
+        # tails[i]: the sum of the room - 1 largest positive caps after cands[i]
+        tails, top, total = [0] * len(cands), [], 0
+        for i in range(len(cands) - 1, 0, -1):
+            cap = cands[i][1]
+            if cap is not None and cap > 0:
+                if len(top) < room - 1:
+                    heappush(top, cap)
+                    total += cap
+                elif cap > top[0]:
+                    total += cap - heapreplace(top, cap)
+            tails[i - 1] = total
+        caps, kids = [], []
+        for i, (e, cap) in enumerate(cands):
+            if cap is not None and f_ids + cap + tails[i] < best_value:
+                caps.append((e, cap))
+                continue
+            ext = ids + (e,)
+            gain = query(ext, f_ids, cap) - f_ids
+            caps.append((e, gain))
+            kids.append((gain, i, ext))
+        kids.sort(key=itemgetter(0), reverse=True)
+        if room == 2:
+            # the grandchildren are leaves: scan the caps from the largest
+            # and stop at the first that cannot reach the best
+            ranked = sorted(caps, key=itemgetter(1), reverse=True)
+            for gain, _, ext in kids:
+                x, v = ext[-1], f_ids + gain
+                ext_load = plus(load, x)
+                for e, cap in ranked:
+                    if v + cap < best_value:
+                        break
+                    if e > x and fits(ext_load, e):
+                        query(ext + (e,), v, cap)
+        elif room > 2:
+            for gain, i, ext in kids:
+                ext_load = plus(load, ext[-1])
+                visit(ext, f_ids + gain, ext_load,
+                      [c for c in caps[i + 1:] if fits(ext_load, c[0])])
+
+    load = matroid.load(())
+    visit((), best_value, load, [(e, None) for e in range(n) if fits(load, e)])
     return frozenset(best_key[1]), best_value
 
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import ExplicitMatroid, ref_brute_force
 from streamsub.baselines import (SieveStreaming, StoreEverything,
                                  brute_force_optimum, offline_greedy)
 from streamsub.coverage import CoverageFunction, CoverageInstance
-from streamsub.errors import GroundSetTooLarge
+from streamsub.errors import GroundSetTooLarge, InvalidParams
 from streamsub.hard_cardinality import CardHardInstance, CardHardParams
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.harness import stream_run
@@ -79,9 +79,18 @@ def _graphic_family(n_vertices, edges):
 
 
 @st.composite
-def coverage_and_matroid(draw):
-    n = draw(st.integers(1, 7))
-    fn = CoverageFunction(draw(st.lists(st.sets(st.integers(0, 7)), min_size=n, max_size=n)))
+def function_and_matroid(draw, ties=False):
+    """A coverage function, or with ``ties`` one that ties often: coverage
+    on a few sets shared by several elements, or additive weights with
+    zeros; and a uniform, partition or graphic matroid."""
+    n = draw(st.integers(3, 8) if ties else st.integers(1, 7))
+    if not ties:
+        fn = CoverageFunction(draw(st.lists(st.sets(st.integers(0, 7)), min_size=n, max_size=n)))
+    elif draw(st.booleans()):
+        pool = draw(st.lists(st.sets(st.integers(0, 4)), min_size=1, max_size=4))
+        fn = CoverageFunction(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    else:
+        fn = additive(draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["uniform", "partition", "explicit"]))
     if kind == "uniform":
         return fn, UniformMatroid(n, draw(st.integers(0, n)))
@@ -100,23 +109,52 @@ def counted(fn):
 
 
 class TestBruteForceDifferential:
-    """The walk on matroid loads against plain subset enumeration with
-    ``is_independent`` (``_reference.ref_brute_force``)."""
+    """Branch and bound on matroid loads against plain subset enumeration
+    with ``is_independent`` (``_reference.ref_brute_force``): the same set
+    and value, from independent sets that enumeration also queries, none
+    of them twice."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(case=coverage_and_matroid(), via_gate=st.booleans())
-    def test_matches_subset_enumeration(self, case, via_gate):
-        fn, matroid = case
+    @staticmethod
+    def check(fn, matroid, via_gate):
         ref_fn, ref_calls = counted(fn)
         expected = ref_brute_force(ref_fn, matroid)
         walk_fn, walk_calls = counted(fn)
         if via_gate:
             gate = QueryGate(walk_fn)
             assert brute_force_optimum(gate, matroid) == expected
-            assert gate.audit.query_count == len(ref_calls)
+            assert gate.audit.query_count == len(walk_calls)
         else:
             assert brute_force_optimum(walk_fn, matroid) == expected
-        assert sorted(map(sorted, walk_calls)) == sorted(map(sorted, ref_calls))
+        assert all(map(matroid.is_independent, walk_calls))
+        assert len(set(walk_calls)) == len(walk_calls)
+        assert set(walk_calls) <= set(ref_calls)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=function_and_matroid(), via_gate=st.booleans())
+    def test_matches_subset_enumeration(self, case, via_gate):
+        self.check(*case, via_gate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=function_and_matroid(ties=True), via_gate=st.booleans())
+    # {1, 2, 3} is found first, and a skip on a bound equal to 4 would miss {0, 1, 2}
+    @example(case=(additive([1, 2, 1, 1]), UniformMatroid(4, 3)), via_gate=False)
+    def test_tie_rule_under_pruning(self, case, via_gate):
+        self.check(*case, via_gate)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_prunes_on_the_benchmark_shape(self, seed):
+        # coverage n=20, K=4, universe 48 has 6,196 independent sets; the
+        # walk queried at most 2,874 on seeds 0-199
+        inst = CoverageInstance(20, 48, 4, seed)
+        fn, calls = counted(inst.fn)
+        assert brute_force_optimum(fn, inst.matroid) == ref_brute_force(inst.fn, inst.matroid)
+        assert len(calls) <= 6196 // 2
+
+    def test_witnessed_violation_of_submodularity_raises(self):
+        # f = 1 iff {0, 1} is in S: the gain of 1 at {0} is above its gain at {}
+        both = SetFunction(3, lambda s: int({0, 1} <= s))
+        with pytest.raises(InvalidParams, match=r"not submodular at \[0, 1\]"):
+            brute_force_optimum(both, UniformMatroid(3, 2))
 
 
 class TestGreedy:

@@ -89,6 +89,16 @@ class TestGoldenRunReport:
                      "--trials", "5", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "run_coverage_K3.json").read_bytes()
 
+    def test_coverage_K4_branching_report_bytes(self, tmp_path):
+        # the benchmark's run-coverage shape, whose optimum comes from the
+        # branch-and-bound walk over its 6,196 independent sets
+        inst_file = _gen(tmp_path, "--kind", "coverage", "--n", "20", "--K", "4",
+                         "--universe", "48", "--seed", "7")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--distribution", "uniform", "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_coverage_K4.json").read_bytes()
+
     def test_hard_cardinality_element_store_report_bytes(self, tmp_path):
         # the element-store policy reads the tree's stored set every step
         inst_file = _gen(tmp_path, "--kind", "hard-cardinality", "--K", "4", "--n", "16",
@@ -117,6 +127,16 @@ class TestGoldenAuditReport:
     def test_hard_matroid_sieve_audit_csv_bytes(self, tmp_path):
         assert self._hard_matroid_sieve_bytes(tmp_path, "csv") == \
             (GOLDEN / "audit_hard_matroid_K3.csv").read_bytes()
+
+
+    def test_hard_matroid_store_everything_audit_bytes(self, tmp_path):
+        # store-everything solves each trial by branch and bound through
+        # the gate, under the element-store policy
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "4")
+        out = tmp_path / "audit.json"
+        assert main(["audit", "--instance", str(inst_file), "--alg", "store-everything",
+                     "--trials", "20", "--seed", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "audit_hard_matroid_K3_store.json").read_bytes()
 
 
 class TestGoldenInstanceFile:
