@@ -22,18 +22,19 @@ far selects; the driver here and the sieve in :mod:`streamsub.baselines`
 share it.
 
 A tree of either kind stands for a contiguous run of guesses for as long
-as their trees make the same decisions, and splits where they stop. The
-guess enters a cardinality tree only through its take bars, so a
-:class:`CardTree` splits where an offered gain clears the bar of the
-run's lower guesses and not of its upper ones. A :class:`MatroidTree`
-shares every node among its guesses and keeps per guess only each node's
-target. A node's threshold runs are over the acceptance levels b*v/K^4,
-not over each guess's indices b, so one list of them serves every guess;
-the tree splits where adjacent guesses disagree on whether a node spawns
-a child. The driver steps each run once and replays the run's queries
-through the gate for its other guesses
-(:meth:`~streamsub.oracles.QueryGate.replay`), so the query count and log
-are those of one tree per guess.
+as their trees make the same decisions, and splits where they stop, in
+``_Tree.step``, the one split step of both kinds; each kind says only
+where its guesses disagree. The guess enters a cardinality tree only
+through its take bars, so a :class:`CardTree` splits where an offered
+gain clears the bar of the run's lower guesses and not of its upper
+ones. A :class:`MatroidTree` shares every node among its guesses and
+keeps per guess only each node's target. A node's threshold runs are
+over the acceptance levels b*v/K^4, not over each guess's indices b, so
+one list of them serves every guess; the tree splits where adjacent
+guesses disagree on whether a node spawns a child. The driver steps each
+run once and replays the run's queries through the gate for its other
+guesses (:meth:`~streamsub.oracles.QueryGate.replay`), so the query
+count and log are those of one tree per guess.
 
 Numeric conventions: function values are exact integers. A guess value
 v is an exact rational kept as an integer pair ``(num, den)`` with
@@ -123,16 +124,18 @@ class GuessGrid:
         # 1 + c*eps <= (1+eps)^c <= 1/(1 - c*eps) when c*eps < 1.
         n, d = self.hi[0] * self.lo[1], self.hi[1] * self.lo[0]
         p, q, c = self.p, self.q, MAX_GUESSES
+        long = max(p, q) >= 10 ** MAX_EPS_DIGITS
         if d * (q + c * p) > n * q:
             fits = True  # 1 + c*eps > span
         elif c * p < q and (q - c * p) * n >= q * d:
             fits = False  # 1/(1 - c*eps) <= span
         else:
-            fits = (p + q) ** c * d > n * q ** c
+            # a long eps is refused below, before its power costs seconds
+            fits = long or (p + q) ** c * d > n * q ** c
         if not fits:
             raise InvalidParams(f"eps={self._label()} puts more than {MAX_GUESSES} "
                                 f"guesses in one window; use a larger eps")
-        if max(p, q) >= 10 ** MAX_EPS_DIGITS:
+        if long:
             raise InvalidParams(f"eps={self._label()} has more than {MAX_EPS_DIGITS} digits "
                                 f"in its numerator or denominator; use a shorter eps")
 
@@ -172,14 +175,36 @@ class GuessGrid:
 
 class _Tree:
     """What both branch trees share. A tree stands for ``run``, an
-    ascending list of guesses ``(index, num, den)``; ``nodes`` holds every
-    node ever created, in creation order, and ``asked`` the ``(query,
-    times)`` pairs of the last step, which a driver replays through
-    :meth:`~streamsub.oracles.QueryGate.replay` once for each other guess
-    of the run. ``stored`` counts the elements that each guess of the run
-    holds alike. When tracing, ``trace_log`` gets one ``(id(node), t)``
-    per offer. Nodes keep no reference to their tree, which passes itself
-    in, so a tree holds no reference cycle and is freed once dropped."""
+    ascending list of guesses ``(index, num, den)``: it is built for one
+    guess, and :class:`GuessDriver` joins to it the guesses that enter its
+    window in the same step. ``nodes`` holds every node ever created, in
+    creation order, and ``asked`` the ``(query, times)`` pairs of the last
+    step. ``stored`` counts the elements that each guess of the run holds
+    alike, and ``taken[j]`` the branches that guess j has spawned. When
+    tracing, ``trace_log`` gets one ``(id(node), t)`` per offer. Nodes keep
+    no reference to their tree, which passes itself in, so a tree holds no
+    reference cycle and is freed once dropped.
+
+    :meth:`step`, the one split step of both trees, runs in three phases.
+    (1) Every pre-step node is offered ``e``, queries its gain at most once
+    for the whole run, records the query and its count in ``asked``, and
+    returns an offer if some guess takes ``e``. (2) Where the guesses
+    disagree on an offer (:meth:`_cuts`), the still unchanged tree is
+    copied once for each sub-run above such a cut, the copies sharing its
+    residuals, and keeps the lowest sub-run, cutting each list of
+    :meth:`_per_guess`. (3) Each tree applies the offers its guesses take
+    (:meth:`_apply`), mapping the stepped tree's nodes to its own. An offer
+    changes only its node, the node's new child and the tree's counters,
+    so the offers of one step are independent, and each tree makes the run
+    its guesses would have made alone. A child made in (3) first sees the
+    next element. :meth:`step` returns the copies; a driver replays
+    ``asked`` once for each other guess of the run. A kind of tree supplies
+    only ``_cuts``, ``_apply`` and its nodes' ``copy`` and ``relink``; a
+    matroid tree also ``COPIED`` and ``_per_guess``.
+    """
+
+    # what a copy takes over besides the attributes set here
+    COPIED: tuple = ()
 
     def __init__(self, run: list, trace: bool):
         self.run = run
@@ -187,6 +212,16 @@ class _Tree:
         self.asked: list = []
         self.stored = 0
         self.trace_log: list | None = [] if trace else None
+        self.taken = [0] * len(run)
+
+    @property
+    def branches_spawned(self) -> int:
+        """The branches the run's lowest guess has spawned."""
+        return self.taken[0]
+
+    def _per_guess(self) -> list:
+        """The lists that hold one entry per guess of the run."""
+        return [self.run, self.taken]
 
     def footprint(self) -> int:
         """The elements the tree holds, summed over its guesses."""
@@ -196,21 +231,60 @@ class _Tree:
         """Add guess ``index`` of value ``v`` on top of the run, before the
         tree's first step."""
         self.run.append((index, *v))
+        self.taken.append(0)
 
-    def _offer(self, t: int, e: int) -> list:
-        """Offer ``e`` to every node, in creation order, and return the
-        offers that take it. No node is created here, and the children the
-        offers make later in the step first see the next element."""
+    def step(self, t: int, e: int) -> list:
         trace = self.trace_log
         self.asked = []
         offers = []
-        for node in self.nodes:
+        for node in self.nodes:  # (1)
             if trace is not None:
                 trace.append((id(node), t))
             offer = node.offer(self, e)
             if offer is not None:
                 offers.append(offer)
-        return offers
+        if not offers:
+            return []
+        twins = []
+        cuts = self._cuts(offers)
+        if cuts:  # (2)
+            for lo, hi in zip(cuts, cuts[1:] + [len(self.run)]):
+                twin, remap = self._copy(lo, hi)
+                twin._apply(e, offers, lo, hi, remap)
+                twins.append(twin)
+            for guesses in self._per_guess():
+                del guesses[cuts[0]:]
+        self._apply(e, offers, 0, len(self.run), {})  # (3)
+        return twins
+
+    def _copy(self, lo: int, hi: int) -> tuple["_Tree", dict]:
+        """This tree for the guesses at positions ``lo..hi-1`` of its run,
+        sharing its residuals, and a map from the id of each node (and of
+        each chain of a cardinality node) to its copy. A node's ``copy``
+        adds its copy to the twin and maps it; ``relink`` then points the
+        copy at the copies of the nodes and chains it names."""
+        # not copy.copy: it reads the __dict__ of both trees, and CPython's
+        # attribute access on an instance slows once its __dict__ is read
+        twin = object.__new__(type(self))
+        _Tree.__init__(twin, self.run[lo:hi], self.trace_log is not None)
+        twin.taken = self.taken[lo:hi]
+        for name in self.COPIED:
+            setattr(twin, name, getattr(self, name))
+        remap = {}
+        for node in self.nodes:
+            node.copy(twin, remap, lo, hi)
+        for node in self.nodes:
+            remap[id(node)].relink(remap)
+        twin.stored, twin.root = self.stored, twin.nodes[0]
+        return twin, remap
+
+    def drop_lowest(self) -> int:
+        """Drop the run's lowest guess and return its count of branches
+        spawned."""
+        spawned = self.taken[0]
+        for guesses in self._per_guess():
+            del guesses[0]
+        return spawned
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +399,32 @@ class _CardNode:
         order, under one new child."""
         s = self.s
         child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
+        # each chain pins e in its k - 1 members, for every guess of the tree
+        spawned = sum(chain[0] for chain in chains) - len(chains)
+        tree.stored += spawned
+        tree.taken = [c + spawned for c in tree.taken]
+        self.times -= spawned
         for chain in chains:
             k = chain[0]
             alpha, beta, delta = chain[1]
             chain[2:] = (e, gain), child, len(child.chains)
-            tree.stored += k - 1
-            tree.branches_spawned += k - 1
-            self.times -= k - 1
             # member j's target is t(j+s-1)/(k+s-1) - gain, the skip
             # product less the gain
             over, delta_k = gain * delta * (k + s - 1), delta * (k + s - 1)
             child.chains.extend([j, (alpha * (j + s - 1), beta * (j + s - 1) + over, delta_k),
                                  None, None, 0] for j in range(k, 1, -1))
         self.waiting = [c for c in self.waiting if c[2] is None]
+
+    def copy(self, tree: "CardTree", remap: dict, lo: int, hi: int):
+        twin = remap[id(self)] = _CardNode(tree, self.s, self.g, [list(c) for c in self.chains])
+        twin.best, twin.times, twin.waiting = self.best, self.times, self.waiting
+        remap.update(zip(map(id, self.chains), twin.chains))
+
+    def relink(self, remap: dict):
+        for chain in self.chains:
+            if chain[3] is not None:
+                chain[3] = remap[id(chain[3])]
+        self.waiting = [remap[id(chain)] for chain in self.waiting]
 
     def solution(self, i: int) -> tuple[frozenset, int]:
         """The solution of the head of chain ``i``."""
@@ -358,24 +445,10 @@ class _CardNode:
 class CardTree(_Tree):
     """Event-driven tree under a cardinality budget for a run of guesses.
 
-    ``run`` holds the guesses the tree stands for, ascending, as
-    ``(index, num, den)``. ``CardTree(gate, k, s, v)`` is a run of one
-    guess v; :class:`GuessDriver` joins the guesses that enter its window
-    in the same step. The guess enters only the take bars, so the trees of
-    the run's guesses are one tree for as long as they make the same
-    take/skip decisions.
-
-    :meth:`step` runs in three phases. (1) Every pre-step node queries
-    once, at the run's lowest guess, and finds for each waiting chain the
-    prefix of the run whose bars its gain clears; ``asked`` records each
-    query with its count. (2) Where a prefix ends inside the run, the
-    still unchanged tree is copied once for each sub-run above such a
-    cut, the copies sharing its residuals, and keeps the lowest sub-run.
-    (3) Each tree applies its own takes. An offer changes only its node,
-    the node's new child and the tree's counters, so the offers of one
-    step are independent, and each tree makes the run its guesses would
-    have made alone. :meth:`step` returns the copies; a driver replays
-    ``asked`` once for each other guess of the run.
+    The guess enters only the take bars, so the trees of the run's guesses
+    are one tree for as long as they make the same take/skip decisions. A
+    gain clears the bar of a chain for a prefix of the run
+    (:meth:`_CardNode.offer`), and the tree is cut where one ends inside it.
 
     Each node keeps taking singletons, so every node stays live.
     ``stored`` counts, for each guess of the run, one element per leaf
@@ -392,7 +465,6 @@ class CardTree(_Tree):
             raise InvalidParams("need k >= 1 and s >= 1")
         self.check_size(max(k, s))
         super().__init__([(index, *as_pair(v))], trace)
-        self.branches_spawned = 0
         self.root = _CardNode(self, s, Residual(gate), [[k, (1, 0, 1), None, None, 0]])
 
     @classmethod
@@ -401,60 +473,22 @@ class CardTree(_Tree):
             raise InvalidParams(f"K={k} cardinality branch tree holds up to K*2^(2K) elements "
                                 f"per guess; K above {cls.MAX_K} is not supported")
 
-    def drop_lowest(self) -> int:
-        """Drop the run's lowest guess and return its count of branches
-        spawned."""
-        del self.run[0]
-        return self.branches_spawned
+    # perfbench/spans.py hooks the step of each tree class by name, and
+    # resolves only a method in the class's own namespace
+    step = _Tree.step
 
-    def step(self, t: int, e: int) -> list:
-        run = self.run
-        offers = self._offer(t, e)  # (1)
-        if not offers:
-            return []
-        twins = []
-        # (2) the sub-runs above the cuts inside the run, then (3)
-        cuts = sorted({cut for _, _, takes in offers for _, cut in takes if cut < len(run)})
-        if cuts:
-            for lo, hi in zip(cuts, cuts[1:] + [len(run)]):
-                twin, remap = self._copy(run[lo:hi])
-                twin._take(e, offers, hi, remap)
-                twins.append(twin)
-            del run[cuts[0]:]
-        self._take(e, offers, len(run), None)
-        return twins
+    def _cuts(self, offers: list) -> list:
+        # where the prefix of a take ends inside the run
+        n = len(self.run)
+        return sorted({cut for _, _, takes in offers for _, cut in takes if cut < n})
 
-    def _take(self, e: int, offers: list, bound: int, remap: dict | None):
-        # a chain takes e when its bar clears the first `bound` guesses,
-        # the whole run of this tree
+    def _apply(self, e: int, offers: list, lo: int, hi: int, remap: dict):
+        # a chain takes e when its bar clears the first `hi` guesses of the
+        # stepped run, which this tree's guesses end
         for node, gain, takes in offers:
-            chains = [chain for chain, cut in takes if cut >= bound]
+            chains = [remap.get(id(chain), chain) for chain, cut in takes if cut >= hi]
             if chains:
-                if remap is not None:
-                    node = remap[id(node)]
-                    chains = [remap[id(chain)] for chain in chains]
-                node.take(self, e, gain, chains)
-
-    def _copy(self, run: list) -> tuple["CardTree", dict]:
-        """This tree for the guesses ``run``, sharing its residuals, and a
-        map from the id of each node and chain to its copy."""
-        twin = CardTree.__new__(CardTree)
-        _Tree.__init__(twin, run, self.trace_log is not None)
-        twin.stored, twin.branches_spawned = self.stored, self.branches_spawned
-        remap = {}
-        for node in self.nodes:
-            copy = _CardNode(twin, node.s, node.g, [list(chain) for chain in node.chains])
-            copy.best, copy.times = node.best, node.times
-            remap[id(node)] = copy
-            remap.update(zip(map(id, node.chains), copy.chains))
-        for node in self.nodes:
-            copy = remap[id(node)]
-            for chain in copy.chains:
-                if chain[3] is not None:
-                    chain[3] = remap[id(chain[3])]
-            copy.waiting = [remap[id(chain)] for chain in node.waiting]
-        twin.root = twin.nodes[0]
-        return twin, remap
+                remap.get(id(node), node).take(self, e, gain, chains)
 
     def stored_set(self) -> frozenset:
         out: set = set()
@@ -606,6 +640,14 @@ class _MatNode:
                          tree.matroid.plus(self.iload, e))
         self.children[e] = (child, gain)
 
+    def copy(self, tree: "MatroidTree", remap: dict, lo: int, hi: int):
+        twin = remap[id(self)] = _MatNode(tree, self.k, self.v[lo:hi], self.g, self.iload)
+        twin.runs, twin.best_single = list(self.runs), self.best_single
+        twin.children = self.children
+
+    def relink(self, remap: dict):
+        self.children = {e: (remap[id(child)], gain) for e, (child, gain) in self.children.items()}
+
     def solution(self) -> tuple[frozenset, int]:
         best = None
         for e, (child, gain) in self.children.items():
@@ -624,26 +666,14 @@ class _MatNode:
 class MatroidTree(_Tree):
     """Event-driven tree under a matroid constraint for a run of guesses.
 
-    ``run`` holds the guesses the tree stands for, ascending, as
-    ``(index, num, den)``. ``MatroidTree(gate, matroid, k, v)`` is a run
-    of one guess v; :class:`GuessDriver` joins the guesses that enter its
-    window in the same step. Every guess of the run has the same nodes,
-    with the same residuals, fallbacks, children and threshold runs over
-    levels; per guess, each node keeps only its target (:class:`_MatNode`).
+    Every guess of the run has the same nodes, with the same residuals,
+    fallbacks, children and threshold runs over levels; per guess, each
+    node keeps only its target (:class:`_MatNode`).
 
-    :meth:`step` runs in three phases. (1) Every pre-step node that can
-    extend I by e queries the gain of e once, keeps its fallback and
-    offers e to its runs once, counting per guess the indices that take
-    it; ``asked`` records each query. (2) Where two adjacent guesses
-    disagree on whether some node spawns a child for e, the tree is copied
-    once for each sub-run above such a boundary, the copies sharing its
-    residuals, and keeps the lowest sub-run. (3) Each tree spawns the
-    children of its own guesses. Index 0's bar is 0, so T_0 is the same
-    for every guess with a positive target: guesses can disagree only when
-    T_0 cannot take e or a target is <= 0. Each tree makes the run its
-    guesses would have made alone.
-    :meth:`step` returns the copies; a driver replays ``asked`` once for
-    each other guess of the run.
+    The tree is cut where two adjacent guesses disagree on whether some
+    node spawns a child for e (:meth:`_MatNode.offer`). Index 0's bar is 0,
+    so T_0 is the same for every guess with a positive target: guesses can
+    disagree only when T_0 cannot take e or a target is <= 0.
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above
     ``MAX_RANK`` are refused. ``stored`` counts, for each guess of the run,
@@ -661,6 +691,7 @@ class MatroidTree(_Tree):
     """
 
     MAX_RANK = 4
+    COPIED = ("matroid", "rank", "k4", "beta")
 
     def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False,
                  index: int = 0):
@@ -673,7 +704,6 @@ class MatroidTree(_Tree):
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
-        self.taken = [0]
         self.root = _MatNode(self, k, [as_pair(v)], Residual(gate), matroid.load(frozenset()))
 
     @classmethod
@@ -683,75 +713,30 @@ class MatroidTree(_Tree):
                 f"rank {rank} branch tree is Theta(K^5)-wide per node; "
                 f"ranks above {cls.MAX_RANK} are not supported")
 
-    @property
-    def branches_spawned(self) -> int:
-        """Branches spawned, summed over the guesses of the run."""
-        return sum(self.taken)
-
     def join(self, index: int, v: tuple[int, int]):
         super().join(index, v)
-        self.taken.append(0)
         self.root.v.append(v)
-
-    def drop_lowest(self) -> int:
-        """Drop the run's lowest guess and return its count of branches
-        spawned."""
-        del self.run[0]
-        for node in self.nodes:
-            del node.v[0]
-        return self.taken.pop(0)
 
     def footprint(self) -> int:
         return super().footprint() + sum(self.taken)
 
-    def step(self, t: int, e: int) -> list:
-        offers = self._offer(t, e)  # (1)
-        if not offers:
-            return []
-        twins = []
-        # (2) the sub-runs above the boundaries inside the run, then (3)
-        cuts = sorted({j for _, _, took in offers if took is not None
-                       for j in range(1, len(took)) if took[j] != took[j - 1]})
-        if cuts:
-            for lo, hi in zip(cuts, cuts[1:] + [len(self.run)]):
-                twin, remap = self._copy(lo, hi)
-                twin._branch(e, offers, lo, remap)
-                twins.append(twin)
-            cut = cuts[0]
-            del self.run[cut:], self.taken[cut:]
-            for node in self.nodes:
-                del node.v[cut:]
-        self._branch(e, offers, 0, None)
-        return twins
+    # hooked by class, as CardTree.step is
+    step = _Tree.step
 
-    def _branch(self, e: int, offers: list, at: int, remap: dict | None):
-        # the guesses of this tree, from position `at` of the stepped run
+    def _cuts(self, offers: list) -> list:
+        # where two adjacent guesses disagree on an offer
+        return sorted({j for _, _, took in offers if took is not None
+                       for j in range(1, len(took)) if took[j] != took[j - 1]})
+
+    def _apply(self, e: int, offers: list, lo: int, hi: int, remap: dict):
+        # the guesses of this tree, from position `lo` of the stepped run
         # on, agree on every offer
         for node, gain, took in offers:
-            if took is None or took[at]:
-                if remap is not None:
-                    node = remap[id(node)]
-                node.branch(self, e, gain)
+            if took is None or took[lo]:
+                remap.get(id(node), node).branch(self, e, gain)
 
-    def _copy(self, lo: int, hi: int) -> tuple["MatroidTree", dict]:
-        """This tree for the guesses at positions ``lo..hi-1`` of its run,
-        sharing its residuals, and a map from the id of each node to its
-        copy. The copy takes over those guesses' targets, and copies the
-        runs."""
-        twin = MatroidTree.__new__(MatroidTree)
-        _Tree.__init__(twin, self.run[lo:hi], self.trace_log is not None)
-        twin.matroid, twin.rank, twin.k4, twin.beta = self.matroid, self.rank, self.k4, self.beta
-        twin.taken = self.taken[lo:hi]
-        remap = {}
-        for node in self.nodes:
-            copy = remap[id(node)] = _MatNode(twin, node.k, node.v[lo:hi], node.g, node.iload)
-            copy.runs, copy.best_single = list(node.runs), node.best_single
-        for node in self.nodes:
-            remap[id(node)].children = {e: (remap[id(child)], gain)
-                                        for e, (child, gain) in node.children.items()}
-        twin.stored = self.stored
-        twin.root = twin.nodes[0]
-        return twin, remap
+    def _per_guess(self) -> list:
+        return [self.run, self.taken] + [node.v for node in self.nodes]
 
     def index_runs(self, node: _MatNode, j: int) -> list:
         """Guess j's threshold runs at ``node`` by index: ``(lo, hi, T,

@@ -448,9 +448,25 @@ class TestGuessGrid:
                                      Fraction(10 ** 300 + 1, 10 ** 301)])
     def test_digit_cap_refuses_longer_eps(self, eps):
         """A numerator or denominator of more than ``MAX_EPS_DIGITS`` digits
-        is refused, after the guess-count test."""
+        is refused. Only a window that the two cheap guess-count bounds
+        refuse is refused for its guesses first; the exact power test comes
+        after this cap."""
         with pytest.raises(InvalidParams, match=f"more than {MAX_EPS_DIGITS} digits"):
             GuessGrid(eps, 1, 12)
+
+    def test_digit_cap_comes_before_the_exact_power(self):
+        """eps ~ 1/1000 with 301 digits in the driver's K=3 window, of span
+        about 3000: 1 + MAX_GUESSES*eps is below the span and
+        MAX_GUESSES*eps > 1, so neither cheap bound decides, and the exact
+        power would refuse the window for its guesses. The digit cap
+        refuses eps before that power is taken."""
+        eps = Fraction(10 ** 297 + 1, 10 ** 300)
+        p, q = eps.numerator, eps.denominator
+        assert 1 + MAX_GUESSES * eps < 3000 and MAX_GUESSES * eps > 1
+        with pytest.raises(InvalidParams, match=f"more than {MAX_EPS_DIGITS} digits"):
+            GuessGrid(eps, (q * q, (p + q) ** 2), (3 * q, p))
+        with pytest.raises(InvalidParams, match=f"more than {MAX_EPS_DIGITS} digits"):
+            GuessDriver(QueryGate(additive([1] * 3)), UniformMatroid(3, 3), eps)
 
     @pytest.mark.parametrize("K", [1, 6, 50])
     @pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10), Fraction(2, 5), 1])
@@ -1188,6 +1204,82 @@ class TestRunsOfGuesses:
             (tree,) = trees
             assert driver.live_roots_peak == len(tree.run) == 41
             assert len(tree.nodes) == 15 and t == 36
+
+
+class TestSplitsShareNothing:
+    """The split step copies a tree for each sub-run of its guesses and
+    cuts the lists it keeps per guess. After every step of a guess driver,
+    every live tree keeps one entry per guess of its run in each of those
+    lists (``run`` and ``taken``; for matroid trees also every node's
+    ``v``), and no two trees share a mutable container: a per-guess list,
+    a node, its chains or ``waiting`` list, its ``children`` or its
+    ``runs``. :meth:`drive` returns the count of copies the splits made,
+    so that a case can check that it split."""
+
+    @staticmethod
+    def containers(tree) -> list:
+        per_guess = [tree.run, tree.taken]
+        if isinstance(tree, MatroidTree):
+            per_guess += [node.v for node in tree.nodes]
+        assert all(len(guesses) == len(tree.run) for guesses in per_guess)
+        out = [*per_guess, tree.nodes, tree.asked, *tree.nodes]
+        for node in tree.nodes:
+            if isinstance(tree, CardTree):
+                out += [node.chains, *node.chains]
+                if node.waiting is not None:
+                    out.append(node.waiting)
+            else:
+                out += [node.children, node.runs]
+        return out
+
+    def drive(self, fn, matroid, stream, eps) -> int:
+        driver = GuessDriver(weak_gate(fn, matroid), matroid, eps)
+        copies = 0
+        trees = []
+        for t, e in enumerate(stream):
+            before = trees
+            driver.step(t, e)
+            trees = list(dict.fromkeys(driver.roots.values()))
+            # the trees new in this step, but for the one its entering
+            # guesses joined, are copies
+            copies += len(set(trees) - set(before) - {driver._entering})
+            owner = {}
+            for tree in trees:
+                for obj in self.containers(tree):
+                    assert owner.setdefault(id(obj), tree) is tree
+        return copies
+
+    def test_hand_built_splits(self):
+        """The streams of ``TestRunsOfGuesses`` that split a run, of each
+        kind of tree."""
+        assert self.drive(additive([4, 0, 1]), UniformMatroid(3, 3), range(3), 1) == 1
+        assert self.drive(additive([32, 2, 3, 5]), PartitionMatroid([1, 0, 0, 0]),
+                          range(4), 1) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hard_instances(self, seed):
+        inst = CardHardInstance(CardHardParams(24, 4, 4), seed)
+        assert self.drive(inst.fn, inst.matroid, sample_stream(inst, "purple-last", seed),
+                          Fraction(1, 10)) > 0
+        inst = MatHardInstance(MatHardParams(4, 3), seed)
+        assert self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed),
+                          Fraction(1, 4)) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), eps=TestRunsOfGuesses.EPS)
+    def test_partition_additive(self, data, n, eps):
+        matroid = TestRunsOfGuesses.partition(data, n)
+        fn = additive(data.draw(st.lists(st.sampled_from([-2, 0, 1, 2, 3, 4, 8, 16, 32]),
+                                         min_size=n, max_size=n)))
+        self.drive(fn, matroid, data.draw(st.permutations(range(n))), eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), K=st.integers(1, 4),
+           eps=TestRunsOfGuesses.EPS)
+    def test_coverage(self, data, n, K, eps):
+        fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 11), max_size=5),
+                                                 min_size=n, max_size=n)))
+        self.drive(fn, UniformMatroid(n, K), data.draw(st.permutations(range(n))), eps)
 
 
 class TestLevelRuns:
