@@ -885,7 +885,14 @@ class GuessDriver:
                                            for tree in dict.fromkeys(self.roots.values()))
 
     def finish(self) -> tuple[frozenset, int]:
-        for i in list(self.roots):
-            self._retire(i)
+        # retires every live guess, a tree at a time: under the strict >,
+        # the run's lowest guess is the one that would win a tie
+        for tree in dict.fromkeys(self.roots.values()):
+            sol, val = tree.finish()
+            self.branches_spawned += sum(tree.taken)
+            if val > self.champion[1]:
+                self.champion = (sol, val)
+                self.champion_v = Fraction(*self.grid[tree.run[0][0]])
+        self.roots.clear()
         solution = self.champion[0]
         return solution, self.gate.value(solution)

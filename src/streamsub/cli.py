@@ -14,6 +14,13 @@ Subcommands:
 * ``tables`` -- emit a reference value grid as CSV.
 * ``sweep``  -- parameter sweeps (ratio-vs-K curve, audit-vs-m trend).
 
+``COMMANDS`` maps each subcommand to its help line, the function that
+adds its flags and its handler. A call builds only the parser of the
+command it names: the one subparser, under a metavar that lists every
+command, so the usage line stays whole. A call that names no command
+(``--help``, a typo, nothing) builds every subparser, so its help and
+errors list them all.
+
 Usage errors exit with status 2; verification or reproduction
 mismatches exit with status 1.
 """
@@ -200,83 +207,113 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMON = {"--seed": {"type": int, "default": 0}, "--out": {"default": None},
+           "--format": {"choices": ("json", "csv"), "default": "json"}}
+
+
+def _add_common(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
+
+
+def _gen_flags(p):
+    p.add_argument("--kind", required=True, choices=tuple(KINDS))
+    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--h", type=int, default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--universe", type=int, default=12)
+    _add_common(p, "--seed", "--out")
+
+
+def _verify_flags(p):
+    p.add_argument("--constraint", required=True, choices=("cardinality", "matroid"))
+    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--h", type=int, default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--exhaustive", action="store_true")
+    _add_common(p, "--seed")
+
+
+def _run_flags(p):
+    p.add_argument("--instance", required=True)
+    p.add_argument("--alg", required=True, choices=algorithm_names("run"))
+    p.add_argument("--epsilon", default="1/10")
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--distribution", default=None, choices=tuple(DISTRIBUTIONS))
+    p.add_argument("--policy", default="weak", choices=tuple(POLICIES))
+    _add_common(p, "--out", "--format")
+
+
+def _audit_flags(p):
+    p.add_argument("--instance", required=True)
+    p.add_argument("--alg", default="sieve", choices=algorithm_names("audit"))
+    p.add_argument("--epsilon", default="2/5")
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--budget", type=int, default=None)
+    _add_common(p, "--seed", "--out", "--format")
+
+
+def _tables_flags(p):
+    p.add_argument("--which", type=int, required=True, choices=(2, 3, 4))
+    p.add_argument("--check", default=None,
+                   help="golden CSV to compare against; mismatch exits 1")
+    _add_common(p, "--out")
+
+
+def _sweep_flags(p):
+    p.add_argument("--what", required=True, choices=("ratio", "audit"))
+    p.add_argument("--k-min", type=int, default=2)
+    p.add_argument("--k-max", type=int, default=50)
+    p.add_argument("--K", type=int, default=3)
+    p.add_argument("--m-list", default="100,200,400")
+    p.add_argument("--alg", default="sieve", choices=algorithm_names("sweep"))
+    p.add_argument("--epsilon", default="2/5")
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--budget", type=int, default=None)
+    _add_common(p, "--seed", "--out")
+
+
+# subcommand -> (help line, function that adds its flags, handler), in the
+# order the usage line and --help list them
+COMMANDS = {
+    "gen": ("write an instance file", _gen_flags, _cmd_gen),
+    "verify": ("verify a hard instance family", _verify_flags, _cmd_verify),
+    "run": ("run trials of an algorithm", _run_flags, _cmd_run),
+    "audit": ("canonical-process deviation audit", _audit_flags, _cmd_audit),
+    "tables": ("emit a reference grid as CSV", _tables_flags, _cmd_tables),
+    "sweep": ("parameter sweeps", _sweep_flags, _cmd_sweep),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``. When its first token names a command, the
+    parser holds that command's subparser alone, and its metavar names
+    every command, so the usage line reads as the full parser's. Otherwise
+    (``--help``, a typo, nothing) it holds every subparser, and argparse
+    names the command argument ``command`` in its errors."""
     parser = argparse.ArgumentParser(prog="streamsub",
                                      description="streaming submodular maximization testbed")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = {"--seed": {"type": int, "default": 0}, "--out": {"default": None},
-              "--format": {"choices": ("json", "csv"), "default": "json"}}
-
-    def add_common(p, *flags):
-        for flag in flags:
-            p.add_argument(flag, **common[flag])
-
-    p_gen = sub.add_parser("gen", help="write an instance file")
-    p_gen.add_argument("--kind", required=True, choices=tuple(KINDS))
-    p_gen.add_argument("--K", type=int, required=True)
-    p_gen.add_argument("--n", type=int, default=16)
-    p_gen.add_argument("--h", type=int, default=None)
-    p_gen.add_argument("--m", type=int, default=None)
-    p_gen.add_argument("--universe", type=int, default=12)
-    add_common(p_gen, "--seed", "--out")
-    p_gen.set_defaults(func=_cmd_gen)
-
-    p_ver = sub.add_parser("verify", help="verify a hard instance family")
-    p_ver.add_argument("--constraint", required=True, choices=("cardinality", "matroid"))
-    p_ver.add_argument("--K", type=int, required=True)
-    p_ver.add_argument("--h", type=int, default=None)
-    p_ver.add_argument("--m", type=int, default=None)
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--exhaustive", action="store_true")
-    add_common(p_ver, "--seed")
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_run = sub.add_parser("run", help="run trials of an algorithm")
-    p_run.add_argument("--instance", required=True)
-    p_run.add_argument("--alg", required=True, choices=algorithm_names("run"))
-    p_run.add_argument("--epsilon", default="1/10")
-    p_run.add_argument("--trials", type=int, default=20)
-    p_run.add_argument("--distribution", default=None, choices=tuple(DISTRIBUTIONS))
-    p_run.add_argument("--policy", default="weak", choices=tuple(POLICIES))
-    add_common(p_run, "--out", "--format")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_aud = sub.add_parser("audit", help="canonical-process deviation audit")
-    p_aud.add_argument("--instance", required=True)
-    p_aud.add_argument("--alg", default="sieve", choices=algorithm_names("audit"))
-    p_aud.add_argument("--epsilon", default="2/5")
-    p_aud.add_argument("--trials", type=int, default=100)
-    p_aud.add_argument("--budget", type=int, default=None)
-    add_common(p_aud, "--seed", "--out", "--format")
-    p_aud.set_defaults(func=_cmd_audit)
-
-    p_tab = sub.add_parser("tables", help="emit a reference grid as CSV")
-    p_tab.add_argument("--which", type=int, required=True, choices=(2, 3, 4))
-    p_tab.add_argument("--check", default=None,
-                       help="golden CSV to compare against; mismatch exits 1")
-    add_common(p_tab, "--out")
-    p_tab.set_defaults(func=_cmd_tables)
-
-    p_sw = sub.add_parser("sweep", help="parameter sweeps")
-    p_sw.add_argument("--what", required=True, choices=("ratio", "audit"))
-    p_sw.add_argument("--k-min", type=int, default=2)
-    p_sw.add_argument("--k-max", type=int, default=50)
-    p_sw.add_argument("--K", type=int, default=3)
-    p_sw.add_argument("--m-list", default="100,200,400")
-    p_sw.add_argument("--alg", default="sieve", choices=algorithm_names("sweep"))
-    p_sw.add_argument("--epsilon", default="2/5")
-    p_sw.add_argument("--trials", type=int, default=100)
-    p_sw.add_argument("--budget", type=int, default=None)
-    add_common(p_sw, "--seed", "--out")
-    p_sw.set_defaults(func=_cmd_sweep)
-
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    else:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_line, add_flags, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (StreamsubError, OSError) as exc:

@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import pathlib
 import shlex
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from streamsub import cli
 from streamsub.branching import MAX_EPS_DIGITS, CardTree
-from streamsub.cli import build_parser, main
+from streamsub.cli import COMMANDS, build_parser, main
 from streamsub.hard_matroid import MatHardParams
 from streamsub.harness import build_instance, instance_to_json, read_instance
 from streamsub.oracles import MAX_GROUND_SET
@@ -746,3 +749,110 @@ class TestRunnerProperty:
             assert instance.matroid.is_independent(trial["solution"])
             assert instance.fn.value(trial["solution"]) == trial["value"]
             assert 0 <= trial["value"] <= report["aggregates"]["optimum"]
+
+
+def _readme_argvs() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("streamsub ")]
+
+
+class TestNarrowParser:
+    """``main`` builds the parser of the command it runs and no other. Every
+    output must be the full parser's, byte for byte: help, usage errors and
+    exit codes, at a narrow and a wide terminal. Each handler is replaced by
+    one that records its command and namespace, since a handler sees the
+    parse only through its namespace (and the README's lines would run for
+    minutes)."""
+
+    ARGVS = [
+        ["--help"], ["-h"], [], ["bogus"], ["ru"], ["--foo", "run"],
+        *([name, flag] for name in COMMANDS for flag in ("--help", "-h")),
+        # an unrecognized trailing flag
+        ["gen", "--kind", "coverage", "--K", "2", "--bogus"],
+        ["verify", "--constraint", "matroid", "--K", "2", "--bogus"],
+        ["run", "--instance", "i.json", "--alg", "branching", "--bogus"],
+        ["audit", "--instance", "i.json", "--bogus"],
+        ["tables", "--which", "3", "--bogus"],
+        ["sweep", "--what", "ratio", "--bogus"],
+        # an invalid --alg
+        ["run", "--instance", "i.json", "--alg", "nope"],
+        ["audit", "--instance", "i.json", "--alg", "nope"],
+        ["sweep", "--what", "audit", "--alg", "nope"],
+        # a missing required flag
+        ["gen", "--K", "2"],
+        ["verify", "--constraint", "matroid"],
+        ["run", "--instance", "i.json"],
+        ["audit"],
+        ["tables"],
+        ["sweep", "--K", "3"],
+    ]
+    README = _readme_argvs()
+
+    @staticmethod
+    def outcome(argv) -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def recorder(seen: list, name: str):
+        def handler(args) -> int:
+            seen.append((name, {k: v for k, v in vars(args).items() if k != "func"}))
+            return 0
+        return handler
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", ARGVS + README, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_same_outputs_as_the_full_parser(self, argv, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        seen = []
+        for name, (help_line, add_flags, _) in list(COMMANDS.items()):
+            monkeypatch.setitem(COMMANDS, name, (help_line, add_flags, self.recorder(seen, name)))
+        shipped = self.outcome(list(argv))
+        shipped_seen = seen[:]
+        if argv in self.README:
+            assert shipped == (0, "", "") and [name for name, _ in seen] == argv[:1]
+        seen.clear()
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+        assert self.outcome(list(argv)) == shipped
+        assert seen == shipped_seen
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+        (["ru"], "error: argument command: invalid choice: 'ru'"),
+    ])
+    def test_errors_name_the_command_argument(self, argv, message):
+        """Only the parser of one command lists the commands by metavar."""
+        code, out, err = self.outcome(argv)
+        assert (code, out) == (2, "") and message in err
+
+    def test_reads_sys_argv_before_building(self, monkeypatch):
+        argv = ["tables", "--which", "3", "--bogus"]
+        monkeypatch.setattr(sys, "argv", ["streamsub", *argv])
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: built.append(argv) or build(argv))
+        assert self.outcome(None)[0] == 2
+        assert built == [argv]
+
+    @staticmethod
+    def subcommands(parser) -> list[str]:
+        action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(action.choices)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_builds_only_the_named_command(self, name):
+        assert self.subcommands(build_parser([name, "--help"])) == [name]
+        assert self.subcommands(build_parser([name])) == [name]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], None, ["bogus", "run"]])
+    def test_builds_every_command_otherwise(self, argv):
+        assert self.subcommands(build_parser(argv)) == list(COMMANDS)
