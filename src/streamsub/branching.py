@@ -278,12 +278,12 @@ class _Tree:
         twin.stored, twin.root = self.stored, twin.nodes[0]
         return twin, remap
 
-    def drop_lowest(self) -> int:
-        """Drop the run's lowest guess and return its count of branches
-        spawned."""
-        spawned = self.taken[0]
+    def drop_lowest(self, k: int) -> int:
+        """Drop the run's k lowest guesses and return their count of
+        branches spawned."""
+        spawned = sum(self.taken[:k])
         for guesses in self._per_guess():
-            del guesses[0]
+            del guesses[:k]
         return spawned
 
 
@@ -824,11 +824,8 @@ class GuessDriver:
         self.branches_spawned = 0
         self.roots_spawned = 0
         self.live_roots_peak = 0
-        # the tree spawned in this step, and the last retired tree with its
-        # solution
+        # the tree spawned in this step
         self._entering: CardTree | MatroidTree | None = None
-        self._finished = None
-        self._solution: tuple[frozenset, int] = (frozenset(), 0)
 
     def _spawn(self, i: int):
         v = self.grid[i]
@@ -842,23 +839,25 @@ class GuessDriver:
         self.roots[i] = tree
         self.roots_spawned += 1
 
-    def _retire(self, i: int):
-        tree = self.roots.pop(i)
-        if tree is not self._finished:
-            self._finished, self._solution = tree, tree.finish()
-        # guesses leave from the bottom of the window and of the run
-        self.branches_spawned += tree.drop_lowest()
-        sol, val = self._solution
-        if val > self.champion[1]:
-            self.champion = (sol, val)
-            self.champion_v = Fraction(*self.grid[i])
+    def _retire(self, indices):
+        # guesses leave from the bottom of the window, so a tree's leaving
+        # guesses are the lowest of its run; under the strict >, the lowest
+        # of them is the one that would win a tie
+        leaving = {}
+        for i in indices:
+            leaving.setdefault(self.roots.pop(i), []).append(i)
+        for tree, gone in leaving.items():
+            sol, val = tree.finish()
+            self.branches_spawned += tree.drop_lowest(len(gone))
+            if val > self.champion[1]:
+                self.champion = (sol, val)
+                self.champion_v = Fraction(*self.grid[gone[0]])
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
             left, entered = self.grid.advance(self.gate.value(frozenset({e})))
-            for i in left:
-                self._retire(i)
-            self._finished = self._entering = None
+            self._retire(left)
+            self._entering = None
             for i in entered:
                 self._spawn(i)
         roots = self.roots
@@ -885,14 +884,6 @@ class GuessDriver:
                                            for tree in dict.fromkeys(self.roots.values()))
 
     def finish(self) -> tuple[frozenset, int]:
-        # retires every live guess, a tree at a time: under the strict >,
-        # the run's lowest guess is the one that would win a tie
-        for tree in dict.fromkeys(self.roots.values()):
-            sol, val = tree.finish()
-            self.branches_spawned += sum(tree.taken)
-            if val > self.champion[1]:
-                self.champion = (sol, val)
-                self.champion_v = Fraction(*self.grid[tree.run[0][0]])
-        self.roots.clear()
+        self._retire(list(self.roots))
         solution = self.champion[0]
         return solution, self.gate.value(solution)

@@ -90,57 +90,26 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _verify_card(args, failures: list[str]):
-    h = args.h if args.h is not None else args.K
-    n = args.n if args.n is not None else max(2 * args.K, args.K + 6)
-    params = hard_cardinality.CardHardParams(n=n, K=args.K, h=h)
-    for b in range(params.blues):
-        if hard_cardinality.profile_value(params, b + 1, 0, 0) != \
-                hard_cardinality.profile_value(params, b, 1, 0):
-            failures.append(f"blue/red value swap broken at b={b}")
-            break
-    K = params.K
-    reach = h * K + (K - 1) * K // 2
-    held = (K - 1) ** 2 + h * (h + 1) // 2
-    if hard_cardinality.profile_value(params, K, 0, 0) != reach \
-            or hard_cardinality.profile_value(params, K - 1, 1, 0) != reach \
-            or hard_cardinality.profile_value(params, K - 1, 0, 1) != held \
-            or hard_cardinality.output_bound(params) != max(reach, held):
-        failures.append("reachable-value closed form mismatch")
-    if hard_cardinality.profile_value(params, 0, K - 1, 1) != hard_cardinality.optimal_value(params):
-        failures.append("optimal closed form mismatch")
-    return hard_cardinality.CardHardInstance(params, args.seed)
-
-
-def _verify_matroid(args, failures: list[str]):
-    K = args.K
-    params = hard_matroid.MatHardParams(K=K, m=_matroid_m(args))
-    if hard_matroid.profile_value(K, (1,) * K, (0,) * K) != hard_matroid.optimal_value(K):
-        failures.append("all-red closed form mismatch")
-    reachable = hard_matroid.profile_value(
-        K, (0,) * (K - 1) + (1,), (1,) * (K - 1) + (0,))
-    if reachable != hard_matroid.output_bound(K):
-        failures.append("reachable closed form mismatch")
-    instance = hard_matroid.MatHardInstance(params, args.seed)
-    try:
-        axioms = check_axioms(instance.matroid)
-    except GroundSetTooLarge as exc:
-        print(f"SKIP matroid axioms: {exc}")
-    else:
-        if not axioms.ok:
-            failures.append(f"matroid axioms failed: {axioms.describe()}")
-    return instance
-
-
 def _cmd_verify(args) -> int:
-    failures: list[str] = []
-    verify = _verify_card if args.constraint == "cardinality" else _verify_matroid
-    instance = verify(args, failures)
+    # each report, keyed by the text its FAIL line starts with
+    if args.constraint == "cardinality":
+        h = args.h if args.h is not None else args.K
+        n = args.n if args.n is not None else max(2 * args.K, args.K + 6)
+        params = hard_cardinality.CardHardParams(n=n, K=args.K, h=h)
+        reports = {"": hard_cardinality.check_closed_forms(params)}
+        instance = hard_cardinality.CardHardInstance(params, args.seed)
+    else:
+        params = hard_matroid.MatHardParams(K=args.K, m=_matroid_m(args))
+        reports = {"": hard_matroid.check_closed_forms(args.K)}
+        instance = hard_matroid.MatHardInstance(params, args.seed)
+        try:
+            reports["matroid axioms failed: "] = check_axioms(instance.matroid)
+        except GroundSetTooLarge as exc:
+            print(f"SKIP matroid axioms: {exc}")
     if args.exhaustive:
         # an oversized ground set raises GroundSetTooLarge: a usage error
-        report = verify_monotone_submodular(instance.fn)
-        if not report.ok:
-            failures.append(f"structure check failed: {report.describe()}")
+        reports["structure check failed: "] = verify_monotone_submodular(instance.fn)
+    failures = [lead + report.describe() for lead, report in reports.items() if not report]
     for line in failures:
         print(f"FAIL {line}")
     if not failures:

@@ -11,9 +11,10 @@ value reachable without hoarding reds stays well below the optimum
 
 All values are exact integers. Every gain at ``CardHardParams.blue_cap``
 blues or more is 0, so one memo over profiles with the blue count clamped
-there serves every value, as in ``hard_matroid``. The shape parameter h
-(>= K) controls the gap; ``ratio_bound`` picks the h that minimizes the
-reachable/optimal ratio for a given K.
+there serves every value; it is bounded in size, as in ``hard_matroid``.
+The shape parameter h (>= K) controls the gap; ``ratio_bound`` picks the
+h that minimizes the reachable/optimal ratio for a given K, and
+``check_closed_forms`` checks the landmarks above.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import isqrt, sqrt
 
 from .errors import InvalidParams
 from .matroids import UniformMatroid
-from .oracles import MAX_GROUND_SET, SetFunction
+from .oracles import MAX_GROUND_SET, CheckReport, SetFunction
 from .rng import derive_rng
 
 BLUE, RED, PURPLE = "b", "r", "p"
@@ -89,7 +90,7 @@ def blue_marginal(params: CardHardParams, b: int, with_purple: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _value(params: CardHardParams, b: int, r: int, p: int) -> int:
     # b must already be clamped to params.blue_cap
     base = params.h * (params.h + 1) // 2 if p else 0
@@ -108,8 +109,10 @@ def profile_value(params: CardHardParams, b: int, r: int, p: int) -> int:
     return _value(params, min(b, params.blue_cap), r, p)
 
 
-def _output_bound(K: int, h: int) -> int:
-    return max(h * K + (K - 1) * K // 2, (K - 1) ** 2 + h * (h + 1) // 2)
+def _reachable(K: int, h: int) -> tuple[int, int]:
+    # the value of K blues (or K-1 blues and one red), and of K-1 blues
+    # with the purple element
+    return h * K + (K - 1) * K // 2, (K - 1) ** 2 + h * (h + 1) // 2
 
 
 def _optimal(K: int, h: int) -> int:
@@ -124,7 +127,7 @@ def optimal_value(params: CardHardParams) -> int:
 def output_bound(params: CardHardParams) -> int:
     """Best value reachable holding at most one red and no purple, or
     K-1 blues plus the purple element."""
-    return _output_bound(params.K, params.h)
+    return max(_reachable(params.K, params.h))
 
 
 def ratio_bound(K: int) -> tuple[int, Fraction]:
@@ -137,8 +140,25 @@ def ratio_bound(K: int) -> tuple[int, Fraction]:
         raise InvalidParams("ratio bound defined for K >= 2")
     floor_root = isqrt(2 * (K - 1) * (K - 1))
     candidates = sorted({max(K, floor_root), max(K, floor_root + 1)})
-    best = min((Fraction(_output_bound(K, h), _optimal(K, h)), h) for h in candidates)
+    best = min((Fraction(max(_reachable(K, h)), _optimal(K, h)), h) for h in candidates)
     return best[1], best[0]
+
+
+def check_closed_forms(params: CardHardParams) -> CheckReport:
+    """Check the blue/red swap identity at every blue count b (witness
+    ``(b,)``), then the reachable values at (K,0,0), (K-1,1,0) and
+    (K-1,0,1) and the optimum at (0,K-1,1) (witness: the profile)."""
+    for b in range(params.blues):
+        if profile_value(params, b + 1, 0, 0) != profile_value(params, b, 1, 0):
+            return CheckReport(False, "blue/red swap", (b,))
+    K = params.K
+    reach, held = _reachable(K, params.h)
+    for profile, value in (((K, 0, 0), reach), ((K - 1, 1, 0), reach), ((K - 1, 0, 1), held)):
+        if profile_value(params, *profile) != value:
+            return CheckReport(False, "reachable closed form", profile)
+    if profile_value(params, 0, K - 1, 1) != optimal_value(params):
+        return CheckReport(False, "optimal closed form", (0, K - 1, 1))
+    return CheckReport(True)
 
 
 def limiting_ratio() -> float:

@@ -22,7 +22,7 @@ from math import factorial
 
 from .errors import InvalidParams
 from .matroids import PartitionMatroid
-from .oracles import MAX_GROUND_SET, SetFunction
+from .oracles import MAX_GROUND_SET, CheckReport, SetFunction
 from .rng import derive_rng
 
 
@@ -31,7 +31,7 @@ def blue_ceiling(K: int, class_index: int) -> int:
     return 2 * (K - class_index)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _level(t: int, reds: tuple, blues: tuple) -> int:
     # blues must already be clamped; level t covers the last t classes
     if t == 1:
@@ -50,8 +50,11 @@ def level_value(t: int, reds, blues) -> int:
 
     Checked profiles are memoized as given, and ``_level``'s memo key is
     the clamped profile, both filled lazily, so large-K instances only pay
-    for the profiles they actually touch. A profile with an unhashable
-    entry is checked without the memo, so it fails as any invalid one.
+    for the profiles they actually touch. Each memo keeps at most 8192
+    entries and drops the least recently used first, so a sweep or a long
+    session does not keep every profile it has seen. A profile with an
+    unhashable entry is checked without the memo, so it fails as any
+    invalid one.
     """
     reds, blues = tuple(reds), tuple(blues)
     try:
@@ -60,7 +63,7 @@ def level_value(t: int, reds, blues) -> int:
         return _checked_level.__wrapped__(t, reds, blues)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _checked_level(t: int, reds: tuple, blues: tuple) -> int:
     # an invalid profile raises, and lru_cache stores no exception
     if t < 1 or len(reds) != t or len(blues) != t:
@@ -106,6 +109,16 @@ def output_bound(K: int) -> int:
 
 def approx_ratio(K: int) -> Fraction:
     return Fraction(K, 2 * K - 1)
+
+
+def check_closed_forms(K: int) -> CheckReport:
+    """Check that the all-red profile is worth ``optimal_value(K)`` and the
+    reachable one ``output_bound(K)``; a failure's witness is ``(K,)``."""
+    if profile_value(K, (1,) * K, (0,) * K) != optimal_value(K):
+        return CheckReport(False, "all-red closed form", (K,))
+    if profile_value(K, (0,) * (K - 1) + (1,), (1,) * (K - 1) + (0,)) != output_bound(K):
+        return CheckReport(False, "reachable closed form", (K,))
+    return CheckReport(True)
 
 
 @dataclass(frozen=True)

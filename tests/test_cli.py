@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from streamsub import cli
+from streamsub import cli, hard_cardinality, hard_matroid
 from streamsub.branching import MAX_EPS_DIGITS, CardTree
 from streamsub.cli import COMMANDS, build_parser, main
 from streamsub.hard_matroid import MatHardParams
@@ -193,6 +193,25 @@ class TestVerify:
         assert main(["verify", "--constraint", "matroid", *flags]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("SKIP")] == skips
+
+
+class TestVerifyFailures:
+    """A family whose closed form is off by one prints the one FAIL line of
+    its ``check_closed_forms`` report and exits 1."""
+
+    @pytest.mark.parametrize("family, name, flags, line", [
+        (hard_matroid, "output_bound", ["--constraint", "matroid", "--K", "3"],
+         "FAIL reachable closed form violated at (3,)\n"),
+        (hard_matroid, "optimal_value", ["--constraint", "matroid", "--K", "3"],
+         "FAIL all-red closed form violated at (3,)\n"),
+        (hard_cardinality, "optimal_value", ["--constraint", "cardinality", "--K", "3"],
+         "FAIL optimal closed form violated at (0, 2, 1)\n"),
+    ])
+    def test_off_by_one_exits_one(self, family, name, flags, line, monkeypatch, capsys):
+        real = getattr(family, name)
+        monkeypatch.setattr(family, name, lambda *args: real(*args) + 1)
+        assert main(["verify", *flags]) == 1
+        assert capsys.readouterr() == (line, "")
 
 
 class TestGenRun:

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamsub import hard_cardinality
 from streamsub.errors import InvalidParams
 from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_marginal,
                                         limiting_ratio, optimal_value, output_bound,
                                         profile_value, ratio_bound, red_marginal)
-from streamsub.oracles import verify_monotone_submodular
+from streamsub.oracles import CheckReport, verify_monotone_submodular
 
 from _reference import prefix_profile_value
 
@@ -247,3 +248,34 @@ class TestClampedCoreDifferential:
                 for b in range(cap, params.blues + 1):
                     assert blue_marginal(params, b, 0) == blue_marginal(params, b, 1) == 0
                     assert all(red_marginal(params, b, r) == 0 for r in range(K - 1))
+
+
+class TestCheckClosedForms:
+    """``check_closed_forms`` holds over criterion 3's grid, and under a
+    perturbed value it names the first landmark broken."""
+
+    def test_ok_over_criterion_3_grid(self):
+        for K in range(2, 9):
+            for h in range(K, 3 * K + 1):
+                assert hard_cardinality.check_closed_forms(CardHardParams(n=50, K=K, h=h))
+
+    @pytest.mark.parametrize("profile, kind, witness", [
+        ((10, 0, 0), "blue/red swap", (9,)),
+        ((6, 0, 0), "blue/red swap", (5,)),
+        ((4, 1, 0), "blue/red swap", (4,)),
+        ((4, 0, 0), "blue/red swap", (3,)),
+        ((3, 0, 1), "reachable closed form", (3, 0, 1)),
+        ((0, 3, 1), "optimal closed form", (0, 3, 1)),
+    ])
+    def test_perturbed_value_is_the_witness(self, profile, kind, witness, monkeypatch):
+        real = hard_cardinality.profile_value
+        monkeypatch.setattr(hard_cardinality, "profile_value",
+                            lambda params, *counts: real(params, *counts) + (counts == profile))
+        assert hard_cardinality.check_closed_forms(P44) == CheckReport(False, kind, witness)
+
+    def test_perturbed_reachable_term(self, monkeypatch):
+        real = hard_cardinality._reachable
+        monkeypatch.setattr(hard_cardinality, "_reachable",
+                            lambda K, h: (real(K, h)[0] + 1, real(K, h)[1]))
+        assert hard_cardinality.check_closed_forms(P44) == \
+            CheckReport(False, "reachable closed form", (4, 0, 0))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamsub import hard_cardinality, hard_matroid
 from streamsub.errors import InvalidParams
 from streamsub.hard_matroid import (MatHardInstance, MatHardParams, _level, approx_ratio,
                                     blue_ceiling, level_value, optimal_value,
                                     output_bound, profile_value, singleton_values)
-from streamsub.oracles import verify_monotone_submodular
+from streamsub.harness import run_experiment
+from streamsub.oracles import CheckReport, verify_monotone_submodular
 
 from _reference import closed_form_3class, first_dominance_violation, profile_lattice
 
@@ -312,3 +314,45 @@ class TestStructure:
     def test_monotone_submodular(self, K, m):
         inst = MatHardInstance(MatHardParams(K, m), 1)
         assert verify_monotone_submodular(inst.fn).ok
+
+
+class TestCheckClosedForms:
+    """``check_closed_forms`` holds over criterion 3's range of K, and
+    names the landmark that a perturbed closed form breaks."""
+
+    def test_ok_over_criterion_3_range(self):
+        for K in range(1, 11):
+            assert hard_matroid.check_closed_forms(K)
+
+    @pytest.mark.parametrize("name, kind", [("optimal_value", "all-red closed form"),
+                                            ("output_bound", "reachable closed form")])
+    def test_perturbed_landmark_is_named(self, name, kind, monkeypatch):
+        real = getattr(hard_matroid, name)
+        monkeypatch.setattr(hard_matroid, name, lambda K: real(K) - 1)
+        assert hard_matroid.check_closed_forms(5) == CheckReport(False, kind, (5,))
+
+
+class TestMemoBound:
+    """Every memo of the two hard families has a finite bound and keeps to
+    it, also through a K=200 sieve trial that evaluates more distinct
+    profiles than the bound."""
+
+    @staticmethod
+    def memos() -> dict:
+        return {(module.__name__, name): memo
+                for module in (hard_matroid, hard_cardinality)
+                for name, memo in vars(module).items() if hasattr(memo, "cache_info")}
+
+    def test_every_memo_is_bounded(self):
+        memos = self.memos()
+        assert {("streamsub.hard_matroid", "_level"), ("streamsub.hard_matroid", "_checked_level"),
+                ("streamsub.hard_cardinality", "_value")} <= set(memos)
+        for memo in memos.values():
+            assert memo.cache_parameters()["maxsize"] is not None
+
+    def test_sizes_stay_within_bounds(self):
+        before = _level.cache_info().misses
+        run_experiment(MatHardInstance(MatHardParams(200, 1), 0), "sieve", "2/5", 1)
+        assert _level.cache_info().misses - before > _level.cache_parameters()["maxsize"]
+        for memo in self.memos().values():
+            assert memo.cache_info().currsize <= memo.cache_parameters()["maxsize"]
