@@ -94,8 +94,11 @@ MAX_EPS_DIGITS = 32
 
 class GuessGrid:
     """The geometric guess grid v_i = (1+eps)^i, i >= 0, kept in integers
-    (with eps = p/q, ``grid[i]`` is the cached pair ((p+q)^i, q^i)), and
-    the window of it that a running maximum m selects.
+    (with eps = p/q, ``grid[i]`` is the pair ((p+q)^i, q^i)), and the
+    window of it that a running maximum m selects. Only the pairs from
+    ``first`` upward are cached: a window holds at most ``MAX_GUESSES``
+    guesses, and an index below ``first`` (a guess that has left) is
+    computed when asked for.
 
     ``lo`` and ``hi`` are the window's bounds over m, as ``(num, den)``
     pairs or exact numbers: it runs from the first index with v_first >=
@@ -114,7 +117,7 @@ class GuessGrid:
             raise InvalidParams("eps must be in (0, 1]")
         self.p, self.q = self.eps.numerator, self.eps.denominator
         self.lo, self.hi = as_pair(lo), as_pair(hi)
-        self._pow = [(1, 1)]
+        self._pow = [(1, 1)]  # grid[first], grid[first + 1], ...
         self.m = 0
         self.first = 0
         self.last = -1
@@ -146,11 +149,14 @@ class GuessGrid:
         return eps
 
     def __getitem__(self, i: int) -> tuple[int, int]:
+        k = i - self.first
+        if k < 0:
+            return (self.p + self.q) ** i, self.q ** i
         powers = self._pow
-        while len(powers) <= i:
+        while len(powers) <= k:
             num, den = powers[-1]
             powers.append((num * (self.p + self.q), den * self.q))
-        return powers[i]
+        return powers[k]
 
     def advance(self, m: int) -> tuple[range, range]:
         """Take ``m`` as the new running maximum and return the ascending
@@ -161,16 +167,20 @@ class GuessGrid:
             return self._NO_MOVE
         self.m = m
         (lo_n, lo_d), (hi_n, hi_d) = self.lo, self.hi
-        first = self.first
-        while self[first][0] * lo_d < m * lo_n * self[first][1]:
+        old_first, old_last, powers = self.first, self.last, self._pow
+        first, (num, den) = old_first, powers[0]
+        while num * lo_d < m * lo_n * den:
             first += 1
-        last = max(self.last, first)
+            k = first - old_first
+            num, den = powers[k] if k < len(powers) else (num * (self.p + self.q), den * self.q)
+        # drop the pairs below the new first
+        self._pow, self.first = powers[first - old_first:] or [(num, den)], first
+        last = max(old_last, first)
         while self[last + 1][0] * hi_d <= m * hi_n * self[last + 1][1]:
             last += 1
-        left = range(self.first, min(first, self.last + 1))
-        entered = range(max(first, self.last + 1), last + 1)
-        self.first, self.last = first, last
-        return left, entered
+        self.last = last
+        left = range(old_first, min(first, old_last + 1))
+        return left, range(max(first, old_last + 1), last + 1)
 
 
 class _Tree:

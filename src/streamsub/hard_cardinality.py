@@ -11,7 +11,10 @@ value reachable without hoarding reds stays well below the optimum
 
 All values are exact integers. Every gain at ``CardHardParams.blue_cap``
 blues or more is 0, so one memo over profiles with the blue count clamped
-there serves every value; it is bounded in size, as in ``hard_matroid``.
+there serves every value. An instance's oracle reaches it through a
+second memo keyed by the packed profile integer (see
+:class:`CardHardInstance`); both are bounded in size, as in
+``hard_matroid``.
 The shape parameter h (>= K) controls the gap; ``ratio_bound`` picks the
 h that minimizes the reachable/optimal ratio for a given K, and
 ``check_closed_forms`` checks the landmarks above.
@@ -98,6 +101,17 @@ def _value(params: CardHardParams, b: int, r: int, p: int) -> int:
             + sum(red_marginal(params, b, i) for i in range(r)))
 
 
+@lru_cache(maxsize=8192)
+def _packed_value(layout: tuple[int, int, int], packed: int) -> int:
+    # layout is (n, K, h); packed holds b, r and p in fields of
+    # n.bit_length() bits, blue lowest
+    params = CardHardParams(*layout)
+    w = params.n.bit_length()
+    field = (1 << w) - 1
+    b, r, p = packed & field, (packed >> w) & field, packed >> 2 * w
+    return _value(params, min(b, params.blue_cap), r, p)
+
+
 def profile_value(params: CardHardParams, b: int, r: int, p: int) -> int:
     """Exact value of any set with b blue, r red, p purple elements."""
     if not (0 <= b <= params.blues):
@@ -174,6 +188,13 @@ class CardHardInstance:
     harness-side information used by stream samplers and audits; it is
     never consulted by the value oracle beyond color counting, so any two
     sets with equal color profiles have equal values.
+
+    The oracle evaluates a set from one integer, the sum of its elements'
+    units: 1 for a blue, ``1 << w`` for a red and ``1 << 2*w`` for the
+    purple, with w = ``n.bit_length()``, so no count carries into the next
+    field. That integer is the packed :meth:`profile_of` profile;
+    ``_packed_value`` unpacks it on a memo miss, clamps the blues at
+    ``blue_cap`` and calls ``_value``.
     """
 
     kind, distribution = "hard-cardinality", "purple-last"
@@ -192,6 +213,10 @@ class CardHardInstance:
             colors[e] = RED
         colors[self.purple_id] = PURPLE
         self.colors = tuple(colors)
+        w = params.n.bit_length()
+        unit = {BLUE: 1, RED: 1 << w, PURPLE: 1 << 2 * w}
+        self._layout = (params.n, params.K, params.h)
+        self._units = list(map(unit.__getitem__, colors))
         self.fn = SetFunction(params.n, self._value, name=self.kind)
         self.matroid = UniformMatroid(params.n, params.K)
 
@@ -207,10 +232,8 @@ class CardHardInstance:
                 p += 1
         return b, r, p
 
-    def _value(self, subset: frozenset) -> int:
-        # a profile_of profile is valid: clamp it, skip profile_value's checks
-        b, r, p = self.profile_of(subset)
-        return _value(self.params, min(b, self.params.blue_cap), r, p)
+    def _value(self, subset) -> int:
+        return _packed_value(self._layout, sum(map(self._units.__getitem__, subset)))
 
     @property
     def optimal_value(self) -> int:

@@ -50,10 +50,12 @@ def level_value(t: int, reds, blues) -> int:
 
     Checked profiles are memoized as given, and ``_level``'s memo key is
     the clamped profile, both filled lazily, so large-K instances only pay
-    for the profiles they actually touch. Each memo keeps at most 8192
-    entries and drops the least recently used first, so a sweep or a long
-    session does not keep every profile it has seen. A profile with an
-    unhashable entry is checked without the memo, so it fails as any
+    for the profiles they actually touch. An instance's oracle reaches
+    ``_level`` through a third memo, ``_packed_level``, keyed by its packed
+    profile integer (see :class:`MatHardInstance`). Each memo keeps at most
+    8192 entries and drops the least recently used first, so a sweep or a
+    long session does not keep every profile it has seen. A profile with
+    an unhashable entry is checked without the memo, so it fails as any
     invalid one.
     """
     reds, blues = tuple(reds), tuple(blues)
@@ -74,6 +76,18 @@ def _checked_level(t: int, reds: tuple, blues: tuple) -> int:
         raise InvalidParams("blue counts must be non-negative integers")
     clamped = tuple(min(b, blue_ceiling(t, j + 1)) for j, b in enumerate(blues))
     return _level(t, reds, clamped)
+
+
+@lru_cache(maxsize=8192)
+def _packed_level(layout: tuple[int, int], packed: int) -> int:
+    # layout is (K, m); packed holds class i's blue count in bits
+    # i*w..(i+1)*w-1 and its red flag in bit K*w+i, with w = m.bit_length()
+    K, m = layout
+    w = m.bit_length()
+    field = (1 << w) - 1
+    reds = tuple((packed >> (K * w + i)) & 1 for i in range(K))
+    blues = tuple(min((packed >> (i * w)) & field, blue_ceiling(K, i + 1)) for i in range(K))
+    return _level(K, reds, blues)
 
 
 def profile_value(K: int, reds, blues) -> int:
@@ -152,6 +166,14 @@ class MatHardInstance:
     (i-1)*m .. i*m-1 for i < K and the single class-K element is id n-1,
     so stream samplers can address blocks directly. One hidden red per
     class is chosen by the seeded generator; the class-K element is red.
+
+    The oracle evaluates a set from one integer, the sum of its elements'
+    units: a blue of class i adds ``1 << (i-1)*w`` and a red ``1 << K*w +
+    i-1``, with w = ``m.bit_length()``, so a class's blue count (at most
+    m-1) never carries into the next field. That integer is the packed
+    :meth:`profile_of` profile; ``_packed_level`` unpacks it on a memo
+    miss, clamps the blues at ``blue_ceiling`` and calls ``_level``, so
+    every value comes from the same exact recursion.
     """
 
     kind, distribution = "hard-matroid", "class-blocks"
@@ -164,7 +186,10 @@ class MatHardInstance:
         self.class_of = tuple(i for i, block in enumerate(self.class_blocks, 1) for _ in block)
         rng = derive_rng(seed, "hard-matroid-reds", K, m)
         self.red_ids = frozenset([rng.choice(block) for block in self.class_blocks[:-1]] + [n - 1])
-        self._ceilings = tuple(blue_ceiling(K, i) for i in range(1, K + 1))
+        w = m.bit_length()
+        self._layout = (K, m)
+        self._units = [1 << (K * w + c - 1) if e in self.red_ids else 1 << (c - 1) * w
+                       for e, c in enumerate(self.class_of)]
         self.fn = SetFunction(n, self._value, name=self.kind)
         self.matroid = PartitionMatroid(self.class_of, capacity=1)
 
@@ -180,10 +205,8 @@ class MatHardInstance:
                 blues[i] += 1
         return tuple(reds), tuple(blues)
 
-    def _value(self, subset: frozenset) -> int:
-        # a profile_of profile is valid: clamp it, skip level_value's checks
-        reds, blues = self.profile_of(subset)
-        return _level(self.params.K, reds, tuple(map(min, blues, self._ceilings)))
+    def _value(self, subset) -> int:
+        return _packed_level(self._layout, sum(map(self._units.__getitem__, subset)))
 
     @property
     def optimal_value(self) -> int:

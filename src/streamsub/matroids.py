@@ -83,6 +83,9 @@ class PartitionMatroid(Matroid):
     A load packs the per-class counts of a set into one integer, one bit
     field per class, each wide enough for the largest capacity. Element e
     fits when the count in its class's field is below the capacity.
+    ``is_independent`` adds a set's elements to an empty load the same
+    way, so no count ever passes its capacity or carries into the next
+    field.
     """
 
     def __init__(self, class_of, capacity=1):
@@ -111,8 +114,13 @@ class PartitionMatroid(Matroid):
         self._limit = list(map(limit.__getitem__, self.class_of))
 
     def is_independent(self, subset) -> bool:
-        counts = Counter(self.class_of[e] for e in frozenset(subset))
-        return all(counts[c] <= self.capacity[c] for c in counts)
+        field, limit, unit = self._field, self._limit, self._unit
+        load = 0
+        for e in frozenset(subset):
+            if load & field[e] >= limit[e]:
+                return False
+            load += unit[e]
+        return True
 
     def load(self, subset) -> int:
         unit = self._unit

@@ -106,23 +106,25 @@ class ElementStorePolicy(AccessPolicy):
     :meth:`begin_step` when an element arrives and :meth:`commit` with its
     retained element set once the step is processed. Only the latest
     commit is kept; a ``stream_run`` watcher sees every step's stored set.
+    Both calls update ``window``, the stored set plus the arrival, so
+    :meth:`check` is one subset test.
     """
 
     def __init__(self):
         self.stored: frozenset = frozenset()
         self.arrival: Optional[int] = None
+        self.window: frozenset = frozenset()
 
     def begin_step(self, element: int):
         self.arrival = element
+        self.window = self.stored | {element}
 
     def commit(self, stored):
         self.stored = frozenset(stored)
+        self.window = self.stored if self.arrival is None else self.stored | {self.arrival}
 
     def check(self, subset):
-        window = self.stored
-        if self.arrival is not None:
-            window = window | {self.arrival}
-        if subset <= window:
+        if subset <= self.window:
             return None
         return "query outside stored set plus current arrival"
 

@@ -405,6 +405,23 @@ class TestGuessGrid:
                     assert Fraction(*grid[grid.last]) == (1 + eps) ** grid.last
 
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 5), Fraction(1, 20)])
+    @pytest.mark.parametrize("shape", ["sieve", "driver", "narrow"])
+    def test_cache_keeps_only_the_window(self, eps, shape):
+        """As m rises far (to about 2^5000 at eps=1), the grid caches no
+        pair below ``first`` and at most one above ``last``, and ``grid[i]``
+        is still ((p+q)^i, q^i) for every index, retired ones included."""
+        p, q = eps.numerator, eps.denominator
+        grid = GuessGrid(eps, *self.shapes(eps, 3)[shape])
+        top = 2 ** 5000 if eps == 1 else 2 ** 400  # first ends at 824 to 5,682
+        for m in (1, 3, 2 ** 100, 2 ** 100 + 1, 3 ** 200, top):
+            grid.advance(m)
+            assert len(grid._pow) <= grid.last - grid.first + 2
+            for i in {0, 1, grid.first // 2, grid.first - 1, grid.first, grid.last,
+                      grid.last + 1} - {-1}:
+                assert grid[i] == ((p + q) ** i, q ** i)
+        assert grid.first > 800
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 5), Fraction(1, 20)])
     @pytest.mark.parametrize("K", [0, 1, 3])
     def test_bounds_on_grid_points(self, eps, K):
         """A bound equal to a guess keeps that guess in the window, at

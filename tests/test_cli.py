@@ -115,8 +115,8 @@ class TestGoldenRunReport:
 
 class TestGoldenAuditReport:
     @staticmethod
-    def _hard_matroid_sieve_bytes(tmp_path, fmt: str) -> bytes:
-        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", "40")
+    def _hard_matroid_sieve_bytes(tmp_path, fmt: str, m: int = 40) -> bytes:
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "3", "--m", str(m))
         out = tmp_path / "audit"
         assert main(["audit", "--instance", str(inst_file), "--alg", "sieve",
                      "--trials", "20", "--seed", "3", "--budget", "20",
@@ -131,6 +131,10 @@ class TestGoldenAuditReport:
         assert self._hard_matroid_sieve_bytes(tmp_path, "csv") == \
             (GOLDEN / "audit_hard_matroid_K3.csv").read_bytes()
 
+    def test_hard_matroid_sieve_audit_csv_bytes_at_criterion_9_scale(self, tmp_path):
+        # m=667 is the class size the criterion-9 audit runs
+        assert self._hard_matroid_sieve_bytes(tmp_path, "csv", m=667) == \
+            (GOLDEN / "audit_hard_matroid_K3_m667.csv").read_bytes()
 
     def test_hard_matroid_store_everything_audit_bytes(self, tmp_path):
         # store-everything solves each trial by branch and bound through

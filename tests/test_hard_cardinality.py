@@ -250,6 +250,46 @@ class TestClampedCoreDifferential:
                     assert all(red_marginal(params, b, r) == 0 for r in range(K - 1))
 
 
+CARD_SHAPES = [(4, 2, 2), (14, 4, 4), (50, 8, 12), (100_000, 2, 2), (100_000, 10, 14)]
+
+
+@pytest.fixture(scope="module", params=CARD_SHAPES, ids=lambda nkh: "n{}-K{}-h{}".format(*nkh))
+def card_instance(request):
+    n, K, h = request.param
+    return CardHardInstance(CardHardParams(n, K, h), n + K)
+
+
+class TestPackedDifferential:
+    """The oracle's packed profile integer gives the value of ``profile_of``
+    and ``profile_value``: on random sets, on infeasible ones with more
+    blues than ``blue_cap``, on all of one color, and at the largest ground
+    set the family accepts (n=100,000)."""
+
+    @staticmethod
+    def check(inst, subset):
+        want = profile_value(inst.params, *inst.profile_of(subset))
+        assert inst.fn.value(subset) == want
+        assert inst._value(tuple(subset)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_sets(self, card_instance, data):
+        inst = card_instance
+        subset = set(data.draw(st.lists(st.integers(0, inst.params.n - 1), max_size=40)))
+        cap = inst.params.blue_cap
+        blues = sorted(inst.blue_ids)
+        subset |= set(blues[:data.draw(st.integers(0, min(len(blues), cap + 5)))])
+        self.check(inst, frozenset(subset))
+
+    def test_whole_colors(self, card_instance):
+        inst = card_instance
+        everything = frozenset(range(inst.params.n))
+        for subset in (frozenset(), everything, inst.blue_ids, inst.red_ids,
+                       inst.red_ids | {inst.purple_id}, everything - inst.red_ids,
+                       everything - {inst.purple_id}):
+            self.check(inst, subset)
+
+
 class TestCheckClosedForms:
     """``check_closed_forms`` holds over criterion 3's grid, and under a
     perturbed value it names the first landmark broken."""

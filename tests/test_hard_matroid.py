@@ -332,6 +332,53 @@ class TestCheckClosedForms:
         assert hard_matroid.check_closed_forms(5) == CheckReport(False, kind, (5,))
 
 
+MAT_SHAPES = [(1, 0), (2, 1), (3, 4), (4, 12), (3, 667), (200, 1), (2, 99_999), (5, 16)]
+
+
+@pytest.fixture(scope="module", params=MAT_SHAPES, ids=lambda km: f"K{km[0]}-m{km[1]}")
+def mat_instance(request):
+    K, m = request.param
+    return MatHardInstance(MatHardParams(K, m), K + m)
+
+
+class TestPackedDifferential:
+    """The oracle's packed profile integer gives the value of ``profile_of``
+    and the checked recursion: on random sets, on infeasible ones with more
+    blues than a class's ceiling, on whole classes, at K=1 and K=200 and at
+    the largest ground set the family accepts (K=2, m=99,999)."""
+
+    @staticmethod
+    def check(inst, subset):
+        want = profile_value(inst.params.K, *inst.profile_of(subset))
+        assert inst.fn.value(subset) == want
+        assert inst._value(tuple(subset)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_sets(self, mat_instance, data):
+        inst = mat_instance
+        n = inst.params.n
+        subset = set(data.draw(st.lists(st.integers(0, n - 1), max_size=40)))
+        # pile blues into one class, past its ceiling
+        block = data.draw(st.sampled_from(inst.class_blocks))
+        pile = st.lists(st.sampled_from(block), max_size=2 * len(inst.class_blocks) + 4)
+        subset |= set(data.draw(pile))
+        self.check(inst, frozenset(subset))
+
+    def test_whole_classes(self, mat_instance):
+        inst = mat_instance
+        blocks = inst.class_blocks
+        self.check(inst, frozenset())
+        self.check(inst, frozenset(range(inst.params.n)))
+        for block in blocks[:3] + blocks[-3:]:
+            self.check(inst, frozenset(block))
+            self.check(inst, frozenset(block) - inst.red_ids)
+            self.check(inst, frozenset(block) | {inst.params.n - 1})
+        reds = sorted(inst.red_ids)
+        self.check(inst, frozenset(reds))
+        self.check(inst, frozenset(reds[::2]))
+
+
 class TestMemoBound:
     """Every memo of the two hard families has a finite bound and keeps to
     it, also through a K=200 sieve trial that evaluates more distinct

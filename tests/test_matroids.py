@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,48 @@ def matroids(draw):
         capacity = {c: draw(st.integers(0, 3)) for c in dict.fromkeys(labels)}
     matroid = PartitionMatroid(labels, capacity)
     return matroid if kind == "partition" else ExplicitMatroid.from_oracle(matroid)
+
+
+def counted_independent(matroid: PartitionMatroid, subset) -> bool:
+    """The per-class count rule, by ``Counter``: the reference for the
+    packed loads of ``PartitionMatroid.is_independent``."""
+    counts = Counter(matroid.class_of[e] for e in frozenset(subset))
+    return all(counts[c] <= matroid.capacity[c] for c in counts)
+
+
+class TestIsIndependentDifferential:
+    """``PartitionMatroid.is_independent`` walks packed loads; it answers
+    what counting each class answers, over mixed capacities, classes of
+    capacity 0 and inputs that repeat ids."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_class_counts(self, data):
+        n = data.draw(st.integers(1, 10))
+        labels = data.draw(st.lists(st.sampled_from([0, 1, 2, "a", (3, "b")]),
+                                    min_size=n, max_size=n))
+        capacity = data.draw(st.one_of(
+            st.integers(0, 5),
+            st.fixed_dictionaries({c: st.integers(0, 5) for c in dict.fromkeys(labels)})))
+        matroid = PartitionMatroid(labels, capacity)
+        ids = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+        for subset in (ids, frozenset(ids), tuple(reversed(ids))):
+            assert matroid.is_independent(subset) == counted_independent(matroid, subset)
+
+    def test_repeated_ids_count_once(self):
+        m = PartitionMatroid([0, 0, 1], {0: 1, 1: 0})
+        assert m.is_independent([0, 0, 0])
+        assert not m.is_independent([0, 1, 0])
+        assert not m.is_independent([2, 2])
+        assert m.is_independent([])
+
+    def test_full_fields_next_to_each_other(self):
+        # capacities 3 and 1 share a 2-bit width: a full class must not
+        # carry into its neighbour's field
+        m = PartitionMatroid([0, 0, 0, 0, 1, 1], {0: 3, 1: 1})
+        assert m.is_independent({0, 1, 2, 4})
+        assert not m.is_independent({0, 1, 2, 3})
+        assert not m.is_independent({0, 1, 2, 4, 5})
 
 
 class TestLoads:

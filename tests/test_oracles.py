@@ -167,6 +167,46 @@ class TestElementStoreReplay:
             assert subset <= window
 
 
+class TestElementStoreWindow:
+    """``ElementStorePolicy`` keeps its window up to date in ``begin_step``
+    and ``commit``; its verdicts are those of the stored set joined with
+    the arrival at the time of each check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(calls=st.lists(st.one_of(
+        st.tuples(st.just("commit"), st.frozensets(st.integers(0, 6), max_size=4)),
+        st.tuples(st.just("begin_step"), st.integers(0, 6)),
+        st.tuples(st.just("check"), st.frozensets(st.integers(0, 6), max_size=4))),
+        max_size=30))
+    def test_verdicts_match_union_at_check(self, calls):
+        policy = ElementStorePolicy()
+        stored, arrival = frozenset(), None
+        for call, arg in calls:
+            if call == "commit":
+                policy.commit(list(arg))
+                stored = arg
+            elif call == "begin_step":
+                policy.begin_step(arg)
+                arrival = arg
+            else:
+                window = stored if arrival is None else stored | {arrival}
+                want = None if arg <= window else "query outside stored set plus current arrival"
+                assert policy.check(arg) == want
+
+    def test_check_before_any_step(self):
+        policy = ElementStorePolicy()
+        assert policy.check(frozenset()) is None
+        assert policy.check(frozenset({0})) is not None
+        policy.commit({0, 1})
+        assert policy.check(frozenset({0, 1})) is None
+        assert policy.check(frozenset({2})) is not None
+        policy.begin_step(2)
+        assert policy.check(frozenset({0, 2})) is None
+        policy.commit({0})
+        assert policy.check(frozenset({0, 2})) is None
+        assert policy.check(frozenset({1})) is not None
+
+
 class TestStepMemo:
     @staticmethod
     def counting_gate(policy=None, step=0, record_log=False):
