@@ -153,18 +153,19 @@ class SieveStreaming:
     m <= v <= 2*K*m, where m is the best feasible singleton seen so far;
     an arriving element joins a candidate set when the set can still grow
     feasibly and the marginal reaches (v/2 - f(S)) / (K - |S|), the rule of
-    Sieve-Streaming (Badanidiyuru et al., KDD 2014). Each candidate carries
-    its guess as the grid's integer pair v = num/den, and the test is
-    cross-multiplied: (f(S+e) - f(S)) (K - |S|) 2 den >= num - 2 f(S) den,
-    exact without a ``Fraction``. Guesses
-    the grid reports as entering the window start with an empty set;
-    guesses leaving it are discarded together with their sets, which is
-    what keeps the stored-element footprint small. The stream delivers
-    each element at most once, as an ordering of the ground set does, so
-    an arriving element is never in a candidate set already.
+    Sieve-Streaming (Badanidiyuru et al., KDD 2014). Values are integers,
+    so the test 2 ((f(S+e) - f(S)) (K - |S|) + f(S)) >= v holds exactly
+    when its integer left side reaches ceil(v): each candidate keeps that
+    bar, computed once from the grid's pair when its guess enters, and
+    starts with an empty set. Guesses leaving the window are discarded
+    together with their sets, which is what keeps the stored-element
+    footprint small. The stream delivers each element at most once, as an
+    ordering of the ground set does, so an arriving element is never in a
+    candidate set already.
 
-    The stored set and the footprint are kept current as sets change:
-    ``held`` counts the candidate sets that hold each stored element.
+    The footprint is kept current as sets change, and so is the stored
+    set, the union of the candidate sets: an element a set takes joins it,
+    and guesses leaving with a non-empty set rebuild it from the rest.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps):
@@ -173,50 +174,38 @@ class SieveStreaming:
         self.K = matroid.rank
         self.grid = GuessGrid(eps, 1, 2 * self.K)
         self.empty_load = matroid.load(frozenset())
-        # guess index -> (candidate set, its value, its matroid load, and
-        # the guess as num, den)
-        self.sets: dict[int, tuple[frozenset, int, object, int, int]] = {}
-        self.held: dict[int, int] = {}
+        # guess index -> (candidate set, its value, its matroid load, bar)
+        self.sets: dict[int, tuple[frozenset, int, object, int]] = {}
         self._stored: frozenset = frozenset()
         self._footprint = 0
 
     def step(self, t: int, e: int):
-        fits = self.matroid.fits
+        fits, sets = self.matroid.fits, self.sets
         if fits(self.empty_load, e):
             left, entered = self.grid.advance(self.gate.value(frozenset({e})))
-            for i in left:
-                self._drop(self.sets.pop(i)[0])
+            if left:
+                gone = sum(len(sets.pop(i)[0]) for i in left)
+                if gone:
+                    self._footprint -= gone
+                    self._stored = frozenset().union(*[s for s, _, _, _ in sets.values()])
             for i in entered:
-                self.sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load,
-                                *self.grid[i])
+                num, den = self.grid[i]
+                sets[i] = (frozenset(), self.gate.value(frozenset()), self.empty_load,
+                           -(-num // den))
         K = self.K
         took = 0
         # guesses enter ascending and leave from the bottom: keys are in order
-        for i, (s, val, load, num, den) in self.sets.items():
+        for i, (s, val, load, bar) in sets.items():
             room = K - len(s)
             if room <= 0 or not fits(load, e):
                 continue
             new_val = self.gate.value(s | {e})
-            if (new_val - val) * room * 2 * den >= num - 2 * val * den:
-                self.sets[i] = (s | {e}, new_val, self.matroid.plus(load, e), num, den)
+            if 2 * ((new_val - val) * room + val) >= bar:
+                sets[i] = (s | {e}, new_val, self.matroid.plus(load, e), bar)
                 took += 1
         if took:
-            # e is in no candidate set yet
-            self.held[e] = took
             self._stored = self._stored | {e}
             self._footprint += took
-
-    def _drop(self, s: frozenset):
-        """Account for the candidate set ``s`` of a guess that left."""
-        held, gone = self.held, []
-        for x in s:
-            held[x] -= 1
-            if not held[x]:
-                del held[x]
-                gone.append(x)
-        if gone:
-            self._stored = self._stored.difference(gone)
-        self._footprint -= len(s)
 
     def stored_set(self) -> frozenset:
         return self._stored
@@ -226,7 +215,7 @@ class SieveStreaming:
 
     def finish(self) -> tuple[frozenset, int]:
         best = (frozenset(), 0)
-        for s, val, _, _, _ in self.sets.values():
+        for s, val, _, _ in self.sets.values():
             if val > best[1]:
                 best = (s, val)
         return best

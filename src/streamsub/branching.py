@@ -190,7 +190,8 @@ class _Tree:
     window in the same step. ``nodes`` holds every node ever created, in
     creation order, and ``asked`` the ``(query, times)`` pairs of the last
     step. ``stored`` counts the elements that each guess of the run holds
-    alike, and ``taken[j]`` the branches that guess j has spawned. When
+    alike, and ``taken[j]`` the branches that guess j has spawned, each of
+    which holds one element more; :meth:`footprint` sums both. When
     tracing, ``trace_log`` gets one ``(id(node), t)`` per offer. Nodes keep
     no reference to their tree, which passes itself in, so a tree holds no
     reference cycle and is freed once dropped.
@@ -235,7 +236,7 @@ class _Tree:
 
     def footprint(self) -> int:
         """The elements the tree holds, summed over its guesses."""
-        return self.stored * len(self.run)
+        return self.stored * len(self.run) + sum(self.taken)
 
     def join(self, index: int, v: tuple[int, int]):
         """Add guess ``index`` of value ``v`` on top of the run, before the
@@ -411,7 +412,6 @@ class _CardNode:
         child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
         # each chain pins e in its k - 1 members, for every guess of the tree
         spawned = sum(chain[0] for chain in chains) - len(chains)
-        tree.stored += spawned
         tree.taken = [c + spawned for c in tree.taken]
         self.times -= spawned
         for chain in chains:
@@ -462,9 +462,11 @@ class CardTree(_Tree):
 
     Each node keeps taking singletons, so every node stays live.
     ``stored`` counts, for each guess of the run, one element per leaf
-    with a best singleton and one per internal invocation that has pinned
-    an element. Budgets above ``MAX_K`` are refused: runs of guesses do
-    not shrink the per-guess space bound K*2^(2K).
+    with a best singleton, and each entry of ``taken`` one per internal
+    invocation that has pinned an element; these entries are equal, as
+    the guesses of a tree take the same elements. Budgets above ``MAX_K``
+    are refused: runs of guesses do not shrink the per-guess space bound
+    K*2^(2K).
     """
 
     MAX_K = 10
@@ -726,9 +728,6 @@ class MatroidTree(_Tree):
     def join(self, index: int, v: tuple[int, int]):
         super().join(index, v)
         self.root.v.append(v)
-
-    def footprint(self) -> int:
-        return super().footprint() + sum(self.taken)
 
     # hooked by class, as CardTree.step is
     step = _Tree.step

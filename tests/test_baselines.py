@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import ExplicitMatroid, ref_brute_force
+from _reference import ExplicitMatroid, FractionSieve, ref_brute_force
 from streamsub.baselines import (SieveStreaming, StoreEverything,
                                  brute_force_optimum, offline_greedy)
 from streamsub.coverage import CoverageFunction, CoverageInstance
@@ -17,7 +17,7 @@ from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.harness import stream_run
 from streamsub.matroids import PartitionMatroid, UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, SetFunction,
-                               additive)
+                               WeakPolicy, additive)
 from streamsub.samplers import sample_stream
 
 
@@ -258,6 +258,52 @@ class TestSieveAccounting:
     def test_coverage(self, n, K, seed, eps):
         inst = CoverageInstance(n, 16, K, seed)
         self.check(inst, sample_stream(inst, "uniform", seed), eps)
+
+
+class TestSieveOnLargeBars:
+    """Where the guesses v are large, the sieve's bars ceil(v) are large
+    integers: the integer sieve makes the ``Fraction`` sieve's run there,
+    under the weak and the element-store policies."""
+
+    @staticmethod
+    def run(alg, gate, stream):
+        solution, value = stream_run(alg, stream, gate)
+        audit = gate.audit
+        return {"solution": solution, "value": value, "queries": audit.query_count,
+                "log": audit.log, "max_stored": audit.max_stored}
+
+    def check(self, fn, matroid, stream, eps) -> SieveStreaming:
+        """Compare the two runs under both policies; return the last
+        integer sieve."""
+        for make_policy in (lambda: WeakPolicy(matroid), ElementStorePolicy):
+            gate, ref_gate = (QueryGate(fn, make_policy(), OracleAudit(record_log=True))
+                              for _ in range(2))
+            sieve = SieveStreaming(gate, matroid, eps)
+            assert self.run(sieve, gate, stream) == \
+                self.run(FractionSieve(ref_gate, matroid, eps), ref_gate, stream)
+        return sieve
+
+    @settings(max_examples=30, deadline=None)
+    @given(K=st.integers(5, 12), m=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
+           eps=st.sampled_from(["1/10", "2/5"]), distribution=st.sampled_from(
+               ["class-blocks", "uniform"]))
+    def test_hard_matroid(self, K, m, seed, eps, distribution):
+        # values reach (2K-1)!, and 23! > 2^64 at K=12
+        inst = MatHardInstance(MatHardParams(K, m), seed)
+        self.check(inst.fn, inst.matroid, sample_stream(inst, distribution, seed), eps)
+
+    @pytest.mark.parametrize("below", [0, 1, 2])
+    def test_gain_on_the_ceiling(self, below):
+        # v_j = (11/10)^j has about 70 bits and is not an integer; K=2,
+        # and the second element's gain puts 2 (gain + f(S)) exactly on
+        # ceil(v_j), or 1 or 2 below it, where a bar that is floor(v_j) or
+        # rounded in floating point errs
+        v = Fraction(11, 10)
+        j = next(j for j in range(500, 520) if (math.ceil(v ** j) - below) % 2 == 0)
+        first = math.ceil(v ** (j - 8))  # v_j / first ~ 2.14
+        fn = additive([first, (math.ceil(v ** j) - below) // 2 - first])
+        sieve = self.check(fn, UniformMatroid(2, 2), [0, 1], "1/10")
+        assert (1 in sieve.sets[j][0]) == (below == 0)
 
 
 class TestStoreEverything:

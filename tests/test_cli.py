@@ -112,6 +112,15 @@ class TestGoldenRunReport:
                      "--policy", "element-store", "--trials", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "run_hard_cardinality_K4_store.json").read_bytes()
 
+    def test_hard_matroid_sieve_report_bytes(self, tmp_path):
+        # K=8 values reach 15!: the sieve's bars ceil(v) reach 13 digits,
+        # from grid pairs (11^i, 10^i) of over 300
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "8", "--m", "3")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "sieve",
+                     "--epsilon", "1/10", "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K8_sieve.json").read_bytes()
+
 
 class TestGoldenAuditReport:
     @staticmethod
