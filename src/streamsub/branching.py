@@ -55,6 +55,7 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from math import floor, log, log1p
 
 from .errors import InvalidParams
 from .matroids import Matroid, UniformMatroid
@@ -106,7 +107,11 @@ class GuessGrid:
     whose window could hold more than ``MAX_GUESSES`` guesses is refused.
     :meth:`advance` raises m; as both ends only rise, it steps on from
     ``first..last``, the previous window, instead of rescanning from 0.
-    Values are integers, so no guess below v_0 = 1 is needed.
+    When m rises past the cached pairs, it first jumps ``first`` to a
+    float estimate, taken only once an exact test puts it below the
+    window, so a rise of thousands of digits costs no walk over the
+    indices it skips. Values are integers, so no guess below v_0 = 1 is
+    needed.
     """
 
     _NO_MOVE = (range(0), range(0))
@@ -141,6 +146,7 @@ class GuessGrid:
         if long:
             raise InvalidParams(f"eps={self._label()} has more than {MAX_EPS_DIGITS} digits "
                                 f"in its numerator or denominator; use a shorter eps")
+        self._ln_base = log1p(p / q)
 
     def _label(self) -> str:
         eps = str(self.eps)
@@ -169,6 +175,16 @@ class GuessGrid:
         (lo_n, lo_d), (hi_n, hi_d) = self.lo, self.hi
         old_first, old_last, powers = self.first, self.last, self._pow
         first, (num, den) = old_first, powers[0]
+        if powers[-1][0] * lo_d < m * lo_n * powers[-1][1]:
+            # the new first lies beyond the cached pairs: walk on from the
+            # last of them, or from a float estimate of the new first less 2
+            # if that is further; only an exact test lets the estimate count
+            first, (num, den) = old_first + len(powers) - 1, powers[-1]
+            jump = floor((log(m * lo_n) - log(lo_d)) / self._ln_base) - 2
+            if jump > first:
+                pair = (self.p + self.q) ** jump, self.q ** jump
+                if pair[0] * lo_d < m * lo_n * pair[1]:
+                    first, (num, den) = jump, pair
         while num * lo_d < m * lo_n * den:
             first += 1
             k = first - old_first

@@ -13,6 +13,7 @@ of the masks of S. Evaluations still go through ``SetFunction.value``.
 from __future__ import annotations
 
 from itertools import chain
+from typing import Iterable
 
 from .errors import InvalidParams
 from .matroids import UniformMatroid
@@ -27,7 +28,7 @@ class CoverageFunction(SetFunction):
         self.masks = tuple(sum(map(bit.get, s)) for s in sets)
         super().__init__(len(self.masks), self._cover, name="coverage")
 
-    def _cover(self, subset: frozenset) -> int:
+    def _cover(self, subset: Iterable[int]) -> int:
         covered = 0
         for e in subset:
             covered |= self.masks[e]

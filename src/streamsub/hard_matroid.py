@@ -31,32 +31,31 @@ def blue_ceiling(K: int, class_index: int) -> int:
     return 2 * (K - class_index)
 
 
-@lru_cache(maxsize=8192)
 def _level(t: int, reds: tuple, blues: tuple) -> int:
-    # blues must already be clamped; level t covers the last t classes
-    if t == 1:
-        return reds[0]
-    sub = _level(t - 1, reds[1:], blues[1:])
-    m_prev = factorial(2 * t - 3)
-    gap = m_prev - sub
-    d = 2 * (t - 1) - blues[0]
-    s = 1 - reds[0]
-    scale = 2 * m_prev * s + gap * (d - 1)
-    return factorial(2 * t - 1) - scale * d
+    # blues must already be clamped; level j covers the last j classes and
+    # is built from level j-1, bottom up, with (2j-3)! carried along
+    value, fact = reds[t - 1], 1
+    for j in range(2, t + 1):
+        i = t - j
+        d = 2 * (j - 1) - blues[i]
+        scale = 2 * fact * (1 - reds[i]) + (fact - value) * (d - 1)
+        fact *= (2 * j - 2) * (2 * j - 1)
+        value = fact - scale * d
+    return value
 
 
 def level_value(t: int, reds, blues) -> int:
     """Recursion value on the last t classes; blues are clamped here.
 
-    Checked profiles are memoized as given, and ``_level``'s memo key is
-    the clamped profile, both filled lazily, so large-K instances only pay
-    for the profiles they actually touch. An instance's oracle reaches
-    ``_level`` through a third memo, ``_packed_level``, keyed by its packed
-    profile integer (see :class:`MatHardInstance`). Each memo keeps at most
-    8192 entries and drops the least recently used first, so a sweep or a
-    long session does not keep every profile it has seen. A profile with
-    an unhashable entry is checked without the memo, so it fails as any
-    invalid one.
+    Checked profiles are memoized as given, filled lazily, so large-K
+    instances only pay for the profiles they actually touch. An
+    instance's oracle reaches ``_level`` through its own memo,
+    ``_packed_level``, keyed by its packed profile integer (see
+    :class:`MatHardInstance`); ``_level`` itself, one pass over the
+    classes, keeps none. Each memo keeps at most 8192 entries and drops
+    the least recently used first, so a sweep or a long session does not
+    keep every profile it has seen. A profile with an unhashable entry is
+    checked without the memo, so it fails as any invalid one.
     """
     reds, blues = tuple(reds), tuple(blues)
     try:
@@ -139,7 +138,7 @@ def check_closed_forms(K: int) -> CheckReport:
 class MatHardParams:
     K: int
     m: int
-    MAX_K = 200  # _level recurses once per class, and a run fails from K=494
+    MAX_K = 200  # values reach (2K-1)! = 399!; _level loops once per class
 
     def __post_init__(self):
         if self.K < 1:

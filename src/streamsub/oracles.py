@@ -1,9 +1,10 @@
 """Exact set-function oracles, access-policy control, and residual views.
 
-Ground sets are ``{0, ..., n-1}``; subsets may be passed as any iterable
-of element ids and are normalized to frozensets. All function values are
-exact integers (arbitrary precision), so every threshold comparison and
-every table entry in the library is bit-exact.
+Ground sets are ``{0, ..., n-1}``. A :class:`SetFunction` receives the
+caller's iterable of distinct ids as it is; only the gate normalizes a
+query to a frozenset. All function values are exact integers (arbitrary
+precision), so every threshold comparison and every table entry in the
+library is bit-exact.
 
 Three query policies are supported:
 
@@ -35,7 +36,7 @@ the audit see each one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import GroundSetTooLarge, PolicyViolation, UnknownElement
 
@@ -43,18 +44,23 @@ from .errors import GroundSetTooLarge, PolicyViolation, UnknownElement
 class SetFunction:
     """Deterministic exact-valued function on subsets of {0..n-1}.
 
-    ``value`` trusts its ids: one outside 0..n-1 may raise any error or
-    answer for another element. Only :class:`QueryGate` checks them;
-    brute force, greedy and the exhaustive checks pass ids from range(n).
+    ``value(subset)`` hands ``subset`` to ``fn`` as it is, with no copy:
+    an iterable of distinct ids in 0..n-1, such as one of brute force's
+    sorted tuples or one of the gate's frozensets. A ``fn`` that reads
+    its argument by iterating it once takes every such iterable; one that
+    needs set operations must build its own set. ``value`` trusts its
+    ids: a repeated one or one outside 0..n-1 may raise any error or give
+    a wrong answer. Only :class:`QueryGate` checks them; brute force,
+    greedy and the exhaustive checks pass distinct ids from range(n).
     """
 
-    def __init__(self, n: int, fn: Callable[[frozenset], int], name: str = ""):
+    def __init__(self, n: int, fn: Callable[[Iterable[int]], int], name: str = ""):
         self.n = n
         self._fn = fn
         self.name = name
 
     def value(self, subset) -> int:
-        return self._fn(frozenset(subset))
+        return self._fn(subset)
 
     def __repr__(self):
         return f"SetFunction(n={self.n}, name={self.name!r})"

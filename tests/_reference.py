@@ -9,7 +9,8 @@ candidates are compared in first-acceptance order with the singleton
 fallback last.
 
 :class:`PlainGate` is the query gate without the per-step value memo;
-:func:`ref_window` finds a guess window by scanning the grid from index 0;
+:func:`ref_window` finds a guess window by scanning the grid from index 0,
+and :class:`StepGuessGrid` advances it by walking one index at a time;
 :func:`ref_stored_set` is a branch tree's stored set by the per-node union
 formula that also counts every pinned or carried element on each node, and
 :func:`ref_footprint` the tree's running ``stored`` count summed node by
@@ -41,15 +42,17 @@ function that unions the elements' point sets as frozensets, the
 evaluator the bitmask ``CoverageFunction`` replaced.
 :func:`prefix_profile_value` is the hard-cardinality profile value by
 unclamped running sums of the blue gains, the evaluator the clamped memo
-replaced. :func:`profile_lattice` lists the profiles of the K-class
-matroid family, and :func:`first_dominance_violation` is the all-pairs
-diminishing-returns scan over them that the local unit-move check is
-tested against.
+replaced, and :func:`ref_level` the hard-matroid value by recursion, the
+evaluator the bottom-up loop replaced. :func:`profile_lattice` lists the
+profiles of the K-class matroid family, and
+:func:`first_dominance_violation` is the all-pairs diminishing-returns
+scan over them that the local unit-move check is tested against.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 from streamsub.branching import (CardTree, GuessGrid, MatroidTree, _MatNode, as_pair,
                                 to_fraction)
@@ -133,6 +136,46 @@ def exact(v):
     """A guess or target as a ``Fraction``, from a ``(num, den)`` pair or
     anything ``to_fraction`` takes."""
     return Fraction(*v) if isinstance(v, tuple) else to_fraction(v)
+
+
+class StepGuessGrid(GuessGrid):
+    """The guess grid whose :meth:`advance` walks ``first`` up from the
+    last window one index at a time, the code path the estimated jump
+    replaced."""
+
+    def advance(self, m):
+        if m <= self.m:
+            return self._NO_MOVE
+        self.m = m
+        (lo_n, lo_d), (hi_n, hi_d) = self.lo, self.hi
+        old_first, old_last, powers = self.first, self.last, self._pow
+        first, (num, den) = old_first, powers[0]
+        while num * lo_d < m * lo_n * den:
+            first += 1
+            k = first - old_first
+            num, den = powers[k] if k < len(powers) else (num * (self.p + self.q), den * self.q)
+        self._pow, self.first = powers[first - old_first:] or [(num, den)], first
+        last = max(old_last, first)
+        while self[last + 1][0] * hi_d <= m * hi_n * self[last + 1][1]:
+            last += 1
+        self.last = last
+        left = range(old_first, min(first, old_last + 1))
+        return left, range(max(first, old_last + 1), last + 1)
+
+
+def ref_level(t, reds, blues):
+    """The hard-matroid recursion on the last t classes with clamped
+    blues, by recursion on the slices of ``reds`` and ``blues``, the code
+    path the bottom-up loop replaced."""
+    if t == 1:
+        return reds[0]
+    sub = ref_level(t - 1, reds[1:], blues[1:])
+    m_prev = factorial(2 * t - 3)
+    gap = m_prev - sub
+    d = 2 * (t - 1) - blues[0]
+    s = 1 - reds[0]
+    scale = 2 * m_prev * s + gap * (d - 1)
+    return factorial(2 * t - 1) - scale * d
 
 
 def ref_window(eps, lo, hi):

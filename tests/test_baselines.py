@@ -103,9 +103,9 @@ def function_and_matroid(draw, ties=False):
 
 
 def counted(fn):
-    """``fn`` as a set function that records each query."""
+    """``fn`` as a set function that records each query as a frozenset."""
     calls = []
-    return SetFunction(fn.n, lambda s: calls.append(s) or fn.value(s)), calls
+    return SetFunction(fn.n, lambda s: calls.append(frozenset(s)) or fn.value(s)), calls
 
 
 class TestBruteForceDifferential:
@@ -152,7 +152,7 @@ class TestBruteForceDifferential:
 
     def test_witnessed_violation_of_submodularity_raises(self):
         # f = 1 iff {0, 1} is in S: the gain of 1 at {0} is above its gain at {}
-        both = SetFunction(3, lambda s: int({0, 1} <= s))
+        both = SetFunction(3, lambda s: int({0, 1} <= set(s)))
         with pytest.raises(InvalidParams, match=r"not submodular at \[0, 1\]"):
             brute_force_optimum(both, UniformMatroid(3, 2))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamsub import branching
@@ -26,9 +26,9 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, Stron
 from streamsub.samplers import sample_stream
 
 from _reference import (ExplicitMatroid, FractionSieve, PerGuessDriver, PerGuessMatroidTree,
-                        PerIndexMatNode, PerInvocationCardTree, gamma_bound, guess_runs,
-                        ref_cardinality, ref_footprint, ref_matroid, ref_stored_set, ref_window,
-                        subtree_size)
+                        PerIndexMatNode, PerInvocationCardTree, StepGuessGrid, gamma_bound,
+                        guess_runs, ref_cardinality, ref_footprint, ref_matroid, ref_stored_set,
+                        ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -421,6 +421,35 @@ class TestGuessGrid:
                 assert grid[i] == ((p + q) ** i, q ** i)
         assert grid.first > 800
 
+    @settings(max_examples=20, deadline=None)
+    @given(eps=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
+           K=st.integers(1, 200), shape=st.sampled_from(["sieve", "driver"]),
+           rises=st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 10 ** 6)),
+                          min_size=1, max_size=8))
+    @example(eps=Fraction(1), K=200, shape="sieve", rises=[(1, 3), (2500, 1), (0, 5), (400, 0)])
+    @example(eps=Fraction(1, 2), K=3, shape="driver", rises=[(1200, 9), (1, 0), (299, 1)])
+    @example(eps=Fraction(2, 5), K=200, shape="sieve", rises=[(590, 1), (0, 10 ** 6), (9, 0)])
+    def test_jump_matches_one_step_walk(self, eps, K, shape, rises):
+        """``advance``, which may jump ``first`` to an estimate, agrees with
+        the walk one index at a time (``_reference.StepGuessGrid``) on
+        ``first``, ``last``, the left and entered ranges and the pairs, in
+        the sieve's window (1, 2K) and the driver's (1/(1+eps)^2, K/eps).
+        Each rise multiplies m by 10^d, d up to 2,000, and adds up to 10^6,
+        so m rises by thousands of digits or by a few indices. With eps =
+        p/q the walk's pairs grow by about log2(q(p+q)) bits per index, so
+        m stops growing at 3000/q digits: 3,000 at eps = 1, 150 at q = 20."""
+        p, q = eps.numerator, eps.denominator
+        lo, hi = {"sieve": (1, 2 * K), "driver": ((q * q, (p + q) ** 2), (K * q, p))}[shape]
+        grid, ref = GuessGrid(eps, lo, hi), StepGuessGrid(eps, lo, hi)
+        m, cap = 0, 10 ** (3000 // q)
+        for digits, extra in rises:
+            m = min(m * 10 ** digits + extra, cap)
+            assert grid.advance(m) == ref.advance(m)
+            assert (grid.first, grid.last) == (ref.first, ref.last)
+            for i in {0, grid.first // 2, grid.first - 1, grid.first, grid.last,
+                      grid.last + 1} - {-1}:
+                assert grid[i] == ref[i] == ((p + q) ** i, q ** i)
+
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 5), Fraction(1, 20)])
     @pytest.mark.parametrize("K", [0, 1, 3])
     def test_bounds_on_grid_points(self, eps, K):
@@ -430,6 +459,18 @@ class TestGuessGrid:
         p, q, J = eps.numerator, eps.denominator, 29
         grid = GuessGrid(eps, (1, q ** J), ((p + q) ** K, q ** (J + K)))
         for j in range(J + 1):
+            grid.advance((p + q) ** j * q ** (J - j))
+            assert (grid.first, grid.last) == (j, j + K)
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 5), Fraction(1, 20)])
+    def test_jumps_onto_grid_points(self, eps):
+        """A bound that a far rise of m puts exactly on a guess keeps that
+        guess, so a jump may land on it but never past it: with the bounds
+        of ``test_bounds_on_grid_points``, m jumps by hundreds of indices at
+        a time onto v_j."""
+        p, q, J, K = eps.numerator, eps.denominator, 1200, 2
+        grid = GuessGrid(eps, (1, q ** J), ((p + q) ** K, q ** (J + K)))
+        for j in (3, 250, 251, 600, 977, 1200):
             grid.advance((p + q) ** j * q ** (J - j))
             assert (grid.first, grid.last) == (j, j + K)
 

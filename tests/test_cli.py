@@ -121,6 +121,15 @@ class TestGoldenRunReport:
                      "--epsilon", "1/10", "--trials", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K8_sieve.json").read_bytes()
 
+    def test_hard_matroid_K200_sieve_report_bytes(self, tmp_path):
+        # the largest instance the family accepts: values reach 399!, and the
+        # window's first index climbs to about 21,000 in one trial
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "200", "--m", "1")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "sieve",
+                     "--epsilon", "1/10", "--trials", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_hard_matroid_K200_sieve.json").read_bytes()
+
 
 class TestGoldenAuditReport:
     @staticmethod

@@ -14,7 +14,7 @@ from streamsub.hard_matroid import (MatHardInstance, MatHardParams, _level, appr
 from streamsub.harness import run_experiment
 from streamsub.oracles import CheckReport, verify_monotone_submodular
 
-from _reference import closed_form_3class, first_dominance_violation, profile_lattice
+from _reference import closed_form_3class, first_dominance_violation, profile_lattice, ref_level
 
 # hand-transcribed 3-class reference grids: grids[last_red][(r1, r2)][b1][b2]
 GRIDS = {
@@ -62,6 +62,15 @@ class TestLevelValue:
             reds = (0,) * (t - 1) + (1,)
             blues = (1,) * (t - 1) + (0,)
             assert level_value(t, reds, blues) == t * factorial(2 * t - 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), t=st.integers(1, 200))
+    def test_loop_matches_the_recursion(self, data, t):
+        """The bottom-up loop gives the value of the recursion on slices
+        (``_reference.ref_level``) on random clamped profiles."""
+        reds = tuple(data.draw(st.lists(st.integers(0, 1), min_size=t, max_size=t)))
+        blues = tuple(data.draw(st.integers(0, blue_ceiling(t, j + 1))) for j in range(t))
+        assert _level(t, reds, blues) == ref_level(t, reds, blues)
 
 
 class TestProfileValue:
@@ -381,8 +390,8 @@ class TestPackedDifferential:
 
 class TestMemoBound:
     """Every memo of the two hard families has a finite bound and keeps to
-    it, also through a K=200 sieve trial that evaluates more distinct
-    profiles than the bound."""
+    it, also through a K=200 sieve trial and through more distinct
+    profiles than the bound, both checked and packed."""
 
     @staticmethod
     def memos() -> dict:
@@ -392,14 +401,23 @@ class TestMemoBound:
 
     def test_every_memo_is_bounded(self):
         memos = self.memos()
-        assert {("streamsub.hard_matroid", "_level"), ("streamsub.hard_matroid", "_checked_level"),
+        assert {("streamsub.hard_matroid", "_packed_level"),
+                ("streamsub.hard_matroid", "_checked_level"),
                 ("streamsub.hard_cardinality", "_value")} <= set(memos)
         for memo in memos.values():
             assert memo.cache_parameters()["maxsize"] is not None
 
     def test_sizes_stay_within_bounds(self):
-        before = _level.cache_info().misses
+        checked, packed = hard_matroid._checked_level, hard_matroid._packed_level
+        before = checked.cache_info().misses, packed.cache_info().misses
         run_experiment(MatHardInstance(MatHardParams(200, 1), 0), "sieve", "2/5", 1)
-        assert _level.cache_info().misses - before > _level.cache_parameters()["maxsize"]
+        # that trial misses _packed_level 400 times and _checked_level not
+        # at all; 2^14 profiles of distinct reds overflow both
+        inst = MatHardInstance(MatHardParams(14, 1), 0)
+        for reds in product((0, 1), repeat=14):
+            level_value(14, reds, (0,) * 14)
+            inst.fn.value(e for e in range(14) if reds[e])
+        for memo, misses in zip((checked, packed), before):
+            assert memo.cache_info().misses - misses > memo.cache_parameters()["maxsize"]
         for memo in self.memos().values():
             assert memo.cache_info().currsize <= memo.cache_parameters()["maxsize"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsub.coverage import CoverageFunction
+from streamsub.coverage import CoverageFunction, CoverageInstance
 from streamsub.errors import GroundSetTooLarge, PolicyViolation, UnknownElement
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_marginal,
@@ -19,6 +19,35 @@ from _reference import SetUnionCoverage, verify_by_pairs
 
 def card_instance(n=8, K=3, h=3, seed=1):
     return CardHardInstance(CardHardParams(n, K, h), seed)
+
+
+class TestArgumentForms:
+    """``SetFunction.value`` hands its argument to the function as it is,
+    and every package set function gives one value on a tuple, a list, a
+    frozenset, a range and a generator of the same distinct ids, in any
+    order."""
+
+    FUNCTIONS = {
+        "coverage": CoverageInstance(20, 48, 4, 7).fn,
+        "additive": additive([5, 0, 3, 8, 1, 9, 2, 7, 4, 6, 3, 1]),
+        "hard-cardinality": card_instance(n=16, K=4, h=4).fn,
+        "hard-matroid": MatHardInstance(MatHardParams(4, 5), 3).fn,
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(FUNCTIONS)), data=st.data())
+    def test_every_form_gives_one_value(self, kind, data):
+        fn = self.FUNCTIONS[kind]
+        start = data.draw(st.integers(0, fn.n))
+        ids = data.draw(st.one_of(
+            st.builds(range, st.just(start), st.integers(start, fn.n), st.integers(1, 4)),
+            st.lists(st.integers(0, fn.n - 1), unique=True)))
+        order = data.draw(st.permutations(list(ids)))
+        forms = [tuple(order), list(order), frozenset(order), (e for e in order)]
+        if isinstance(ids, range):
+            forms.append(ids)
+        want = QueryGate(fn).value(ids)
+        assert [fn.value(form) for form in forms] == [want] * len(forms)
 
 
 class TestEvaluate:
