@@ -27,27 +27,27 @@ as their trees make the same decisions, and splits where they stop, in
 where its guesses disagree. The guess enters a cardinality tree only
 through its take bars, so a :class:`CardTree` splits where an offered
 gain clears the bar of the run's lower guesses and not of its upper
-ones. A :class:`MatroidTree` shares every node among its guesses and
-keeps per guess only each node's target. A node's threshold runs are
-over the acceptance levels b*v/K^4, not over each guess's indices b, so
-one list of them serves every guess; the tree splits where adjacent
-guesses disagree on whether a node spawns a child. The driver steps each
-run once and replays the run's queries through the gate for its other
-guesses (:meth:`~streamsub.oracles.QueryGate.replay`), so the query
-count and log are those of one tree per guess.
+ones. A :class:`MatroidTree` shares every node, target included, among
+its guesses. A node's threshold runs are over the acceptance levels
+b*t(v)/K^4, not over each guess's indices b, so one list of them serves
+every guess; the tree splits where adjacent guesses disagree on whether
+a node spawns a child. A tree keeps per guess only its ``run`` and
+``taken``. The driver steps each run once and replays the run's queries
+through the gate for its other guesses
+(:meth:`~streamsub.oracles.QueryGate.replay`), so the query count and
+log are those of one tree per guess.
 
 Numeric conventions: function values are exact integers. A guess value
 v is an exact rational kept as an integer pair ``(num, den)`` with
-``den > 0`` and not reduced. A matroid-tree target is such a pair, and a
-gain clears the bar v/c exactly when ``gain * c * den >= num``. A
-cardinality-tree target is affine in the guess, t(v) = (alpha*v -
-beta)/delta with integers alpha, delta > 0, so that one target serves a
-run of guesses; a gain clears the bar t(v)/c exactly when
-``(gain * c * delta + beta) * den >= alpha * num``. So acceptance
-decisions are exact, never depend on float rounding, and build no
-``Fraction`` on the hot path; ``Fraction`` appears only where a guess is
-parsed or reported. Value bookkeeping telescopes residuals, so a node's
-reported solution value never costs extra oracle queries.
+``den > 0`` and not reduced. The target of a node of either tree is
+affine in the guess, t(v) = (alpha*v - beta)/delta with integers and
+delta > 0, so that one target serves a run of guesses; a gain clears
+the bar t(v)/c exactly when ``(gain * c * delta + beta) * den >= alpha *
+num``. So acceptance decisions are exact, never depend on float
+rounding, and build no ``Fraction`` on the hot path; ``Fraction``
+appears only where a guess is parsed or reported. Value bookkeeping
+telescopes residuals, so a node's reported solution value never costs
+extra oracle queries.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ class _Tree:
     returns an offer if some guess takes ``e``. (2) Where the guesses
     disagree on an offer (:meth:`_cuts`), the still unchanged tree is
     copied once for each sub-run above such a cut, the copies sharing its
-    residuals, and keeps the lowest sub-run, cutting each list of
-    :meth:`_per_guess`. (3) Each tree applies the offers its guesses take
+    residuals, and keeps the lowest sub-run, cutting ``run`` and
+    ``taken``. (3) Each tree applies the offers its guesses take
     (:meth:`_apply`), mapping the stepped tree's nodes to its own. An offer
     changes only its node, the node's new child and the tree's counters,
     so the offers of one step are independent, and each tree makes the run
@@ -227,7 +227,7 @@ class _Tree:
     next element. :meth:`step` returns the copies; a driver replays
     ``asked`` once for each other guess of the run. A kind of tree supplies
     only ``_cuts``, ``_apply`` and its nodes' ``copy`` and ``relink``; a
-    matroid tree also ``COPIED`` and ``_per_guess``.
+    matroid tree also ``COPIED``.
     """
 
     # what a copy takes over besides the attributes set here
@@ -245,10 +245,6 @@ class _Tree:
     def branches_spawned(self) -> int:
         """The branches the run's lowest guess has spawned."""
         return self.taken[0]
-
-    def _per_guess(self) -> list:
-        """The lists that hold one entry per guess of the run."""
-        return [self.run, self.taken]
 
     def footprint(self) -> int:
         """The elements the tree holds, summed over its guesses."""
@@ -279,8 +275,7 @@ class _Tree:
                 twin, remap = self._copy(lo, hi)
                 twin._apply(e, offers, lo, hi, remap)
                 twins.append(twin)
-            for guesses in self._per_guess():
-                del guesses[cuts[0]:]
+            del self.run[cuts[0]:], self.taken[cuts[0]:]
         self._apply(e, offers, 0, len(self.run), {})  # (3)
         return twins
 
@@ -299,7 +294,7 @@ class _Tree:
             setattr(twin, name, getattr(self, name))
         remap = {}
         for node in self.nodes:
-            node.copy(twin, remap, lo, hi)
+            node.copy(twin, remap)
         for node in self.nodes:
             remap[id(node)].relink(remap)
         twin.stored, twin.root = self.stored, twin.nodes[0]
@@ -309,8 +304,7 @@ class _Tree:
         """Drop the run's k lowest guesses and return their count of
         branches spawned."""
         spawned = sum(self.taken[:k])
-        for guesses in self._per_guess():
-            del guesses[:k]
+        del self.run[:k], self.taken[:k]
         return spawned
 
 
@@ -441,7 +435,7 @@ class _CardNode:
                                  None, None, 0] for j in range(k, 1, -1))
         self.waiting = [c for c in self.waiting if c[2] is None]
 
-    def copy(self, tree: "CardTree", remap: dict, lo: int, hi: int):
+    def copy(self, tree: "CardTree", remap: dict):
         twin = remap[id(self)] = _CardNode(tree, self.s, self.g, [list(c) for c in self.chains])
         twin.best, twin.times, twin.waiting = self.best, self.times, self.waiting
         remap.update(zip(map(id, self.chains), twin.chains))
@@ -534,17 +528,21 @@ class CardTree(_Tree):
 # matroid branch tree
 
 
-def _upto(v: list, k4: int, n: int, x, none: int = 0) -> list:
-    """Per target ``(num, den)`` of ``v``, how many of its ``n`` threshold
-    indices b = 0..n-1 lie at a level b*num/(den*k4) <= x, for an integer
-    ``x``; ``none`` for each when ``x`` is None, an infinite run bound. A
-    target <= 0 puts every index at level -inf."""
+def _upto(run: list, t: tuple, k4: int, n: int, x, none: int = 0) -> list:
+    """Per guess v = num/den of ``run``, how many of its ``n`` threshold
+    indices b = 0..n-1 lie at a level b*t(v)/k4 <= x, for the target ``t``
+    and an integer ``x``; ``none`` for each when ``x`` is None, an
+    infinite run bound. A guess with t(v) <= 0 puts every index at level
+    -inf."""
     if x is None:
-        return [none] * len(v)
+        return [none] * len(run)
+    alpha, beta, delta = t
+    xk = x * k4 * delta
     out = []
-    for num, den in v:
-        if num > 0:
-            c = x * k4 * den // num + 1
+    for _, num, den in run:
+        tn = alpha * num - beta * den
+        if tn > 0:
+            c = xk * den // tn + 1
             out.append(n if c > n else c if c > 0 else 0)
         else:
             out.append(n)
@@ -554,29 +552,30 @@ def _upto(v: list, k4: int, n: int, x, none: int = 0) -> list:
 class _MatNode:
     """One invocation of the matroid procedure for every guess of its
     tree's run: the carried independent set I, the pinned set of its
-    residual ``g``, with its load ``iload``, and per guess j a target
-    ``v[j]`` as a ``(num, den)`` pair.
+    residual ``g``, with its load ``iload``, and the target ``t``, affine
+    in the guess as a cardinality chain's: the root's is (1, 0, 1), and
+    the child on a gain gets (1 - 1/K^4)*t(v) - 2*gain.
 
-    For each threshold index b (0..beta, with acceptance bar b*v/K^4) the
-    node grows a tracking set T_b of accepted elements; every acceptance
+    For each threshold index b (0..beta, with acceptance bar b*t(v)/K^4)
+    the node grows a tracking set T_b of accepted elements; every acceptance
     logically spawns a child conditioned on that element. Children are
     shared across threshold indices that accept the same element at the
     same arrival, which is pure memoization of identical invocations, and
     across the guesses of the run, which all accept it. A fallback
     candidate (the best singleton extending I) is always kept. The
-    residual, I, the fallback and ``children`` are those of every guess;
-    only the targets are kept per guess.
+    residual, I, the target, the fallback and ``children`` are those of
+    every guess.
 
-    T_b depends on the guess only through its level b*v/K^4: the node's
+    T_b depends on the guess only through its level b*t(v)/K^4: the node's
     gains and independence tests are the same for every guess, and an
     element joins the greedy set at level L exactly when L <= gain. So
     the node keeps one list of ``runs`` for the whole run of guesses,
     ``(lo, hi, T, load)`` in level order, where every level in (lo, hi]
     holds T and ``load`` is the matroid load of I + T. The bounds are
     gains, so integers; ``lo`` None is -inf and ``hi`` None is +inf, and
-    the runs tile that extended line. A target v <= 0 puts all its
+    the runs tile that extended line. A guess with t(v) <= 0 puts all its
     indices at level -inf, in the lowest run: every gain clears every bar
-    of such a target, a negative one included. A run whose I + T has
+    of such a guess, a negative one included. A run whose I + T has
     reached the rank is closed: it keeps T and its load is None. A node
     with k = 1 tracks nothing and has no runs.
 
@@ -590,11 +589,11 @@ class _MatNode:
     which feeds the tree's ``taken``.
     """
 
-    __slots__ = ("k", "v", "g", "iload", "best_single", "runs", "children")
+    __slots__ = ("k", "t", "g", "iload", "best_single", "runs", "children")
 
-    def __init__(self, tree: "MatroidTree", k: int, v: list, g: Residual, iload):
+    def __init__(self, tree: "MatroidTree", k: int, t: tuple, g: Residual, iload):
         self.k = k
-        self.v = v
+        self.t = t
         self.g = g
         self.iload = iload
         self.best_single = None
@@ -628,19 +627,19 @@ class _MatNode:
             return None
         fits, plus = matroid.fits, matroid.plus
         room = tree.rank - len(g.pinned)
-        v, k4, n = self.v, tree.k4, tree.beta + 1
+        run, t, k4, n = tree.run, self.t, tree.k4, tree.beta + 1
         counts = None
         for i, (lo, hi, tracked, load) in enumerate(runs):
             if lo is not None and lo >= gain:
                 break  # every level of this run and the later ones is above the gain
             if load is None or not fits(load, e):
                 continue
-            below = _upto(v, k4, n, lo)
+            below = _upto(run, t, k4, n, lo)
             if hi is not None and hi <= gain:
-                top, upto = hi, _upto(v, k4, n, hi)
+                top, upto = hi, _upto(run, t, k4, n, hi)
             else:
-                top, upto = gain, _upto(v, k4, n, gain)
-                if upto == _upto(v, k4, n, hi, n):
+                top, upto = gain, _upto(run, t, k4, n, gain)
+                if upto == _upto(run, t, k4, n, hi, n):
                     top = hi  # no index lies above the gain: the run takes e whole
             part = [b - a for a, b in zip(below, upto)]
             if not any(part):
@@ -662,14 +661,15 @@ class _MatNode:
     def branch(self, tree: "MatroidTree", e: int, gain: int):
         """Spawn the child conditioned on ``e`` for every guess of the run."""
         k4 = tree.k4
-        # v_next = (1 - 1/K^4) v - 2 gain
-        v = [((k4 - 1) * num - 2 * gain * k4 * den, k4 * den) for num, den in self.v]
-        child = _MatNode(tree, self.k - 1, v, self.g.extend(e, gain),
+        alpha, beta, delta = self.t
+        # t_next(v) = (1 - 1/K^4) t(v) - 2 gain
+        t = ((k4 - 1) * alpha, (k4 - 1) * beta + 2 * gain * k4 * delta, k4 * delta)
+        child = _MatNode(tree, self.k - 1, t, self.g.extend(e, gain),
                          tree.matroid.plus(self.iload, e))
         self.children[e] = (child, gain)
 
-    def copy(self, tree: "MatroidTree", remap: dict, lo: int, hi: int):
-        twin = remap[id(self)] = _MatNode(tree, self.k, self.v[lo:hi], self.g, self.iload)
+    def copy(self, tree: "MatroidTree", remap: dict):
+        twin = remap[id(self)] = _MatNode(tree, self.k, self.t, self.g, self.iload)
         twin.runs, twin.best_single = list(self.runs), self.best_single
         twin.children = self.children
 
@@ -695,8 +695,9 @@ class MatroidTree(_Tree):
     """Event-driven tree under a matroid constraint for a run of guesses.
 
     Every guess of the run has the same nodes, with the same residuals,
-    fallbacks, children and threshold runs over levels; per guess, each
-    node keeps only its target (:class:`_MatNode`).
+    targets, fallbacks, children and threshold runs over levels
+    (:class:`_MatNode`); the tree keeps only ``run`` and ``taken`` per
+    guess.
 
     The tree is cut where two adjacent guesses disagree on whether some
     node spawns a child for e (:meth:`_MatNode.offer`). Index 0's bar is 0,
@@ -732,7 +733,7 @@ class MatroidTree(_Tree):
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
-        self.root = _MatNode(self, k, [as_pair(v)], Residual(gate), matroid.load(frozenset()))
+        self.root = _MatNode(self, k, (1, 0, 1), Residual(gate), matroid.load(frozenset()))
 
     @classmethod
     def check_size(cls, rank: int):
@@ -740,10 +741,6 @@ class MatroidTree(_Tree):
             raise InvalidParams(
                 f"rank {rank} branch tree is Theta(K^5)-wide per node; "
                 f"ranks above {cls.MAX_RANK} are not supported")
-
-    def join(self, index: int, v: tuple[int, int]):
-        super().join(index, v)
-        self.root.v.append(v)
 
     # hooked by class, as CardTree.step is
     step = _Tree.step
@@ -760,17 +757,14 @@ class MatroidTree(_Tree):
             if took is None or took[lo]:
                 remap.get(id(node), node).branch(self, e, gain)
 
-    def _per_guess(self) -> list:
-        return [self.run, self.taken] + [node.v for node in self.nodes]
-
     def index_runs(self, node: _MatNode, j: int) -> list:
         """Guess j's threshold runs at ``node`` by index: ``(lo, hi, T,
         load)`` for each run of the node that holds the indices lo..hi of
         the guess, in order, tiling 0..beta."""
-        v, k4, n = node.v[j:j + 1], self.k4, self.beta + 1
+        run, t, k4, n = self.run[j:j + 1], node.t, self.k4, self.beta + 1
         out = []
         for lo, hi, tracked, load in node.runs:
-            (a,), (b,) = _upto(v, k4, n, lo), _upto(v, k4, n, hi, n)
+            (a,), (b,) = _upto(run, t, k4, n, lo), _upto(run, t, k4, n, hi, n)
             if a < b:
                 out.append((a, b - 1, tracked, load))
         return out

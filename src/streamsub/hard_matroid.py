@@ -32,12 +32,15 @@ def blue_ceiling(K: int, class_index: int) -> int:
 
 
 def _level(t: int, reds: tuple, blues: tuple) -> int:
-    # blues must already be clamped; level j covers the last j classes and
-    # is built from level j-1, bottom up, with (2j-3)! carried along
+    # level j covers the last j classes and is built from level j-1,
+    # bottom up, with (2j-3)! carried along; class i's blues count up to
+    # its ceiling 2(j-1), so d is clamped at 0
     value, fact = reds[t - 1], 1
     for j in range(2, t + 1):
         i = t - j
         d = 2 * (j - 1) - blues[i]
+        if d < 0:
+            d = 0
         scale = 2 * fact * (1 - reds[i]) + (fact - value) * (d - 1)
         fact *= (2 * j - 2) * (2 * j - 1)
         value = fact - scale * d
@@ -45,7 +48,7 @@ def _level(t: int, reds: tuple, blues: tuple) -> int:
 
 
 def level_value(t: int, reds, blues) -> int:
-    """Recursion value on the last t classes; blues are clamped here.
+    """Recursion value on the last t classes; ``_level`` clamps the blues.
 
     Checked profiles are memoized as given, filled lazily, so large-K
     instances only pay for the profiles they actually touch. An
@@ -73,8 +76,7 @@ def _checked_level(t: int, reds: tuple, blues: tuple) -> int:
         raise InvalidParams("red entries must be 0/1")
     if any(not isinstance(b, int) or b < 0 for b in blues):
         raise InvalidParams("blue counts must be non-negative integers")
-    clamped = tuple(min(b, blue_ceiling(t, j + 1)) for j, b in enumerate(blues))
-    return _level(t, reds, clamped)
+    return _level(t, reds, blues)
 
 
 @lru_cache(maxsize=8192)
@@ -85,7 +87,7 @@ def _packed_level(layout: tuple[int, int], packed: int) -> int:
     w = m.bit_length()
     field = (1 << w) - 1
     reds = tuple((packed >> (K * w + i)) & 1 for i in range(K))
-    blues = tuple(min((packed >> (i * w)) & field, blue_ceiling(K, i + 1)) for i in range(K))
+    blues = tuple((packed >> (i * w)) & field for i in range(K))
     return _level(K, reds, blues)
 
 
@@ -171,8 +173,8 @@ class MatHardInstance:
     i-1``, with w = ``m.bit_length()``, so a class's blue count (at most
     m-1) never carries into the next field. That integer is the packed
     :meth:`profile_of` profile; ``_packed_level`` unpacks it on a memo
-    miss, clamps the blues at ``blue_ceiling`` and calls ``_level``, so
-    every value comes from the same exact recursion.
+    miss and calls ``_level``, which clamps the blues at
+    ``blue_ceiling``, so every value comes from the same exact recursion.
     """
 
     kind, distribution = "hard-matroid", "class-blocks"

@@ -282,7 +282,7 @@ def guess_runs(tree, node):
     (``MatroidTree.index_runs``), and for a reference node, the runs of
     its guess."""
     if isinstance(node, _MatNode):
-        return [tree.index_runs(node, j) for j in range(len(node.v))]
+        return [tree.index_runs(node, j) for j in range(len(tree.run))]
     return [node.runs]
 
 

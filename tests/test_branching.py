@@ -1268,17 +1268,14 @@ class TestSplitsShareNothing:
     """The split step copies a tree for each sub-run of its guesses and
     cuts the lists it keeps per guess. After every step of a guess driver,
     every live tree keeps one entry per guess of its run in each of those
-    lists (``run`` and ``taken``; for matroid trees also every node's
-    ``v``), and no two trees share a mutable container: a per-guess list,
-    a node, its chains or ``waiting`` list, its ``children`` or its
-    ``runs``. :meth:`drive` returns the count of copies the splits made,
-    so that a case can check that it split."""
+    lists, ``run`` and ``taken``, and no two trees share a mutable
+    container: a per-guess list, a node, its chains or ``waiting`` list,
+    its ``children`` or its ``runs``. :meth:`drive` returns the count of
+    copies the splits made, so that a case can check that it split."""
 
     @staticmethod
     def containers(tree) -> list:
         per_guess = [tree.run, tree.taken]
-        if isinstance(tree, MatroidTree):
-            per_guess += [node.v for node in tree.nodes]
         assert all(len(guesses) == len(tree.run) for guesses in per_guess)
         out = [*per_guess, tree.nodes, tree.asked, *tree.nodes]
         for node in tree.nodes:
@@ -1415,7 +1412,9 @@ class TestLevelRuns:
         driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
         driver.step(0, 1)
         child, _ = driver.roots[0].root.children[1]
-        assert [num > 0 for num, _ in child.v] == [False, False, False, True]
+        alpha, beta, _ = child.t
+        assert [alpha * num - beta * den > 0 for _, num, den in driver.roots[0].run] == \
+            [False, False, False, True]
         driver.step(1, 2)
         assert [[i for i, _, _ in t.run] for t in dict.fromkeys(driver.roots.values())] == \
             [[0, 1, 2], [3]]

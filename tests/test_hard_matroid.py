@@ -67,10 +67,14 @@ class TestLevelValue:
     @given(data=st.data(), t=st.integers(1, 200))
     def test_loop_matches_the_recursion(self, data, t):
         """The bottom-up loop gives the value of the recursion on slices
-        (``_reference.ref_level``) on random clamped profiles."""
+        (``_reference.ref_level``) on random profiles, clamped ones and
+        ones with blue counts up to 3 above a class's ceiling, which the
+        loop clamps itself."""
         reds = tuple(data.draw(st.lists(st.integers(0, 1), min_size=t, max_size=t)))
-        blues = tuple(data.draw(st.integers(0, blue_ceiling(t, j + 1))) for j in range(t))
-        assert _level(t, reds, blues) == ref_level(t, reds, blues)
+        over = data.draw(st.integers(0, 3))
+        blues = tuple(data.draw(st.integers(0, blue_ceiling(t, j + 1) + over)) for j in range(t))
+        clamped = tuple(min(b, blue_ceiling(t, j + 1)) for j, b in enumerate(blues))
+        assert _level(t, reds, blues) == ref_level(t, reds, clamped)
 
 
 class TestProfileValue:
