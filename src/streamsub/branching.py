@@ -800,8 +800,8 @@ class GuessDriver:
     champion with its value queried once more through the gate.
     ``champion_v`` is the guess that produced the champion. The trees are
     :class:`CardTree` on a ``UniformMatroid`` and :class:`MatroidTree` on any
-    other matroid, unless ``constraint`` ("cardinality" or "matroid") says;
-    a budget above the tree's cap is refused here, before any element.
+    other matroid; a budget above the tree's cap is refused here, before
+    any element.
 
     ``roots`` maps each live guess index to its tree. A tree of either
     kind stands for a contiguous run of guesses: the guesses that enter in
@@ -818,15 +818,11 @@ class GuessDriver:
     one step.
     """
 
-    def __init__(self, gate: QueryGate, matroid: Matroid, eps, constraint: str | None = None):
-        if constraint is None:
-            constraint = "cardinality" if isinstance(matroid, UniformMatroid) else "matroid"
-        elif constraint not in ("cardinality", "matroid"):
-            raise InvalidParams(f"unknown constraint kind {constraint!r}")
+    def __init__(self, gate: QueryGate, matroid: Matroid, eps):
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
-        if constraint == "cardinality":
+        if isinstance(matroid, UniformMatroid):
             CardTree.check_size(self.K)
             self._new_tree = partial(CardTree, gate, self.K, self.K)
         else:

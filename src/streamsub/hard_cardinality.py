@@ -10,11 +10,9 @@ value reachable without hoarding reds stays well below the optimum
 ``profile_value(0, K-1, 1)``.
 
 All values are exact integers. Every gain at ``CardHardParams.blue_cap``
-blues or more is 0, so one memo over profiles with the blue count clamped
-there serves every value. An instance's oracle reaches it through a
-second memo keyed by the packed profile integer (see
-:class:`CardHardInstance`); both are bounded in size, as in
-``hard_matroid``.
+blues or more is 0, so one bounded memo, keyed by the packed profile
+integer with the blue count clamped there (see :class:`CardHardInstance`),
+serves both ``profile_value`` and an instance's oracle.
 The shape parameter h (>= K) controls the gap; ``ratio_bound`` picks the
 h that minimizes the reachable/optimal ratio for a given K, and
 ``check_closed_forms`` checks the landmarks above.
@@ -80,20 +78,13 @@ def red_marginal(params: CardHardParams, b: int, r: int) -> int:
 
 
 def blue_marginal(params: CardHardParams, b: int, with_purple: int) -> int:
-    """Gain of one more blue on top of b blues, no reds, purple optional."""
-    K, h = params.K, params.h
-    if b < 0:
-        raise InvalidParams("negative blue count")
-    if not with_purple:
-        return red_marginal(params, b, 0)
-    if b <= h:
-        return K - 1
-    if b <= h + 2 * (K - 2):
-        return K - 1 - (b - h + 1) // 2
-    return 0
+    """Gain of one more blue on top of b blues, no reds, purple optional:
+    K-1 with the purple up to h blues, else the first red's gain."""
+    if with_purple and 0 <= b <= params.h:
+        return params.K - 1
+    return red_marginal(params, b, 0)
 
 
-@lru_cache(maxsize=8192)
 def _value(params: CardHardParams, b: int, r: int, p: int) -> int:
     # b must already be clamped to params.blue_cap
     base = params.h * (params.h + 1) // 2 if p else 0
@@ -120,7 +111,9 @@ def profile_value(params: CardHardParams, b: int, r: int, p: int) -> int:
         raise InvalidParams(f"red count {r} outside 0..{params.reds}")
     if p not in (0, 1):
         raise InvalidParams("purple count must be 0 or 1")
-    return _value(params, min(b, params.blue_cap), r, p)
+    w = params.n.bit_length()
+    return _packed_value((params.n, params.K, params.h),
+                         min(b, params.blue_cap) | r << w | p << 2 * w)
 
 
 def _reachable(K: int, h: int) -> tuple[int, int]:

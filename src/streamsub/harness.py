@@ -31,7 +31,7 @@ from .coverage import CoverageInstance
 from .errors import InvalidParams
 from .oracles import ElementStorePolicy, OracleAudit, QueryGate, StrongPolicy, WeakPolicy
 from .rng import derive_seed
-from .samplers import default_distribution, sample_stream
+from .samplers import sample_stream
 
 SCHEMA_VERSION = 1
 
@@ -223,7 +223,7 @@ def run_trial(instance, algorithm: str, eps, trial_seed: int, optimum: int,
               watcher=None) -> TrialResult:
     if optimum == 0:
         raise InvalidParams("the instance's optimum is 0, so no ratio is defined")
-    distribution = distribution or default_distribution(instance)
+    distribution = distribution or instance.distribution
     stream = sample_stream(instance, distribution, trial_seed)
     if policy_kind not in POLICIES:
         raise InvalidParams(f"unknown policy {policy_kind!r}")
@@ -263,7 +263,7 @@ def run_experiment(instance, algorithm: str = "branching", epsilon="1/10",
     config = {"kind": params.pop("kind"), "seed": params.pop("seed"), "params": params,
               "algorithm": algorithm, "epsilon": str(to_fraction(epsilon)),
               "trials": trials, "distribution": distribution or "", "policy": policy}
-    distribution = distribution or default_distribution(instance)
+    distribution = distribution or instance.distribution
     if not _offline(algorithm):
         # what the algorithm refuses is refused before the optimum is paid for
         make_streaming_algorithm(algorithm, QueryGate(instance.fn), instance, epsilon)
@@ -353,7 +353,7 @@ def canonical_audit(instance, algorithm: str, trials: int, seed: int,
     reds = getattr(instance, "red_ids", None)
     if reds is None:
         raise InvalidParams(f"a {instance.kind} instance has no hidden reds to audit")
-    distribution = default_distribution(instance)
+    distribution = instance.distribution
     opt = exact_optimum(instance)
     bound = instance.output_bound
     deviations = 0

@@ -31,10 +31,6 @@ DISTRIBUTIONS = {
 }
 
 
-def default_distribution(instance) -> str:
-    return instance.distribution
-
-
 def sample_stream(instance, distribution: str, seed: int) -> tuple[int, ...]:
     if distribution not in DISTRIBUTIONS:
         raise IncompatibleDistribution(f"unknown distribution {distribution!r}")

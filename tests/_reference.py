@@ -57,7 +57,7 @@ from math import factorial
 from streamsub.branching import (CardTree, GuessGrid, MatroidTree, _MatNode, as_pair,
                                 to_fraction)
 from streamsub.errors import GroundSetTooLarge, InvalidParams, PolicyViolation
-from streamsub.hard_cardinality import blue_marginal, red_marginal
+from streamsub.hard_cardinality import red_marginal
 from streamsub.hard_matroid import blue_ceiling
 from streamsub.matroids import Matroid, UniformMatroid
 from streamsub.oracles import CheckReport, QueryGate, Residual, SetFunction, _mask_set
@@ -832,6 +832,21 @@ def closed_form_3class(reds, blues):
     return 120 - (12 * s3 + (2 * s2 + s1 * (d2 - 1)) * d2 * (d3 - 1)) * d3
 
 
+def ref_blue_marginal(params, b, with_purple):
+    """Gain of one more blue on top of b blues, no reds, purple optional,
+    as one piece per range of b."""
+    K, h = params.K, params.h
+    if b < 0:
+        raise InvalidParams("negative blue count")
+    if not with_purple:
+        return red_marginal(params, b, 0)
+    if b <= h:
+        return K - 1
+    if b <= h + 2 * (K - 2):
+        return K - 1 - (b - h + 1) // 2
+    return 0
+
+
 _prefix_cache: dict = {}
 
 
@@ -845,7 +860,7 @@ def _blue_prefix(params, b, with_purple):
         sums = _prefix_cache[key] = [base]
     while len(sums) <= b:
         j = len(sums) - 1
-        sums.append(sums[-1] + blue_marginal(params, j, with_purple))
+        sums.append(sums[-1] + ref_blue_marginal(params, j, with_purple))
     return sums[b]
 
 

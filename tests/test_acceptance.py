@@ -31,7 +31,8 @@ from streamsub.hard_matroid import output_bound as mat_bound
 from streamsub.harness import canonical_audit, stream_run
 from streamsub.oracles import OracleAudit, QueryGate, WeakPolicy, \
     verify_monotone_submodular
-from streamsub.samplers import default_distribution, sample_stream
+from streamsub.matroids import PartitionMatroid, UniformMatroid
+from streamsub.samplers import sample_stream
 from streamsub.tables import emit_table
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
@@ -224,9 +225,13 @@ def driver_runs():
     results = []
 
     def run_one(instance, constraint, stream_seed, tag):
-        stream = sample_stream(instance, default_distribution(instance), stream_seed)
+        stream = sample_stream(instance, instance.distribution, stream_seed)
         gate = QueryGate(instance.fn, WeakPolicy(instance.matroid), OracleAudit())
-        driver = GuessDriver(gate, instance.matroid, eps, constraint)
+        matroid = instance.matroid
+        if constraint == "matroid" and isinstance(matroid, UniformMatroid):
+            # matroid trees on a cardinality budget: one class of capacity K
+            matroid = PartitionMatroid([0] * matroid.n, capacity=matroid.rank)
+        driver = GuessDriver(gate, matroid, eps)
         solution, value = stream_run(driver, stream, gate)
         _, opt = brute_force_optimum(instance.fn, instance.matroid)
         results.append({

@@ -35,8 +35,8 @@ def weak_gate(fn, matroid):
     return QueryGate(fn, WeakPolicy(matroid), OracleAudit())
 
 
-def run_driver(stream, gate, matroid, eps, constraint):
-    driver = GuessDriver(gate, matroid, eps, constraint)
+def run_driver(stream, gate, matroid, eps):
+    driver = GuessDriver(gate, matroid, eps)
     solution, value = stream_run(driver, stream, gate)
     return driver, solution, value
 
@@ -562,7 +562,7 @@ class TestGuessDriver:
         f = additive([2] * 6)
         m = UniformMatroid(6, 3)
         gate = weak_gate(f, m)
-        _, solution, value = run_driver(list(range(6)), gate, m, "1/10", "cardinality")
+        _, solution, value = run_driver(list(range(6)), gate, m, "1/10")
         assert value == 6
         assert len(solution) == 3
         assert m.is_independent(solution)
@@ -583,8 +583,7 @@ class TestGuessDriver:
         inst = CoverageInstance(8, 12, 3, 11)
         gate = weak_gate(inst.fn, inst.matroid)
         eps = Fraction(1, 10)
-        driver, solution, _ = run_driver(list(range(8)), gate, inst.matroid, eps,
-                                         "cardinality")
+        driver, solution, _ = run_driver(list(range(8)), gate, inst.matroid, eps)
         import math
         K = 3
         window_span = (1 + eps) ** 2 * K / eps
@@ -595,12 +594,13 @@ class TestGuessDriver:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 7), K=st.integers(1, 3),
            eps=st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(1)]),
-           constraint=st.sampled_from(["cardinality", "matroid"]), data=st.data())
-    def test_spawns_each_window_index_once(self, seed, n, K, eps, constraint, data):
+           one_class=st.booleans(), data=st.data())
+    def test_spawns_each_window_index_once(self, seed, n, K, eps, one_class, data):
         inst = CoverageInstance(n, 12, K, seed)
         stream = data.draw(st.permutations(range(n)))
         gate = weak_gate(inst.fn, inst.matroid)
-        driver = GuessDriver(gate, inst.matroid, eps, constraint)
+        matroid = PartitionMatroid([0] * n, capacity=K) if one_class else inst.matroid
+        driver = GuessDriver(gate, matroid, eps)
         moves, spawned = [], []
         advance, spawn = driver.grid.advance, driver._spawn
 
@@ -619,19 +619,18 @@ class TestGuessDriver:
         assert spawned == sorted(union) == [i for entered, _, _ in moves for i in entered]
         assert driver.roots_spawned == len(spawned)
 
-    @pytest.mark.parametrize("matroid,constraint,tree", [
-        (UniformMatroid(6, 3), None, CardTree),
-        (PartitionMatroid([0, 0, 1, 1, 2, 2]), None, branching.MatroidTree),
-        (PartitionMatroid([0, 0, 1, 1, 2, 2]), "cardinality", CardTree),
+    @pytest.mark.parametrize("matroid,tree", [
+        (UniformMatroid(6, 3), CardTree),
+        (PartitionMatroid([0, 0, 1, 1, 2, 2]), branching.MatroidTree),
+        (PartitionMatroid([0] * 6, capacity=3), branching.MatroidTree),
     ])
-    def test_the_matroid_picks_the_tree(self, matroid, constraint, tree):
-        """With no ``constraint`` a uniform matroid gets cardinality trees
-        and a partition matroid matroid trees, which the weak policy lets
-        run; an explicit ``constraint`` overrides the choice, here with
-        trees that ignore the classes and need the strong policy."""
+    def test_the_matroid_picks_the_tree(self, matroid, tree):
+        """A uniform matroid gets cardinality trees and any other matroid,
+        a one-class partition matroid included, matroid trees, which the
+        weak policy lets run."""
         fn = additive([3, 2, 2, 1, 4, 1])
-        gate = weak_gate(fn, matroid) if constraint is None else QueryGate(fn, StrongPolicy())
-        driver = GuessDriver(gate, matroid, "1/10", constraint)
+        gate = weak_gate(fn, matroid)
+        driver = GuessDriver(gate, matroid, "1/10")
         roots, spawn = [], driver._spawn
 
         def record_spawn(i):
@@ -641,7 +640,7 @@ class TestGuessDriver:
         driver._spawn = record_spawn
         solution, _ = stream_run(driver, range(6), gate)
         assert roots and set(roots) == {tree}
-        assert matroid.is_independent(solution) or constraint is not None
+        assert matroid.is_independent(solution)
 
     def test_card_cap_runs_every_benchmark_budget(self, monkeypatch):
         """``CardTree.MAX_K`` refuses the K=12 probe and still runs every
@@ -673,7 +672,7 @@ class TestGuessDriver:
         inst = CoverageInstance(8, 12, (seed % 3) + 1, 500 + seed)
         stream = sample_stream(inst, "uniform", seed)
         gate = weak_gate(inst.fn, inst.matroid)
-        _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "cardinality")
+        _, solution, value = run_driver(stream, gate, inst.matroid, "1/10")
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
         K = inst.matroid.rank
         assert value >= (Fraction(K, 2 * K - 1) - Fraction(1, 5)) * opt
@@ -685,7 +684,8 @@ class TestGuessDriver:
         inst = CoverageInstance(7, 12, (seed % 3) + 1, 900 + seed)
         stream = sample_stream(inst, "uniform", seed)
         gate = weak_gate(inst.fn, inst.matroid)
-        _, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
+        one_class = PartitionMatroid([0] * inst.n, capacity=inst.matroid.rank)
+        _, solution, value = run_driver(stream, gate, one_class, "1/10")
         _, opt = brute_force_optimum(inst.fn, inst.matroid)
         K = inst.matroid.rank
         assert value >= (Fraction(1, 2) - Fraction(1, 2 * K) - Fraction(1, 5)) * opt
@@ -696,7 +696,7 @@ class TestGuessDriver:
         inst = MatHardInstance(MatHardParams(2, 3), 3)
         stream = sample_stream(inst, "class-blocks", 1)
         gate = weak_gate(inst.fn, inst.matroid)
-        driver, solution, value = run_driver(stream, gate, inst.matroid, "1/10", "matroid")
+        driver, solution, value = run_driver(stream, gate, inst.matroid, "1/10")
         # reachable bound K*(2K-2)! = 4; target (1/2 - 1/(2K)) of best guess
         assert value >= Fraction(1, 4) * driver.champion_v
         assert value >= 4
@@ -705,8 +705,7 @@ class TestGuessDriver:
     def test_v_used_is_exact_rational(self):
         inst = CoverageInstance(6, 10, 2, 77)
         gate = weak_gate(inst.fn, inst.matroid)
-        driver, solution, _ = run_driver(list(range(6)), gate, inst.matroid, "1/10",
-                                         "cardinality")
+        driver, solution, _ = run_driver(list(range(6)), gate, inst.matroid, "1/10")
         assert driver.champion_v is None or isinstance(driver.champion_v, Fraction)
         assert inst.matroid.is_independent(solution)
 
@@ -840,7 +839,7 @@ class TestLoadsDifferential:
                                    trace=True)
         elif alg == "driver":
             def make(gate, matroid):
-                return GuessDriver(gate, matroid, Fraction(1, 4), "matroid")
+                return GuessDriver(gate, matroid, Fraction(1, 4))
         else:
             def make(gate, matroid):
                 return SieveStreaming(gate, matroid, Fraction(1, 4))
@@ -943,8 +942,8 @@ class TestRunsDifferential:
         stream = sample_stream(inst, "class-blocks", m)
         per_index = partial(PerGuessMatroidTree, node=PerIndexMatNode)
         self.check(inst.fn, inst.matroid, stream,
-                   lambda gate, matroid: GuessDriver(gate, matroid, Fraction(1, 4), "matroid"),
-                   lambda gate, matroid: PerGuessDriver(gate, matroid, Fraction(1, 4), "matroid",
+                   lambda gate, matroid: GuessDriver(gate, matroid, Fraction(1, 4)),
+                   lambda gate, matroid: PerGuessDriver(gate, matroid, Fraction(1, 4),
                                                         mat_tree=per_index))
 
     @settings(max_examples=60, deadline=None)

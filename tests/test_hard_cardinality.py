@@ -11,7 +11,7 @@ from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_m
                                         profile_value, ratio_bound, red_marginal)
 from streamsub.oracles import CheckReport, verify_monotone_submodular
 
-from _reference import prefix_profile_value
+from _reference import prefix_profile_value, ref_blue_marginal
 
 P44 = CardHardParams(n=14, K=4, h=4)
 
@@ -60,6 +60,20 @@ class TestBlueMarginal:
         for params in (P44, CardHardParams(40, 6, 9)):
             for b in range(30):
                 assert blue_marginal(params, b, 0) == red_marginal(params, b, 0)
+
+    def test_matches_piecewise_rule(self):
+        for K in range(2, 11):
+            for h in range(K, 3 * K + 1):
+                params = CardHardParams(2 * K, K, h)
+                for b in range(params.blue_cap + 4):
+                    for p in (0, 1):
+                        assert blue_marginal(params, b, p) == ref_blue_marginal(params, b, p), \
+                            (K, h, b, p)
+
+    def test_negative_blue_count(self):
+        for p in (0, 1):
+            with pytest.raises(InvalidParams, match="^negative blue count$"):
+                blue_marginal(P44, -1, p)
 
 
 class TestProfileValue:

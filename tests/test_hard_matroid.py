@@ -407,7 +407,7 @@ class TestMemoBound:
         memos = self.memos()
         assert {("streamsub.hard_matroid", "_packed_level"),
                 ("streamsub.hard_matroid", "_checked_level"),
-                ("streamsub.hard_cardinality", "_value")} <= set(memos)
+                ("streamsub.hard_cardinality", "_packed_value")} <= set(memos)
         for memo in memos.values():
             assert memo.cache_parameters()["maxsize"] is not None
 

@@ -12,7 +12,7 @@ from streamsub.harness import (ALGORITHMS, build_instance, canonical_audit, exac
                                make_streaming_algorithm, report_to_json, run_experiment,
                                run_trial, stream_run, wilson_interval)
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
-from streamsub.matroids import UniformMatroid
+from streamsub.matroids import PartitionMatroid, UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate, WeakPolicy,
                                additive)
 from streamsub.samplers import sample_stream
@@ -150,11 +150,11 @@ class TestMemoDifferential:
     the memoizing gate as with a gate that evaluates every query."""
 
     @staticmethod
-    def drive(gate_cls, instance, constraint, stream):
+    def drive(gate_cls, instance, matroid, stream):
         audit = OracleAudit(record_log=True)
         policy = WeakPolicy(instance.matroid)
         gate = gate_cls(instance.fn, policy, audit)
-        driver = GuessDriver(gate, instance.matroid, Fraction(1, 10), constraint)
+        driver = GuessDriver(gate, matroid, Fraction(1, 10))
         solution, value = stream_run(driver, stream, gate)
         assert instance.matroid.is_independent(solution)
         return {"solution": solution, "value": value,
@@ -164,9 +164,9 @@ class TestMemoDifferential:
                 "violations": len(audit.rejected), "log": audit.log,
                 "rejected": audit.rejected}, audit
 
-    def check(self, instance, constraint, stream):
-        got, audit = self.drive(QueryGate, instance, constraint, stream)
-        want, _ = self.drive(PlainGate, instance, constraint, stream)
+    def check(self, instance, matroid, stream):
+        got, audit = self.drive(QueryGate, instance, matroid, stream)
+        want, _ = self.drive(PlainGate, instance, matroid, stream)
         assert got == want
         assert audit.oracle_calls <= audit.query_count
 
@@ -175,14 +175,14 @@ class TestMemoDifferential:
     def test_hard_cardinality(self, K, stream_seed):
         inst = CardHardInstance(CardHardParams(3 * K, K, K), 77)
         stream = sample_stream(inst, "purple-last", stream_seed)
-        self.check(inst, "cardinality", stream)
+        self.check(inst, inst.matroid, stream)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_coverage(self, seed):
         inst = CoverageInstance(8, 12, (seed % 3) + 1, seed)
         stream = sample_stream(inst, "uniform", seed)
-        self.check(inst, "cardinality", stream)
-        self.check(inst, "matroid", stream)
+        self.check(inst, inst.matroid, stream)
+        self.check(inst, PartitionMatroid([0] * inst.n, capacity=inst.K), stream)
 
 
 def ask(gate, subset):

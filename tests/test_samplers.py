@@ -4,7 +4,7 @@ from streamsub.coverage import CoverageInstance
 from streamsub.errors import IncompatibleDistribution
 from streamsub.hard_cardinality import CardHardInstance, CardHardParams
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
-from streamsub.samplers import default_distribution, sample_stream
+from streamsub.samplers import sample_stream
 
 
 class TestCardOrdering:
@@ -63,6 +63,6 @@ class TestDeterminismAndSpread:
             sample_stream(inst, "zigzag", 0)
 
     def test_defaults_by_kind(self):
-        assert default_distribution(CoverageInstance(5, 8, 2, 1)) == "uniform"
-        assert default_distribution(CardHardInstance(CardHardParams(8, 3, 3), 1)) == "purple-last"
-        assert default_distribution(MatHardInstance(MatHardParams(2, 2), 1)) == "class-blocks"
+        assert CoverageInstance(5, 8, 2, 1).distribution == "uniform"
+        assert CardHardInstance(CardHardParams(8, 3, 3), 1).distribution == "purple-last"
+        assert MatHardInstance(MatHardParams(2, 2), 1).distribution == "class-blocks"
