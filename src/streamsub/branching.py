@@ -32,10 +32,11 @@ its guesses. A node's threshold runs are over the acceptance levels
 b*t(v)/K^4, not over each guess's indices b, so one list of them serves
 every guess; the tree splits where adjacent guesses disagree on whether
 a node spawns a child. A tree keeps per guess only its ``run`` and
-``taken``. The driver steps each run once and replays the run's queries
-through the gate for its other guesses
-(:meth:`~streamsub.oracles.QueryGate.replay`), so the query count and
-log are those of one tree per guess.
+``taken``. Copies share residuals, and only the first node to offer an
+element on a residual asks the gate, uncounted; each tree counts all its
+nodes' queries (:meth:`~streamsub.oracles.QueryGate.replay`) once per
+guess of its run, so the query count and log are those of one tree per
+guess.
 
 Numeric conventions: function values are exact integers. A guess value
 v is an exact rational kept as an integer pair ``(num, den)`` with
@@ -213,19 +214,20 @@ class _Tree:
     reference cycle and is freed once dropped.
 
     :meth:`step`, the one split step of both trees, runs in three phases.
-    (1) Every pre-step node is offered ``e``, queries its gain at most once
-    for the whole run, records the query and its count in ``asked``, and
-    returns an offer if some guess takes ``e``. (2) Where the guesses
-    disagree on an offer (:meth:`_cuts`), the still unchanged tree is
-    copied once for each sub-run above such a cut, the copies sharing its
-    residuals, and keeps the lowest sub-run, cutting ``run`` and
+    (1) Every pre-step node is offered ``e``, reads its gain from its
+    residual (which asks the gate, uncounted, once per step), records the
+    query and its count in ``asked``, and returns an offer if some guess
+    takes ``e``; then the gate counts ``asked`` once for each guess of the
+    run (:meth:`~streamsub.oracles.QueryGate.replay`). (2) Where the
+    guesses disagree on an offer (:meth:`_cuts`), the still unchanged tree
+    is copied once for each sub-run above such a cut, the copies sharing
+    its residuals, and keeps the lowest sub-run, cutting ``run`` and
     ``taken``. (3) Each tree applies the offers its guesses take
     (:meth:`_apply`), mapping the stepped tree's nodes to its own. An offer
     changes only its node, the node's new child and the tree's counters,
     so the offers of one step are independent, and each tree makes the run
     its guesses would have made alone. A child made in (3) first sees the
-    next element. :meth:`step` returns the copies; a driver replays
-    ``asked`` once for each other guess of the run. A kind of tree supplies
+    next element. :meth:`step` returns the copies. A kind of tree supplies
     only ``_cuts``, ``_apply`` and its nodes' ``copy`` and ``relink``; a
     matroid tree also ``COPIED``.
     """
@@ -233,7 +235,8 @@ class _Tree:
     # what a copy takes over besides the attributes set here
     COPIED: tuple = ()
 
-    def __init__(self, run: list, trace: bool):
+    def __init__(self, gate: QueryGate, run: list, trace: bool):
+        self.gate = gate
         self.run = run
         self.nodes: list = []
         self.asked: list = []
@@ -266,6 +269,7 @@ class _Tree:
             offer = node.offer(self, e)
             if offer is not None:
                 offers.append(offer)
+        self.gate.replay(self.asked, len(self.run))
         if not offers:
             return []
         twins = []
@@ -288,7 +292,7 @@ class _Tree:
         # not copy.copy: it reads the __dict__ of both trees, and CPython's
         # attribute access on an instance slows once its __dict__ is read
         twin = object.__new__(type(self))
-        _Tree.__init__(twin, self.run[lo:hi], self.trace_log is not None)
+        _Tree.__init__(twin, self.gate, self.run[lo:hi], self.trace_log is not None)
         twin.taken = self.taken[lo:hi]
         for name in self.COPIED:
             setattr(twin, name, getattr(self, name))
@@ -382,7 +386,7 @@ class _CardNode:
         tree.nodes.append(self)
 
     def offer(self, tree: "CardTree", e: int):
-        """Query the gain of ``e`` once for all invocations, record the
+        """Read the gain of ``e`` once for all invocations, record the
         query and its count in ``tree.asked`` and keep the best singleton.
         Return None if no waiting chain's bar clears the run's lowest
         guess, else ``(self, gain, takes)`` with one ``(chain, cut)`` per
@@ -394,9 +398,10 @@ class _CardNode:
             waiting = self.waiting = [c for c in self.chains if c[0] > 1] if s > 1 else []
             self.times = len(self.chains) + sum(c[0] - 1 for c in waiting)
         g = self.g
-        query = g.pinned | {e}
-        gain = g.gate.value(query, self.times) - g.base
-        tree.asked.append((query, self.times))
+        if g.last != e:
+            g.ask(e)
+        gain = g.gain
+        tree.asked.append((g.query, self.times))
         if self.best is None:
             tree.stored += len(self.chains)
         if self.best is None or gain > self.best[1]:
@@ -469,6 +474,8 @@ class CardTree(_Tree):
     are one tree for as long as they make the same take/skip decisions. A
     gain clears the bar of a chain for a prefix of the run
     (:meth:`_CardNode.offer`), and the tree is cut where one ends inside it.
+    A node reads one gain per step for all its invocations, and the tree
+    counts that query once per invocation and guess.
 
     Each node keeps taking singletons, so every node stays live.
     ``stored`` counts, for each guess of the run, one element per leaf
@@ -486,7 +493,7 @@ class CardTree(_Tree):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
         self.check_size(max(k, s))
-        super().__init__([(index, *as_pair(v))], trace)
+        super().__init__(gate, [(index, *as_pair(v))], trace)
         self.root = _CardNode(self, s, Residual(gate), [[k, (1, 0, 1), None, None, 0]])
 
     @classmethod
@@ -604,7 +611,7 @@ class _MatNode:
         tree.stored += len(g.pinned)
 
     def offer(self, tree: "MatroidTree", e: int):
-        """When I + e is independent, query the gain of ``e`` once for the
+        """When I + e is independent, read the gain of ``e`` once for the
         whole run, record the query in ``tree.asked``, keep the fallback
         and offer ``e`` to the runs. Return None if no guess takes ``e``,
         else ``(self, gain, took)`` with ``took`` None if every guess takes
@@ -613,9 +620,10 @@ class _MatNode:
         if not matroid.fits(self.iload, e):
             return None
         g = self.g
-        query = g.pinned | {e}
-        gain = g.gate.value(query) - g.base
-        tree.asked.append((query, 1))
+        if g.last != e:
+            g.ask(e)
+        gain = g.gain
+        tree.asked.append((g.query, 1))
         best = self.best_single
         if best is None:
             tree.stored += 1
@@ -728,7 +736,7 @@ class MatroidTree(_Tree):
         self.check_size(rank)
         if k < 1:
             raise InvalidParams("need k >= 1")
-        super().__init__([(index, *as_pair(v))], trace)
+        super().__init__(gate, [(index, *as_pair(v))], trace)
         self.matroid = matroid
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
@@ -807,13 +815,13 @@ class GuessDriver:
     kind stands for a contiguous run of guesses: the guesses that enter in
     one step join one new tree, and a tree splits only where its guesses
     stop making the same decisions. Each step steps every distinct tree
-    once, in ascending guess order, registers the copies it returns, and
-    replays the tree's queries through
-    :meth:`~streamsub.oracles.QueryGate.replay` once for each other guess
-    of its run. So the query count, the query log (guess by guess, as one
-    tree per guess would make it), the oracle calls and the refusals are
-    those of one tree per guess, and so are the footprint, the stored set
-    and the counters, which the trees keep per guess where guesses differ.
+    once, in ascending guess order, and registers the copies it returns;
+    the tree counts its queries once for each guess of its run, and
+    nothing queries between its offers and that count (:class:`_Tree`).
+    So the query count, the query log (guess by guess, as one tree per
+    guess would make it), the oracle calls and the refusals are those of
+    one tree per guess, and so are the footprint, the stored set and the
+    counters, which the trees keep per guess where guesses differ.
     A tree's solution is computed once for all its guesses that retire in
     one step.
     """
@@ -876,15 +884,12 @@ class GuessDriver:
             for i in entered:
                 self._spawn(i)
         roots = self.roots
-        replay = self.gate.replay
         # roots keeps its keys ascending, so the distinct trees come in
         # ascending guess order
         for tree in dict.fromkeys(roots.values()):
-            others = len(tree.run) - 1
             for twin in tree.step(t, e):
                 for i, _, _ in twin.run:
                     roots[i] = twin
-            replay(tree.asked, others)
         if len(roots) > self.live_roots_peak:
             self.live_roots_peak = len(roots)
 

@@ -65,11 +65,14 @@ class CardHardParams:
 
 def red_marginal(params: CardHardParams, b: int, r: int) -> int:
     """Gain of one more red on top of b blues and r reds (purple-independent)."""
-    K, h = params.K, params.h
-    if not (0 <= r <= K - 2):
+    if not (0 <= r <= params.K - 2):
         raise InvalidParams(f"red index {r} outside 0..K-2")
     if b < 0:
         raise InvalidParams("negative blue count")
+    return _red(params.K, params.h, b, r)
+
+
+def _red(K: int, h: int, b: int, r: int) -> int:
     if b <= h + r:
         return K - 1 + h - b
     if b <= h + 2 * (K - 2) - r:
@@ -85,22 +88,22 @@ def blue_marginal(params: CardHardParams, b: int, with_purple: int) -> int:
     return red_marginal(params, b, 0)
 
 
-def _value(params: CardHardParams, b: int, r: int, p: int) -> int:
-    # b must already be clamped to params.blue_cap
-    base = params.h * (params.h + 1) // 2 if p else 0
-    return (base + sum(blue_marginal(params, j, p) for j in range(b))
-            + sum(red_marginal(params, b, i) for i in range(r)))
+def _value(K: int, h: int, b: int, r: int, p: int) -> int:
+    # b is clamped to the blue cap; the j-th blue gains blue_marginal's gain
+    base = h * (h + 1) // 2 if p else 0
+    return (base + sum(K - 1 if p and j <= h else _red(K, h, j, 0) for j in range(b))
+            + sum(_red(K, h, b, i) for i in range(r)))
 
 
 @lru_cache(maxsize=8192)
-def _packed_value(layout: tuple[int, int, int], packed: int) -> int:
-    # layout is (n, K, h); packed holds b, r and p in fields of
-    # n.bit_length() bits, blue lowest
-    params = CardHardParams(*layout)
-    w = params.n.bit_length()
+def _packed_value(layout: tuple[int, int, int, int], packed: int) -> int:
+    # layout is (n, K, h, blue_cap) of checked params; packed holds b, r
+    # and p in fields of n.bit_length() bits, blue lowest
+    n, K, h, cap = layout
+    w = n.bit_length()
     field = (1 << w) - 1
     b, r, p = packed & field, (packed >> w) & field, packed >> 2 * w
-    return _value(params, min(b, params.blue_cap), r, p)
+    return _value(K, h, min(b, cap), r, p)
 
 
 def profile_value(params: CardHardParams, b: int, r: int, p: int) -> int:
@@ -112,7 +115,7 @@ def profile_value(params: CardHardParams, b: int, r: int, p: int) -> int:
     if p not in (0, 1):
         raise InvalidParams("purple count must be 0 or 1")
     w = params.n.bit_length()
-    return _packed_value((params.n, params.K, params.h),
+    return _packed_value((params.n, params.K, params.h, params.blue_cap),
                          min(b, params.blue_cap) | r << w | p << 2 * w)
 
 
@@ -208,7 +211,7 @@ class CardHardInstance:
         self.colors = tuple(colors)
         w = params.n.bit_length()
         unit = {BLUE: 1, RED: 1 << w, PURPLE: 1 << 2 * w}
-        self._layout = (params.n, params.K, params.h)
+        self._layout = (params.n, params.K, params.h, params.blue_cap)
         self._units = list(map(unit.__getitem__, colors))
         self.fn = SetFunction(params.n, self._value, name=self.kind)
         self.matroid = UniformMatroid(params.n, params.K)

@@ -29,8 +29,9 @@ Outside a stream nothing is memoized.
 
 A :class:`Residual` is the conditioned view ``g(T) = f(T | S) - f(S)``
 that the branch trees query: it holds the pinned set ``S`` and the value
-``f(S)``, and sends every query through a gate, so the policy checks and
-the audit see each one.
+``f(S)``, and sends every query through a gate, so the policy checks see
+each one. A branch tree asks with ``times`` 0, which counts and logs
+nothing, and then counts its step's queries with :meth:`QueryGate.replay`.
 """
 
 from __future__ import annotations
@@ -168,9 +169,9 @@ class OracleAudit:
 
 class QueryGate:
     """Front door for every value query of one run; :meth:`value` is its
-    one query method, and :meth:`replay` only repeats what it answered. A
-    refused query is recorded in ``audit.rejected`` and raised as
-    :class:`PolicyViolation`, never revealing its value.
+    one query method, and :meth:`replay` only counts again what it
+    answered. A refused query is recorded in ``audit.rejected`` and raised
+    as :class:`PolicyViolation`, never revealing its value.
 
     Inside a stream step (``audit.step >= 0``) accepted values are memoized
     until the step changes, and the memo answers first: a hit only counts
@@ -225,26 +226,30 @@ class QueryGate:
         return result
 
     def replay(self, asked: list, repeats: int):
-        """Answer ``repeats`` more rounds of ``asked``, ``(subset, times)``
-        pairs with frozenset subsets, as ``value(subset, times)`` for each
-        pair in order, round after round, would. When this step's memo
-        holds every subset, the count grows in one operation and the log,
-        when kept, by the same entries in the same order. Otherwise each
-        pair goes through :meth:`value`, so every check runs and a refusal
-        raises and is recorded."""
-        if repeats < 1 or not asked:
-            return
+        """Answer ``repeats`` rounds of ``asked``, ``(subset, times)`` pairs
+        with frozenset subsets, as ``value(subset, times)`` for each pair in
+        order, round after round, would; a branch tree counts its nodes'
+        asks here. When this step's memo holds every subset, the count grows
+        in one operation and the log, when kept, by the same entries in the
+        same order. Otherwise each pair goes through :meth:`value`, so every
+        check runs and a refusal raises and is recorded."""
         audit, memo = self.audit, self._memo
-        if self._memo_step != audit.step or not all(subset in memo for subset, _ in asked):
-            for _ in range(repeats):
-                for subset, times in asked:
-                    self.value(subset, times)
-            return
-        audit.query_count += repeats * sum(times for _, times in asked)
-        if audit.record_log:
-            step = audit.step
-            audit.log.extend([(step, subset) for subset, times in asked
-                              for _ in range(times)] * repeats)
+        if self._memo_step == audit.step:
+            count = 0
+            for subset, times in asked:
+                if subset not in memo:
+                    break
+                count += times
+            else:
+                audit.query_count += repeats * count
+                if audit.record_log:
+                    step = audit.step
+                    audit.log.extend([(step, subset) for subset, times in asked
+                                      for _ in range(times)] * repeats)
+                return
+        for _ in range(repeats):
+            for subset, times in asked:
+                self.value(subset, times)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +262,29 @@ class Residual:
     ``value(T) = f(T | S) - f(S)``, every query going through ``gate``.
     ``f(S)`` is queried once at construction unless ``base`` supplies it;
     :meth:`extend` pins one more element whose gain is already known and
-    derives the new base arithmetically instead of re-querying.
+    derives the new base arithmetically instead of re-querying. A branch
+    node asks for the gain of an element ``last`` with :meth:`ask` unless
+    ``last`` is already that element, as it is for the nodes of a tree's
+    copies that share the residual, and reads ``query`` and ``gain``.
     """
 
-    __slots__ = ("gate", "pinned", "base")
+    __slots__ = ("gate", "pinned", "base", "last", "query", "gain")
 
     def __init__(self, gate, pinned=frozenset(), base=None):
         self.gate = gate
         self.pinned = frozenset(pinned)
         self.base = gate.value(self.pinned) if base is None else base
+        self.last = None
 
     def value(self, subset) -> int:
         return self.gate.value(self.pinned | frozenset(subset)) - self.base
+
+    def ask(self, e: int):
+        """Ask the gate for ``S + e``, uncounted, and keep it as ``query``
+        and its gain as ``gain``."""
+        query = self.pinned | {e}
+        self.gain = self.gate.value(query, 0) - self.base
+        self.last, self.query = e, query
 
     def extend(self, e: int, gain: int) -> "Residual":
         return Residual(self.gate, self.pinned | {e}, self.base + gain)

@@ -4,6 +4,7 @@ import pathlib
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -1334,6 +1335,77 @@ class TestSplitsShareNothing:
         fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 11), max_size=5),
                                                  min_size=n, max_size=n)))
         self.drive(fn, UniformMatroid(n, K), data.draw(st.permutations(range(n))), eps)
+
+
+class TestTwinsAskOnce:
+    """The copies a split makes share the tree's residuals, and a node
+    reads its gain from its residual: in each step the gate is asked at
+    most once per residual object, always with ``times`` 0, while the
+    twins' offers on the same residual still reach it. The trees count
+    the queries, so the query count, the full query log, the oracle
+    calls, the refusals and ``max_stored`` equal those of one tree per
+    guess (``PerGuessDriver``), under all three policies."""
+
+    @staticmethod
+    def run(alg, gate, stream, wrap):
+        offers, asks, keep = [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            if wrap:
+                real_value = QueryGate.value
+                current = []
+
+                def value(gate, subset, times=1):
+                    if current:
+                        asks.append((gate.audit.step, id(current[-1]), times))
+                    return real_value(gate, subset, times)
+
+                def offering(offer):
+                    def wrapped(node, tree, e):
+                        # holding the residual keeps its id unique
+                        keep.append(node.g)
+                        offers.append((gate.audit.step, id(node.g)))
+                        current.append(node.g)
+                        try:
+                            return offer(node, tree, e)
+                        finally:
+                            current.pop()
+                    return wrapped
+
+                mp.setattr(QueryGate, "value", value)
+                for node in (branching._CardNode, branching._MatNode):
+                    mp.setattr(node, "offer", offering(node.offer))
+            solution, val = stream_run(alg, stream, gate)
+        audit = gate.audit
+        return offers, asks, {
+            "solution": solution, "value": val, "queries": audit.query_count,
+            "log": audit.log, "oracle_calls": audit.oracle_calls,
+            "rejected": audit.rejected, "max_stored": audit.max_stored}
+
+    def check(self, fn, matroid, stream, eps):
+        for policy in TestChainsDifferential.POLICIES:
+            gate, ref_gate = policy_gate(fn, policy), policy_gate(fn, policy)
+            offers, asks, got = self.run(GuessDriver(gate, matroid, eps), gate, stream, True)
+            _, _, want = self.run(PerGuessDriver(ref_gate, matroid, eps), ref_gate, stream,
+                                  False)
+            assert got == want
+            asked = [(step, residual) for step, residual, _ in asks]
+            assert len(asked) == len(set(asked))
+            assert {times for _, _, times in asks} == {0}
+            assert set(asked) <= set(offers)
+            # twins read a gain the gate gave another node on their residual
+            assert {key for key, n in Counter(offers).items() if n > 1} & set(asked)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_hard_cardinality(self, seed):
+        inst = CardHardInstance(CardHardParams(24, 4, 4), seed)
+        self.check(inst.fn, inst.matroid, sample_stream(inst, "purple-last", seed),
+                   Fraction(1, 10))
+
+    @pytest.mark.parametrize("K,m,seed", [(3, 3, 0), (3, 3, 1), (4, 3, 1)])
+    def test_hard_matroid(self, K, m, seed):
+        inst = MatHardInstance(MatHardParams(K, m), seed)
+        self.check(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed),
+                   Fraction(1, 4))
 
 
 class TestLevelRuns:

@@ -82,6 +82,17 @@ class TestGoldenRunReport:
         assert self._hard_cardinality_branching_bytes(tmp_path, "csv") == \
             (GOLDEN / "run_hard_cardinality_K4.csv").read_bytes()
 
+    def test_hard_cardinality_K6_branching_report_bytes(self, tmp_path):
+        # the benchmark's driver-card shape (K=6, n=80, h=6): its runs of
+        # guesses split, and the copies share their residuals
+        inst_file = _gen(tmp_path, "--kind", "hard-cardinality", "--K", "6", "--n", "80",
+                         "--h", "6", "--seed", "5")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--epsilon", "1/10", "--distribution", "purple-last",
+                     "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_hard_cardinality_K6.json").read_bytes()
+
     def test_coverage_branching_report_bytes(self, tmp_path):
         # 38 live guesses in 2 runs after the first element; by the last,
         # the runs have split into 4 to 11 trees, by trial

@@ -353,6 +353,61 @@ class TestReplay:
         assert gate.audit.query_count == 2
         assert gate.audit.log == [(4, frozenset({0}))] * 2
 
+    @pytest.mark.parametrize("record_log", [True, False])
+    @pytest.mark.parametrize("repeats", [0, 1, 3])
+    @pytest.mark.parametrize("extra", [None, "missing", "refused"])
+    @pytest.mark.parametrize("step_mode", ["same", "moved", "outside"])
+    def test_differs_from_the_value_loop_in_nothing(self, step_mode, extra, repeats,
+                                                    record_log):
+        """A branch tree's pattern: each subset is asked with ``times`` 0,
+        then the step's pairs, a ``times`` of 0 among them, are counted by
+        ``replay``. The step may have moved on since the asks, or be -1
+        (outside a stream), and ``asked`` may hold a subset the step has
+        not answered, which an element-store window may refuse."""
+        answered = self.ASKED + [(frozenset({1}), 0)]
+        asked = answered + {None: [], "missing": [(frozenset({1, 2}), 2)],
+                            "refused": [(frozenset({3}), 1)]}[extra]
+        got, want = (self.store_gate(step_mode, record_log) for _ in range(2))
+        for gate in (got, want):
+            for subset, _ in answered:
+                gate.value(subset, 0)
+            if step_mode == "moved":
+                gate.audit.step = 5
+
+        def per_call():
+            for _ in range(repeats):
+                for subset, times in asked:
+                    want.value(subset, times)
+        outcomes = []
+        for answer in (lambda: got.replay(asked, repeats), per_call):
+            try:
+                answer()
+                outcomes.append(None)
+            except PolicyViolation as refusal:
+                outcomes.append(refusal.args)
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is not None) == (extra == "refused" and repeats > 0)
+        assert self.summary(got) == self.summary(want)
+        # a refusal ends the first round, after the 7 queries before it
+        rounds = min(repeats, 1) if extra == "refused" else repeats
+        assert got.audit.query_count == (7 + 2 * (extra == "missing")) * rounds
+
+    @staticmethod
+    def store_gate(step_mode, record_log):
+        # the window is {0, 1, 2}: ids 0 and 1 stored, 2 arriving
+        policy = ElementStorePolicy()
+        policy.commit({0, 1})
+        policy.begin_step(2)
+        audit = OracleAudit(step=-1 if step_mode == "outside" else 4, record_log=record_log)
+        return QueryGate(SetFunction(4, len), policy, audit)
+
+    def test_times_zero_counts_and_logs_nothing(self):
+        gate = self.gate()
+        assert gate.value({0, 1}, 0) == 2
+        assert gate.value({0, 1}, 0) == 2
+        audit = gate.audit
+        assert audit.query_count == 0 and audit.log == [] and audit.oracle_calls == 1
+
 
 class TestGroundSet:
     """Ids outside 0..n-1 raise before any policy sees them, inside and
