@@ -21,22 +21,22 @@ guesses v = (1+eps)^i and the window of them that the best singleton so
 far selects; the driver here and the sieve in :mod:`streamsub.baselines`
 share it.
 
-A tree of either kind stands for a contiguous run of guesses for as long
-as their trees make the same decisions, and splits where they stop, in
-``_Tree.step``, the one split step of both kinds; each kind says only
-where its guesses disagree. The guess enters a cardinality tree only
-through its take bars, so a :class:`CardTree` splits where an offered
-gain clears the bar of the run's lower guesses and not of its upper
-ones. A :class:`MatroidTree` shares every node, target included, among
-its guesses. A node's threshold runs are over the acceptance levels
-b*t(v)/K^4, not over each guess's indices b, so one list of them serves
-every guess; the tree splits where adjacent guesses disagree on whether
-a node spawns a child. A tree keeps per guess only its ``run`` and
-``taken``. Copies share residuals, and only the first node to offer an
-element on a residual asks the gate, uncounted; each tree counts all its
-nodes' queries (:meth:`~streamsub.oracles.QueryGate.replay`) once per
-guess of its run, so the query count and log are those of one tree per
-guess.
+A tree of either kind serves the guesses that entered the window in one
+step, for as long as they are live. Each node serves a contiguous
+interval of them, at first all; where its guesses disagree on an offer,
+in ``_Tree.step``, that node alone splits into variants, one per
+sub-interval, which copy its own state and share its residual and the
+children made before the split. What the guesses agree on stays one
+object. A variant links to the next, so a guess finds its variant of a
+child by following the links. A :class:`CardTree` node splits where a
+gain clears a chain's take bar for a prefix of its guesses only. A
+:class:`MatroidTree` node's threshold runs are over the acceptance
+levels b*t(v)/K^4, not over each guess's indices b, so one list of them
+serves all its guesses; the node splits where adjacent guesses disagree
+on whether it spawns a child. Only the first node to offer an element on
+a residual asks the gate, uncounted; each tree counts its nodes' queries
+(:meth:`~streamsub.oracles.QueryGate.replay`) once per guess each node
+serves, so the query count and log are those of one tree per guess.
 
 Numeric conventions: function values are exact integers. A guess value
 v is an exact rational kept as an integer pair ``(num, den)`` with
@@ -201,48 +201,34 @@ class GuessGrid:
 
 
 class _Tree:
-    """What both branch trees share. A tree stands for ``run``, an
-    ascending list of guesses ``(index, num, den)``: it is built for one
-    guess, and :class:`GuessDriver` joins to it the guesses that enter its
-    window in the same step. ``nodes`` holds every node ever created, in
-    creation order, and ``asked`` the ``(query, times)`` pairs of the last
-    step. ``stored`` counts the elements that each guess of the run holds
-    alike, and ``taken[j]`` the branches that guess j has spawned, each of
-    which holds one element more; :meth:`footprint` sums both. When
-    tracing, ``trace_log`` gets one ``(id(node), t)`` per offer. Nodes keep
-    no reference to their tree, which passes itself in, so a tree holds no
-    reference cycle and is freed once dropped.
-
-    :meth:`step`, the one split step of both trees, runs in three phases.
-    (1) Every pre-step node is offered ``e``, reads its gain from its
-    residual (which asks the gate, uncounted, once per step), records the
-    query and its count in ``asked``, and returns an offer if some guess
-    takes ``e``; then the gate counts ``asked`` once for each guess of the
-    run (:meth:`~streamsub.oracles.QueryGate.replay`). (2) Where the
-    guesses disagree on an offer (:meth:`_cuts`), the still unchanged tree
-    is copied once for each sub-run above such a cut, the copies sharing
-    its residuals, and keeps the lowest sub-run, cutting ``run`` and
-    ``taken``. (3) Each tree applies the offers its guesses take
-    (:meth:`_apply`), mapping the stepped tree's nodes to its own. An offer
-    changes only its node, the node's new child and the tree's counters,
-    so the offers of one step are independent, and each tree makes the run
-    its guesses would have made alone. A child made in (3) first sees the
-    next element. :meth:`step` returns the copies. A kind of tree supplies
-    only ``_cuts``, ``_apply`` and its nodes' ``copy`` and ``relink``; a
-    matroid tree also ``COPIED``.
+    """What both branch trees share. ``run`` is the ascending list of the
+    live guesses ``(index, num, den)``, with consecutive indices: a tree is
+    built for one guess, and :class:`GuessDriver` joins to it the guesses
+    that enter the window in the same step. ``nodes`` holds the live nodes
+    in creation order, each variant right after the one it split from;
+    ``asked`` holds a ``(query, times, guesses)`` triple per query of the
+    last step. A node's ``run`` lists the guesses it serves: the tree's
+    own ``run``, which only changes in place, until the node splits, then
+    a list built at the split; ``next`` is its variant for the guesses
+    above. ``split`` tells whether any node has split.
+    Per guess, ``alike`` counts the elements of the nodes that serve all
+    the guesses, ``stored[j]`` those of guess j's other nodes, and
+    ``taken[j]`` the branches guess j has spawned, each of which holds one
+    element more. When tracing, ``trace_log`` gets one ``(id(node), t)``
+    per offer. Nodes keep no reference to their tree, which passes itself
+    in, so a tree holds no reference cycle.
     """
-
-    # what a copy takes over besides the attributes set here
-    COPIED: tuple = ()
 
     def __init__(self, gate: QueryGate, run: list, trace: bool):
         self.gate = gate
         self.run = run
         self.nodes: list = []
         self.asked: list = []
-        self.stored = 0
         self.trace_log: list | None = [] if trace else None
+        self.alike = 0
+        self.stored = [0] * len(run)
         self.taken = [0] * len(run)
+        self.split = False
 
     @property
     def branches_spawned(self) -> int:
@@ -251,17 +237,26 @@ class _Tree:
 
     def footprint(self) -> int:
         """The elements the tree holds, summed over its guesses."""
-        return self.stored * len(self.run) + sum(self.taken)
+        held = self.alike * len(self.run) + sum(self.taken)
+        return held + sum(self.stored) if self.split else held
 
     def join(self, index: int, v: tuple[int, int]):
         """Add guess ``index`` of value ``v`` on top of the run, before the
         tree's first step."""
         self.run.append((index, *v))
+        self.stored.append(0)
         self.taken.append(0)
 
-    def step(self, t: int, e: int) -> list:
+    def step(self, t: int, e: int):
+        """(1) Offer ``e`` to every node made before this step; a node
+        records its query in ``asked`` and, if a guess it serves takes
+        ``e``, returns ``(node, gain, parts)``: per part of its guesses that
+        agree, the part's end and what it takes. The gate counts each query
+        once per guess of its node. (2) Each offer splits its node into its
+        parts, each of which takes what it takes. A child first sees the
+        next element."""
         trace = self.trace_log
-        self.asked = []
+        asked = self.asked = []
         offers = []
         for node in self.nodes:  # (1)
             if trace is not None:
@@ -269,47 +264,78 @@ class _Tree:
             offer = node.offer(self, e)
             if offer is not None:
                 offers.append(offer)
-        self.gate.replay(self.asked, len(self.run))
-        if not offers:
-            return []
-        twins = []
-        cuts = self._cuts(offers)
-        if cuts:  # (2)
-            for lo, hi in zip(cuts, cuts[1:] + [len(self.run)]):
-                twin, remap = self._copy(lo, hi)
-                twin._apply(e, offers, lo, hi, remap)
-                twins.append(twin)
-            del self.run[cuts[0]:], self.taken[cuts[0]:]
-        self._apply(e, offers, 0, len(self.run), {})  # (3)
-        return twins
+        count = 0
+        for _, times, run in asked:
+            count += times * len(run)
+        # the log: guess by guess, each guess's queries in the order of its nodes
+        self.gate.replay(count, lambda: [(query, times) for index, _, _ in self.run
+                                         for query, times, run in asked
+                                         if run[0][0] <= index <= run[-1][0]])
+        for node, gain, parts in offers:  # (2)
+            start, last = 0, parts[-1][0]
+            for end, what in parts:
+                twin = self._split(node, end - start) if end < last else None
+                if what:
+                    node.take(self, e, gain, what)
+                start, node = end, twin
 
-    def _copy(self, lo: int, hi: int) -> tuple["_Tree", dict]:
-        """This tree for the guesses at positions ``lo..hi-1`` of its run,
-        sharing its residuals, and a map from the id of each node (and of
-        each chain of a cardinality node) to its copy. A node's ``copy``
-        adds its copy to the twin and maps it; ``relink`` then points the
-        copy at the copies of the nodes and chains it names."""
-        # not copy.copy: it reads the __dict__ of both trees, and CPython's
-        # attribute access on an instance slows once its __dict__ is read
-        twin = object.__new__(type(self))
-        _Tree.__init__(twin, self.gate, self.run[lo:hi], self.trace_log is not None)
-        twin.taken = self.taken[lo:hi]
-        for name in self.COPIED:
-            setattr(twin, name, getattr(self, name))
-        remap = {}
-        for node in self.nodes:
-            node.copy(twin, remap)
-        for node in self.nodes:
-            remap[id(node)].relink(remap)
-        twin.stored, twin.root = self.stored, twin.nodes[0]
-        return twin, remap
+    def _split(self, node, cut: int):
+        """Hand the guesses of ``node`` from position ``cut`` on to a copy
+        of it, placed after it in ``nodes`` and in the variant links, and
+        return the copy."""
+        twin = node.variant()
+        run = node.run
+        node.run, twin.run = run[:cut], run[cut:]
+        node.next, twin.next = twin, node.next
+        self.nodes.insert(self.nodes.index(node) + 1, twin)
+        self.split = True
+        return twin
+
+    def finish(self) -> tuple[frozenset, int]:
+        """The solution of the run's lowest guess."""
+        index = self.run[0][0]
+        return self._solve(_serving(self.root, index), index)
+
+    def shared(self) -> int:
+        """How many of the run's lowest guesses the same nodes serve: up to
+        the first guess a node's run ends at, as a node's run can start
+        above the lowest guess only where another's ends."""
+        if not self.split:
+            return len(self.run)
+        return min(node.run[-1][0] for node in self.nodes) - self.run[0][0] + 1
+
+    def _hold(self, run: list, n: int):
+        # the nodes that serve `run` hold n elements more, for each guess
+        if run is self.run:
+            self.alike += n
+        else:
+            self._credit(self.stored, run, n)
+
+    def _credit(self, counts: list, run: list, n: int):
+        # add n to the entries of `counts` for the guesses of `run`
+        lo = run[0][0] - self.run[0][0]
+        hi = lo + len(run)
+        counts[lo:hi] = [c + n for c in counts[lo:hi]]
 
     def drop_lowest(self, k: int) -> int:
-        """Drop the run's k lowest guesses and return their count of
-        branches spawned."""
+        """Drop the run's k lowest guesses, and the nodes that served only
+        them, and return their count of branches spawned."""
         spawned = sum(self.taken[:k])
-        del self.run[:k], self.taken[:k]
+        del self.run[:k], self.stored[:k], self.taken[:k]
+        if self.split and self.run:
+            low = self.run[0][0]
+            nodes = [node for node in self.nodes if node.run[-1][0] >= low]
+            for node in nodes:  # once for a list that others share
+                del node.run[:max(0, low - node.run[0][0])]
+            self.nodes = nodes
         return spawned
+
+
+def _serving(node, index: int):
+    """The variant of ``node`` that serves guess ``index``."""
+    while node.run[-1][0] < index:
+        node = node.next
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +378,15 @@ class _CardNode:
     child gets t*c_j/c - gain = (alpha*c_j, beta*c_j + gain*delta*c,
     delta*c). So a gain clears the bar of the guess v = num/den exactly
     when (gain*c*delta + beta) * den >= alpha * num, and, as alpha > 0, the
-    guesses that clear it are a prefix of the tree's ascending run.
+    guesses that clear it are a prefix of the node's ascending guesses.
 
-    ``waiting`` holds the chains whose members still wait for an element
-    (k > 1, no pin, and s > 1), and ``times`` the node's query count per
-    step: one per chain for its leaf and k - 1 per waiting chain. Both are
-    built at the first offer and then only shrink, on an acceptance. That
-    is exact because a node's chains are all appended in the step that
-    created it, by its parent's offer, and a node first sees an element
-    one step later.
+    ``waiting`` holds ``(position, chain)`` for the chains whose members
+    still wait for an element (k > 1, no pin, and s > 1), and ``times`` the
+    node's query count per step: one per chain for its leaf and k - 1 per
+    waiting chain. Both are built at the first offer and then only shrink,
+    on an acceptance. That is exact because a node's chains are all
+    appended in the step that created it, by its parent's offer, and a
+    node first sees an element one step later.
 
     * One chain, one element: members k..2 share the bar t/(k+s-1), since
       t(k+s-2)/(k+s-1) / ((k-1)+s-1) = t/(k+s-1), and are created in the
@@ -374,60 +400,69 @@ class _CardNode:
       query count and log unchanged, entry for entry.
     """
 
-    __slots__ = ("s", "g", "best", "chains", "waiting", "times")
+    __slots__ = ("s", "g", "best", "chains", "waiting", "times", "run", "next")
 
-    def __init__(self, tree: "CardTree", s: int, g: Residual, chains: list):
+    def __init__(self, tree: "CardTree", s: int, g: Residual, chains: list, run: list):
         self.s = s
         self.g = g
         self.best = None
         self.chains = chains
         self.waiting = None
         self.times = 0
+        self.run = run
+        self.next = None
         tree.nodes.append(self)
 
     def offer(self, tree: "CardTree", e: int):
         """Read the gain of ``e`` once for all invocations, record the
         query and its count in ``tree.asked`` and keep the best singleton.
-        Return None if no waiting chain's bar clears the run's lowest
-        guess, else ``(self, gain, takes)`` with one ``(chain, cut)`` per
-        chain whose bar the first ``cut`` guesses of the run clear."""
+        Return None if no waiting chain's bar clears the node's lowest
+        guess, else ``(self, gain, parts)``; a chain's bar is cleared by a
+        prefix of the node's guesses, and each part takes the positions of
+        the chains whose prefix covers it."""
         s, waiting = self.s, self.waiting
         if waiting is None:
             # every chain's leaf queries, and so does each member of a
             # chain that has not taken an element yet
-            waiting = self.waiting = [c for c in self.chains if c[0] > 1] if s > 1 else []
-            self.times = len(self.chains) + sum(c[0] - 1 for c in waiting)
+            waiting = self.waiting = [(p, c) for p, c in enumerate(self.chains)
+                                      if c[0] > 1] if s > 1 else []
+            self.times = len(self.chains) + sum(c[0] - 1 for _, c in waiting)
         g = self.g
         if g.last != e:
             g.ask(e)
         gain = g.gain
-        tree.asked.append((g.query, self.times))
-        if self.best is None:
-            tree.stored += len(self.chains)
-        if self.best is None or gain > self.best[1]:
+        run = self.run
+        tree.asked.append((g.query, self.times, run))
+        best = self.best
+        if best is None:
+            tree._hold(run, len(self.chains))
+        if best is None or gain > best[1]:
             self.best = (frozenset({e}), gain)
         if not waiting:
             return None
         takes = None
-        run = tree.run
         _, num, den = run[0]
-        for chain in waiting:
+        for p, chain in waiting:
             alpha, beta, delta = chain[1]
             over = gain * (chain[0] + s - 1) * delta + beta
             if over * den >= alpha * num:
                 if takes is None:
                     takes = []
-                takes.append((chain, _cut(run, over, alpha)))
-        return None if takes is None else (self, gain, takes)
+                takes.append((p, _cut(run, over, alpha)))
+        if takes is None:
+            return None
+        ends = sorted({cut for _, cut in takes} | {len(run)})
+        return self, gain, [(end, [p for p, cut in takes if cut >= end]) for end in ends]
 
-    def take(self, tree: "CardTree", e: int, gain: int, chains: list):
-        """Pin ``e`` in each of ``chains``, waiting chains of this node in
-        order, under one new child."""
+    def take(self, tree: "CardTree", e: int, gain: int, taking: list):
+        """Pin ``e`` in each of the chains at positions ``taking``, waiting
+        chains of this node in order, under one new child."""
         s = self.s
-        child = _CardNode(tree, s - 1, self.g.extend(e, gain), [])
-        # each chain pins e in its k - 1 members, for every guess of the tree
+        child = _CardNode(tree, s - 1, self.g.extend(e, gain), [], self.run)
+        chains = [self.chains[p] for p in taking]
+        # each chain pins e in its k - 1 members, for every guess of the node
         spawned = sum(chain[0] for chain in chains) - len(chains)
-        tree.taken = [c + spawned for c in tree.taken]
+        tree._credit(tree.taken, self.run, spawned)
         self.times -= spawned
         for chain in chains:
             k = chain[0]
@@ -438,27 +473,24 @@ class _CardNode:
             over, delta_k = gain * delta * (k + s - 1), delta * (k + s - 1)
             child.chains.extend([j, (alpha * (j + s - 1), beta * (j + s - 1) + over, delta_k),
                                  None, None, 0] for j in range(k, 1, -1))
-        self.waiting = [c for c in self.waiting if c[2] is None]
+        self.waiting = [(p, c) for p, c in self.waiting if c[2] is None]
 
-    def copy(self, tree: "CardTree", remap: dict):
-        twin = remap[id(self)] = _CardNode(tree, self.s, self.g, [list(c) for c in self.chains])
-        twin.best, twin.times, twin.waiting = self.best, self.times, self.waiting
-        remap.update(zip(map(id, self.chains), twin.chains))
+    def variant(self) -> "_CardNode":
+        twin = object.__new__(_CardNode)
+        twin.s, twin.g, twin.best, twin.times = self.s, self.g, self.best, self.times
+        twin.chains = [list(c) for c in self.chains]
+        twin.waiting = [(p, twin.chains[p]) for p, _ in self.waiting]
+        return twin
 
-    def relink(self, remap: dict):
-        for chain in self.chains:
-            if chain[3] is not None:
-                chain[3] = remap[id(chain[3])]
-        self.waiting = [remap[id(chain)] for chain in self.waiting]
-
-    def solution(self, i: int) -> tuple[frozenset, int]:
-        """The solution of the head of chain ``i``."""
+    def solution(self, index: int, i: int) -> tuple[frozenset, int]:
+        """Guess ``index``'s solution of the head of chain ``i``."""
         k, _, pin, child, at = self.chains[i]
         best = self.best or (frozenset(), 0)
         if pin is not None:
             e, gain = pin
+            child = _serving(child, index)
             for j in range(2, k + 1):
-                sub, sub_val = child.solution(at + k - j)
+                sub, sub_val = child.solution(index, at + k - j)
                 if sub_val + gain > best[1]:
                     best = (sub | {e}, sub_val + gain)
         elif k > 1 and self.s > 1 and best[1] < 0:
@@ -468,22 +500,12 @@ class _CardNode:
 
 
 class CardTree(_Tree):
-    """Event-driven tree under a cardinality budget for a run of guesses.
-
-    The guess enters only the take bars, so the trees of the run's guesses
-    are one tree for as long as they make the same take/skip decisions. A
-    gain clears the bar of a chain for a prefix of the run
-    (:meth:`_CardNode.offer`), and the tree is cut where one ends inside it.
-    A node reads one gain per step for all its invocations, and the tree
-    counts that query once per invocation and guess.
-
-    Each node keeps taking singletons, so every node stays live.
-    ``stored`` counts, for each guess of the run, one element per leaf
-    with a best singleton, and each entry of ``taken`` one per internal
-    invocation that has pinned an element; these entries are equal, as
-    the guesses of a tree take the same elements. Budgets above ``MAX_K``
-    are refused: runs of guesses do not shrink the per-guess space bound
-    K*2^(2K).
+    """Event-driven tree under a cardinality budget for a run of guesses
+    (:class:`_CardNode`). Each node keeps taking singletons, so every node
+    stays live. A guess's nodes hold one element per leaf with a best
+    singleton, and ``taken`` counts one per internal invocation that has
+    pinned an element. Budgets above ``MAX_K`` are refused: runs of
+    guesses do not shrink the per-guess space bound K*2^(2K).
     """
 
     MAX_K = 10
@@ -494,7 +516,7 @@ class CardTree(_Tree):
             raise InvalidParams("need k >= 1 and s >= 1")
         self.check_size(max(k, s))
         super().__init__(gate, [(index, *as_pair(v))], trace)
-        self.root = _CardNode(self, s, Residual(gate), [[k, (1, 0, 1), None, None, 0]])
+        self.root = _CardNode(self, s, Residual(gate), [[k, (1, 0, 1), None, None, 0]], self.run)
 
     @classmethod
     def check_size(cls, k: int):
@@ -502,22 +524,9 @@ class CardTree(_Tree):
             raise InvalidParams(f"K={k} cardinality branch tree holds up to K*2^(2K) elements "
                                 f"per guess; K above {cls.MAX_K} is not supported")
 
-    # perfbench/spans.py hooks the step of each tree class by name, and
-    # resolves only a method in the class's own namespace
-    step = _Tree.step
-
-    def _cuts(self, offers: list) -> list:
-        # where the prefix of a take ends inside the run
-        n = len(self.run)
-        return sorted({cut for _, _, takes in offers for _, cut in takes if cut < n})
-
-    def _apply(self, e: int, offers: list, lo: int, hi: int, remap: dict):
-        # a chain takes e when its bar clears the first `hi` guesses of the
-        # stepped run, which this tree's guesses end
-        for node, gain, takes in offers:
-            chains = [remap.get(id(chain), chain) for chain, cut in takes if cut >= hi]
-            if chains:
-                remap.get(id(node), node).take(self, e, gain, chains)
+    # perfbench/spans.py hooks the step and finish of each tree class by
+    # name, and resolves only a method in the class's own namespace
+    step, finish = _Tree.step, _Tree.finish
 
     def stored_set(self) -> frozenset:
         out: set = set()
@@ -527,8 +536,9 @@ class CardTree(_Tree):
             out.update(pin[0] for _, _, pin, _, _ in node.chains if pin is not None)
         return frozenset(out)
 
-    def finish(self) -> tuple[frozenset, int]:
-        return self.root.solution(0)
+    @staticmethod
+    def _solve(root: _CardNode, index: int) -> tuple[frozenset, int]:
+        return root.solution(index, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +578,13 @@ class _MatNode:
     logically spawns a child conditioned on that element. Children are
     shared across threshold indices that accept the same element at the
     same arrival, which is pure memoization of identical invocations, and
-    across the guesses of the run, which all accept it. A fallback
-    candidate (the best singleton extending I) is always kept. The
-    residual, I, the target, the fallback and ``children`` are those of
-    every guess.
+    across the node's guesses. A fallback candidate (the best singleton
+    extending I) is always kept.
 
     T_b depends on the guess only through its level b*t(v)/K^4: the node's
     gains and independence tests are the same for every guess, and an
     element joins the greedy set at level L exactly when L <= gain. So
-    the node keeps one list of ``runs`` for the whole run of guesses,
+    the node keeps one list of ``runs`` for all its guesses,
     ``(lo, hi, T, load)`` in level order, where every level in (lo, hi]
     holds T and ``load`` is the matroid load of I + T. The bounds are
     gains, so integers; ``lo`` None is -inf and ``hi`` None is +inf, and
@@ -589,16 +597,16 @@ class _MatNode:
     On each offer a run ignores e, takes it on all its levels, or splits
     at the gain into a lower part (lo, gain] that takes e and an upper
     part that stays as it was. A run splits only where both parts hold an
-    index of a guess of the tree, and an acceptance whose part holds none
+    index of a guess of the node, and an acceptance whose part holds none
     is skipped: a node gains no guess once it has seen an element, so a
     level that holds no index now never will. Per guess, only the count
     of its indices in each accepting part is computed (:func:`_upto`),
     which feeds the tree's ``taken``.
     """
 
-    __slots__ = ("k", "t", "g", "iload", "best_single", "runs", "children")
+    __slots__ = ("k", "t", "g", "iload", "best_single", "runs", "children", "run", "next")
 
-    def __init__(self, tree: "MatroidTree", k: int, t: tuple, g: Residual, iload):
+    def __init__(self, tree: "MatroidTree", k: int, t: tuple, g: Residual, iload, run: list):
         self.k = k
         self.t = t
         self.g = g
@@ -607,15 +615,17 @@ class _MatNode:
         # accepted element -> (its child, its gain), in arrival order
         self.children: dict[int, tuple["_MatNode", int]] = {}
         self.runs = [(None, None, frozenset(), iload)] if k > 1 else []
+        self.run = run
+        self.next = None
         tree.nodes.append(self)
-        tree.stored += len(g.pinned)
+        tree._hold(run, len(g.pinned))
 
     def offer(self, tree: "MatroidTree", e: int):
-        """When I + e is independent, read the gain of ``e`` once for the
-        whole run, record the query in ``tree.asked``, keep the fallback
-        and offer ``e`` to the runs. Return None if no guess takes ``e``,
-        else ``(self, gain, took)`` with ``took`` None if every guess takes
-        it, else one flag per guess."""
+        """When I + e is independent, read the gain of ``e`` once for all
+        the node's guesses, record the query in ``tree.asked``, keep the
+        fallback and offer ``e`` to the runs. Return None if no guess takes
+        ``e``, else ``(self, gain, parts)``, one part for each run of
+        adjacent guesses that agree on taking it."""
         matroid = tree.matroid
         if not matroid.fits(self.iload, e):
             return None
@@ -623,10 +633,11 @@ class _MatNode:
         if g.last != e:
             g.ask(e)
         gain = g.gain
-        tree.asked.append((g.query, 1))
+        run = self.run
+        tree.asked.append((g.query, 1, run))
         best = self.best_single
         if best is None:
-            tree.stored += 1
+            tree._hold(run, 1)
             self.best_single = (gain, e)
         elif gain > best[0]:
             self.best_single = (gain, e)
@@ -635,7 +646,7 @@ class _MatNode:
             return None
         fits, plus = matroid.fits, matroid.plus
         room = tree.rank - len(g.pinned)
-        run, t, k4, n = tree.run, self.t, tree.k4, tree.beta + 1
+        t, k4, n = self.t, tree.k4, tree.beta + 1
         counts = None
         for i, (lo, hi, tracked, load) in enumerate(runs):
             if lo is not None and lo >= gain:
@@ -661,33 +672,37 @@ class _MatNode:
                 break
         if counts is None:
             return None
-        taken = tree.taken
-        for j, c in enumerate(counts):
+        taken, lo = tree.taken, run[0][0] - tree.run[0][0]
+        for j, c in enumerate(counts, lo):
             taken[j] += c
-        return self, gain, None if 0 not in counts else [c > 0 for c in counts]
+        if 0 not in counts:
+            return self, gain, [(len(counts), True)]
+        ends = [j for j in range(1, len(counts)) if (counts[j] > 0) != (counts[j - 1] > 0)]
+        return self, gain, [(end, counts[end - 1] > 0) for end in ends + [len(counts)]]
 
-    def branch(self, tree: "MatroidTree", e: int, gain: int):
-        """Spawn the child conditioned on ``e`` for every guess of the run."""
+    def take(self, tree: "MatroidTree", e: int, gain: int, took: bool):
+        """Spawn the child conditioned on ``e`` for every guess of the
+        node, which all took it."""
         k4 = tree.k4
         alpha, beta, delta = self.t
         # t_next(v) = (1 - 1/K^4) t(v) - 2 gain
         t = ((k4 - 1) * alpha, (k4 - 1) * beta + 2 * gain * k4 * delta, k4 * delta)
         child = _MatNode(tree, self.k - 1, t, self.g.extend(e, gain),
-                         tree.matroid.plus(self.iload, e))
+                         tree.matroid.plus(self.iload, e), self.run)
         self.children[e] = (child, gain)
 
-    def copy(self, tree: "MatroidTree", remap: dict):
-        twin = remap[id(self)] = _MatNode(tree, self.k, self.t, self.g, self.iload)
-        twin.runs, twin.best_single = list(self.runs), self.best_single
-        twin.children = self.children
+    def variant(self) -> "_MatNode":
+        twin = object.__new__(_MatNode)
+        twin.k, twin.t, twin.g, twin.iload = self.k, self.t, self.g, self.iload
+        twin.best_single, twin.runs, twin.children = (self.best_single, list(self.runs),
+                                                      dict(self.children))
+        return twin
 
-    def relink(self, remap: dict):
-        self.children = {e: (remap[id(child)], gain) for e, (child, gain) in self.children.items()}
-
-    def solution(self) -> tuple[frozenset, int]:
+    def solution(self, index: int) -> tuple[frozenset, int]:
+        """Guess ``index``'s solution of this node."""
         best = None
         for e, (child, gain) in self.children.items():
-            sub, sub_val = child.solution()
+            sub, sub_val = _serving(child, index).solution(index)
             cand = (sub | {e}, sub_val + gain)
             if best is None or cand[1] > best[1]:
                 best = cand
@@ -702,33 +717,25 @@ class _MatNode:
 class MatroidTree(_Tree):
     """Event-driven tree under a matroid constraint for a run of guesses.
 
-    Every guess of the run has the same nodes, with the same residuals,
-    targets, fallbacks, children and threshold runs over levels
-    (:class:`_MatNode`); the tree keeps only ``run`` and ``taken`` per
-    guess.
-
-    The tree is cut where two adjacent guesses disagree on whether some
-    node spawns a child for e (:meth:`_MatNode.offer`). Index 0's bar is 0,
-    so T_0 is the same for every guess with a positive target: guesses can
+    A node splits where two adjacent guesses disagree on whether it
+    spawns a child for e (:meth:`_MatNode.offer`). Index 0's bar is 0, so
+    T_0 is the same for every guess with a positive target: guesses can
     disagree only when T_0 cannot take e or a target is <= 0.
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above
-    ``MAX_RANK`` are refused. ``stored`` counts, for each guess of the run,
-    the carried sets I and the fallbacks of the nodes, and ``taken[j]``
-    the elements of guess j's tracking sets, one per threshold index that
-    accepted an element, which is also its count of branches spawned.
-    :meth:`stored_set` holds, besides the fallbacks, the tracking sets of
-    the runs that hold an index of a guess of the tree, not those of runs
-    that hold only indices of guesses that left it; these are the
-    elements the node's children are conditioned on, since the guesses of
-    a tree take the same elements at every node and a node spawns a child
-    exactly when they take one. :meth:`index_runs` shows a node's runs as
-    one guess's runs of indices. The stream delivers each element at
-    most once, as an ordering of the ground set does.
+    ``MAX_RANK`` are refused. A guess's nodes hold their carried sets I
+    and fallbacks, and ``taken[j]`` counts the elements of guess j's
+    tracking sets, one per threshold index that accepted an element, which
+    is also its count of branches spawned. :meth:`stored_set` holds,
+    besides the fallbacks, the tracking sets of the runs that hold an
+    index of a live guess of the node: the elements its children are
+    conditioned on, as a node spawns a child exactly when its guesses take
+    one. :meth:`index_runs` shows a node's runs as one guess's runs of
+    indices. The stream delivers each element at most once, as an ordering
+    of the ground set does.
     """
 
     MAX_RANK = 4
-    COPIED = ("matroid", "rank", "k4", "beta")
 
     def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False,
                  index: int = 0):
@@ -741,7 +748,7 @@ class MatroidTree(_Tree):
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
         self.beta = self.k4 // 2
-        self.root = _MatNode(self, k, (1, 0, 1), Residual(gate), matroid.load(frozenset()))
+        self.root = _MatNode(self, k, (1, 0, 1), Residual(gate), matroid.load(frozenset()), self.run)
 
     @classmethod
     def check_size(cls, rank: int):
@@ -750,25 +757,14 @@ class MatroidTree(_Tree):
                 f"rank {rank} branch tree is Theta(K^5)-wide per node; "
                 f"ranks above {cls.MAX_RANK} are not supported")
 
-    # hooked by class, as CardTree.step is
-    step = _Tree.step
+    # hooked by class, as CardTree's are
+    step, finish = _Tree.step, _Tree.finish
 
-    def _cuts(self, offers: list) -> list:
-        # where two adjacent guesses disagree on an offer
-        return sorted({j for _, _, took in offers if took is not None
-                       for j in range(1, len(took)) if took[j] != took[j - 1]})
-
-    def _apply(self, e: int, offers: list, lo: int, hi: int, remap: dict):
-        # the guesses of this tree, from position `lo` of the stepped run
-        # on, agree on every offer
-        for node, gain, took in offers:
-            if took is None or took[lo]:
-                remap.get(id(node), node).branch(self, e, gain)
-
-    def index_runs(self, node: _MatNode, j: int) -> list:
-        """Guess j's threshold runs at ``node`` by index: ``(lo, hi, T,
-        load)`` for each run of the node that holds the indices lo..hi of
-        the guess, in order, tiling 0..beta."""
+    def index_runs(self, node: _MatNode, index: int) -> list:
+        """Guess ``index``'s threshold runs at ``node`` by index: ``(lo,
+        hi, T, load)`` for each run of the node that holds the indices
+        lo..hi of the guess, in order, tiling 0..beta."""
+        j = index - self.run[0][0]
         run, t, k4, n = self.run[j:j + 1], node.t, self.k4, self.beta + 1
         out = []
         for lo, hi, tracked, load in node.runs:
@@ -787,8 +783,7 @@ class MatroidTree(_Tree):
                 out.add(node.best_single[1])
         return frozenset(out)
 
-    def finish(self) -> tuple[frozenset, int]:
-        return self.root.solution()
+    _solve = staticmethod(_MatNode.solution)
 
 
 # ---------------------------------------------------------------------------
@@ -811,19 +806,12 @@ class GuessDriver:
     other matroid; a budget above the tree's cap is refused here, before
     any element.
 
-    ``roots`` maps each live guess index to its tree. A tree of either
-    kind stands for a contiguous run of guesses: the guesses that enter in
-    one step join one new tree, and a tree splits only where its guesses
-    stop making the same decisions. Each step steps every distinct tree
-    once, in ascending guess order, and registers the copies it returns;
-    the tree counts its queries once for each guess of its run, and
-    nothing queries between its offers and that count (:class:`_Tree`).
-    So the query count, the query log (guess by guess, as one tree per
-    guess would make it), the oracle calls and the refusals are those of
-    one tree per guess, and so are the footprint, the stored set and the
-    counters, which the trees keep per guess where guesses differ.
-    A tree's solution is computed once for all its guesses that retire in
-    one step.
+    ``roots`` maps each live guess index to its tree: the guesses that
+    enter in one step join one new tree (see the module docstring). Each
+    step steps every distinct tree once, in ascending guess order, and
+    nothing queries between a tree's offers and its count, so the query
+    count and log, the oracle calls, the refusals, the footprint, the
+    stored set and the counters are those of one tree per guess.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps):
@@ -864,17 +852,21 @@ class GuessDriver:
 
     def _retire(self, indices):
         # guesses leave from the bottom of the window, so a tree's leaving
-        # guesses are the lowest of its run; under the strict >, the lowest
-        # of them is the one that would win a tie
+        # guesses are the lowest of its run; those the same nodes serve
+        # share a solution, and under the strict >, the lowest of them is
+        # the one that would win a tie
         leaving = {}
         for i in indices:
             leaving.setdefault(self.roots.pop(i), []).append(i)
         for tree, gone in leaving.items():
-            sol, val = tree.finish()
-            self.branches_spawned += tree.drop_lowest(len(gone))
-            if val > self.champion[1]:
-                self.champion = (sol, val)
-                self.champion_v = Fraction(*self.grid[gone[0]])
+            while gone:
+                sol, val = tree.finish()
+                k = min(len(gone), tree.shared())
+                self.branches_spawned += tree.drop_lowest(k)
+                if val > self.champion[1]:
+                    self.champion = (sol, val)
+                    self.champion_v = Fraction(*self.grid[gone[0]])
+                del gone[:k]
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
@@ -887,9 +879,7 @@ class GuessDriver:
         # roots keeps its keys ascending, so the distinct trees come in
         # ascending guess order
         for tree in dict.fromkeys(roots.values()):
-            for twin in tree.step(t, e):
-                for i, _, _ in twin.run:
-                    roots[i] = twin
+            tree.step(t, e)
         if len(roots) > self.live_roots_peak:
             self.live_roots_peak = len(roots)
 

@@ -51,8 +51,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _epsilon(text: str) -> str:
     """Normalized ``--epsilon`` value, or InvalidParams."""
-    # Python converts no int of more digits than this from or to a string
-    limit = sys.get_int_max_str_digits()
+    # Python converts no int of more digits than this from or to a string;
+    # before 3.10.7 it has no limit, read as 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     too_long = InvalidParams(f"--epsilon has more than {limit} digits in its numerator or "
                              "denominator")
     try:

@@ -30,8 +30,11 @@ Outside a stream nothing is memoized.
 A :class:`Residual` is the conditioned view ``g(T) = f(T | S) - f(S)``
 that the branch trees query: it holds the pinned set ``S`` and the value
 ``f(S)``, and sends every query through a gate, so the policy checks see
-each one. A branch tree asks with ``times`` 0, which counts and logs
-nothing, and then counts its step's queries with :meth:`QueryGate.replay`.
+each one. A branch tree asks with ``times`` 0, which runs every check and
+raises any refusal but counts and logs nothing. It then counts its
+step's queries with :meth:`QueryGate.replay`, which only adds to the
+count and the log, inside a stream step or outside one, so no query is
+evaluated twice.
 """
 
 from __future__ import annotations
@@ -169,9 +172,9 @@ class OracleAudit:
 
 class QueryGate:
     """Front door for every value query of one run; :meth:`value` is its
-    one query method, and :meth:`replay` only counts again what it
-    answered. A refused query is recorded in ``audit.rejected`` and raised
-    as :class:`PolicyViolation`, never revealing its value.
+    one query method, and :meth:`replay` only counts what it answered. A
+    refused query is recorded in ``audit.rejected`` and raised as
+    :class:`PolicyViolation`, never revealing its value.
 
     Inside a stream step (``audit.step >= 0``) accepted values are memoized
     until the step changes, and the memo answers first: a hit only counts
@@ -225,31 +228,19 @@ class QueryGate:
             audit.log.extend([(step, subset)] * times)
         return result
 
-    def replay(self, asked: list, repeats: int):
-        """Answer ``repeats`` rounds of ``asked``, ``(subset, times)`` pairs
-        with frozenset subsets, as ``value(subset, times)`` for each pair in
-        order, round after round, would; a branch tree counts its nodes'
-        asks here. When this step's memo holds every subset, the count grows
-        in one operation and the log, when kept, by the same entries in the
-        same order. Otherwise each pair goes through :meth:`value`, so every
-        check runs and a refusal raises and is recorded."""
-        audit, memo = self.audit, self._memo
-        if self._memo_step == audit.step:
-            count = 0
-            for subset, times in asked:
-                if subset not in memo:
-                    break
-                count += times
-            else:
-                audit.query_count += repeats * count
-                if audit.record_log:
-                    step = audit.step
-                    audit.log.extend([(step, subset) for subset, times in asked
-                                      for _ in range(times)] * repeats)
-                return
-        for _ in range(repeats):
-            for subset, times in asked:
-                self.value(subset, times)
+    def replay(self, count: int, asked):
+        """Count ``count`` logical queries of subsets that :meth:`value` has
+        answered with ``times`` 0 in this step, as ``value(subset, times)``
+        for each pair that ``asked()`` returns would: ``(subset, times)``
+        pairs in order, whose ``times`` add up to ``count``, asked for only
+        when the log is kept. A branch tree counts its step's queries here.
+        Nothing is checked or evaluated again: the ask ran every check, and
+        no verdict changes within a step."""
+        audit = self.audit
+        audit.query_count += count
+        if audit.record_log:
+            step = audit.step
+            audit.log.extend([(step, subset) for subset, times in asked() for _ in range(times)])
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +253,22 @@ class Residual:
     ``value(T) = f(T | S) - f(S)``, every query going through ``gate``.
     ``f(S)`` is queried once at construction unless ``base`` supplies it;
     :meth:`extend` pins one more element whose gain is already known and
-    derives the new base arithmetically instead of re-querying. A branch
-    node asks for the gain of an element ``last`` with :meth:`ask` unless
-    ``last`` is already that element, as it is for the nodes of a tree's
-    copies that share the residual, and reads ``query`` and ``gain``.
+    derives the new base arithmetically instead of re-querying, and keeps
+    the result as ``ext``, so the variants of a branch node that pin the
+    same element share it. A branch node asks for the gain of an element
+    ``last`` with :meth:`ask` unless ``last`` is already that element, as
+    it is for the variants of a node that share the residual, and reads
+    ``query`` and ``gain``.
     """
 
-    __slots__ = ("gate", "pinned", "base", "last", "query", "gain")
+    __slots__ = ("gate", "pinned", "base", "last", "query", "gain", "ext")
 
     def __init__(self, gate, pinned=frozenset(), base=None):
         self.gate = gate
         self.pinned = frozenset(pinned)
         self.base = gate.value(self.pinned) if base is None else base
         self.last = None
+        self.ext = None
 
     def value(self, subset) -> int:
         return self.gate.value(self.pinned | frozenset(subset)) - self.base
@@ -287,7 +281,9 @@ class Residual:
         self.last, self.query = e, query
 
     def extend(self, e: int, gain: int) -> "Residual":
-        return Residual(self.gate, self.pinned | {e}, self.base + gain)
+        if self.ext is None or self.ext[0] != e:
+            self.ext = e, Residual(self.gate, self.pinned | {e}, self.base + gain)
+        return self.ext[1]
 
 
 # ---------------------------------------------------------------------------

@@ -278,11 +278,11 @@ def ref_matroid(fn, matroid, stream, k, v, indep=frozenset(), rank=None):
 
 def guess_runs(tree, node):
     """A matroid-tree node's threshold runs by index, one list per guess:
-    for a ``_MatNode``, its tree's view of each guess of the run
+    for a ``_MatNode``, its tree's view of each guess the node serves
     (``MatroidTree.index_runs``), and for a reference node, the runs of
     its guess."""
     if isinstance(node, _MatNode):
-        return [tree.index_runs(node, j) for j in range(len(tree.run))]
+        return [tree.index_runs(node, index) for index, _, _ in node.run]
     return [node.runs]
 
 
@@ -308,11 +308,11 @@ def ref_stored_set(tree):
 
 
 def ref_footprint(tree):
-    """Sum over all invocations of a ``CardTree`` for one guess, or of a
-    matroid tree for each of its guesses, of the elements each holds: its
-    pin or best singleton (cardinality: a chain has one leaf, and k - 1
-    members that pin), or its carried independent set, one tracking set
-    per threshold index and its fallback (matroid)."""
+    """Sum over all invocations of a branch tree, for each guess that
+    their node serves, of the elements each holds: its pin or best
+    singleton (cardinality: a chain has one leaf, and k - 1 members that
+    pin), or its carried independent set, one tracking set per threshold
+    index and its fallback (matroid)."""
     total = 0
     for node in tree.nodes:
         if hasattr(node, "runs"):
@@ -321,8 +321,9 @@ def ref_footprint(tree):
                                                   for lo, hi, tracked, _ in runs)
                 total += node.best_single is not None
         else:
+            width = len(node.run)
             for k, _, pin, _, _ in node.chains:
-                total += (node.best is not None) + (pin is not None) * (k - 1)
+                total += width * ((node.best is not None) + (pin is not None) * (k - 1))
     return total
 
 

@@ -64,6 +64,17 @@ class TestGoldenRunReport:
         assert self._hard_matroid_branching_bytes(tmp_path, 4, 12, "element-store") == \
             (GOLDEN / "run_hard_matroid_K4_store.json").read_bytes()
 
+    def test_hard_matroid_K4_m3_uniform_branching_report_bytes(self, tmp_path):
+        # a uniform order on the hard matroid: the guesses of one entering
+        # group disagree on matroid nodes' spawns, so nodes split
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "4", "--m", "3")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching",
+                     "--epsilon", "1/4", "--distribution", "uniform",
+                     "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == \
+            (GOLDEN / "run_hard_matroid_K4_m3_uniform.json").read_bytes()
+
     @staticmethod
     def _hard_cardinality_branching_bytes(tmp_path, fmt: str) -> bytes:
         inst_file = _gen(tmp_path, "--kind", "hard-cardinality", "--K", "4", "--n", "16",
@@ -83,8 +94,8 @@ class TestGoldenRunReport:
             (GOLDEN / "run_hard_cardinality_K4.csv").read_bytes()
 
     def test_hard_cardinality_K6_branching_report_bytes(self, tmp_path):
-        # the benchmark's driver-card shape (K=6, n=80, h=6): its runs of
-        # guesses split, and the copies share their residuals
+        # the benchmark's driver-card shape (K=6, n=80, h=6): its nodes
+        # split, and the variants share their residuals
         inst_file = _gen(tmp_path, "--kind", "hard-cardinality", "--K", "6", "--n", "80",
                          "--h", "6", "--seed", "5")
         out = tmp_path / "report.json"
@@ -94,8 +105,8 @@ class TestGoldenRunReport:
         assert out.read_bytes() == (GOLDEN / "run_hard_cardinality_K6.json").read_bytes()
 
     def test_coverage_branching_report_bytes(self, tmp_path):
-        # 38 live guesses in 2 runs after the first element; by the last,
-        # the runs have split into 4 to 11 trees, by trial
+        # 38 live guesses in one tree after the first element; over the 5
+        # trials its nodes split 26 times where the guesses disagree
         inst_file = _gen(tmp_path, "--kind", "coverage", "--n", "12", "--K", "3",
                          "--universe", "30", "--seed", "7")
         out = tmp_path / "report.json"
@@ -632,6 +643,16 @@ class TestHostileInput:
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")
         self.check(["run", "--alg", "greedy", "--trials", "1", "--instance", str(inst_file),
                     "--epsilon", epsilon], capsys, "--epsilon has more than")
+
+    def test_epsilon_without_a_digit_limit(self, tmp_path, monkeypatch):
+        """Python before 3.10.7 has no ``sys.get_int_max_str_digits``, and
+        no digit limit: ``--epsilon`` parses as ever."""
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "2", "--m", "3")
+        out = tmp_path / "report.json"
+        assert main(["run", "--instance", str(inst_file), "--alg", "branching", "--trials", "1",
+                     "--epsilon", "1/10", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["epsilon"] == "1/10"
 
     @pytest.mark.parametrize("alg", ["branching", "sieve", "greedy"])
     @pytest.mark.parametrize("flags,old,new", [

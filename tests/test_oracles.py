@@ -300,10 +300,12 @@ class TestStepMemo:
 
 
 class TestReplay:
-    """``QueryGate.replay`` answers more rounds of a step's queries as the
-    per-call loop would: the same count, log, evaluations and refusals.
-    Outside a stream, or for a subset the step has not answered, each query
-    goes through the checks, so a refusal raises and is recorded."""
+    """``QueryGate.replay`` only counts and logs: it adds the queries a
+    branch tree asked with ``times`` 0 to the count and the log as the
+    per-call loop ``value(subset, times)`` would, and evaluates and checks
+    nothing again, inside a stream step or outside one. The ask is where
+    every check runs: a refused subset raises there, is recorded once and
+    is never counted."""
 
     ASKED = [(frozenset({0}), 1), (frozenset({0, 1}), 3), (frozenset(), 2), (frozenset({0}), 1)]
 
@@ -314,7 +316,12 @@ class TestReplay:
     @staticmethod
     def summary(gate):
         audit = gate.audit
-        return audit.query_count, audit.oracle_calls, audit.log, audit.rejected
+        return audit.query_count, audit.log, audit.rejected
+
+    @staticmethod
+    def replay(gate, asked, repeats):
+        # `repeats` guesses that each asked every pair
+        gate.replay(repeats * sum(times for _, times in asked), lambda: asked * repeats)
 
     @pytest.mark.parametrize("step", [4, -1])
     @pytest.mark.parametrize("repeats", [0, 1, 3])
@@ -323,35 +330,39 @@ class TestReplay:
         for gate in (got, want):
             for subset, times in self.ASKED:
                 gate.value(subset, times)
-        got.replay(self.ASKED, repeats)
+        self.replay(got, self.ASKED, repeats)
         for _ in range(repeats):
             for subset, times in self.ASKED:
                 want.value(subset, times)
         assert self.summary(got) == self.summary(want)
         assert got.audit.query_count == 7 * (1 + repeats)
-        assert got.audit.oracle_calls == (3 if step >= 0 else 4 * (1 + repeats))
+        # outside a stream no memo answers the loop; replay evaluates nothing
+        assert got.audit.oracle_calls == (3 if step >= 0 else 4)
+        assert want.audit.oracle_calls == (3 if step >= 0 else 4 * (1 + repeats))
 
     def test_outside_a_stream_a_refusal_raises(self):
+        """At the ask, which no memo answers outside a stream."""
         policy = ElementStorePolicy()
         policy.commit({0, 1})
         gate = self.gate(policy, step=-1)
         gate.value({0, 1})
         policy.commit({0})
         with pytest.raises(PolicyViolation):
-            gate.replay([(frozenset({0, 1}), 1)], 2)
+            gate.value(frozenset({0, 1}), 0)
         assert gate.audit.rejected == [
             (frozenset({0, 1}), "query outside stored set plus current arrival")]
-        assert gate.audit.query_count == 1
+        assert gate.audit.query_count == 1 and gate.audit.oracle_calls == 1
 
     def test_an_unanswered_subset_is_checked(self):
+        """A subset the step has not answered is checked at its ask: a
+        refused one raises there, before anything of the step is counted,
+        and is recorded once."""
         gate = self.gate(WeakPolicy(UniformMatroid(3, 1)))
-        gate.value({0})
+        gate.value({0}, 0)
         with pytest.raises(PolicyViolation):
-            gate.replay([(frozenset({0}), 1), (frozenset({0, 1}), 1)], 2)
+            gate.value(frozenset({0, 1}), 0)
         assert gate.audit.rejected == [(frozenset({0, 1}), "infeasible set under weak oracle")]
-        # as in the per-call loop, {0} was counted again before the refusal
-        assert gate.audit.query_count == 2
-        assert gate.audit.log == [(4, frozenset({0}))] * 2
+        assert gate.audit.query_count == 0 and gate.audit.log == []
 
     @pytest.mark.parametrize("record_log", [True, False])
     @pytest.mark.parametrize("repeats", [0, 1, 3])
@@ -361,36 +372,45 @@ class TestReplay:
                                                     record_log):
         """A branch tree's pattern: each subset is asked with ``times`` 0,
         then the step's pairs, a ``times`` of 0 among them, are counted by
-        ``replay``. The step may have moved on since the asks, or be -1
-        (outside a stream), and ``asked`` may hold a subset the step has
-        not answered, which an element-store window may refuse."""
+        ``replay`` once per guess (``repeats``). Against asks followed by
+        the per-call loop, the count, the log and the refusals are the
+        same, and replay adds no evaluation, also when the step has moved
+        on since the asks or is -1 (outside a stream). ``extra`` adds a
+        subset asked only after the step moved, or one the element-store
+        window refuses, which raises at its ask."""
         answered = self.ASKED + [(frozenset({1}), 0)]
-        asked = answered + {None: [], "missing": [(frozenset({1, 2}), 2)],
-                            "refused": [(frozenset({3}), 1)]}[extra]
+        late = {None: [], "missing": [(frozenset({1, 2}), 2)],
+                "refused": [(frozenset({3}), 1)]}[extra]
         got, want = (self.store_gate(step_mode, record_log) for _ in range(2))
-        for gate in (got, want):
+        outcomes = []
+        for gate, count in ((got, lambda: self.replay(got, answered + late, repeats)),
+                            (want, lambda: self.per_call(want, answered + late, repeats))):
             for subset, _ in answered:
                 gate.value(subset, 0)
             if step_mode == "moved":
                 gate.audit.step = 5
-
-        def per_call():
-            for _ in range(repeats):
-                for subset, times in asked:
-                    want.value(subset, times)
-        outcomes = []
-        for answer in (lambda: got.replay(asked, repeats), per_call):
             try:
-                answer()
+                for subset, _ in late:
+                    gate.value(subset, 0)
+                asks = gate.audit.oracle_calls
+                count()
                 outcomes.append(None)
             except PolicyViolation as refusal:
                 outcomes.append(refusal.args)
         assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] is not None) == (extra == "refused" and repeats > 0)
+        assert (outcomes[0] is not None) == (extra == "refused")
         assert self.summary(got) == self.summary(want)
-        # a refusal ends the first round, after the 7 queries before it
-        rounds = min(repeats, 1) if extra == "refused" else repeats
+        if outcomes[0] is None:
+            assert got.audit.oracle_calls == asks
+        # a refusal at the ask counts nothing
+        rounds = 0 if extra == "refused" else repeats
         assert got.audit.query_count == (7 + 2 * (extra == "missing")) * rounds
+
+    @staticmethod
+    def per_call(gate, asked, repeats):
+        for _ in range(repeats):
+            for subset, times in asked:
+                gate.value(subset, times)
 
     @staticmethod
     def store_gate(step_mode, record_log):
