@@ -214,9 +214,10 @@ class _Tree:
     Per guess, ``alike`` counts the elements of the nodes that serve all
     the guesses, ``stored[j]`` those of guess j's other nodes, and
     ``taken[j]`` the branches guess j has spawned, each of which holds one
-    element more. When tracing, ``trace_log`` gets one ``(id(node), t)``
-    per offer. Nodes keep no reference to their tree, which passes itself
-    in, so a tree holds no reference cycle.
+    element more; ``held``, their total over the run, is kept current
+    wherever they change. When tracing, ``trace_log`` gets one ``(id(node),
+    t)`` per offer. Nodes keep no reference to their tree, which passes
+    itself in, so a tree holds no reference cycle.
     """
 
     def __init__(self, gate: QueryGate, run: list, trace: bool):
@@ -228,6 +229,7 @@ class _Tree:
         self.alike = 0
         self.stored = [0] * len(run)
         self.taken = [0] * len(run)
+        self.held = 0
         self.split = False
 
     @property
@@ -237,8 +239,7 @@ class _Tree:
 
     def footprint(self) -> int:
         """The elements the tree holds, summed over its guesses."""
-        held = self.alike * len(self.run) + sum(self.taken)
-        return held + sum(self.stored) if self.split else held
+        return self.held
 
     def join(self, index: int, v: tuple[int, int]):
         """Add guess ``index`` of value ``v`` on top of the run, before the
@@ -246,6 +247,7 @@ class _Tree:
         self.run.append((index, *v))
         self.stored.append(0)
         self.taken.append(0)
+        self.held += self.alike
 
     def step(self, t: int, e: int):
         """(1) Offer ``e`` to every node made before this step; a node
@@ -264,13 +266,13 @@ class _Tree:
             offer = node.offer(self, e)
             if offer is not None:
                 offers.append(offer)
-        count = 0
-        for _, times, run in asked:
-            count += times * len(run)
-        # the log: guess by guess, each guess's queries in the order of its nodes
-        self.gate.replay(count, lambda: [(query, times) for index, _, _ in self.run
-                                         for query, times, run in asked
-                                         if run[0][0] <= index <= run[-1][0]])
+        if asked:
+            count = (sum([times * len(run) for _, times, run in asked]) if self.split
+                     else len(self.run) * sum([times for _, times, _ in asked]))
+            # the log: guess by guess, each guess's queries in the order of its nodes
+            self.gate.replay(count, lambda: [(query, times) for index, _, _ in self.run
+                                             for query, times, run in asked
+                                             if run[0][0] <= index <= run[-1][0]])
         for node, gain, parts in offers:  # (2)
             start, last = 0, parts[-1][0]
             for end, what in parts:
@@ -308,6 +310,7 @@ class _Tree:
         # the nodes that serve `run` hold n elements more, for each guess
         if run is self.run:
             self.alike += n
+            self.held += n * len(run)
         else:
             self._credit(self.stored, run, n)
 
@@ -316,11 +319,13 @@ class _Tree:
         lo = run[0][0] - self.run[0][0]
         hi = lo + len(run)
         counts[lo:hi] = [c + n for c in counts[lo:hi]]
+        self.held += n * len(run)
 
     def drop_lowest(self, k: int) -> int:
         """Drop the run's k lowest guesses, and the nodes that served only
         them, and return their count of branches spawned."""
         spawned = sum(self.taken[:k])
+        self.held -= self.alike * k + spawned + sum(self.stored[:k])
         del self.run[:k], self.stored[:k], self.taken[:k]
         if self.split and self.run:
             low = self.run[0][0]
@@ -675,6 +680,7 @@ class _MatNode:
         taken, lo = tree.taken, run[0][0] - tree.run[0][0]
         for j, c in enumerate(counts, lo):
             taken[j] += c
+        tree.held += sum(counts)
         if 0 not in counts:
             return self, gain, [(len(counts), True)]
         ends = [j for j in range(1, len(counts)) if (counts[j] > 0) != (counts[j - 1] > 0)]
@@ -807,11 +813,13 @@ class GuessDriver:
     any element.
 
     ``roots`` maps each live guess index to its tree: the guesses that
-    enter in one step join one new tree (see the module docstring). Each
-    step steps every distinct tree once, in ascending guess order, and
+    enter in one step join one new tree (see the module docstring).
+    ``trees`` lists the live trees in ascending guess order, each from
+    its spawn until its last guess leaves. Each step steps each once, and
     nothing queries between a tree's offers and its count, so the query
-    count and log, the oracle calls, the refusals, the footprint, the
-    stored set and the counters are those of one tree per guess.
+    count and log, the oracle calls, the refusals, the footprint (the sum
+    of the trees' ``held``), the stored set and the counters are those of
+    one tree per guess.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps):
@@ -830,6 +838,7 @@ class GuessDriver:
         self.grid = GuessGrid(eps, (q * q, (p + q) ** 2), (self.K * q, p))
         self.empty_load = matroid.load(frozenset())
         self.roots: dict[int, CardTree | MatroidTree] = {}
+        self.trees: list[CardTree | MatroidTree] = []
         self.champion: tuple[frozenset, int] = (frozenset(), 0)
         self.champion_v: Fraction | None = None
         self.branches_spawned = 0
@@ -843,6 +852,7 @@ class GuessDriver:
         tree = self._entering
         if tree is None:
             tree = self._entering = self._new_tree(v, index=i)
+            self.trees.append(tree)
         else:
             tree.join(i, v)
             # the query of f(empty) this guess's own root would make
@@ -867,31 +877,30 @@ class GuessDriver:
                     self.champion = (sol, val)
                     self.champion_v = Fraction(*self.grid[gone[0]])
                 del gone[:k]
+            if not tree.run:
+                self.trees.remove(tree)
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
             left, entered = self.grid.advance(self.gate.value(frozenset({e})))
-            self._retire(left)
-            self._entering = None
-            for i in entered:
-                self._spawn(i)
-        roots = self.roots
-        # roots keeps its keys ascending, so the distinct trees come in
-        # ascending guess order
-        for tree in dict.fromkeys(roots.values()):
+            if left:
+                self._retire(left)
+            if entered:
+                self._entering = None
+                for i in entered:
+                    self._spawn(i)
+                self.live_roots_peak = max(self.live_roots_peak, len(self.roots))
+        for tree in self.trees:
             tree.step(t, e)
-        if len(roots) > self.live_roots_peak:
-            self.live_roots_peak = len(roots)
 
     def stored_set(self) -> frozenset:
         out = set(self.champion[0])
-        for tree in dict.fromkeys(self.roots.values()):
+        for tree in self.trees:
             out |= tree.stored_set()
         return frozenset(out)
 
     def footprint(self) -> int:
-        return len(self.champion[0]) + sum(tree.footprint()
-                                           for tree in dict.fromkeys(self.roots.values()))
+        return len(self.champion[0]) + sum([tree.held for tree in self.trees])
 
     def finish(self) -> tuple[frozenset, int]:
         self._retire(list(self.roots))

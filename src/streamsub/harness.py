@@ -134,25 +134,29 @@ def exact_optimum(instance) -> int:
 
 def stream_run(alg, stream, gate: QueryGate, watcher=None):
     """Drive a step-based streaming algorithm over one ordering under the
-    policy and audit of ``gate``, and return ``alg.finish()``. The stored
-    element set is computed only for a policy or watcher that reads it.
-    The last step ends before ``finish``, whose queries are not memoized."""
+    policy and audit of ``gate``, and return ``alg.finish()``. The
+    per-step methods are bound once. The stored element set is computed
+    only for a policy or watcher that reads it; an element-store policy
+    builds its window at ``begin_step``, before the algorithm's step. The
+    last step ends before ``finish``, whose queries are not memoized."""
     policy, audit = gate.policy, gate.audit
     store_policy = isinstance(policy, ElementStorePolicy)
+    step, stored_set, footprint, observe = (alg.step, alg.stored_set, alg.footprint,
+                                            audit.observe_stored)
     for t, e in enumerate(stream):
         audit.step = t
         if store_policy:
             policy.begin_step(e)
         if watcher is not None:
             watcher.before(t, e)
-        alg.step(t, e)
+        step(t, e)
         if store_policy or watcher is not None:
-            stored = alg.stored_set()
+            stored = stored_set()
             if store_policy:
                 policy.commit(stored)
             if watcher is not None:
                 watcher.after(t, e, stored)
-        audit.observe_stored(alg.footprint())
+        observe(footprint())
     audit.step = -1
     return alg.finish()
 

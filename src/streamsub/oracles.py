@@ -116,14 +116,16 @@ class ElementStorePolicy(AccessPolicy):
     :meth:`begin_step` when an element arrives and :meth:`commit` with its
     retained element set once the step is processed. Only the latest
     commit is kept; a ``stream_run`` watcher sees every step's stored set.
-    Both calls update ``window``, the stored set plus the arrival, so
-    :meth:`check` is one subset test.
+    :meth:`check` is one subset test of ``window``, the stored set plus
+    the arrival, which :meth:`begin_step` builds once per step. A commit
+    only clears it: the first query after the last one, in ``finish``,
+    builds it again.
     """
 
     def __init__(self):
         self.stored: frozenset = frozenset()
         self.arrival: Optional[int] = None
-        self.window: frozenset = frozenset()
+        self.window: frozenset | None = frozenset()
 
     def begin_step(self, element: int):
         self.arrival = element
@@ -131,9 +133,11 @@ class ElementStorePolicy(AccessPolicy):
 
     def commit(self, stored):
         self.stored = frozenset(stored)
-        self.window = self.stored if self.arrival is None else self.stored | {self.arrival}
+        self.window = None
 
     def check(self, subset):
+        if self.window is None:
+            self.window = self.stored if self.arrival is None else self.stored | {self.arrival}
         if subset <= self.window:
             return None
         return "query outside stored set plus current arrival"

@@ -7,6 +7,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,8 +29,8 @@ from streamsub.samplers import sample_stream
 
 from _reference import (ExplicitMatroid, FractionSieve, PerGuessDriver, PerGuessMatroidTree,
                         PerIndexMatNode, PerInvocationCardTree, StepGuessGrid, gamma_bound,
-                        guess_runs, ref_cardinality, ref_footprint, ref_matroid, ref_stored_set,
-                        ref_window, subtree_size)
+                        guess_runs, ref_cardinality, ref_driver_footprint, ref_footprint,
+                        ref_matroid, ref_stored_set, ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
@@ -1394,6 +1395,74 @@ class TestSplitsShareNothing:
         fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 11), max_size=5),
                                                  min_size=n, max_size=n)))
         self.drive(fn, UniformMatroid(n, K), data.draw(st.permutations(range(n))), eps)
+
+
+class TestRunningState:
+    """The guess driver keeps current what the runner reads every step.
+    After every step, under the weak and the element-store policy:
+
+    * ``trees`` lists the distinct trees of ``roots``, in ascending guess
+      order;
+    * ``footprint()`` equals the champion's size plus each tree's
+      footprint recomputed from its nodes (``ref_driver_footprint``).
+
+    After ``finish`` no tree is live. :meth:`drive` returns the count of
+    node splits, so that a case can check that it split."""
+
+    POLICIES = ("weak", "element-store")
+
+    @classmethod
+    def drive(cls, fn, matroid, stream, eps) -> int:
+        splits = []
+        for policy in cls.POLICIES:
+            gate = QueryGate(fn, WeakPolicy(matroid) if policy == "weak" else
+                             ElementStorePolicy(), OracleAudit())
+            driver = GuessDriver(gate, matroid, eps)
+            steps = []
+
+            def after(t, e, stored):
+                assert driver.trees == list(dict.fromkeys(driver.roots.values()))
+                assert driver.footprint() == ref_driver_footprint(driver)
+                steps.append(t)
+            with pytest.MonkeyPatch.context() as mp:
+                split = branching._Tree._split
+                mp.setattr(branching._Tree, "_split",
+                           lambda tree, *args: splits.append(split(tree, *args)) or splits[-1])
+                stream_run(driver, stream, gate,
+                           SimpleNamespace(before=lambda t, e: None, after=after))
+            assert steps == list(range(len(stream)))
+            assert driver.trees == [] and driver.footprint() == len(driver.champion[0])
+        return len(splits)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hard_instances(self, seed):
+        inst = CardHardInstance(CardHardParams(24, 4, 4), seed)
+        assert self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed),
+                          Fraction(1, 10)) > 0
+        inst = MatHardInstance(MatHardParams(4, 3), seed)
+        assert self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed),
+                          Fraction(1, 4)) > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(K=st.integers(2, 4), extra=st.integers(0, 8), seed=st.integers(0, 10 ** 6),
+           m=st.integers(1, 3), eps=TestRunsOfGuesses.EPS)
+    def test_hard_families(self, K, extra, seed, m, eps):
+        inst = CardHardInstance(CardHardParams(2 * K + 2 + extra, K, K), seed)
+        self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed), eps)
+        inst = MatHardInstance(MatHardParams(K, m), seed)
+        self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed), eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), K=st.integers(1, 4),
+           eps=TestRunsOfGuesses.EPS)
+    def test_coverage(self, data, n, K, eps):
+        """Under both trees: a uniform matroid runs cardinality trees, a
+        partition matroid matroid trees."""
+        fn = CoverageFunction(data.draw(st.lists(st.sets(st.integers(0, 11), max_size=5),
+                                                 min_size=n, max_size=n)))
+        stream = data.draw(st.permutations(range(n)))
+        self.drive(fn, UniformMatroid(n, K), stream, eps)
+        self.drive(fn, TestRunsOfGuesses.partition(data, n), stream, eps)
 
 
 def node_state(tree, node, j: int) -> tuple:

@@ -64,16 +64,26 @@ class TestGoldenRunReport:
         assert self._hard_matroid_branching_bytes(tmp_path, 4, 12, "element-store") == \
             (GOLDEN / "run_hard_matroid_K4_store.json").read_bytes()
 
-    def test_hard_matroid_K4_m3_uniform_branching_report_bytes(self, tmp_path):
-        # a uniform order on the hard matroid: the guesses of one entering
-        # group disagree on matroid nodes' spawns, so nodes split
+    @staticmethod
+    def _hard_matroid_m3_uniform_bytes(tmp_path, policy: str) -> bytes:
         inst_file = _gen(tmp_path, "--kind", "hard-matroid", "--K", "4", "--m", "3")
         out = tmp_path / "report.json"
         assert main(["run", "--instance", str(inst_file), "--alg", "branching",
                      "--epsilon", "1/4", "--distribution", "uniform",
-                     "--trials", "3", "--out", str(out)]) == 0
-        assert out.read_bytes() == \
+                     "--policy", policy, "--trials", "3", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_hard_matroid_K4_m3_uniform_branching_report_bytes(self, tmp_path):
+        # a uniform order on the hard matroid: the guesses of one entering
+        # group disagree on matroid nodes' spawns, so nodes split
+        assert self._hard_matroid_m3_uniform_bytes(tmp_path, "weak") == \
             (GOLDEN / "run_hard_matroid_K4_m3_uniform.json").read_bytes()
+
+    def test_hard_matroid_K4_m3_uniform_element_store_report_bytes(self, tmp_path):
+        # the element-store policy's window and max_stored through node
+        # splits, which the class-blocks goldens above never make
+        assert self._hard_matroid_m3_uniform_bytes(tmp_path, "element-store") == \
+            (GOLDEN / "run_hard_matroid_K4_m3_uniform_store.json").read_bytes()
 
     @staticmethod
     def _hard_cardinality_branching_bytes(tmp_path, fmt: str) -> bytes:

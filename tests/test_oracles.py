@@ -9,12 +9,13 @@ from streamsub.errors import GroundSetTooLarge, PolicyViolation, UnknownElement
 from streamsub.hard_matroid import MatHardInstance, MatHardParams
 from streamsub.hard_cardinality import (CardHardInstance, CardHardParams, blue_marginal,
                                         profile_value)
+from streamsub.harness import stream_run
 from streamsub.matroids import UniformMatroid
 from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate,
                                Residual, SetFunction, StrongPolicy, WeakPolicy,
                                additive, verify_monotone_submodular)
 from conftest import random_function, random_monotone_function
-from _reference import SetUnionCoverage, verify_by_pairs
+from _reference import PlainStorePolicy, SetUnionCoverage, verify_by_pairs
 
 
 def card_instance(n=8, K=3, h=3, seed=1):
@@ -197,9 +198,8 @@ class TestElementStoreReplay:
 
 
 class TestElementStoreWindow:
-    """``ElementStorePolicy`` keeps its window up to date in ``begin_step``
-    and ``commit``; its verdicts are those of the stored set joined with
-    the arrival at the time of each check."""
+    """``ElementStorePolicy``'s verdicts are those of the stored set
+    joined with the arrival at the time of each check."""
 
     @settings(max_examples=300, deadline=None)
     @given(calls=st.lists(st.one_of(
@@ -234,6 +234,73 @@ class TestElementStoreWindow:
         policy.commit({0})
         assert policy.check(frozenset({0, 2})) is None
         assert policy.check(frozenset({1})) is not None
+
+
+class DropAtLastCommit:
+    """Toy streaming algorithm over the stream 0..n-1: each step asks for
+    its stored set plus the arrival and then stores the arrival, except
+    the last, which stores nothing and drops element 0. ``finish`` asks
+    for ``query``."""
+
+    def __init__(self, gate, n, query):
+        self.gate, self.n, self.query = gate, n, frozenset(query)
+        self.kept = set()
+
+    def step(self, t, e):
+        assert self.gate.value(self.kept | {e}) == len(self.kept) + 1
+        if t < self.n - 1:
+            self.kept.add(e)
+        else:
+            self.kept.discard(0)
+
+    def stored_set(self):
+        return frozenset(self.kept)
+
+    def footprint(self):
+        return len(self.kept)
+
+    def finish(self):
+        try:
+            return self.gate.value(self.query)
+        except PolicyViolation:
+            return None
+
+
+class TestStoreWindowOncePerStep:
+    """``ElementStorePolicy`` builds its window once per step, at
+    ``begin_step``, and after a commit only at the first check, as those
+    of ``finish`` are. Its verdicts are those of ``PlainStorePolicy``,
+    which rebuilds the window at every call."""
+
+    SUBSETS = st.frozensets(st.integers(0, 6), max_size=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(calls=st.lists(st.one_of(
+        st.tuples(st.just("commit"), SUBSETS),
+        st.tuples(st.just("begin_step"), st.integers(0, 6)),
+        st.tuples(st.just("check"), SUBSETS)), max_size=30),
+        last=SUBSETS, final=st.lists(SUBSETS, max_size=4))
+    def test_verdicts_match_the_rebuilding_policy(self, calls, last, final):
+        """Any sequence of calls, then a last commit and the checks of a
+        ``finish`` after it."""
+        policy, ref = ElementStorePolicy(), PlainStorePolicy()
+        for call, arg in [*calls, ("commit", last), *[("check", s) for s in final]]:
+            if call == "check":
+                assert policy.check(arg) == ref.check(arg)
+            else:
+                getattr(policy, call)(arg)
+                getattr(ref, call)(arg)
+
+    @pytest.mark.parametrize("query, refused", [({0}, True), ({1, 2, 3}, False)])
+    def test_finish_checks_the_last_commit(self, query, refused):
+        """Element 0 is dropped at the last commit, so ``finish`` may not
+        ask for it; the final stored set {1, 2} plus the last arrival 3 it
+        may."""
+        audit = OracleAudit()
+        gate = QueryGate(additive([1] * 4), ElementStorePolicy(), audit)
+        result = stream_run(DropAtLastCommit(gate, 4, query), range(4), gate)
+        assert [subset for subset, _ in audit.rejected] == ([frozenset(query)] if refused else [])
+        assert result == (None if refused else 3)
 
 
 class TestStepMemo:
