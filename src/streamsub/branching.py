@@ -267,8 +267,7 @@ class _Tree:
             if offer is not None:
                 offers.append(offer)
         if asked:
-            count = (sum([times * len(run) for _, times, run in asked]) if self.split
-                     else len(self.run) * sum([times for _, times, _ in asked]))
+            count = sum([times * len(run) for _, times, run in asked])
             # the log: guess by guess, each guess's queries in the order of its nodes
             self.gate.replay(count, lambda: [(query, times) for index, _, _ in self.run
                                              for query, times, run in asked
@@ -844,7 +843,7 @@ class GuessDriver:
         self.branches_spawned = 0
         self.roots_spawned = 0
         self.live_roots_peak = 0
-        # the tree spawned in this step
+        # the tree the guesses entering in this step join, while they spawn
         self._entering: CardTree | MatroidTree | None = None
 
     def _spawn(self, i: int):
@@ -886,9 +885,9 @@ class GuessDriver:
             if left:
                 self._retire(left)
             if entered:
-                self._entering = None
                 for i in entered:
                     self._spawn(i)
+                self._entering = None
                 self.live_roots_peak = max(self.live_roots_peak, len(self.roots))
         for tree in self.trees:
             tree.step(t, e)

@@ -16,10 +16,7 @@ formula that also counts every pinned or carried element on each node, and
 :func:`ref_footprint` the tree's running ``stored`` count summed node by
 node, and guess by guess in a matroid tree (:func:`guess_runs`);
 :func:`ref_driver_footprint` sums it over a guess driver's distinct trees,
-the walk the driver's running footprint replaced. :class:`PlainStorePolicy`
-is the element-store policy that rebuilds its window at every
-``begin_step`` and ``commit``, the code path the window built once per
-step replaced.
+the walk the driver's running footprint replaced.
 :class:`PerGuessMatroidTree` is the matroid tree for one fixed guess, of
 :class:`PerGuessMatNode` nodes, the code path the tree for a run of
 guesses replaced. :class:`PerIndexMatNode` is the matroid-tree node that
@@ -338,30 +335,6 @@ def ref_driver_footprint(driver):
     ``roots``."""
     return len(driver.champion[0]) + sum(ref_footprint(tree)
                                          for tree in dict.fromkeys(driver.roots.values()))
-
-
-class PlainStorePolicy:
-    """Allows queries only on subsets of the last committed stored set
-    plus the last arrival; both :meth:`begin_step` and :meth:`commit`
-    rebuild that window."""
-
-    def __init__(self):
-        self.stored = frozenset()
-        self.arrival = None
-        self.window = frozenset()
-
-    def begin_step(self, element):
-        self.arrival = element
-        self.window = self.stored | {element}
-
-    def commit(self, stored):
-        self.stored = frozenset(stored)
-        self.window = self.stored if self.arrival is None else self.stored | {self.arrival}
-
-    def check(self, subset):
-        if subset <= self.window:
-            return None
-        return "query outside stored set plus current arrival"
 
 
 class PerGuessMatNode:

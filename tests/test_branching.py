@@ -1402,7 +1402,7 @@ class TestRunningState:
     After every step, under the weak and the element-store policy:
 
     * ``trees`` lists the distinct trees of ``roots``, in ascending guess
-      order;
+      order, and the driver keeps no entering tree past its spawn;
     * ``footprint()`` equals the champion's size plus each tree's
       footprint recomputed from its nodes (``ref_driver_footprint``).
 
@@ -1422,6 +1422,7 @@ class TestRunningState:
 
             def after(t, e, stored):
                 assert driver.trees == list(dict.fromkeys(driver.roots.values()))
+                assert driver._entering is None
                 assert driver.footprint() == ref_driver_footprint(driver)
                 steps.append(t)
             with pytest.MonkeyPatch.context() as mp:

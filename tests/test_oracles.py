@@ -15,7 +15,7 @@ from streamsub.oracles import (ElementStorePolicy, OracleAudit, QueryGate,
                                Residual, SetFunction, StrongPolicy, WeakPolicy,
                                additive, verify_monotone_submodular)
 from conftest import random_function, random_monotone_function
-from _reference import PlainStorePolicy, SetUnionCoverage, verify_by_pairs
+from _reference import SetUnionCoverage, verify_by_pairs
 
 
 def card_instance(n=8, K=3, h=3, seed=1):
@@ -197,45 +197,6 @@ class TestElementStoreReplay:
             assert subset <= window
 
 
-class TestElementStoreWindow:
-    """``ElementStorePolicy``'s verdicts are those of the stored set
-    joined with the arrival at the time of each check."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(calls=st.lists(st.one_of(
-        st.tuples(st.just("commit"), st.frozensets(st.integers(0, 6), max_size=4)),
-        st.tuples(st.just("begin_step"), st.integers(0, 6)),
-        st.tuples(st.just("check"), st.frozensets(st.integers(0, 6), max_size=4))),
-        max_size=30))
-    def test_verdicts_match_union_at_check(self, calls):
-        policy = ElementStorePolicy()
-        stored, arrival = frozenset(), None
-        for call, arg in calls:
-            if call == "commit":
-                policy.commit(list(arg))
-                stored = arg
-            elif call == "begin_step":
-                policy.begin_step(arg)
-                arrival = arg
-            else:
-                window = stored if arrival is None else stored | {arrival}
-                want = None if arg <= window else "query outside stored set plus current arrival"
-                assert policy.check(arg) == want
-
-    def test_check_before_any_step(self):
-        policy = ElementStorePolicy()
-        assert policy.check(frozenset()) is None
-        assert policy.check(frozenset({0})) is not None
-        policy.commit({0, 1})
-        assert policy.check(frozenset({0, 1})) is None
-        assert policy.check(frozenset({2})) is not None
-        policy.begin_step(2)
-        assert policy.check(frozenset({0, 2})) is None
-        policy.commit({0})
-        assert policy.check(frozenset({0, 2})) is None
-        assert policy.check(frozenset({1})) is not None
-
-
 class DropAtLastCommit:
     """Toy streaming algorithm over the stream 0..n-1: each step asks for
     its stored set plus the arrival and then stores the arrival, except
@@ -266,11 +227,10 @@ class DropAtLastCommit:
             return None
 
 
-class TestStoreWindowOncePerStep:
-    """``ElementStorePolicy`` builds its window once per step, at
-    ``begin_step``, and after a commit only at the first check, as those
-    of ``finish`` are. Its verdicts are those of ``PlainStorePolicy``,
-    which rebuilds the window at every call."""
+class TestElementStoreWindow:
+    """``ElementStorePolicy``'s verdicts are those of the stored set
+    joined with the arrival at the time of each check, also for the checks
+    of ``finish``, after the last commit."""
 
     SUBSETS = st.frozensets(st.integers(0, 6), max_size=4)
 
@@ -280,16 +240,35 @@ class TestStoreWindowOncePerStep:
         st.tuples(st.just("begin_step"), st.integers(0, 6)),
         st.tuples(st.just("check"), SUBSETS)), max_size=30),
         last=SUBSETS, final=st.lists(SUBSETS, max_size=4))
-    def test_verdicts_match_the_rebuilding_policy(self, calls, last, final):
+    def test_verdicts_match_union_at_check(self, calls, last, final):
         """Any sequence of calls, then a last commit and the checks of a
         ``finish`` after it."""
-        policy, ref = ElementStorePolicy(), PlainStorePolicy()
+        policy = ElementStorePolicy()
+        stored, arrival = frozenset(), None
         for call, arg in [*calls, ("commit", last), *[("check", s) for s in final]]:
-            if call == "check":
-                assert policy.check(arg) == ref.check(arg)
+            if call == "commit":
+                policy.commit(list(arg))
+                stored = arg
+            elif call == "begin_step":
+                policy.begin_step(arg)
+                arrival = arg
             else:
-                getattr(policy, call)(arg)
-                getattr(ref, call)(arg)
+                window = stored if arrival is None else stored | {arrival}
+                want = None if arg <= window else "query outside stored set plus current arrival"
+                assert policy.check(arg) == want
+
+    def test_check_before_any_step(self):
+        policy = ElementStorePolicy()
+        assert policy.check(frozenset()) is None
+        assert policy.check(frozenset({0})) is not None
+        policy.commit({0, 1})
+        assert policy.check(frozenset({0, 1})) is None
+        assert policy.check(frozenset({2})) is not None
+        policy.begin_step(2)
+        assert policy.check(frozenset({0, 2})) is None
+        policy.commit({0})
+        assert policy.check(frozenset({0, 2})) is None
+        assert policy.check(frozenset({1})) is not None
 
     @pytest.mark.parametrize("query, refused", [({0}, True), ({1, 2, 3}, False)])
     def test_finish_checks_the_last_commit(self, query, refused):
