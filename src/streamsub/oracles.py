@@ -118,8 +118,8 @@ class ElementStorePolicy(AccessPolicy):
     commit is kept; a ``stream_run`` watcher sees every step's stored set.
     :meth:`check` is one subset test of ``window``, the stored set plus
     the arrival, which :meth:`begin_step` builds once per step. A commit
-    only clears it: the first query after the last one, in ``finish``,
-    builds it again.
+    only clears it, and the first check after a commit (under
+    ``stream_run``, one of ``finish``) builds it again.
     """
 
     def __init__(self):
@@ -136,10 +136,15 @@ class ElementStorePolicy(AccessPolicy):
         self.window = None
 
     def check(self, subset):
-        if self.window is None:
+        try:
+            if subset <= self.window:
+                return None
+        except TypeError:
+            # a commit left None, and this is a query of finish; unlike an
+            # `is None` test, the try costs a step's queries nothing
             self.window = self.stored if self.arrival is None else self.stored | {self.arrival}
-        if subset <= self.window:
-            return None
+            if subset <= self.window:
+                return None
         return "query outside stored set plus current arrival"
 
 
