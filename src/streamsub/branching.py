@@ -215,17 +215,15 @@ class _Tree:
     the guesses, ``stored[j]`` those of guess j's other nodes, and
     ``taken[j]`` the branches guess j has spawned, each of which holds one
     element more; ``held``, their total over the run, is kept current
-    wherever they change. When tracing, ``trace_log`` gets one ``(id(node),
-    t)`` per offer. Nodes keep no reference to their tree, which passes
-    itself in, so a tree holds no reference cycle.
+    wherever they change. Nodes keep no reference to their tree, which
+    passes itself in, so a tree holds no reference cycle.
     """
 
-    def __init__(self, gate: QueryGate, run: list, trace: bool):
+    def __init__(self, gate: QueryGate, run: list):
         self.gate = gate
         self.run = run
         self.nodes: list = []
         self.asked: list = []
-        self.trace_log: list | None = [] if trace else None
         self.alike = 0
         self.stored = [0] * len(run)
         self.taken = [0] * len(run)
@@ -243,11 +241,12 @@ class _Tree:
 
     def join(self, index: int, v: tuple[int, int]):
         """Add guess ``index`` of value ``v`` on top of the run, before the
-        tree's first step."""
+        tree's first step, when no node holds an element yet, and make the
+        query of f(empty) that the guess's own root would make."""
         self.run.append((index, *v))
         self.stored.append(0)
         self.taken.append(0)
-        self.held += self.alike
+        self.gate.value(frozenset())
 
     def step(self, t: int, e: int):
         """(1) Offer ``e`` to every node made before this step; a node
@@ -256,13 +255,11 @@ class _Tree:
         agree, the part's end and what it takes. The gate counts each query
         once per guess of its node. (2) Each offer splits its node into its
         parts, each of which takes what it takes. A child first sees the
-        next element."""
-        trace = self.trace_log
+        next element. ``t`` goes unread: ``stream_run`` passes it to every
+        algorithm."""
         asked = self.asked = []
         offers = []
         for node in self.nodes:  # (1)
-            if trace is not None:
-                trace.append((id(node), t))
             offer = node.offer(self, e)
             if offer is not None:
                 offers.append(offer)
@@ -514,12 +511,11 @@ class CardTree(_Tree):
 
     MAX_K = 10
 
-    def __init__(self, gate: QueryGate, k: int, s: int, v, trace: bool = False,
-                 index: int = 0):
+    def __init__(self, gate: QueryGate, k: int, s: int, v, index: int = 0):
         if k < 1 or s < 1:
             raise InvalidParams("need k >= 1 and s >= 1")
         self.check_size(max(k, s))
-        super().__init__(gate, [(index, *as_pair(v))], trace)
+        super().__init__(gate, [(index, *as_pair(v))])
         self.root = _CardNode(self, s, Residual(gate), [[k, (1, 0, 1), None, None, 0]], self.run)
 
     @classmethod
@@ -742,13 +738,12 @@ class MatroidTree(_Tree):
 
     MAX_RANK = 4
 
-    def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, trace: bool = False,
-                 index: int = 0):
+    def __init__(self, gate: QueryGate, matroid: Matroid, k: int, v, index: int = 0):
         rank = matroid.rank
         self.check_size(rank)
         if k < 1:
             raise InvalidParams("need k >= 1")
-        super().__init__(gate, [(index, *as_pair(v))], trace)
+        super().__init__(gate, [(index, *as_pair(v))])
         self.matroid = matroid
         self.rank = rank
         self.k4 = max(rank, 1) ** 4
@@ -811,14 +806,14 @@ class GuessDriver:
     other matroid; a budget above the tree's cap is refused here, before
     any element.
 
-    ``roots`` maps each live guess index to its tree: the guesses that
-    enter in one step join one new tree (see the module docstring).
-    ``trees`` lists the live trees in ascending guess order, each from
-    its spawn until its last guess leaves. Each step steps each once, and
-    nothing queries between a tree's offers and its count, so the query
-    count and log, the oracle calls, the refusals, the footprint (the sum
-    of the trees' ``held``), the stored set and the counters are those of
-    one tree per guess.
+    ``trees`` lists the live trees in ascending guess order: the guesses
+    that enter in one step join one new tree (see the module docstring),
+    which lives until its last guess leaves. Their runs, concatenated, are
+    the window ``grid.first..grid.last``. Each step steps each tree once,
+    and nothing queries between a tree's offers and its count, so the
+    query count and log, the oracle calls, the refusals, the footprint
+    (the sum of the trees' ``held``), the stored set and the counters are
+    those of one tree per guess.
     """
 
     def __init__(self, gate: QueryGate, matroid: Matroid, eps):
@@ -836,59 +831,44 @@ class GuessDriver:
         # the window's bounds over m, as (num, den): 1/(1+eps)^2 and K/eps
         self.grid = GuessGrid(eps, (q * q, (p + q) ** 2), (self.K * q, p))
         self.empty_load = matroid.load(frozenset())
-        self.roots: dict[int, CardTree | MatroidTree] = {}
         self.trees: list[CardTree | MatroidTree] = []
         self.champion: tuple[frozenset, int] = (frozenset(), 0)
         self.champion_v: Fraction | None = None
         self.branches_spawned = 0
         self.roots_spawned = 0
         self.live_roots_peak = 0
-        # the tree the guesses entering in this step join, while they spawn
-        self._entering: CardTree | MatroidTree | None = None
 
-    def _spawn(self, i: int):
-        v = self.grid[i]
-        tree = self._entering
-        if tree is None:
-            tree = self._entering = self._new_tree(v, index=i)
-            self.trees.append(tree)
-        else:
-            tree.join(i, v)
-            # the query of f(empty) this guess's own root would make
-            self.gate.value(frozenset())
-        self.roots[i] = tree
-        self.roots_spawned += 1
-
-    def _retire(self, indices):
-        # guesses leave from the bottom of the window, so a tree's leaving
-        # guesses are the lowest of its run; those the same nodes serve
+    def _retire(self, k: int):
+        # guesses leave from the bottom of the window, so the k leaving are
+        # the lowest of the first trees' runs; those the same nodes serve
         # share a solution, and under the strict >, the lowest of them is
         # the one that would win a tie
-        leaving = {}
-        for i in indices:
-            leaving.setdefault(self.roots.pop(i), []).append(i)
-        for tree, gone in leaving.items():
-            while gone:
-                sol, val = tree.finish()
-                k = min(len(gone), tree.shared())
-                self.branches_spawned += tree.drop_lowest(k)
-                if val > self.champion[1]:
-                    self.champion = (sol, val)
-                    self.champion_v = Fraction(*self.grid[gone[0]])
-                del gone[:k]
+        trees = self.trees
+        while k:
+            tree = trees[0]
+            sol, val = tree.finish()
+            if val > self.champion[1]:
+                self.champion = (sol, val)
+                self.champion_v = Fraction(*self.grid[tree.run[0][0]])
+            n = min(k, tree.shared())
+            self.branches_spawned += tree.drop_lowest(n)
+            k -= n
             if not tree.run:
-                self.trees.remove(tree)
+                del trees[0]
 
     def step(self, t: int, e: int):
         if self.matroid.fits(self.empty_load, e):
-            left, entered = self.grid.advance(self.gate.value(frozenset({e})))
+            grid = self.grid
+            left, entered = grid.advance(self.gate.value(frozenset({e})))
             if left:
-                self._retire(left)
+                self._retire(len(left))
             if entered:
-                for i in entered:
-                    self._spawn(i)
-                self._entering = None
-                self.live_roots_peak = max(self.live_roots_peak, len(self.roots))
+                tree = self._new_tree(grid[entered[0]], index=entered[0])
+                for i in entered[1:]:
+                    tree.join(i, grid[i])
+                self.trees.append(tree)
+                self.roots_spawned += len(entered)
+                self.live_roots_peak = max(self.live_roots_peak, grid.last - grid.first + 1)
         for tree in self.trees:
             tree.step(t, e)
 
@@ -902,6 +882,6 @@ class GuessDriver:
         return len(self.champion[0]) + sum([tree.held for tree in self.trees])
 
     def finish(self) -> tuple[frozenset, int]:
-        self._retire(list(self.roots))
+        self._retire(self.grid.last - self.grid.first + 1)
         solution = self.champion[0]
         return solution, self.gate.value(solution)

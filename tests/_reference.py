@@ -329,12 +329,16 @@ def ref_footprint(tree):
     return total
 
 
+def guess_trees(driver) -> dict:
+    """Per live guess index of a ``GuessDriver``, ascending, the tree that
+    serves it, read from the driver's list of trees."""
+    return {index: tree for tree in driver.trees for index, _, _ in tree.run}
+
+
 def ref_driver_footprint(driver):
     """A ``GuessDriver``'s footprint recomputed from its nodes: its
-    champion's size plus :func:`ref_footprint` of each distinct tree of
-    ``roots``."""
-    return len(driver.champion[0]) + sum(ref_footprint(tree)
-                                         for tree in dict.fromkeys(driver.roots.values()))
+    champion's size plus :func:`ref_footprint` of each live tree."""
+    return len(driver.champion[0]) + sum(ref_footprint(tree) for tree in driver.trees)
 
 
 class PerGuessMatNode:

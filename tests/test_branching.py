@@ -4,7 +4,8 @@ import pathlib
 import random
 import sys
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ from streamsub.samplers import sample_stream
 
 from _reference import (ExplicitMatroid, FractionSieve, PerGuessDriver, PerGuessMatroidTree,
                         PerIndexMatNode, PerInvocationCardTree, StepGuessGrid, gamma_bound,
-                        guess_runs, ref_cardinality, ref_driver_footprint, ref_footprint,
+                        guess_runs, guess_trees, ref_cardinality, ref_driver_footprint, ref_footprint,
                         ref_matroid, ref_stored_set, ref_window, subtree_size)
 
 
@@ -185,36 +186,58 @@ class TestMatroidBranch:
         assert gate.audit.compliant
 
 
-class StepRecorder:
-    """``stream_run`` watcher for a traced branch tree. For every step it
-    records how many nodes the tree held before the step (``mark``), the
-    ids of the pre-step nodes the step should reach (all of them), the
-    trace entries the step appended, the running footprint with the sum
-    over all nodes, and the stored set with its per-node union reference."""
+@contextmanager
+def offer_trace():
+    """Trace the node offers of the package's branch trees made inside the
+    block: per tree, one ``(id(node), gate.audit.step)`` per offer, in
+    order. A tree with no offer maps to an empty list."""
+    traces = defaultdict(list)
 
-    def __init__(self, tree):
+    def tracing(offer):
+        def traced(node, tree, e):
+            traces[tree].append((id(node), tree.gate.audit.step))
+            return offer(node, tree, e)
+        return traced
+
+    with pytest.MonkeyPatch.context() as mp:
+        for node in (branching._CardNode, branching._MatNode):
+            mp.setattr(node, "offer", tracing(node.offer))
+        yield traces
+
+
+class StepRecorder:
+    """``stream_run`` watcher for a branch tree whose offers go to
+    ``trace``. For every step it records how many nodes the tree held
+    before the step (``mark``), the ids of the pre-step nodes the step
+    should reach (all of them), the trace entries the step appended, the
+    running footprint with the sum over all nodes, and the stored set with
+    its per-node union reference."""
+
+    def __init__(self, tree, trace):
         self.tree = tree
+        self.trace = trace
         self.steps = []
 
     def before(self, t, e):
         nodes = self.tree.nodes
         self.mark = len(nodes)
         self.want = [id(node) for node in nodes]
-        self.log_mark = len(self.tree.trace_log)
+        self.log_mark = len(self.trace)
 
     def after(self, t, e, stored):
         tree = self.tree
         self.steps.append({
             "t": t, "mark": self.mark, "want": self.want,
-            "entries": tree.trace_log[self.log_mark:],
+            "entries": self.trace[self.log_mark:],
             "footprint": (tree.footprint(), ref_footprint(tree)),
             "stored": (stored, ref_stored_set(tree)),
         })
 
 
 def record(tree, stream, gate):
-    recorder = StepRecorder(tree)
-    stream_run(tree, stream, gate, recorder)
+    with offer_trace() as traces:
+        recorder = StepRecorder(tree, traces[tree])
+        stream_run(tree, stream, gate, recorder)
     return recorder.steps
 
 
@@ -266,13 +289,13 @@ class TestSinglePassDiscipline:
     def test_card_tree_each_node_sees_each_position_once(self):
         inst = CoverageInstance(8, 12, 3, 5)
         gate = QueryGate(inst.fn)
-        tree = CardTree(gate, 3, 3, 5, trace=True)
+        tree = CardTree(gate, 3, 3, 5)
         self.check(tree, record(tree, list(range(8)), gate))
 
     def test_mat_tree_each_node_sees_each_position_once(self):
         inst = CoverageInstance(6, 10, 2, 6)
         gate = QueryGate(inst.fn)
-        tree = MatroidTree(gate, inst.matroid, 2, 4, trace=True)
+        tree = MatroidTree(gate, inst.matroid, 2, 4)
         self.check(tree, record(tree, list(range(6)), gate))
 
 
@@ -293,13 +316,13 @@ class TestIncrementalState:
         inst, K, stream, opt = card_case(seed)
         for v in (opt, Fraction(opt, 2)):
             gate = QueryGate(inst.fn)
-            self.check(record(CardTree(gate, K, K, v, trace=True), stream, gate))
+            self.check(record(CardTree(gate, K, K, v), stream, gate))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mat_tree(self, seed):
         inst, matroid, stream, opt = mat_case(seed)
         gate = QueryGate(inst.fn)
-        tree = MatroidTree(gate, matroid, matroid.rank, max(opt, 1), trace=True)
+        tree = MatroidTree(gate, matroid, matroid.rank, max(opt, 1))
         self.check(record(tree, stream, gate))
 
 
@@ -320,13 +343,13 @@ class TestStoredSetReference:
         inst, K, stream, opt = card_case(seed)
         for v in (opt, Fraction(opt, 2)):
             gate = QueryGate(inst.fn, ElementStorePolicy(), OracleAudit())
-            self.check(gate, record(CardTree(gate, K, K, v, trace=True), stream, gate))
+            self.check(gate, record(CardTree(gate, K, K, v), stream, gate))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mat_tree(self, seed):
         inst, matroid, stream, opt = mat_case(seed)
         gate = QueryGate(inst.fn, ElementStorePolicy(), OracleAudit())
-        tree = MatroidTree(gate, matroid, matroid.rank, max(opt, 1), trace=True)
+        tree = MatroidTree(gate, matroid, matroid.rank, max(opt, 1))
         self.check(gate, record(tree, stream, gate))
 
 
@@ -604,19 +627,25 @@ class TestGuessDriver:
         matroid = PartitionMatroid([0] * n, capacity=K) if one_class else inst.matroid
         driver = GuessDriver(gate, matroid, eps)
         moves, spawned = [], []
-        advance, spawn = driver.grid.advance, driver._spawn
+        advance, new_tree, join = driver.grid.advance, driver._new_tree, branching._Tree.join
 
         def record_advance(m):
             left, entered = advance(m)
             moves.append((entered, driver.grid.first, driver.grid.last))
             return left, entered
 
-        def record_spawn(i):
-            spawned.append(i)
-            spawn(i)
+        def record_new_tree(v, index):
+            spawned.append(index)
+            return new_tree(v, index=index)
 
-        driver.grid.advance, driver._spawn = record_advance, record_spawn
-        stream_run(driver, stream, gate)
+        def record_join(tree, i, v):
+            spawned.append(i)
+            join(tree, i, v)
+
+        driver.grid.advance, driver._new_tree = record_advance, record_new_tree
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(branching._Tree, "join", record_join)
+            stream_run(driver, stream, gate)
         union = {i for _, first, last in moves for i in range(first, last + 1)}
         assert spawned == sorted(union) == [i for entered, _, _ in moves for i in entered]
         assert driver.roots_spawned == len(spawned)
@@ -633,15 +662,15 @@ class TestGuessDriver:
         fn = additive([3, 2, 2, 1, 4, 1])
         gate = weak_gate(fn, matroid)
         driver = GuessDriver(gate, matroid, "1/10")
-        roots, spawn = [], driver._spawn
+        trees, new_tree = [], driver._new_tree
 
-        def record_spawn(i):
-            spawn(i)
-            roots.append(type(driver.roots[i]))
+        def record_new_tree(v, index):
+            trees.append(new_tree(v, index=index))
+            return trees[-1]
 
-        driver._spawn = record_spawn
+        driver._new_tree = record_new_tree
         solution, _ = stream_run(driver, range(6), gate)
-        assert roots and set(roots) == {tree}
+        assert trees and {type(made) for made in trees} == {tree}
         assert matroid.is_independent(solution)
 
     def test_card_cap_runs_every_benchmark_budget(self, monkeypatch):
@@ -728,7 +757,7 @@ class TestNoReferenceCycles:
             for t, e in enumerate(range(8)):
                 gate.audit.step = t
                 driver.step(t, e)
-            trees = [weakref.ref(tree) for tree in dict.fromkeys(driver.roots.values())]
+            trees = [weakref.ref(tree) for tree in driver.trees]
             assert trees and all(ref().nodes for ref in trees)
             del driver
             assert [ref() for ref in trees] == [None] * len(trees)
@@ -803,11 +832,12 @@ class TestLoadsDifferential:
         gate = weak_gate(fn, matroid)
         alg = make(gate, matroid)
         log = StepLog(alg, gate)
-        solution, value = stream_run(alg, stream, gate, log)
+        with offer_trace() as traces:
+            solution, value = stream_run(alg, stream, gate, log)
         assert gate.audit.compliant
         trace = None
         if isinstance(alg, MatroidTree):
-            trace = [t for _, t in alg.trace_log]
+            trace = [t for _, t in traces[alg]]
             for node in alg.nodes:
                 # runs tile 0..beta in order; a run is closed exactly when
                 # I + T reached the rank, and an open run's load is that of I + T
@@ -837,8 +867,7 @@ class TestLoadsDifferential:
             _, opt = brute_force_optimum(fn, packed)
 
             def make(gate, matroid):
-                return MatroidTree(gate, matroid, max(matroid.rank, 1), max(opt, 1),
-                                   trace=True)
+                return MatroidTree(gate, matroid, max(matroid.rank, 1), max(opt, 1))
         elif alg == "driver":
             def make(gate, matroid):
                 return GuessDriver(gate, matroid, Fraction(1, 4))
@@ -872,13 +901,20 @@ def guess_nodes(tree, i: int) -> list:
     return out
 
 
+def live_trees(alg) -> dict:
+    """Per live guess, ascending, the tree that serves it: of a guess
+    driver, of the reference driver, or of a lone tree (as guess 0)."""
+    if isinstance(alg, GuessDriver):
+        return guess_trees(alg)
+    return alg.roots if isinstance(alg, PerGuessDriver) else {0: alg}
+
+
 def guess_states(alg):
     """Per live guess, ascending, of a matroid tree or a guess driver: each
     of its nodes' carried set and per-index tracking state for that
     guess."""
-    roots = alg.roots if hasattr(alg, "roots") else {0: alg}
     return [[(node.g.pinned, per_index(guess_runs(tree, node)[j]))
-             for node, j in guess_nodes(tree, i)] for i, tree in roots.items()]
+             for node, j in guess_nodes(tree, i)] for i, tree in live_trees(alg).items()]
 
 
 class NodeStates:
@@ -898,7 +934,7 @@ class NodeStates:
 
     def after(self, t, e, stored):
         alg = self.alg
-        trees = dict.fromkeys(alg.roots.values()) if hasattr(alg, "roots") else [alg]
+        trees = dict.fromkeys(live_trees(alg).values())
         self.footprints.extend((tree.footprint(), ref_footprint(tree)) for tree in trees)
         self.steps.append({
             "stored": stored, "footprint": alg.footprint(),
@@ -919,16 +955,19 @@ class TestRunsDifferential:
         gate = weak_gate(fn, matroid)
         alg = make(gate, matroid)
         log = NodeStates(alg, gate)
-        solution, value = stream_run(alg, stream, gate, log)
+        with offer_trace() as traces:
+            solution, value = stream_run(alg, stream, gate, log)
         for running, summed in log.footprints:
             assert running == summed
         out = {"solution": solution, "value": value, "steps": log.steps,
                "queries": gate.audit.query_count,
                "max_stored": gate.audit.max_stored,
                "branches": alg.branches_spawned}
-        if not hasattr(alg, "roots"):
+        if not isinstance(alg, (GuessDriver, PerGuessDriver)):
+            # the reference tree traces its own offers
+            trace = traces[alg] if isinstance(alg, MatroidTree) else alg.trace_log
             index = {id(node): i for i, node in enumerate(alg.nodes)}
-            out["trace"] = [(index[node_id], t) for node_id, t in alg.trace_log]
+            out["trace"] = [(index[node_id], t) for node_id, t in trace]
         return out
 
     def check(self, fn, matroid, stream, make, make_ref):
@@ -936,7 +975,7 @@ class TestRunsDifferential:
 
     def check_tree(self, fn, matroid, stream, k, v):
         self.check(fn, matroid, stream,
-                   lambda gate, matroid: MatroidTree(gate, matroid, k, v, trace=True),
+                   lambda gate, matroid: MatroidTree(gate, matroid, k, v),
                    lambda gate, matroid: PerGuessMatroidTree(gate, matroid, k, v, trace=True,
                                                              node=PerIndexMatNode))
 
@@ -1079,7 +1118,7 @@ def node_runs(driver) -> list:
     """Per live tree of a guess driver, the guess indices each of its
     nodes serves, in order."""
     return [[[i for i, _, _ in node.run] for node in tree.nodes]
-            for tree in dict.fromkeys(driver.roots.values())]
+            for tree in driver.trees]
 
 
 class TestRunsOfGuesses:
@@ -1158,7 +1197,8 @@ class TestRunsOfGuesses:
         low, high, all4 = [0, 1, 2], [3], [0, 1, 2, 3]
         assert runs == [[[all4, all4]], [[all4, low, high, low]],
                         [[all4, low, high, low, high]]]
-        assert [driver.roots[i] for i in range(4)] == [driver.roots[0]] * 4
+        trees = guess_trees(driver)
+        assert [trees[i] for i in range(4)] == [trees[0]] * 4
         self.check(fn, matroid, [0, 1, 2], 1)
 
     def test_a_tie_at_the_top_keeps_the_run(self):
@@ -1237,8 +1277,9 @@ class TestRunsOfGuesses:
         low, high, all4 = [3, 4], [5, 6], [3, 4, 5, 6]
         assert runs == [[[all4] * 2], [[all4] * 3], [[low, high, all4, all4, low]],
                         [[low, high, all4, all4, low, low, high]]]
-        tree = driver.roots[3]
-        assert driver.roots[5] is tree
+        trees = guess_trees(driver)
+        tree = trees[3]
+        assert trees[5] is tree
         low, high, u_low, u_high = tree.nodes[0], tree.nodes[1], tree.nodes[5], tree.nodes[6]
         assert list(low.children) == [0, 1, 2, 3] and list(high.children) == [0, 1, 3]
         assert low.g is high.g and u_low.g is u_high.g and u_low is not u_high
@@ -1295,7 +1336,7 @@ class TestRunsOfGuesses:
             for t, e in enumerate(sample_stream(inst, "class-blocks", seed)):
                 gate.audit.step = t
                 driver.step(t, e)
-                trees.update(driver.roots.values())
+                trees.update(driver.trees)
             (tree,) = trees
             assert driver.live_roots_peak == len(tree.run) == 41
             assert len(tree.nodes) == 15 and t == 36
@@ -1352,7 +1393,7 @@ class TestSplitsShareNothing:
             for t, e in enumerate(stream):
                 gate.audit.step = t
                 driver.step(t, e)
-                self.check(dict.fromkeys(driver.roots.values()))
+                self.check(driver.trees)
         return len(splits)
 
     def test_hand_built_splits(self):
@@ -1401,8 +1442,9 @@ class TestRunningState:
     """The guess driver keeps current what the runner reads every step.
     After every step, under the weak and the element-store policy:
 
-    * ``trees`` lists the distinct trees of ``roots``, in ascending guess
-      order, and the driver keeps no entering tree past its spawn;
+    * every tree's run is nonempty, and the runs of ``trees``,
+      concatenated, are the grid's window ``first..last``, the live
+      guesses, so each is ascending and they are in ascending order;
     * ``footprint()`` equals the champion's size plus each tree's
       footprint recomputed from its nodes (``ref_driver_footprint``).
 
@@ -1421,8 +1463,9 @@ class TestRunningState:
             steps = []
 
             def after(t, e, stored):
-                assert driver.trees == list(dict.fromkeys(driver.roots.values()))
-                assert driver._entering is None
+                runs = [[i for i, _, _ in tree.run] for tree in driver.trees]
+                assert all(runs)
+                assert sum(runs, []) == list(range(driver.grid.first, driver.grid.last + 1))
                 assert driver.footprint() == ref_driver_footprint(driver)
                 steps.append(t)
             with pytest.MonkeyPatch.context() as mp:
@@ -1452,6 +1495,20 @@ class TestRunningState:
         self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed), eps)
         inst = MatHardInstance(MatHardParams(K, m), seed)
         self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed), eps)
+
+    @pytest.mark.parametrize("matroid", [UniformMatroid(4, 1), PartitionMatroid([0] * 4)])
+    def test_whole_trees_leave(self, matroid):
+        """K=1, eps=1, gains 1, 5, 30, 200: each element raises m past the
+        window [m/4, m] of the one before, so each tree's guesses all leave
+        in one step while the stream runs, under both trees."""
+        fn = additive([1, 5, 30, 200])
+        self.drive(fn, matroid, [0, 1, 2, 3], 1)
+        driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
+        runs = []
+        for t in range(4):
+            driver.step(t, t)
+            runs.append([[i for i, _, _ in tree.run] for tree in driver.trees])
+        assert runs == [[[0]], [[1, 2]], [[3, 4]], [[6, 7]]]
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), K=st.integers(1, 4),
@@ -1508,7 +1565,7 @@ class TestTwinsAskOnce:
             self.steps.append({
                 i: [node_state(tree, node, j) for node, j in
                     ([(node, 0) for node in tree.nodes] if own else guess_nodes(tree, i))]
-                for i, tree in self.driver.roots.items()})
+                for i, tree in live_trees(self.driver).items()})
 
     @classmethod
     def run(cls, alg, gate, stream, wrap):
@@ -1666,7 +1723,7 @@ class TestLevelRuns:
         driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
         driver.step(0, 0)
         driver.step(1, 1)
-        tree = driver.roots[3]
+        tree = guess_trees(driver)[3]
         assert self.levels(tree.root) == [(None, 4, [0, 1]), (4, None, [0])]
         assert [tree.index_runs(tree.root, i)[0][1] for i in range(3, 7)] == [8, 4, 2, 1]
         driver.step(2, 2)
@@ -1692,7 +1749,7 @@ class TestLevelRuns:
         matroid, fn, stream = self.BOTH_SIDES
         driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
         driver.step(0, 1)
-        tree = driver.roots[0]
+        tree = guess_trees(driver)[0]
         child, _ = tree.root.children[1]
         alpha, beta, _ = child.t
         assert [alpha * num - beta * den > 0 for _, num, den in tree.run] == \
@@ -1717,7 +1774,7 @@ class TestLevelRuns:
         driver = GuessDriver(weak_gate(fn, matroid), matroid, 1)
         for t, e in enumerate(stream):
             driver.step(t, e)
-        tree = driver.roots[3]
+        tree = guess_trees(driver)[3]
         child, _ = tree.root.children[1]
         variant = child.next
         assert child not in tree.nodes and variant in tree.nodes
