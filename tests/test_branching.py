@@ -30,8 +30,8 @@ from streamsub.samplers import sample_stream
 
 from _reference import (ExplicitMatroid, FractionSieve, PerGuessDriver, PerGuessMatroidTree,
                         PerIndexMatNode, PerInvocationCardTree, StepGuessGrid, gamma_bound,
-                        guess_runs, guess_trees, ref_cardinality, ref_driver_footprint, ref_footprint,
-                        ref_matroid, ref_stored_set, ref_window, subtree_size)
+                        guess_runs, guess_trees, ref_cardinality, ref_driver_footprint,
+                        ref_footprint, ref_matroid, ref_stored_set, ref_window, subtree_size)
 
 
 def weak_gate(fn, matroid):
