@@ -21,22 +21,9 @@ guesses v = (1+eps)^i and the window of them that the best singleton so
 far selects; the driver here and the sieve in :mod:`streamsub.baselines`
 share it.
 
-A tree of either kind serves the guesses that entered the window in one
-step, for as long as they are live. Each node serves a contiguous
-interval of them, at first all; where its guesses disagree on an offer,
-in ``_Tree.step``, that node alone splits into variants, one per
-sub-interval, which copy its own state and share its residual and the
-children made before the split. What the guesses agree on stays one
-object. A variant links to the next, so a guess finds its variant of a
-child by following the links. A :class:`CardTree` node splits where a
-gain clears a chain's take bar for a prefix of its guesses only. A
-:class:`MatroidTree` node's threshold runs are over the acceptance
-levels b*t(v)/K^4, not over each guess's indices b, so one list of them
-serves all its guesses; the node splits where adjacent guesses disagree
-on whether it spawns a child. Only the first node to offer an element on
-a residual asks the gate, uncounted; each tree counts its nodes' queries
-(:meth:`~streamsub.oracles.QueryGate.replay`) once per guess each node
-serves, so the query count and log are those of one tree per guess.
+A tree of either kind serves a run of guesses at once, and a node splits
+only where its guesses disagree; :class:`_Tree` tells how, and how a tree
+counts the queries and the elements of each of its guesses.
 
 Numeric conventions: function values are exact integers. A guess value
 v is an exact rational kept as an integer pair ``(num, den)`` with
@@ -204,19 +191,28 @@ class _Tree:
     """What both branch trees share. ``run`` is the ascending list of the
     live guesses ``(index, num, den)``, with consecutive indices: a tree is
     built for one guess, and :class:`GuessDriver` joins to it the guesses
-    that enter the window in the same step. ``nodes`` holds the live nodes
-    in creation order, each variant right after the one it split from;
-    ``asked`` holds a ``(query, times, guesses)`` triple per query of the
-    last step. A node's ``run`` lists the guesses it serves: the tree's
-    own ``run``, which only changes in place, until the node splits, then
-    a list built at the split; ``next`` is its variant for the guesses
-    above. ``split`` tells whether any node has split.
-    Per guess, ``alike`` counts the elements of the nodes that serve all
-    the guesses, ``stored[j]`` those of guess j's other nodes, and
-    ``taken[j]`` the branches guess j has spawned, each of which holds one
-    element more; ``held``, their total over the run, is kept current
-    wherever they change. Nodes keep no reference to their tree, which
-    passes itself in, so a tree holds no reference cycle.
+    that enter the window in the same step.
+
+    ``nodes`` holds the live nodes in creation order. A node's ``run``
+    lists the guesses it serves: the tree's ``run``, which only changes in
+    place, until the node's guesses disagree on an offer (:meth:`step`).
+    Then that node alone splits into variants, one per part of its run,
+    each placed after it with a list of its own and linked by ``next`` to
+    the variant above; they copy its state and share its residual and the
+    children made before the split, so a guess finds its variant of a
+    child by following the links.
+
+    Queries: only the first node to offer an element on a residual asks
+    the gate, uncounted; ``asked`` holds a ``(query, times, run)`` triple
+    per query of the last step, counted once per guess of ``run``.
+
+    Space: a node's ``hold`` counts the elements it holds for each guess
+    it serves, ``taken[j]`` the branches guess j has spawned, each holding
+    one element more, and ``held``, the tree's footprint, is every
+    ``hold`` times its node's guesses plus every ``taken``. Only
+    :meth:`_hold` adds to ``hold`` and :meth:`_credit` to ``taken``, both
+    keeping ``held`` current. Nodes keep no reference to their tree,
+    which passes itself in, so a tree holds no reference cycle.
     """
 
     def __init__(self, gate: QueryGate, run: list):
@@ -224,11 +220,8 @@ class _Tree:
         self.run = run
         self.nodes: list = []
         self.asked: list = []
-        self.alike = 0
-        self.stored = [0] * len(run)
         self.taken = [0] * len(run)
         self.held = 0
-        self.split = False
 
     @property
     def branches_spawned(self) -> int:
@@ -244,7 +237,6 @@ class _Tree:
         tree's first step, when no node holds an element yet, and make the
         query of f(empty) that the guess's own root would make."""
         self.run.append((index, *v))
-        self.stored.append(0)
         self.taken.append(0)
         self.gate.value(frozenset())
 
@@ -286,7 +278,6 @@ class _Tree:
         node.run, twin.run = run[:cut], run[cut:]
         node.next, twin.next = twin, node.next
         self.nodes.insert(self.nodes.index(node) + 1, twin)
-        self.split = True
         return twin
 
     def finish(self) -> tuple[frozenset, int]:
@@ -298,37 +289,34 @@ class _Tree:
         """How many of the run's lowest guesses the same nodes serve: up to
         the first guess a node's run ends at, as a node's run can start
         above the lowest guess only where another's ends."""
-        if not self.split:
-            return len(self.run)
         return min(node.run[-1][0] for node in self.nodes) - self.run[0][0] + 1
 
-    def _hold(self, run: list, n: int):
-        # the nodes that serve `run` hold n elements more, for each guess
-        if run is self.run:
-            self.alike += n
-            self.held += n * len(run)
-        else:
-            self._credit(self.stored, run, n)
+    def _hold(self, node, n: int):
+        # `node` holds n elements more, for each guess it serves
+        node.hold += n
+        self.held += n * len(node.run)
 
-    def _credit(self, counts: list, run: list, n: int):
-        # add n to the entries of `counts` for the guesses of `run`
+    def _credit(self, run: list, counts: list):
+        # the guesses of `run` have spawned counts[j] branches more each
         lo = run[0][0] - self.run[0][0]
         hi = lo + len(run)
-        counts[lo:hi] = [c + n for c in counts[lo:hi]]
-        self.held += n * len(run)
+        self.taken[lo:hi] = [c + n for c, n in zip(self.taken[lo:hi], counts)]
+        self.held += sum(counts)
 
     def drop_lowest(self, k: int) -> int:
         """Drop the run's k lowest guesses, and the nodes that served only
         them, and return their count of branches spawned."""
         spawned = sum(self.taken[:k])
-        self.held -= self.alike * k + spawned + sum(self.stored[:k])
-        del self.run[:k], self.stored[:k], self.taken[:k]
-        if self.split and self.run:
-            low = self.run[0][0]
-            nodes = [node for node in self.nodes if node.run[-1][0] >= low]
-            for node in nodes:  # once for a list that others share
-                del node.run[:max(0, low - node.run[0][0])]
-            self.nodes = nodes
+        low, held, nodes = self.run[0][0] + k, self.held - spawned, []
+        for node in self.nodes:
+            run = node.run
+            held -= node.hold * max(0, min(low - run[0][0], len(run)))
+            if run[-1][0] >= low:
+                nodes.append(node)
+        del self.run[:k], self.taken[:k]
+        for node in nodes:  # once for a list that others share
+            del node.run[:max(0, low - node.run[0][0])]
+        self.nodes, self.held = nodes, held
         return spawned
 
 
@@ -401,7 +389,7 @@ class _CardNode:
       query count and log unchanged, entry for entry.
     """
 
-    __slots__ = ("s", "g", "best", "chains", "waiting", "times", "run", "next")
+    __slots__ = ("s", "g", "best", "chains", "waiting", "times", "hold", "run", "next")
 
     def __init__(self, tree: "CardTree", s: int, g: Residual, chains: list, run: list):
         self.s = s
@@ -410,6 +398,7 @@ class _CardNode:
         self.chains = chains
         self.waiting = None
         self.times = 0
+        self.hold = 0
         self.run = run
         self.next = None
         tree.nodes.append(self)
@@ -436,7 +425,7 @@ class _CardNode:
         tree.asked.append((g.query, self.times, run))
         best = self.best
         if best is None:
-            tree._hold(run, len(self.chains))
+            tree._hold(self, len(self.chains))
         if best is None or gain > best[1]:
             self.best = (frozenset({e}), gain)
         if not waiting:
@@ -463,7 +452,7 @@ class _CardNode:
         chains = [self.chains[p] for p in taking]
         # each chain pins e in its k - 1 members, for every guess of the node
         spawned = sum(chain[0] for chain in chains) - len(chains)
-        tree._credit(tree.taken, self.run, spawned)
+        tree._credit(self.run, [spawned] * len(self.run))
         self.times -= spawned
         for chain in chains:
             k = chain[0]
@@ -478,7 +467,8 @@ class _CardNode:
 
     def variant(self) -> "_CardNode":
         twin = object.__new__(_CardNode)
-        twin.s, twin.g, twin.best, twin.times = self.s, self.g, self.best, self.times
+        twin.s, twin.g, twin.best, twin.times, twin.hold = (self.s, self.g, self.best,
+                                                             self.times, self.hold)
         twin.chains = [list(c) for c in self.chains]
         twin.waiting = [(p, twin.chains[p]) for p, _ in self.waiting]
         return twin
@@ -502,11 +492,13 @@ class _CardNode:
 
 class CardTree(_Tree):
     """Event-driven tree under a cardinality budget for a run of guesses
-    (:class:`_CardNode`). Each node keeps taking singletons, so every node
-    stays live. A guess's nodes hold one element per leaf with a best
-    singleton, and ``taken`` counts one per internal invocation that has
-    pinned an element. Budgets above ``MAX_K`` are refused: runs of
-    guesses do not shrink the per-guess space bound K*2^(2K).
+    (:class:`_CardNode`, :class:`_Tree`). A node splits where a gain
+    clears a chain's bar for a prefix of its guesses only. Each node keeps
+    taking singletons, so every node stays live. A node's ``hold`` is one
+    element per chain, its leaf's best singleton, and ``taken`` counts one
+    per internal invocation that has pinned an element. Budgets above
+    ``MAX_K`` are refused: runs of guesses do not shrink the per-guess
+    space bound K*2^(2K).
     """
 
     MAX_K = 10
@@ -604,7 +596,8 @@ class _MatNode:
     which feeds the tree's ``taken``.
     """
 
-    __slots__ = ("k", "t", "g", "iload", "best_single", "runs", "children", "run", "next")
+    __slots__ = ("k", "t", "g", "iload", "best_single", "runs", "children", "hold", "run",
+                 "next")
 
     def __init__(self, tree: "MatroidTree", k: int, t: tuple, g: Residual, iload, run: list):
         self.k = k
@@ -615,10 +608,11 @@ class _MatNode:
         # accepted element -> (its child, its gain), in arrival order
         self.children: dict[int, tuple["_MatNode", int]] = {}
         self.runs = [(None, None, frozenset(), iload)] if k > 1 else []
+        self.hold = 0
         self.run = run
         self.next = None
         tree.nodes.append(self)
-        tree._hold(run, len(g.pinned))
+        tree._hold(self, len(g.pinned))
 
     def offer(self, tree: "MatroidTree", e: int):
         """When I + e is independent, read the gain of ``e`` once for all
@@ -637,7 +631,7 @@ class _MatNode:
         tree.asked.append((g.query, 1, run))
         best = self.best_single
         if best is None:
-            tree._hold(run, 1)
+            tree._hold(self, 1)
             self.best_single = (gain, e)
         elif gain > best[0]:
             self.best_single = (gain, e)
@@ -672,10 +666,7 @@ class _MatNode:
                 break
         if counts is None:
             return None
-        taken, lo = tree.taken, run[0][0] - tree.run[0][0]
-        for j, c in enumerate(counts, lo):
-            taken[j] += c
-        tree.held += sum(counts)
+        tree._credit(run, counts)
         if 0 not in counts:
             return self, gain, [(len(counts), True)]
         ends = [j for j in range(1, len(counts)) if (counts[j] > 0) != (counts[j - 1] > 0)]
@@ -694,7 +685,8 @@ class _MatNode:
 
     def variant(self) -> "_MatNode":
         twin = object.__new__(_MatNode)
-        twin.k, twin.t, twin.g, twin.iload = self.k, self.t, self.g, self.iload
+        twin.k, twin.t, twin.g, twin.iload, twin.hold = (self.k, self.t, self.g, self.iload,
+                                                         self.hold)
         twin.best_single, twin.runs, twin.children = (self.best_single, list(self.runs),
                                                       dict(self.children))
         return twin
@@ -716,7 +708,8 @@ class _MatNode:
 
 
 class MatroidTree(_Tree):
-    """Event-driven tree under a matroid constraint for a run of guesses.
+    """Event-driven tree under a matroid constraint for a run of guesses
+    (:class:`_MatNode`, :class:`_Tree`).
 
     A node splits where two adjacent guesses disagree on whether it
     spawns a child for e (:meth:`_MatNode.offer`). Index 0's bar is 0, so
@@ -724,8 +717,8 @@ class MatroidTree(_Tree):
     disagree only when T_0 cannot take e or a target is <= 0.
 
     Branching is Theta(K^5) wide per node with depth K, so ranks above
-    ``MAX_RANK`` are refused. A guess's nodes hold their carried sets I
-    and fallbacks, and ``taken[j]`` counts the elements of guess j's
+    ``MAX_RANK`` are refused. A node's ``hold`` is its carried set I and
+    its fallback, and ``taken[j]`` counts the elements of guess j's
     tracking sets, one per threshold index that accepted an element, which
     is also its count of branches spawned. :meth:`stored_set` holds,
     besides the fallbacks, the tracking sets of the runs that hold an
@@ -807,12 +800,12 @@ class GuessDriver:
     any element.
 
     ``trees`` lists the live trees in ascending guess order: the guesses
-    that enter in one step join one new tree (see the module docstring),
-    which lives until its last guess leaves. Their runs, concatenated, are
-    the window ``grid.first..grid.last``. Each step steps each tree once,
-    and nothing queries between a tree's offers and its count, so the
-    query count and log, the oracle calls, the refusals, the footprint
-    (the sum of the trees' ``held``), the stored set and the counters are
+    that enter in one step join one new tree (:class:`_Tree`), which lives
+    until its last guess leaves. Their runs, concatenated, are the window
+    ``grid.first..grid.last``. Each step steps each tree once, and nothing
+    queries between a tree's offers and its count, so the query count and
+    log, the oracle calls, the refusals, the footprint (the champion's
+    size plus each tree's ``held``), the stored set and the counters are
     those of one tree per guess.
     """
 

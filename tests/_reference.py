@@ -13,7 +13,7 @@ fallback last.
 and :class:`StepGuessGrid` advances it by walking one index at a time;
 :func:`ref_stored_set` is a branch tree's stored set by the per-node union
 formula that also counts every pinned or carried element on each node, and
-:func:`ref_footprint` the tree's running ``stored`` count summed node by
+:func:`ref_footprint` the tree's running ``held`` count summed node by
 node, and guess by guess in a matroid tree (:func:`guess_runs`);
 :func:`ref_driver_footprint` sums it over a guess driver's distinct trees,
 the walk the driver's running footprint replaced.
@@ -656,23 +656,20 @@ class PerInvocationCardTree:
 
 class PerGuessDriver:
     """The guess driver with one tree of its own per guess: every live
-    guess index spawns a ``card_tree`` (cardinality) or a ``mat_tree``
-    (matroid), each tree is stepped on its own in ascending guess order,
-    and each retiring guess computes its tree's solution. The code path
-    that runs of guesses sharing one tree replaced; the package's
-    ``GuessDriver`` must make the same run."""
+    guess index spawns a ``card_tree`` on a ``UniformMatroid`` or a
+    ``mat_tree`` on any other matroid, as ``GuessDriver`` picks its tree,
+    each tree is stepped on its own in ascending guess order, and each
+    retiring guess computes its tree's solution. The code path that runs
+    of guesses sharing one tree replaced; the package's ``GuessDriver``
+    must make the same run."""
 
-    def __init__(self, gate, matroid, eps, constraint=None, card_tree=CardTree,
-                 mat_tree=PerGuessMatroidTree):
-        if constraint is None:
-            constraint = "cardinality" if isinstance(matroid, UniformMatroid) else "matroid"
+    def __init__(self, gate, matroid, eps, card_tree=CardTree, mat_tree=PerGuessMatroidTree):
         self.gate = gate
         self.matroid = matroid
         self.K = matroid.rank
         eps = to_fraction(eps)
         p, q = eps.numerator, eps.denominator
         self.grid = GuessGrid(eps, (q * q, (p + q) ** 2), (self.K * q, p))
-        self.constraint = constraint
         self.card_tree = card_tree
         self.mat_tree = mat_tree
         self.empty_load = matroid.load(frozenset())
@@ -685,7 +682,7 @@ class PerGuessDriver:
 
     def _spawn(self, i):
         v = self.grid[i]
-        if self.constraint == "cardinality":
+        if isinstance(self.matroid, UniformMatroid):
             tree = self.card_tree(self.gate, self.K, self.K, v)
         else:
             tree = self.mat_tree(self.gate, self.matroid, self.K, v)

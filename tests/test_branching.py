@@ -1340,7 +1340,7 @@ class TestRunsOfGuesses:
             (tree,) = trees
             assert driver.live_roots_peak == len(tree.run) == 41
             assert len(tree.nodes) == 15 and t == 36
-            assert not tree.split
+            assert all(node.run is tree.run for node in tree.nodes)
 
 
 class TestSplitsShareNothing:
@@ -1353,8 +1353,8 @@ class TestSplitsShareNothing:
       ``children`` or its ``runs``), and no two residuals pin the same set;
     * no two trees share a per-guess list or a node;
     * every per-guess list stays as long as the interval it covers:
-      ``stored`` and ``taken`` as the run, whose indices are consecutive,
-      and a split node's own run is a nonempty, consecutive part of it.
+      ``taken`` as the run, whose indices are consecutive, and a split
+      node's own run is a nonempty, consecutive part of it.
 
     :meth:`drive` returns the count of node splits, so that a case can
     check that it split."""
@@ -1365,9 +1365,9 @@ class TestSplitsShareNothing:
         for tree in trees:
             run = [i for i, _, _ in tree.run]
             assert run == list(range(run[0], run[0] + len(run)))
-            assert len(tree.stored) == len(tree.taken) == len(run)
+            assert len(tree.taken) == len(run)
             residuals = {}
-            for obj in (tree.run, tree.stored, tree.taken):
+            for obj in (tree.run, tree.taken):
                 assert owner.setdefault(id(obj), tree) is tree
             for node in tree.nodes:
                 guesses = [i for i, _, _ in node.run]
@@ -1446,16 +1446,20 @@ class TestRunningState:
       concatenated, are the grid's window ``first..last``, the live
       guesses, so each is ascending and they are in ascending order;
     * ``footprint()`` equals the champion's size plus each tree's
-      footprint recomputed from its nodes (``ref_driver_footprint``).
+      footprint recomputed from its nodes (``ref_driver_footprint``);
+    * every tree's ``held`` is each node's ``hold`` once per guess it
+      serves, plus the branches its guesses spawned (``taken``).
 
     After ``finish`` no tree is live. :meth:`drive` returns the count of
-    node splits, so that a case can check that it split."""
+    node splits and the count of the steps' retirements that leave a
+    tree, some of whose nodes split, part of its guesses, so that a case
+    can check that these happen."""
 
     POLICIES = ("weak", "element-store")
 
     @classmethod
-    def drive(cls, fn, matroid, stream, eps) -> int:
-        splits = []
+    def drive(cls, fn, matroid, stream, eps) -> tuple[int, int]:
+        splits, cuts = [], []
         for policy in cls.POLICIES:
             gate = QueryGate(fn, WeakPolicy(matroid) if policy == "weak" else
                              ElementStorePolicy(), OracleAudit())
@@ -1467,25 +1471,45 @@ class TestRunningState:
                 assert all(runs)
                 assert sum(runs, []) == list(range(driver.grid.first, driver.grid.last + 1))
                 assert driver.footprint() == ref_driver_footprint(driver)
+                for tree in driver.trees:
+                    assert tree.held == sum(node.hold * len(node.run) for node in tree.nodes) \
+                        + sum(tree.taken)
                 steps.append(t)
+
+            def drop_lowest(tree, k):
+                if len(steps) < len(stream) and k < len(tree.run) and \
+                        any(node.run is not tree.run for node in tree.nodes):
+                    cuts.append(k)
+                return drop(tree, k)
             with pytest.MonkeyPatch.context() as mp:
-                split = branching._Tree._split
+                split, drop = branching._Tree._split, branching._Tree.drop_lowest
                 mp.setattr(branching._Tree, "_split",
                            lambda tree, *args: splits.append(split(tree, *args)) or splits[-1])
+                mp.setattr(branching._Tree, "drop_lowest", drop_lowest)
                 stream_run(driver, stream, gate,
                            SimpleNamespace(before=lambda t, e: None, after=after))
             assert steps == list(range(len(stream)))
             assert driver.trees == [] and driver.footprint() == len(driver.champion[0])
-        return len(splits)
+        return len(splits), len(cuts)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_hard_instances(self, seed):
         inst = CardHardInstance(CardHardParams(24, 4, 4), seed)
         assert self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed),
-                          Fraction(1, 10)) > 0
+                          Fraction(1, 10))[0] > 0
         inst = MatHardInstance(MatHardParams(4, 3), seed)
         assert self.drive(inst.fn, inst.matroid, sample_stream(inst, "uniform", seed),
-                          Fraction(1, 4)) > 0
+                          Fraction(1, 4))[0] > 0
+
+    def test_a_split_matroid_tree_retires_part_of_its_guesses(self):
+        """Coverage under a partition matroid, uniform order, eps=1/4: at
+        the seventh element a matroid tree whose nodes have split retires
+        one of its 12 guesses and keeps serving the others, under both
+        policies."""
+        inst = CoverageInstance(8, 12, 2, 2, 0.3)
+        matroid = PartitionMatroid([0, 1, 0, 2, 2, 1, 1, 2], 1)
+        assert self.drive(inst.fn, matroid, sample_stream(inst, "uniform", 2),
+                          Fraction(1, 4)) == (10, 2)
 
     @settings(max_examples=15, deadline=None)
     @given(K=st.integers(2, 4), extra=st.integers(0, 8), seed=st.integers(0, 10 ** 6),
