@@ -44,6 +44,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from math import floor, log, log1p
+from operator import add
 
 from .errors import InvalidParams
 from .matroids import Matroid, UniformMatroid
@@ -300,23 +301,27 @@ class _Tree:
         # the guesses of `run` have spawned counts[j] branches more each
         lo = run[0][0] - self.run[0][0]
         hi = lo + len(run)
-        self.taken[lo:hi] = [c + n for c, n in zip(self.taken[lo:hi], counts)]
+        self.taken[lo:hi] = map(add, self.taken[lo:hi], counts)
         self.held += sum(counts)
 
     def drop_lowest(self, k: int) -> int:
         """Drop the run's k lowest guesses, and the nodes that served only
         them, and return their count of branches spawned."""
         spawned = sum(self.taken[:k])
-        low, held, nodes = self.run[0][0] + k, self.held - spawned, []
+        low = self.run[0][0] + k
+        self.held -= spawned
+        nodes = []
+        # count each node's guesses below `low` before any list is cut,
+        # as nodes share lists
         for node in self.nodes:
             run = node.run
-            held -= node.hold * max(0, min(low - run[0][0], len(run)))
+            self.held -= node.hold * max(0, min(low - run[0][0], len(run)))
             if run[-1][0] >= low:
                 nodes.append(node)
         del self.run[:k], self.taken[:k]
         for node in nodes:  # once for a list that others share
             del node.run[:max(0, low - node.run[0][0])]
-        self.nodes, self.held = nodes, held
+        self.nodes = nodes
         return spawned
 
 
@@ -467,8 +472,8 @@ class _CardNode:
 
     def variant(self) -> "_CardNode":
         twin = object.__new__(_CardNode)
-        twin.s, twin.g, twin.best, twin.times, twin.hold = (self.s, self.g, self.best,
-                                                             self.times, self.hold)
+        twin.s, twin.g, twin.best, twin.times = self.s, self.g, self.best, self.times
+        twin.hold = self.hold
         twin.chains = [list(c) for c in self.chains]
         twin.waiting = [(p, twin.chains[p]) for p, _ in self.waiting]
         return twin
@@ -596,8 +601,7 @@ class _MatNode:
     which feeds the tree's ``taken``.
     """
 
-    __slots__ = ("k", "t", "g", "iload", "best_single", "runs", "children", "hold", "run",
-                 "next")
+    __slots__ = ("k", "t", "g", "iload", "best_single", "runs", "children", "hold", "run", "next")
 
     def __init__(self, tree: "MatroidTree", k: int, t: tuple, g: Residual, iload, run: list):
         self.k = k
@@ -685,8 +689,8 @@ class _MatNode:
 
     def variant(self) -> "_MatNode":
         twin = object.__new__(_MatNode)
-        twin.k, twin.t, twin.g, twin.iload, twin.hold = (self.k, self.t, self.g, self.iload,
-                                                         self.hold)
+        twin.k, twin.t, twin.g, twin.iload = self.k, self.t, self.g, self.iload
+        twin.hold = self.hold
         twin.best_single, twin.runs, twin.children = (self.best_single, list(self.runs),
                                                       dict(self.children))
         return twin
