@@ -1448,18 +1448,23 @@ class TestRunningState:
     * ``footprint()`` equals the champion's size plus each tree's
       footprint recomputed from its nodes (``ref_driver_footprint``);
     * every tree's ``held`` is each node's ``hold`` once per guess it
-      serves, plus the branches its guesses spawned (``taken``).
+      serves, plus the branches its guesses spawned (``taken``); this is
+      also checked after every retirement, those of ``finish`` included.
 
     After ``finish`` no tree is live. :meth:`drive` returns the count of
-    node splits and the count of the steps' retirements that leave a
-    tree, some of whose nodes split, part of its guesses, so that a case
-    can check that these happen."""
+    node splits and the count of the retirements, made while the stream
+    runs, that drop some but not all of the guesses of a tree with a
+    split node, so that a case can check that these happen."""
 
     POLICIES = ("weak", "element-store")
 
     @classmethod
     def drive(cls, fn, matroid, stream, eps) -> tuple[int, int]:
         splits, cuts = [], []
+
+        def held(tree):
+            return sum(node.hold * len(node.run) for node in tree.nodes) + sum(tree.taken)
+
         for policy in cls.POLICIES:
             gate = QueryGate(fn, WeakPolicy(matroid) if policy == "weak" else
                              ElementStorePolicy(), OracleAudit())
@@ -1471,16 +1476,16 @@ class TestRunningState:
                 assert all(runs)
                 assert sum(runs, []) == list(range(driver.grid.first, driver.grid.last + 1))
                 assert driver.footprint() == ref_driver_footprint(driver)
-                for tree in driver.trees:
-                    assert tree.held == sum(node.hold * len(node.run) for node in tree.nodes) \
-                        + sum(tree.taken)
+                assert all(tree.held == held(tree) for tree in driver.trees)
                 steps.append(t)
 
             def drop_lowest(tree, k):
                 if len(steps) < len(stream) and k < len(tree.run) and \
                         any(node.run is not tree.run for node in tree.nodes):
                     cuts.append(k)
-                return drop(tree, k)
+                spawned = drop(tree, k)
+                assert tree.held == held(tree)
+                return spawned
             with pytest.MonkeyPatch.context() as mp:
                 split, drop = branching._Tree._split, branching._Tree.drop_lowest
                 mp.setattr(branching._Tree, "_split",
